@@ -15,11 +15,23 @@ three extensions.
 Transitions are silent by default.  A transition constructed with an
 ``emit`` descriptor produces an observable label from its binding, which
 is how the translated commit/rollback steps surface the original firing.
+
+Each transition is analysed once per net, not once per call.  The first
+enabling query on a net builds its transition table
+(``_transition_table``): every transition's variable scope, input places
+and priority level, and an index from first input place to the
+transitions that start there.
+:func:`cpn_enabled` looks up only the places a marking actually holds
+tokens on, so a transition with an empty input place is never visited.
+The table is built lazily, never in the constructor, so validation of a
+broken net reports what it always did; it is rebuilt when the net's
+``transitions`` tuple is replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Optional
 
 from .fo import Formula, TRUE
@@ -94,6 +106,8 @@ class NuCpn:
     default_policy: FreshPolicy = field(default_factory=FreshPolicy)
     # Optional bookkeeping set by the translator: place name -> role.
     place_classes: dict = field(default_factory=dict)
+    # The transition table, built on first use by ``_transition_table``.
+    _table: Optional["_NetTable"] = field(default=None, init=False, repr=False, compare=False)
 
     def transition(self, name: str) -> CpnTransition:
         for t in self.transitions:
@@ -212,12 +226,80 @@ def _match_terms(terms, values, theta: dict) -> Optional[dict]:
     return out
 
 
-def _transition_bindings(net: NuCpn, marking: Marking, t: CpnTransition, policy: FreshPolicy):
-    # Cheap rejection: some input place empty means nothing to join.
-    for place, _ in t.inputs:
-        if marking.total(place) == 0:
-            return []
-    bound_vars, fresh_vars, external_vars, _ = _cpn_scope(t)
+@dataclass(frozen=True, eq=False)
+class _Entry:
+    """One transition, analysed once per net."""
+
+    transition: CpnTransition
+    position: int  # in the net's transition order
+    rank: int  # in the enabling order: highest priority level first, then position
+    level: int  # its priority
+    later_inputs: tuple  # input places after the first, which the index keys on
+    fresh: dict  # name -> Variable
+    external: tuple  # (name, Variable), sorted by name
+    problem: Optional[str]  # why _cpn_scope rejects it, raised on first use
+
+
+def _analyse(t: CpnTransition, position: int, rank: int) -> _Entry:
+    try:
+        _, fresh, external, _ = _cpn_scope(t)
+    except ContractError as e:
+        fresh, external, problem = {}, {}, str(e)
+    else:
+        problem = None
+    return _Entry(
+        transition=t,
+        position=position,
+        rank=rank,
+        level=t.priority,
+        later_inputs=tuple(place for place, _ in t.inputs[1:]),
+        fresh=fresh,
+        external=tuple(sorted(external.items())),
+        problem=problem,
+    )
+
+
+class _NetTable:
+    """The per-net transition table: one ``_Entry`` per transition, held
+    in an index from first input place to the entries that start there
+    (transitions without inputs are kept apart)."""
+
+    def __init__(self, transitions: tuple):
+        self.transitions = transitions  # the tuple this table describes
+        ranked = sorted(range(len(transitions)), key=lambda i: -transitions[i].priority)
+        self.by_first_input: dict = {}
+        self.no_inputs: list = []
+        for rank, position in enumerate(ranked):
+            t = transitions[position]
+            entry = _analyse(t, position, rank)
+            if t.inputs:
+                self.by_first_input.setdefault(t.inputs[0][0], []).append(entry)
+            else:
+                self.no_inputs.append(entry)
+
+    def candidates(self, marking: Marking) -> list:
+        """Entries whose input places all hold tokens, in enabling order."""
+        found = list(self.no_inputs)
+        for place in marking.places_marked():
+            for entry in self.by_first_input.get(place, ()):
+                if all(marking.tokens(p) for p in entry.later_inputs):
+                    found.append(entry)
+        found.sort(key=attrgetter("rank"))
+        return found
+
+
+def _transition_table(net: NuCpn) -> _NetTable:
+    table = net._table
+    if table is None or table.transitions is not net.transitions:
+        table = net._table = _NetTable(net.transitions)
+    return table
+
+
+def _transition_bindings(net: NuCpn, marking: Marking, entry: _Entry, policy: FreshPolicy):
+    """Bindings of one transition whose input places are all marked."""
+    if entry.problem is not None:
+        raise ContractError(entry.problem)
+    t = entry.transition
 
     partials = [({}, [])]
     for place, terms in t.inputs:
@@ -230,7 +312,8 @@ def _transition_bindings(net: NuCpn, marking: Marking, t: CpnTransition, policy:
         partials = grown
         if not partials:
             return []
-    partials = [(th, d) for th, d in partials if marking.covers(d)]
+    if len(t.inputs) > 1:  # one token drawn from the marking is always there
+        partials = [(th, d) for th, d in partials if marking.covers(d)]
 
     for place, terms in t.reads:
         grown = []
@@ -243,17 +326,16 @@ def _transition_bindings(net: NuCpn, marking: Marking, t: CpnTransition, policy:
         if not partials:
             return []
 
-    for name in sorted(external_vars):
-        var = external_vars[name]
+    for name, var in entry.external:
         values = sorted(net.samples.get(var.dtype, ()), key=lambda v: v.sort_key())
         partials = [(dict(th, **{name: v}), d) for th, d in partials for v in values]
         if not partials:
             return []
 
-    if fresh_vars:
+    if entry.fresh:
         grown = []
         for theta, demands in partials:
-            for theta2 in _bind_fresh_cpn(net, marking, fresh_vars, theta, policy):
+            for theta2 in _bind_fresh_cpn(net, marking, entry.fresh, theta, policy):
                 grown.append((theta2, demands))
         partials = grown
 
@@ -293,16 +375,18 @@ def cpn_enabled(net: NuCpn, marking: Marking, policy: Optional[FreshPolicy] = No
     has any.  Lower levels are filtered globally, per the reference
     semantics of prioritized coloured nets."""
     policy = policy or net.default_policy
-    for prio in (P_HIGH, P_NORMAL, P_LOW):
-        level = []
-        for t in net.transitions:
-            if t.priority != prio:
-                continue
-            for theta in _transition_bindings(net, marking, t, policy):
-                level.append((t, theta))
-        if level:
-            return level
-    return []
+    out: list = []
+    level = None
+    for entry in _transition_table(net).candidates(marking):
+        if entry.level not in _PRIORITY_NAMES:
+            continue
+        if entry.level != level:
+            if out:
+                break
+            level = entry.level
+        for theta in _transition_bindings(net, marking, entry, policy):
+            out.append((entry.transition, theta))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +426,11 @@ def cpn_fire(net: NuCpn, marking: Marking, t: CpnTransition, theta: Mapping[str,
     policy = policy or net.default_policy
     if not _locally_enabled(net, marking, t, theta, policy):
         raise ContractError(f"transition {t.name}: binding not enabled")
-    for other in net.transitions:
-        if other.priority > t.priority and _transition_bindings(net, marking, other, policy):
+    higher = [e for e in _transition_table(net).candidates(marking) if e.level > t.priority]
+    for entry in sorted(higher, key=attrgetter("position")):
+        if _transition_bindings(net, marking, entry, policy):
             raise ContractError(
-                f"transition {t.name}: blocked by higher-priority {other.name}"
+                f"transition {t.name}: blocked by higher-priority {entry.transition.name}"
             )
     return _fire_unchecked(net, marking, t, theta)
 

@@ -4,6 +4,13 @@ Tokens are tuples of :class:`~dbnet.relational.Value`.  Both net layers
 use the same marking type; relation places of the translated net keep set
 semantics by construction (the surrounding gadgets guard every insert),
 not by anything in this module.
+
+A marking is immutable, and the structure behind it is shared: ``minus``
+and ``plus`` copy and re-sort only the places they touch, and the new
+marking reuses every other place's bag, canonical token tuple and hash
+from its parent.  Nothing may therefore mutate a marking's per-place data
+after construction.  An empty place is not stored at all, so two markings
+with the same tokens are identical in every query.
 """
 
 from __future__ import annotations
@@ -19,29 +26,41 @@ def render_token(token: tuple) -> str:
     return "(" + ",".join(render_value(v) for v in token) + ")"
 
 
-def _token_sort_key(token: tuple):
-    return tuple(v.sort_key() for v in token)
+def _pair_sort_key(pair):
+    """Canonical order of ``(token, multiplicity)`` pairs: by token."""
+    return tuple(v.sort_key() for v in pair[0])
+
+
+def _place_record(place: str, counts: dict):
+    """The shared per-place record ``(counts, pairs, key item, hash)``:
+    ``counts`` maps token -> multiplicity (all positive), ``pairs`` is the
+    canonical tuple of ``(token, multiplicity)`` in token order, and the
+    key item ``(place, pairs)`` is this place's part of ``Marking.key()``."""
+    pairs = tuple(sorted(counts.items(), key=_pair_sort_key))
+    item = (place, pairs)
+    return (counts, pairs, item, hash(item))
 
 
 class Marking:
     """place -> multiset of tokens, value-semantics equality."""
 
-    __slots__ = ("_places", "_key", "_hash")
+    __slots__ = ("_places", "_order", "_key", "_hash")
 
     def __init__(self, places: Mapping[str, Mapping[tuple, int]]):
-        cleaned = {}
+        built = {}
         for place, bag in places.items():
-            kept = {tok: n for tok, n in bag.items() if n > 0}
             if any(n < 0 for n in bag.values()):
                 raise ContractError(f"negative multiplicity in place {place!r}")
-            cleaned[place] = kept
-        self._places = cleaned
-        self._key = tuple(
-            (place, tuple(sorted(cleaned[place].items(), key=lambda kv: _token_sort_key(kv[0]))))
-            for place in sorted(cleaned)
-            if cleaned[place]
-        )
-        self._hash = hash(self._key)
+            counts = {tok: n for tok, n in bag.items() if n > 0}
+            if counts:
+                built[place] = _place_record(place, counts)
+        self._set(built, tuple(sorted(built)))
+
+    def _set(self, places: dict, order: tuple):
+        self._places = places  # place -> shared record from _place_record
+        self._order = order  # marked places, sorted
+        self._key = tuple(places[p][2] for p in order)
+        self._hash = hash(tuple(places[p][3] for p in order))
 
     @staticmethod
     def from_tokens(tokens: Iterable[Tuple[str, tuple]]) -> "Marking":
@@ -53,21 +72,23 @@ class Marking:
 
     # -- queries ----------------------------------------------------------
     def count(self, place: str, token: tuple) -> int:
-        return self._places.get(place, {}).get(token, 0)
+        rec = self._places.get(place)
+        return rec[0].get(token, 0) if rec is not None else 0
 
-    def tokens(self, place: str):
+    def tokens(self, place: str) -> tuple:
         """(token, multiplicity) pairs in canonical order."""
-        bag = self._places.get(place, {})
-        return sorted(bag.items(), key=lambda kv: _token_sort_key(kv[0]))
+        rec = self._places.get(place)
+        return rec[1] if rec is not None else ()
 
     def places_marked(self):
-        return sorted(p for p, bag in self._places.items() if bag)
+        return list(self._order)
 
     def total(self, place: str) -> int:
-        return sum(self._places.get(place, {}).values())
+        rec = self._places.get(place)
+        return sum(rec[0].values()) if rec is not None else 0
 
     def size(self) -> int:
-        return sum(sum(bag.values()) for bag in self._places.values())
+        return sum(sum(rec[0].values()) for rec in self._places.values())
 
     def covers(self, demands: Iterable[Tuple[str, tuple]]) -> bool:
         """Multiset inclusion: enough copies of every demanded token."""
@@ -77,35 +98,62 @@ class Marking:
         return all(self.count(p, t) >= n for (p, t), n in need.items())
 
     def all_values(self):
-        for bag in self._places.values():
-            for tok, n in bag.items():
+        for rec in self._places.values():
+            for tok in rec[0]:
                 for v in tok:
                     yield v
 
     # -- updates (return new Marking) -------------------------------------
     def minus(self, removals: Iterable[Tuple[str, tuple]]) -> "Marking":
-        acc = {p: dict(bag) for p, bag in self._places.items()}
+        touched: dict = {}
         for place, tok in removals:
-            bag = acc.setdefault(place, {})
-            have = bag.get(tok, 0)
+            counts = self._copy_counts(touched, place)
+            have = counts.get(tok, 0)
             if have < 1:
                 raise ContractError(f"cannot remove {render_token(tok)} from {place!r}: absent")
-            bag[tok] = have - 1
-        return Marking(acc)
+            if have == 1:
+                del counts[tok]
+            else:
+                counts[tok] = have - 1
+        return self._derive(touched)
 
     def plus(self, additions: Iterable[Tuple[str, tuple]]) -> "Marking":
-        acc = {p: dict(bag) for p, bag in self._places.items()}
+        touched: dict = {}
         for place, tok in additions:
-            bag = acc.setdefault(place, {})
-            bag[tok] = bag.get(tok, 0) + 1
-        return Marking(acc)
+            counts = self._copy_counts(touched, place)
+            counts[tok] = counts.get(tok, 0) + 1
+        return self._derive(touched)
+
+    def _copy_counts(self, touched: dict, place: str) -> dict:
+        """The private copy of ``place``'s counts that this update edits."""
+        counts = touched.get(place)
+        if counts is None:
+            rec = self._places.get(place)
+            counts = touched[place] = dict(rec[0]) if rec is not None else {}
+        return counts
+
+    def _derive(self, touched: dict) -> "Marking":
+        """A new marking that shares every untouched place with ``self``."""
+        if not touched:
+            return self
+        places = dict(self._places)
+        reorder = False
+        for place, counts in touched.items():
+            if counts:
+                reorder = reorder or place not in places
+                places[place] = _place_record(place, counts)
+            elif places.pop(place, None) is not None:
+                reorder = True
+        out = Marking.__new__(Marking)
+        out._set(places, tuple(sorted(places)) if reorder else self._order)
+        return out
 
     # -- identity ----------------------------------------------------------
     def key(self):
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Marking) and self._key == other._key
+        return isinstance(other, Marking) and self._hash == other._hash and self._key == other._key
 
     def __hash__(self):
         return self._hash

@@ -100,6 +100,8 @@ class DbNet:
     initial_marking: Marking
     samples: dict = field(default_factory=dict)  # type name -> tuple of Value
     default_policy: FreshPolicy = field(default_factory=FreshPolicy)
+    # transition name -> (transition, its scope), filled by ``_scope``.
+    _scopes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def initial_snapshot(self) -> Snapshot:
         return Snapshot(self.initial_instance, self.initial_marking)
@@ -201,6 +203,17 @@ def analyze_transition(t: Transition) -> TransitionScope:
         external_vars=pick(external),
         order=order,
     )
+
+
+def _scope(model: DbNet, t: Transition) -> TransitionScope:
+    """``analyze_transition(t)``, computed once per net: the entry for a
+    name is used only while it belongs to this very transition object."""
+    hit = model._scopes.get(t.name)
+    if hit is not None and hit[0] is t:
+        return hit[1]
+    scope = analyze_transition(t)
+    model._scopes[t.name] = (t, scope)
+    return scope
 
 
 def eval_guard(guard: Formula, theta: Mapping[str, Value]) -> bool:
@@ -429,7 +442,7 @@ def enabled_bindings(model: DbNet, snap: Snapshot, policy: Optional[FreshPolicy]
 
 
 def transition_bindings(model: DbNet, snap: Snapshot, t: Transition, policy: FreshPolicy) -> list:
-    scope = analyze_transition(t)
+    scope = _scope(model, t)
     partials = [({}, [])]  # (theta, token demands)
 
     for place, vars_ in t.inputs:
@@ -442,7 +455,8 @@ def transition_bindings(model: DbNet, snap: Snapshot, t: Transition, policy: Fre
         partials = grown
         if not partials:
             return []
-    partials = [(th, d) for th, d in partials if snap.marking.covers(d)]
+    if len(t.inputs) > 1:  # one token drawn from the marking is always there
+        partials = [(th, d) for th, d in partials if snap.marking.covers(d)]
 
     for place, vars_ in t.views:
         query = model.queries[model.view_places[place].query]
@@ -508,7 +522,7 @@ def fire(model: DbNet, snap: Snapshot, t: Transition, theta: Mapping[str, Value]
     """One atomic firing.  Returns ``(successor, outcome)`` where outcome
     is ``"commit"`` or ``"rollback"``.  Raises ``ContractError`` if the
     binding is not enabled in ``snap``."""
-    scope = analyze_transition(t)
+    scope = _scope(model, t)
     missing = [v.name for v in scope.order if v.name not in theta]
     if missing:
         raise ContractError(f"transition {t.name}: binding misses {missing}")
@@ -585,13 +599,12 @@ def build_lts(
             "state-space construction requires a finite freshness policy "
             "(recycling or bounded); got unbounded"
         )
-    scopes = {t.name: analyze_transition(t) for t in model.transitions}
 
     def step(snap: Snapshot):
         steps = []
         for t, theta in enabled_bindings(model, snap, policy):
             succ, outcome = fire(model, snap, t, theta)
-            steps.append((binding_label(t.name, scopes[t.name], theta, outcome), succ))
+            steps.append((binding_label(t.name, _scope(model, t), theta, outcome), succ))
         return steps
 
     return explore(

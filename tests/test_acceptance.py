@@ -8,6 +8,7 @@ trusting the function under test.
 """
 
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -38,6 +39,7 @@ from test_cpn import level_only
 from test_mutations import KILLERS
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 DB_BUILDERS = {
     "shopping-cart": build_shopping_cart,
@@ -230,6 +232,13 @@ def test_8_cli_runs_are_byte_identical(capsys, tmp_path):
         (["certify", str(CORPUS_DIR / "touch.dbn")], []),
         (["export-dot", str(CORPUS_DIR / "fk.dbn"), "-o", "fk"], ["fk.dot"]),
     ]
+    # The children run in tmp_path, where a relative PYTHONPATH no longer
+    # resolves, so the package's source directory goes first as an
+    # absolute path.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
     unstable = []
     for argv, files in jobs:
         snapshots = []
@@ -238,6 +247,7 @@ def test_8_cli_runs_are_byte_identical(capsys, tmp_path):
                 [sys.executable, "-m", "dbnet.cli", *argv],
                 capture_output=True,
                 cwd=tmp_path,
+                env=env,
             )
             snapshots.append(
                 (proc.returncode, proc.stdout, proc.stderr,

@@ -16,10 +16,13 @@ from dbnet.cpn import (
     cpn_fire,
     cpn_validate,
 )
+from dbnet.corpus import build_shopping_cart
 from dbnet.fo import Compare
 from dbnet.freshness import FreshPolicy
 from dbnet.marking import Marking
+from dbnet.mutations import MUTATIONS, apply_mutation
 from dbnet.relational import ContractError, DataType, Variable, make_value
+from dbnet.translate import translate
 
 from conftest import BOUNDED1, RECYCLING
 
@@ -81,6 +84,31 @@ def test_lower_level_appears_once_higher_is_done():
         ],
         [("c", (iv(2),))],
     )
+    assert names(cpn_enabled(net, net.initial_marking, RECYCLING)) == ["lo"]
+
+
+def test_fire_refuses_a_binding_dominated_by_a_higher_level():
+    net = small_net(
+        [
+            CpnTransition("lo", inputs=(("c", (x(),)),), outputs=(("b", (x(),)),), priority=P_LOW),
+            CpnTransition("mid", inputs=(("a", (x(),)),), priority=P_NORMAL),
+            CpnTransition("hi", inputs=(("a", (x(),)),), priority=P_HIGH),
+        ],
+        [("a", (iv(1),)), ("c", (iv(2),))],
+    )
+    with pytest.raises(ContractError, match="lo: blocked by higher-priority mid"):
+        cpn_fire(net, net.initial_marking, net.transition("lo"), {"x": iv(2)}, RECYCLING)
+    with pytest.raises(ContractError, match="mid: blocked by higher-priority hi"):
+        cpn_fire(net, net.initial_marking, net.transition("mid"), {"x": iv(1)}, RECYCLING)
+    after, _ = cpn_fire(net, net.initial_marking, net.transition("hi"), {"x": iv(1)}, RECYCLING)
+    assert after == Marking.from_tokens([("c", (iv(2),))])
+
+
+def test_unknown_priority_level_is_never_enabled():
+    # cpn_validate rejects such a transition; enabling ignores it
+    t = CpnTransition("odd", inputs=(("a", (x(),)),), priority=7)
+    lo = CpnTransition("lo", inputs=(("a", (x(),)),), priority=P_LOW)
+    net = small_net([t, lo], [("a", (iv(1),))])
     assert names(cpn_enabled(net, net.initial_marking, RECYCLING)) == ["lo"]
 
 
@@ -308,3 +336,62 @@ def test_priority_audit_on_a_translated_net(shop_translation, shop_cpn_lts):
             m2, label = cpn_fire(net, state, t, theta, BOUNDED1)
             succ.add((label, m2))
         assert outgoing.get(state, set()) == succ
+
+
+# ---------------------------------------------------------------------------
+# enabling against a plain reference scan
+
+
+def one_transition_nets(net):
+    """One single-transition copy of ``net`` per transition, in net order."""
+    return [
+        (t, NuCpn(
+            name=net.name,
+            types=net.types,
+            places=net.places,
+            transitions=(t,),
+            initial_marking=net.initial_marking,
+            samples=net.samples,
+            default_policy=net.default_policy,
+        ))
+        for t in net.transitions
+    ]
+
+
+def reference_enabled(singles, marking, policy):
+    """Every transition, highest priority level first, net order within a
+    level: the first level with any binding wins.  Each transition is
+    asked alone, in a net of its own, so the answer cannot depend on the
+    index or on the other transitions."""
+    for prio in (P_HIGH, P_NORMAL, P_LOW):
+        level = [
+            pair
+            for t, alone in singles
+            if t.priority == prio
+            for pair in cpn_enabled(alone, marking, policy)
+        ]
+        if level:
+            return level
+    return []
+
+
+def assert_enabling_matches_reference(net, lts):
+    singles = one_transition_nets(net)
+    for state in lts.states:
+        assert cpn_enabled(net, state, BOUNDED1) == reference_enabled(singles, state, BOUNDED1)
+
+
+@pytest.mark.parametrize(
+    "name", ["shop", "touch", "guarded", "domviol", "fk_net", "selfref", "empty_net"]
+)
+def test_enabling_matches_the_reference_scan_on_the_corpus(request, name):
+    net = translate(request.getfixturevalue(name)).net
+    lts = cpn_build_lts(net, BOUNDED1)
+    assert not lts.truncated
+    assert_enabling_matches_reference(net, lts)
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_enabling_matches_the_reference_scan_on_mutants(mutation):
+    net = apply_mutation(translate(build_shopping_cart(1, 2)), mutation).net
+    assert_enabling_matches_reference(net, cpn_build_lts(net, BOUNDED1, max_states=1500))

@@ -75,3 +75,97 @@ def test_covers_iff_minus_succeeds(base, want):
 @given(tokens, tokens)
 def test_plus_is_commutative_in_content(a, b):
     assert Marking.from_tokens([]).plus(a).plus(b) == Marking.from_tokens([]).plus(b).plus(a)
+
+
+# ---------------------------------------------------------------------------
+# incremental updates agree with construction from scratch
+
+
+PLACES = ["p", "q", "r"]
+pair_tokens = st.tuples(st.integers(0, 4), st.integers(0, 2)).map(lambda ab: tok(*ab))
+moves = st.lists(
+    st.tuples(st.sampled_from(PLACES), pair_tokens), min_size=1, max_size=4
+)
+updates = st.lists(st.tuples(st.sampled_from(["plus", "minus"]), moves), max_size=12)
+
+
+def assert_same_marking(got, want):
+    assert got == want and want == got
+    assert hash(got) == hash(want)
+    assert got.key() == want.key()
+    assert got.render() == want.render()
+    assert got.places_marked() == want.places_marked()
+    for place in PLACES:
+        assert got.tokens(place) == want.tokens(place)
+        assert got.total(place) == want.total(place)
+    assert got.size() == want.size()
+
+
+def from_counts(counts):
+    bags = {}
+    for (place, token), n in counts.items():
+        bags.setdefault(place, {})[token] = n
+    return Marking(bags)
+
+
+@given(st.lists(st.tuples(st.sampled_from(PLACES), pair_tokens), max_size=6), updates)
+def test_update_sequences_match_a_marking_built_from_scratch(start, steps):
+    m = Marking.from_tokens(start)
+    counts = {}
+    for place, token in start:
+        counts[(place, token)] = counts.get((place, token), 0) + 1
+    for kind, batch in steps:
+        if kind == "plus":
+            m = m.plus(batch)
+            for key in batch:
+                counts[key] = counts.get(key, 0) + 1
+        elif m.covers(batch):
+            m = m.minus(batch)
+            for key in batch:
+                counts[key] -= 1
+        else:
+            with pytest.raises(ContractError):
+                m.minus(batch)
+        assert_same_marking(m, from_counts(counts))
+
+
+@given(st.lists(st.tuples(st.sampled_from(PLACES), pair_tokens), min_size=1, max_size=6), moves)
+def test_deriving_a_child_leaves_the_parent_alone(start, batch):
+    parent = Marking.from_tokens(start)
+    before = {place: parent.tokens(place) for place in PLACES}
+    key, text = parent.key(), parent.render()
+    children = [parent.plus(batch), parent.minus(start[:1]), parent.plus(batch).minus(batch)]
+    children.append(children[0].plus(start))
+    assert {place: parent.tokens(place) for place in PLACES} == before
+    assert parent.key() == key and parent.render() == text
+    assert_same_marking(parent, Marking.from_tokens(start))
+
+
+def test_removing_the_last_token_drops_the_place():
+    m = Marking.from_tokens([("p", tok(1)), ("p", tok(1)), ("q", tok(2))])
+    once = m.minus([("p", tok(1))])
+    assert once.places_marked() == ["p", "q"]
+    gone = once.minus([("p", tok(1))])
+    assert gone.places_marked() == ["q"]
+    assert gone.tokens("p") == ()
+    assert gone.total("p") == 0
+    assert_same_marking(gone, Marking.from_tokens([("q", tok(2))]))
+    assert_same_marking(gone.plus([("p", tok(1))]).minus([("p", tok(1))]), gone)
+
+
+def test_tokens_is_in_canonical_order():
+    m = Marking.from_tokens([("p", tok(3, 0)), ("p", tok(1, 2)), ("p", tok(1, 1))])
+    m = m.plus([("p", tok(2, 0)), ("p", tok(1, 1))])
+    assert m.tokens("p") == ((tok(1, 1), 2), (tok(1, 2), 1), (tok(2, 0), 1), (tok(3, 0), 1))
+
+
+def test_failed_minus_leaves_the_receiver_unchanged():
+    m = Marking.from_tokens([("p", tok(1)), ("p", tok(1)), ("q", tok(2))])
+    before = (m.key(), m.render(), m.tokens("p"), m.count("p", tok(1)), hash(m))
+    with pytest.raises(ContractError):
+        # the first two removals succeed before the third one fails
+        m.minus([("p", tok(1)), ("p", tok(1)), ("p", tok(1))])
+    with pytest.raises(ContractError):
+        m.minus([("q", tok(2)), ("r", tok(0))])
+    assert (m.key(), m.render(), m.tokens("p"), m.count("p", tok(1)), hash(m)) == before
+    assert_same_marking(m, Marking.from_tokens([("p", tok(1)), ("p", tok(1)), ("q", tok(2))]))
