@@ -30,7 +30,6 @@ keeps exactly the rejection power that such pairs would have provided.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Mapping, Optional
 
@@ -47,6 +46,7 @@ __all__ = [
     "NOT_BISIMILAR",
     "FlatState",
     "WeakBisimResult",
+    "TruncatedError",
     "flatten",
     "check_weak_bisim",
     "verify_relation",
@@ -68,6 +68,10 @@ class FlatState:
 
     def render(self) -> str:
         return "facts{" + ";".join(self.facts) + "}|ctl{" + ";".join(self.control) + "}"
+
+
+class TruncatedError(ContractError):
+    """An input to the check is truncated, so no verdict can be given."""
 
 
 @dataclass
@@ -117,7 +121,6 @@ def _flat_of_marking(m: Marking, classes: Mapping, relation_names: Mapping) -> F
 def flatten(
     lts: Lts,
     classes: Optional[Mapping] = None,
-    label_map: Optional[Mapping] = None,
     *,
     relation_names: Optional[Mapping] = None,
 ) -> Lts:
@@ -128,8 +131,8 @@ def flatten(
     is the translator's place classification and ``relation_names`` maps
     relation places back to relation names; a state is stable iff the
     lock place is marked.  Edge labels are kept: observable labels were
-    already produced per the translator's label map, and every other step
-    is silent.  Flattening an already-flattened LTS is the identity.
+    already produced by the emitting transitions, and every other step is
+    silent.  Flattening an already-flattened LTS is the identity.
     """
     annotations = dict(lts.annotations)
     first = lts.states[0] if lts.states else None
@@ -346,15 +349,16 @@ def _path_to(lts: Lts, target) -> list:
 def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
     """Decide flattened weak bisimilarity of two finite, flattened LTSs.
 
-    Preconditions: neither input is truncated (raises ``ContractError``
-    otherwise) and both were run through :func:`flatten`.  The verdict is
-    symmetric in the two arguments.  On success the result carries the
-    relation over stable states, on failure a structured witness plus a
-    counterexample trace from the initial pair to the mismatch.
+    Preconditions: neither input is truncated (raises
+    :class:`TruncatedError` otherwise) and both were run through
+    :func:`flatten`.  The verdict is symmetric in the two arguments.  On
+    success the result carries the relation over stable states, on
+    failure a structured witness plus a counterexample trace from the
+    initial pair to the mismatch.
     """
     for tag, l in (("left", l1), ("right", l2)):
         if l.truncated:
-            raise ContractError(
+            raise TruncatedError(
                 f"{tag} LTS is truncated; the check needs the complete state space"
             )
     s1 = _Side(l1, "left")
@@ -563,7 +567,6 @@ def certify_translation(
     *,
     max_states: Optional[int] = None,
     max_depth: Optional[int] = None,
-    jobs: int = 1,
     translation: Optional[TranslationOutput] = None,
 ) -> WeakBisimResult:
     """Full pipeline: explore the source net and its translation under one
@@ -571,7 +574,8 @@ def certify_translation(
 
     ``translation`` may be supplied to certify a pre-built (for instance
     deliberately mutated) translation of the same model.  Truncation in
-    either exploration raises, as the verdict would be meaningless.
+    either exploration raises :class:`TruncatedError`, as the verdict
+    would be meaningless.
     """
     policy = policy or model.default_policy
     if s0 is not None and (
@@ -581,29 +585,12 @@ def certify_translation(
     if translation is None:
         translation = translate(model)
 
-    def left():
-        return build_lts(model, policy, max_states=max_states, max_depth=max_depth)
-
-    def right():
-        return cpn_build_lts(
-            translation.net, policy, max_states=max_states, max_depth=max_depth
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            f1, f2 = pool.submit(left), pool.submit(right)
-            raw1, raw2 = f1.result(), f2.result()
-    else:
-        raw1, raw2 = left(), right()
+    raw1 = build_lts(model, policy, max_states=max_states, max_depth=max_depth)
+    raw2 = cpn_build_lts(translation.net, policy, max_states=max_states, max_depth=max_depth)
 
     relation_names = {p: r for r, p in translation.relation_places.items()}
     flat1 = flatten(raw1)
-    flat2 = flatten(
-        raw2,
-        translation.place_classes,
-        translation.label_map,
-        relation_names=relation_names,
-    )
+    flat2 = flatten(raw2, translation.place_classes, relation_names=relation_names)
     result = check_weak_bisim(flat1, flat2)
     result.stats = {
         "source-states": raw1.state_count,

@@ -10,8 +10,11 @@ A file starting with ``# template: <name>`` can be rebuilt at other
 sizes with ``--users`` / ``--products``; without those flags the file is
 taken literally.
 
-Exit codes: 0 success, 1 usage/parse/validation failure, 2 truncated
-exploration, 3 not-bisimilar.
+Exit codes: 0 success, 1 usage/parse/validation failure (including
+``--steps`` or ``--max-depth`` below 0 and ``--max-states``, ``--users``
+or ``--products`` below 1),
+2 truncated exploration (``statespace`` still writes the truncated state
+space, ``certify`` gives no verdict), 3 not-bisimilar.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import re
 import sys
 from pathlib import Path
 
-from .bisim import certify_translation
+from .bisim import TruncatedError, certify_translation
 from .corpus import COLUMN_NAMES, TEMPLATES
 from .cpn import NuCpn, P_NORMAL, cpn_enabled, cpn_fire, cpn_build_lts, cpn_validate
 from .dsl import ModelFile, parse_model, print_model
@@ -62,6 +65,14 @@ class _Fail(Exception):
     def __init__(self, message: str, code: int = 1):
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like any bad input; 2 means truncation here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _Fail(message)
 
 
 def _load(args) -> ModelFile:
@@ -227,7 +238,7 @@ def _cmd_translate(args) -> int:
 
 
 def _make_lts(mf: ModelFile, policy, args):
-    kwargs = dict(max_states=args.max_states, max_depth=args.max_depth, jobs=args.jobs)
+    kwargs = dict(max_states=args.max_states, max_depth=args.max_depth)
     if mf.kind == "dbnet":
         return build_lts(mf.model, policy, **kwargs), render_snapshot
     return cpn_build_lts(mf.model, policy, **kwargs), lambda m: m.render()
@@ -257,8 +268,9 @@ def _cmd_certify(args) -> int:
             policy=policy,
             max_states=args.max_states,
             max_depth=args.max_depth,
-            jobs=args.jobs,
         )
+    except TruncatedError as exc:
+        raise _Fail(str(exc), code=2) from exc
     except (ValidationError, ContractError) as exc:
         raise _Fail(str(exc)) from exc
     print(f"verdict: {res.verdict}")
@@ -285,7 +297,7 @@ def _cmd_export_dot(args) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="dbnet",
         description="validate, run, translate and certify database-coupled nets",
     )
@@ -308,7 +320,6 @@ def _parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--max-states", type=int, default=None)
         p.add_argument("--max-depth", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("-o", "--output", help="output path or base name")
         p.add_argument("--users", type=int, default=None, help="template size")
         p.add_argument("--products", type=int, default=None, help="template size")
@@ -317,10 +328,20 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _check_limits(args):
+    """Reject a count, limit or template size below its least value."""
+    least = {"steps": 0, "max_states": 1, "max_depth": 0, "users": 1, "products": 1}
+    for dest, low in least.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < low:
+            raise _Fail(f"--{dest.replace('_', '-')} must be at least {low}, got {value}")
+
+
 def run_command(argv) -> int:
     _setup_logging()
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
+        _check_limits(args)
         return args.fn(args)
     except _Fail as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,15 +22,18 @@ enabling query on a net builds its transition table
 and priority level, and an index from first input place to the
 transitions that start there.
 :func:`cpn_enabled` looks up only the places a marking actually holds
-tokens on, so a transition with an empty input place is never visited.
-The table is built lazily, never in the constructor, so validation of a
-broken net reports what it always did; it is rebuilt when the net's
-``transitions`` tuple is replaced.
+tokens on, so a transition with an empty input place is never visited;
+:func:`cpn_fire` finds the fired transition's entry by name.  Bindings
+come from :func:`dbnet.model.bind_transition`.  The table is built
+lazily, never in the constructor, so validation of a broken net reports
+what it always did; it is rebuilt when the net's ``transitions`` tuple
+is replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 from typing import Mapping, Optional
 
@@ -38,14 +41,8 @@ from .fo import Formula, TRUE
 from .freshness import FreshPolicy
 from .lts import EPS, Lts, explore
 from .marking import Marking
-from .model import _match_tuple, _walk_guard_vars, eval_guard
-from .relational import (
-    ContractError,
-    DataType,
-    Value,
-    Variable,
-    render_value,
-)
+from .model import _marking_values, _walk_guard_vars, bind_transition, eval_guard
+from .relational import ContractError, Value, Variable, render_value
 
 __all__ = [
     "P_LOW",
@@ -121,7 +118,7 @@ class NuCpn:
 
 
 def _cpn_scope(t: CpnTransition):
-    """(bound, fresh, external) variable groups, plus the full name map."""
+    """The (bound, fresh, external) variable groups, each name -> Variable."""
     bound: dict = {}
     for _, terms in tuple(t.inputs) + tuple(t.reads):
         for term in terms:
@@ -139,10 +136,7 @@ def _cpn_scope(t: CpnTransition):
         if name in bound:
             continue
         (fresh if v.fresh else external).setdefault(name, v)
-    by_name = dict(bound)
-    by_name.update(fresh)
-    by_name.update(external)
-    return bound, fresh, external, by_name
+    return bound, fresh, external
 
 
 def cpn_validate(net: NuCpn) -> list:
@@ -177,7 +171,7 @@ def cpn_validate(net: NuCpn) -> list:
                     if kind != "output" and isinstance(term, Variable) and term.fresh:
                         problems.append(f"{who}: fresh variable {term.name} on a non-output arc")
         try:
-            bound, fresh, external, _ = _cpn_scope(t)
+            bound, fresh, external = _cpn_scope(t)
         except ContractError as e:
             problems.append(f"{who}: {e}")
             continue
@@ -206,26 +200,6 @@ def cpn_validate(net: NuCpn) -> list:
 # Enabling
 
 
-def _match_terms(terms, values, theta: dict) -> Optional[dict]:
-    """Like joining a token against an inscription, but inscriptions here
-    may mix constants with variables."""
-    out = theta
-    copied = False
-    for term, val in zip(terms, values):
-        if isinstance(term, Variable):
-            bound = out.get(term.name)
-            if bound is None:
-                if not copied:
-                    out = dict(out)
-                    copied = True
-                out[term.name] = val
-            elif bound != val:
-                return None
-        elif term != val:
-            return None
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class _Entry:
     """One transition, analysed once per net."""
@@ -235,14 +209,14 @@ class _Entry:
     rank: int  # in the enabling order: highest priority level first, then position
     level: int  # its priority
     later_inputs: tuple  # input places after the first, which the index keys on
-    fresh: dict  # name -> Variable
-    external: tuple  # (name, Variable), sorted by name
+    fresh: tuple  # fresh Variables, sorted by name
+    external: tuple  # external Variables, sorted by name
     problem: Optional[str]  # why _cpn_scope rejects it, raised on first use
 
 
 def _analyse(t: CpnTransition, position: int, rank: int) -> _Entry:
     try:
-        _, fresh, external, _ = _cpn_scope(t)
+        _, fresh, external = _cpn_scope(t)
     except ContractError as e:
         fresh, external, problem = {}, {}, str(e)
     else:
@@ -253,8 +227,8 @@ def _analyse(t: CpnTransition, position: int, rank: int) -> _Entry:
         rank=rank,
         level=t.priority,
         later_inputs=tuple(place for place, _ in t.inputs[1:]),
-        fresh=fresh,
-        external=tuple(sorted(external.items())),
+        fresh=tuple(fresh[n] for n in sorted(fresh)),
+        external=tuple(external[n] for n in sorted(external)),
         problem=problem,
     )
 
@@ -262,16 +236,18 @@ def _analyse(t: CpnTransition, position: int, rank: int) -> _Entry:
 class _NetTable:
     """The per-net transition table: one ``_Entry`` per transition, held
     in an index from first input place to the entries that start there
-    (transitions without inputs are kept apart)."""
+    (transitions without inputs are kept apart) and by transition name."""
 
     def __init__(self, transitions: tuple):
         self.transitions = transitions  # the tuple this table describes
         ranked = sorted(range(len(transitions)), key=lambda i: -transitions[i].priority)
         self.by_first_input: dict = {}
         self.no_inputs: list = []
+        self.by_name: dict = {}
         for rank, position in enumerate(ranked):
             t = transitions[position]
             entry = _analyse(t, position, rank)
+            self.by_name.setdefault(t.name, entry)
             if t.inputs:
                 self.by_first_input.setdefault(t.inputs[0][0], []).append(entry)
             else:
@@ -296,77 +272,13 @@ def _transition_table(net: NuCpn) -> _NetTable:
 
 
 def _transition_bindings(net: NuCpn, marking: Marking, entry: _Entry, policy: FreshPolicy):
-    """Bindings of one transition whose input places are all marked."""
+    """Bindings of one transition whose input places are all marked: read
+    arcs read place tokens, and fresh values avoid only the marking."""
     if entry.problem is not None:
         raise ContractError(entry.problem)
     t = entry.transition
-
-    partials = [({}, [])]
-    for place, terms in t.inputs:
-        grown = []
-        for theta, demands in partials:
-            for token, _n in marking.tokens(place):
-                theta2 = _match_terms(terms, token, theta)
-                if theta2 is not None:
-                    grown.append((theta2, demands + [(place, token)]))
-        partials = grown
-        if not partials:
-            return []
-    if len(t.inputs) > 1:  # one token drawn from the marking is always there
-        partials = [(th, d) for th, d in partials if marking.covers(d)]
-
-    for place, terms in t.reads:
-        grown = []
-        for theta, demands in partials:
-            for token, _n in marking.tokens(place):
-                theta2 = _match_terms(terms, token, theta)
-                if theta2 is not None:
-                    grown.append((theta2, demands))
-        partials = grown
-        if not partials:
-            return []
-
-    for name, var in entry.external:
-        values = sorted(net.samples.get(var.dtype, ()), key=lambda v: v.sort_key())
-        partials = [(dict(th, **{name: v}), d) for th, d in partials for v in values]
-        if not partials:
-            return []
-
-    if entry.fresh:
-        grown = []
-        for theta, demands in partials:
-            for theta2 in _bind_fresh_cpn(net, marking, entry.fresh, theta, policy):
-                grown.append((theta2, demands))
-        partials = grown
-
-    out = []
-    seen = set()
-    for theta, _demands in partials:
-        if not eval_guard(t.guard, theta):
-            continue
-        key = tuple(sorted(theta.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(theta)
-    return out
-
-
-def _bind_fresh_cpn(net: NuCpn, marking: Marking, fresh_vars: dict, theta: dict, policy: FreshPolicy):
-    results = [dict(theta)]
-    base_names = set(theta)
-    for name in sorted(fresh_vars):
-        var = fresh_vars[name]
-        dtype = net.types[var.dtype]
-        grown = []
-        for th in results:
-            used = {v for v in marking.all_values() if v.dtype == var.dtype}
-            used.update(v for n, v in th.items() if n not in base_names and v.dtype == var.dtype)
-            for v in policy.candidates(dtype, used):
-                th2 = dict(th)
-                th2[name] = v
-                grown.append(th2)
-        results = grown
-    return results
+    return bind_transition(net, marking, t, t.reads, marking.tokens, entry.external, entry.fresh,
+                           partial(_marking_values, marking), policy)
 
 
 def cpn_enabled(net: NuCpn, marking: Marking, policy: Optional[FreshPolicy] = None) -> list:
@@ -397,20 +309,22 @@ def _instantiate(terms, theta: Mapping[str, Value]):
     return tuple(theta[x.name] if isinstance(x, Variable) else x for x in terms)
 
 
-def _locally_enabled(net: NuCpn, marking: Marking, t: CpnTransition, theta, policy: FreshPolicy) -> bool:
+def _locally_enabled(net: NuCpn, marking: Marking, entry: _Entry, theta) -> bool:
+    t = entry.transition
     demands = [(place, _instantiate(terms, theta)) for place, terms in t.inputs]
     if not marking.covers(demands):
         return False
     for place, terms in t.reads:
         if marking.count(place, _instantiate(terms, theta)) < 1:
             return False
-    bound_vars, fresh_vars, external_vars, _ = _cpn_scope(t)
-    for name, var in external_vars.items():
-        if theta[name] not in net.samples.get(var.dtype, ()):
+    if entry.problem is not None:
+        raise ContractError(entry.problem)
+    for var in entry.external:
+        if theta[var.name] not in net.samples.get(var.dtype, ()):
             return False
     picked: set = set()
-    for name, var in fresh_vars.items():
-        v = theta[name]
+    for var in entry.fresh:
+        v = theta[var.name]
         if any(u == v for u in marking.all_values()) or v in picked:
             return False
         picked.add(v)
@@ -424,9 +338,13 @@ def cpn_fire(net: NuCpn, marking: Marking, t: CpnTransition, theta: Mapping[str,
     binding must come from :func:`cpn_enabled`: local enabledness *and*
     priority dominance are both rechecked here."""
     policy = policy or net.default_policy
-    if not _locally_enabled(net, marking, t, theta, policy):
+    table = _transition_table(net)
+    entry = table.by_name.get(t.name)
+    if entry is None or entry.transition is not t:
+        raise ContractError(f"transition {t.name}: not a transition of net {net.name}")
+    if not _locally_enabled(net, marking, entry, theta):
         raise ContractError(f"transition {t.name}: binding not enabled")
-    higher = [e for e in _transition_table(net).candidates(marking) if e.level > t.priority]
+    higher = [e for e in table.candidates(marking) if e.level > t.priority]
     for entry in sorted(higher, key=attrgetter("position")):
         if _transition_bindings(net, marking, entry, policy):
             raise ContractError(
@@ -451,7 +369,6 @@ def cpn_build_lts(
     *,
     max_states: Optional[int] = None,
     max_depth: Optional[int] = None,
-    jobs: int = 1,
 ) -> Lts:
     """Reachability graph over markings.  Silent transitions produce
     ``eps`` edges; emitting transitions produce observable edges.  Refuses
@@ -470,6 +387,4 @@ def cpn_build_lts(
             steps.append((label, succ))
         return steps
 
-    return explore(
-        net.initial_marking, step, max_states=max_states, max_depth=max_depth, jobs=jobs
-    )
+    return explore(net.initial_marking, step, max_states=max_states, max_depth=max_depth)

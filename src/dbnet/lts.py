@@ -9,7 +9,6 @@ states in different orders still produce byte-identical output.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -54,9 +53,6 @@ class Lts:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def successors(self, state) -> list:
-        return [(label, dst) for src, label, dst in self.edges if src == state]
-
     def outgoing_index(self) -> dict:
         idx: dict = {s: [] for s in self.states}
         for src, label, dst in self.edges:
@@ -70,54 +66,43 @@ def explore(
     *,
     max_states: Optional[int] = None,
     max_depth: Optional[int] = None,
-    jobs: int = 1,
 ) -> Lts:
     """Breadth-first closure of ``initial`` under ``step_fn``.
 
     ``step_fn(state)`` yields ``(label, successor)`` pairs and must be a
-    pure function of the state.  ``max_states`` drops states beyond the
-    cap; ``max_depth`` stops expanding past that distance from the start.
+    pure function of the state.  States are expanded one at a time, in
+    discovery order.  ``max_states`` drops states beyond the cap;
+    ``max_depth`` stops expanding past that distance from the start.
     Either cut sets ``truncated`` (conservatively for the depth cut: a
     state at the horizon counts as truncated even if it happens to be
-    terminal).  ``jobs`` > 1 expands each frontier level concurrently;
-    results are merged in frontier order, so the output is identical to a
-    sequential run.
+    terminal).
     """
     lts = Lts(initial=initial)
     seen = {initial}
     lts.states.append(initial)
     frontier = [initial]
     depth = 0
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        while frontier:
-            if max_depth is not None and depth >= max_depth:
-                lts.truncated = True
-                break
-            if pool is not None:
-                expansions = list(pool.map(lambda s: list(step_fn(s)), frontier))
-            else:
-                expansions = [list(step_fn(s)) for s in frontier]
-            next_frontier = []
-            for src, steps in zip(frontier, expansions):
-                emitted = set()
-                for label, dst in steps:
-                    if (label, dst) in emitted:  # set semantics on edges too
+    while frontier:
+        if max_depth is not None and depth >= max_depth:
+            lts.truncated = True
+            break
+        next_frontier = []
+        for src in frontier:
+            emitted = set()
+            for label, dst in step_fn(src):
+                if (label, dst) in emitted:  # set semantics on edges too
+                    continue
+                if dst not in seen:
+                    if max_states is not None and len(seen) >= max_states:
+                        lts.truncated = True
                         continue
-                    if dst not in seen:
-                        if max_states is not None and len(seen) >= max_states:
-                            lts.truncated = True
-                            continue
-                        seen.add(dst)
-                        lts.states.append(dst)
-                        next_frontier.append(dst)
-                    emitted.add((label, dst))
-                    lts.edges.append((src, label, dst))
-            frontier = next_frontier
-            depth += 1
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+                    seen.add(dst)
+                    lts.states.append(dst)
+                    next_frontier.append(dst)
+                emitted.add((label, dst))
+                lts.edges.append((src, label, dst))
+        frontier = next_frontier
+        depth += 1
     return lts
 
 

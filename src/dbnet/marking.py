@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Tuple
 
-from .relational import ContractError, Value, render_value
+from .relational import ContractError, render_value
 
 __all__ = ["Marking", "render_token"]
 

@@ -14,21 +14,21 @@ check and the token moves all happen in one step.  The translated form in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from functools import partial
+from typing import Callable, Mapping, Optional
 
 from .fo import And, Compare, Formula, Not, Or, Truth, TRUE, _compare
 from .freshness import FreshPolicy
 from .marking import Marking
-from .queries import UcqQuery, eval_ucq, validate_view_query
+from .queries import eval_ucq, validate_view_query
 from .relational import (
     COMMITTED,
-    Action,
     ContractError,
-    DataType,
     Instance,
     Schema,
     Value,
     Variable,
+    _fact_sort_key,
     active_domain,
     apply_action,
     check_constraint,
@@ -46,6 +46,7 @@ __all__ = [
     "analyze_transition",
     "eval_guard",
     "validate",
+    "bind_transition",
     "enabled_bindings",
     "fire",
     "build_lts",
@@ -121,7 +122,6 @@ class DbNet:
 class TransitionScope:
     """Where each variable of a transition gets its value from."""
 
-    by_name: Mapping[str, Variable]
     input_vars: tuple  # bound by consuming control tokens
     view_vars: tuple  # bound by matching a view answer
     fresh_vars: tuple  # name-creation variables
@@ -196,7 +196,6 @@ def analyze_transition(t: Transition) -> TransitionScope:
     order = tuple(by_name[n] for n in sorted(by_name))
     pick = lambda d: tuple(d[n] for n in sorted(d))
     return TransitionScope(
-        by_name=by_name,
         input_vars=pick(inputs),
         view_vars=pick(views),
         fresh_vars=pick(fresh),
@@ -411,23 +410,99 @@ def _check_inscription(model: DbNet, who: str, place: str, terms, require_vars: 
 # Enabled bindings and firing
 
 
-def _match_tuple(vars_, values, theta: dict) -> Optional[dict]:
-    out = dict(theta)
-    for var, val in zip(vars_, values):
-        bound = out.get(var.name)
-        if bound is None:
-            out[var.name] = val
-        elif bound != val:
+def _extend(terms, row, theta: dict) -> Optional[dict]:
+    """``theta`` extended so that the arc inscription ``terms`` matches
+    ``row``, or None on a clash.  Inscriptions may mix variables with
+    constants; ``theta`` itself comes back when the row binds nothing new."""
+    out = theta
+    for term, value in zip(terms, row):
+        if isinstance(term, Variable):
+            bound = out.get(term.name)
+            if bound is None:
+                if out is theta:
+                    out = dict(theta)
+                out[term.name] = value
+            elif bound != value:
+                return None
+        elif term != value:
             return None
     return out
 
 
+def bind_transition(net, marking: Marking, t, reads: tuple, rows: Callable, external_vars: tuple,
+                    fresh_vars: tuple, used: Callable, policy: FreshPolicy) -> list:
+    """The enabled bindings of one transition, in a fixed order: the join,
+    extend and filter procedure that both net layers bind with.
+
+    ``t.inputs`` join against the tokens of ``marking``, which must cover
+    them as a multiset.  Each read-like arc ``(place, terms)`` of
+    ``reads`` then joins against ``rows(place)``, ``(row, multiplicity)``
+    pairs as ``Marking.tokens`` gives them; ``rows`` is asked once per
+    arc, and only when the join reaches that arc non-empty.  ``external_vars`` range over the
+    sorted samples of their type; ``fresh_vars`` (sorted by name) branch
+    over ``policy.candidates``, avoiding ``used(type name)`` and the
+    earlier picks of the same firing.  The guard filters last, and
+    repeated bindings are dropped.
+    """
+    partials = [({}, [])]  # (theta, the tokens it consumes)
+    for place, terms in t.inputs:
+        grown = []
+        for theta, taken in partials:
+            for token, _count in marking.tokens(place):
+                theta2 = _extend(terms, token, theta)
+                if theta2 is not None:
+                    grown.append((theta2, taken + [(place, token)]))
+        partials = grown
+        if not partials:
+            return []
+    # A single token drawn from the marking is always there.
+    thetas = [theta for theta, taken in partials if len(taken) < 2 or marking.covers(taken)]
+
+    for place, terms in reads:
+        arc_rows = rows(place)
+        grown = []
+        for theta in thetas:
+            for row, _count in arc_rows:
+                theta2 = _extend(terms, row, theta)
+                if theta2 is not None:
+                    grown.append(theta2)
+        thetas = grown
+        if not thetas:
+            return []
+
+    for var in external_vars:
+        values = sorted(net.samples.get(var.dtype, ()), key=Value.sort_key)
+        thetas = [{**theta, var.name: v} for theta in thetas for v in values]
+
+    for i, var in enumerate(fresh_vars):
+        dtype = net.types[var.dtype]
+        avoid = used(var.dtype)
+        earlier = [f.name for f in fresh_vars[:i] if f.dtype == var.dtype]
+        grown = []
+        for theta in thetas:
+            for v in policy.candidates(dtype, avoid.union(theta[n] for n in earlier)):
+                grown.append({**theta, var.name: v})
+        thetas = grown
+
+    bindings = []
+    seen = set()
+    for theta in thetas:
+        if not eval_guard(t.guard, theta):
+            continue
+        key = tuple(sorted(theta.items()))
+        if key not in seen:
+            seen.add(key)
+            bindings.append(theta)
+    return bindings
+
+
+def _marking_values(marking: Marking, dtype: str) -> set:
+    return {v for v in marking.all_values() if v.dtype == dtype}
+
+
 def _used_values(instance: Instance, marking: Marking, dtype: str) -> set:
-    used = active_domain(instance, dtype)
-    for v in marking.all_values():
-        if v.dtype == dtype:
-            used.add(v)
-    return used
+    """What a fresh value must avoid: the active domain and the marking."""
+    return active_domain(instance, dtype) | _marking_values(marking, dtype)
 
 
 def enabled_bindings(model: DbNet, snap: Snapshot, policy: Optional[FreshPolicy] = None) -> list:
@@ -442,80 +517,18 @@ def enabled_bindings(model: DbNet, snap: Snapshot, policy: Optional[FreshPolicy]
 
 
 def transition_bindings(model: DbNet, snap: Snapshot, t: Transition, policy: FreshPolicy) -> list:
+    """The bindings of ``t`` in ``snap``.  A view arc reads the answers of
+    its query, in sorted order; a fresh value avoids the active domain as
+    well as the marking."""
     scope = _scope(model, t)
-    partials = [({}, [])]  # (theta, token demands)
 
-    for place, vars_ in t.inputs:
-        grown = []
-        for theta, demands in partials:
-            for token, _count in snap.marking.tokens(place):
-                theta2 = _match_tuple(vars_, token, theta)
-                if theta2 is not None:
-                    grown.append((theta2, demands + [(place, token)]))
-        partials = grown
-        if not partials:
-            return []
-    if len(t.inputs) > 1:  # one token drawn from the marking is always there
-        partials = [(th, d) for th, d in partials if snap.marking.covers(d)]
+    def view_rows(place: str) -> list:
+        answers = eval_ucq(snap.instance, model.queries[model.view_places[place].query])
+        return [(row, 1) for row in sorted(answers, key=_fact_sort_key)]
 
-    for place, vars_ in t.views:
-        query = model.queries[model.view_places[place].query]
-        answers = sorted(eval_ucq(snap.instance, query), key=lambda row: tuple(v.sort_key() for v in row))
-        grown = []
-        for theta, demands in partials:
-            for row in answers:
-                theta2 = _match_tuple(vars_, row, theta)
-                if theta2 is not None:
-                    grown.append((theta2, demands))
-        partials = grown
-        if not partials:
-            return []
-
-    for var in scope.external_vars:
-        values = sorted(model.samples.get(var.dtype, ()), key=lambda v: v.sort_key())
-        partials = [(dict(theta, **{var.name: v}), d) for theta, d in partials for v in values]
-        if not partials:
-            return []
-
-    if scope.fresh_vars:
-        grown = []
-        for theta, demands in partials:
-            for theta2 in _bind_fresh(model, snap, scope.fresh_vars, theta, policy):
-                grown.append((theta2, demands))
-        partials = grown
-
-    bindings = []
-    seen = set()
-    for theta, _demands in partials:
-        if not eval_guard(t.guard, theta):
-            continue
-        key = tuple(sorted((n, v) for n, v in theta.items()))
-        if key not in seen:
-            seen.add(key)
-            bindings.append(theta)
-    return bindings
-
-
-def _bind_fresh(model: DbNet, snap: Snapshot, fresh_vars, theta: dict, policy: FreshPolicy):
-    """Extend ``theta`` over the fresh variables, branching per the policy.
-    Freshness is judged against active domain plus marking plus the fresh
-    values already picked for this same firing."""
-    results = [dict(theta)]
-    base_names = set(theta)
-    for var in fresh_vars:
-        dtype = model.types[var.dtype]
-        grown = []
-        for th in results:
-            used = _used_values(snap.instance, snap.marking, var.dtype)
-            # plus the picks already made for earlier fresh variables of
-            # this same firing
-            used.update(v for n, v in th.items() if n not in base_names and v.dtype == var.dtype)
-            for v in policy.candidates(dtype, used):
-                th2 = dict(th)
-                th2[var.name] = v
-                grown.append(th2)
-        results = grown
-    return results
+    return bind_transition(model, snap.marking, t, t.views, view_rows, scope.external_vars,
+                           scope.fresh_vars, partial(_used_values, snap.instance, snap.marking),
+                           policy)
 
 
 def fire(model: DbNet, snap: Snapshot, t: Transition, theta: Mapping[str, Value]):
@@ -588,7 +601,6 @@ def build_lts(
     *,
     max_states: Optional[int] = None,
     max_depth: Optional[int] = None,
-    jobs: int = 1,
 ) -> Lts:
     """Exhaustive reachability graph of the model under the policy.  Edge
     labels expose the transition name, the full binding and the outcome.
@@ -607,6 +619,4 @@ def build_lts(
             steps.append((binding_label(t.name, _scope(model, t), theta, outcome), succ))
         return steps
 
-    return explore(
-        model.initial_snapshot(), step, max_states=max_states, max_depth=max_depth, jobs=jobs
-    )
+    return explore(model.initial_snapshot(), step, max_states=max_states, max_depth=max_depth)

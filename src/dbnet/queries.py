@@ -17,14 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .fo import And, Atom, Compare, Exists, Formula, Or, _compare
-from .relational import (
-    ContractError,
-    Instance,
-    Schema,
-    Value,
-    Variable,
-)
+from .fo import And, Compare, Exists, Formula, Or, _compare
+from .relational import ContractError, Instance, Schema, Variable
 
 __all__ = [
     "Conjunct",
@@ -32,7 +26,6 @@ __all__ = [
     "eval_ucq",
     "ucq_to_fo",
     "validate_view_query",
-    "clear_query_cache",
 ]
 
 _ORDER_OPS = ("<", "<=", ">", ">=")
@@ -151,32 +144,20 @@ def ucq_to_fo(query: UcqQuery) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation.  Answer sets are recomputed per (instance, query) pair and
-# memoized: state-space construction re-evaluates the same handful of view
-# queries against a modest number of distinct database states.
-
-_CACHE: dict = {}
-_CACHE_LIMIT = 65536
-
-
-def clear_query_cache():
-    _CACHE.clear()
+# Evaluation.  State-space construction asks the same few view queries of
+# each database state, so each immutable ``Instance`` memoises its answer
+# sets, as it does its active domain; the memo dies with the instance.
 
 
 def eval_ucq(instance: Instance, query: UcqQuery) -> frozenset:
     """All answer tuples of ``query`` on ``instance`` (set semantics)."""
-    key = (instance, query)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-    answers = set()
-    for conj in query.disjuncts:
-        _eval_conjunct(instance, query.head, conj, answers)
-    result = frozenset(answers)
-    if len(_CACHE) >= _CACHE_LIMIT:
-        _CACHE.clear()
-    _CACHE[key] = result
-    return result
+    answers = instance._answers.get(query)
+    if answers is None:
+        found = set()
+        for conj in query.disjuncts:
+            _eval_conjunct(instance, query.head, conj, found)
+        answers = instance._answers[query] = frozenset(found)
+    return answers
 
 
 def _eval_conjunct(instance: Instance, head, conj: Conjunct, answers: set):

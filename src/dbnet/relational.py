@@ -8,9 +8,9 @@ only if every constraint holds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 __all__ = [
     "DataType",
@@ -309,7 +309,7 @@ class Instance:
     are kept behind a canonical sorted key so equal instances hash equal.
     """
 
-    __slots__ = ("schema", "facts", "_key", "_hash", "_adom")
+    __slots__ = ("schema", "facts", "_key", "_hash", "_adom", "_answers")
 
     def __init__(self, schema: Schema, facts: Optional[Mapping[str, Iterable[tuple]]] = None):
         self.schema = schema
@@ -326,6 +326,7 @@ class Instance:
         )
         self._hash = hash(self._key)
         self._adom = None
+        self._answers = {}  # query -> answer set, memoised by queries.eval_ucq
 
     def typecheck(self) -> list:
         problems = []

@@ -170,7 +170,7 @@ def test_6_silent_steps_always_converge(capsys):
     bad = []
     for name, out, lts in translated_corpus():
         names = {p: r for r, p in out.relation_places.items()}
-        flat = flatten(lts, out.place_classes, out.label_map, relation_names=names)
+        flat = flatten(lts, out.place_classes, relation_names=names)
         stable = {s for s in flat.states if flat.annotations[s]["stable"]}
         outgoing = {s: 0 for s in flat.states}
         for src, label, dst in flat.edges:

@@ -52,7 +52,7 @@ def test_flatten_source_side_is_the_identity_projection(shop, shop_lts):
 def test_flatten_translated_side_hides_the_machinery(shop, shop_translation, shop_cpn_lts):
     out = shop_translation
     names = {p: r for r, p in out.relation_places.items()}
-    flat = flatten(shop_cpn_lts, out.place_classes, out.label_map, relation_names=names)
+    flat = flatten(shop_cpn_lts, out.place_classes, relation_names=names)
     m0 = out.net.initial_marking
     ann = flat.annotations[m0]
     assert ann["stable"] is True  # the lock is free initially
@@ -73,7 +73,7 @@ def test_flatten_is_idempotent(shop_lts):
 
 def test_flatten_translated_needs_relation_names(shop_translation, shop_cpn_lts):
     with pytest.raises(ContractError, match="relation_names"):
-        flatten(shop_cpn_lts, shop_translation.place_classes, shop_translation.label_map)
+        flatten(shop_cpn_lts, shop_translation.place_classes)
 
 
 def test_flat_state_render_is_sorted():
@@ -202,7 +202,7 @@ def relation_setup(model, policy):
     raw2 = cpn_build_lts(out.net, policy)
     names = {p: r for r, p in out.relation_places.items()}
     l1 = flatten(raw1)
-    l2 = flatten(raw2, out.place_classes, out.label_map, relation_names=names)
+    l2 = flatten(raw2, out.place_classes, relation_names=names)
     return l1, l2, check_weak_bisim(l1, l2)
 
 

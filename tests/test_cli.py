@@ -197,6 +197,41 @@ def test_statespace_truncation_exits_2(capsys, tmp_path):
     assert "truncated=True" in out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--max-states", "0"), "--max-states must be at least 1"),
+        (("--max-depth", "-1"), "--max-depth must be at least 0"),
+    ],
+    ids=["max-states", "max-depth"],
+)
+def test_statespace_rejects_limits_out_of_range(capsys, tmp_path, flags, message):
+    code, out, err = run(capsys, "statespace", TOUCH, "-o", tmp_path / "t", *flags)
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "t.lts").exists()
+
+
+def test_simulate_rejects_negative_steps(capsys):
+    code, out, err = run(capsys, "simulate", TOUCH, "--steps", "-1")
+    assert code == 1
+    assert out == ""
+    assert "--steps must be at least 0" in err
+
+
+def test_usage_errors_exit_1(capsys, tmp_path):
+    code, out, err = run(capsys, "statespace", TOUCH, "-o", tmp_path / "t", "--jobs", "2")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --jobs 2" in err
+    assert err.startswith("usage: dbnet")
+
+    code, _, err = run(capsys, "statespace", TOUCH, "-o", tmp_path / "t", "--max-states", "many")
+    assert code == 1
+    assert "invalid int value" in err
+
+
 def test_unbounded_exploration_is_refused(capsys, tmp_path):
     code, _, err = run(
         capsys, "statespace", TOUCH, "-o", tmp_path / "t", "--fresh", "unbounded"
@@ -226,6 +261,15 @@ def test_certify_ok_prints_stats(capsys):
     for key in ("source-edges", "source-states", "translated-edges", "translated-states"):
         assert any(l.startswith(f"  {key}: ") for l in lines)
     assert any(re.fullmatch(r"  relation-pairs: \d+", l) for l in lines)
+
+
+def test_certify_truncation_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "certify", SHOP, "--max-states", "50", "-o", tmp_path / "c")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "truncated" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_certify_failure_writes_counterexample(capsys, tmp_path, monkeypatch):
@@ -261,6 +305,14 @@ def test_template_flags_resize(capsys, tmp_path):
     n_small = int(STATS_RE.search(small).group(1))
     n_large = int(STATS_RE.search(large).group(1))
     assert n_large > n_small
+
+
+@pytest.mark.parametrize("flag", ["--users", "--products"])
+def test_template_sizes_below_one_are_rejected(capsys, flag):
+    code, out, err = run(capsys, "validate", SHOP, flag, "0")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {flag} must be at least 1, got 0\n"
 
 
 def test_sizing_needs_a_marker(capsys):

@@ -2,7 +2,9 @@
 
 import pytest
 
+import dbnet.model
 from dbnet.corpus import build_shopping_cart
+from dbnet.dsl import parse_model
 from dbnet.fo import Atom, Compare
 from dbnet.freshness import FreshPolicy
 from dbnet.marking import Marking
@@ -20,7 +22,7 @@ from dbnet.model import (
     render_snapshot,
     validate,
 )
-from dbnet.queries import Conjunct, UcqQuery
+from dbnet.queries import Conjunct, UcqQuery, eval_ucq
 from dbnet.relational import (
     Action,
     ContractError,
@@ -190,6 +192,31 @@ def test_missing_input_token_disables(shop):
     assert enabled_bindings(shop, snap, RECYCLING) == []
 
 
+def test_each_reached_view_arc_is_queried_once(monkeypatch):
+    # Both joins two tokens with the view, so two partial bindings reach
+    # its view arc; Idle's input place is empty, so its view arc is never
+    # reached.
+    model = parse_model(
+        'dbnet "views";\ntype int = int;\nrelation R(a: int);\n'
+        "query Q(a: int) := R(a);\nplace p(int);\nplace q(int);\nview V := Q;\n"
+        "transition Both {\n  in p(x);\n  read V(y);\n  out p(x);\n}\n"
+        "transition Idle {\n  in q(x);\n  read V(y);\n  out q(x);\n}\n"
+        "init {\n  fact R(1);\n  fact R(2);\n  token p(1);\n  token p(2);\n}\n"
+    ).model
+    asked = []
+
+    def counted(instance, query):
+        asked.append(query.name)
+        return eval_ucq(instance, query)
+
+    monkeypatch.setattr(dbnet.model, "eval_ucq", counted)
+    bindings = enabled_bindings(model, model.initial_snapshot(), RECYCLING)
+    pairs = sorted((th["x"].payload, th["y"].payload) for th in find(bindings, "Both"))
+    assert pairs == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert find(bindings, "Idle") == []
+    assert asked == ["Q"]
+
+
 # ---------------------------------------------------------------------------
 # firing
 
@@ -329,12 +356,6 @@ def test_truncation_is_flagged(shop):
 def test_depth_cut_is_flagged(shop):
     lts = build_lts(shop, BOUNDED1, max_depth=2)
     assert lts.truncated
-
-
-def test_parallel_exploration_is_identical(shop, shop_lts):
-    par = build_lts(shop, BOUNDED1, jobs=2)
-    assert par.states == shop_lts.states
-    assert par.edges == shop_lts.edges
 
 
 # ---------------------------------------------------------------------------
