@@ -26,6 +26,14 @@ exist at all once a state enables two distinct observables — past the
 guard stage a gadget can only finish its own firing, so an interior state
 has no weak answer to the other observable; requiring convergence instead
 keeps exactly the rejection power that such pairs would have provided.
+
+Cost: the translated net has an order of magnitude more states than the
+source net but few distinct projections, so ``flatten`` renders each
+distinct projection once and lets equal ones share one string.  The
+checker numbers each side's states once (their position in
+``lts.states``) and works on those ints and int pairs throughout; states
+are mapped back only for the returned relation and for counterexample
+paths.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .lts import EPS, Lts, format_label
 from .marking import Marking
 from .model import DbNet, Snapshot, build_lts
 from .freshness import FreshPolicy
-from .relational import ContractError, render_fact, render_value
+from .relational import ContractError, instance_lines, render_fact, render_value
 from .translate import TranslationOutput, translate
 
 __all__ = [
@@ -93,8 +101,6 @@ def _token_lines(place: str, token, count: int) -> list:
 
 
 def _flat_of_snapshot(snap: Snapshot) -> FlatState:
-    from .relational import instance_lines
-
     control = []
     for place in snap.marking.places_marked():
         for token, n in snap.marking.tokens(place):
@@ -130,9 +136,13 @@ def flatten(
     identity and every state is stable.  For a translated LTS, ``classes``
     is the translator's place classification and ``relation_names`` maps
     relation places back to relation names; a state is stable iff the
-    lock place is marked.  Edge labels are kept: observable labels were
-    already produced by the emitting transitions, and every other step is
-    silent.  Flattening an already-flattened LTS is the identity.
+    lock place is marked.  A translated state's projection is its marking
+    restricted to the relation and original-control places
+    (:meth:`Marking.restrict`), and each distinct projection is rendered
+    once: states with equal projections share one ``flat`` string.  Edge
+    labels are kept: observable labels were already produced by the
+    emitting transitions, and every other step is silent.  Flattening an
+    already-flattened LTS is the identity.
     """
     annotations = dict(lts.annotations)
     first = lts.states[0] if lts.states else None
@@ -151,9 +161,17 @@ def flatten(
         if len(lock_places) != 1:
             raise ContractError("place classification must contain exactly one lock place")
         lock = lock_places[0]
+        visible = frozenset(
+            p for p, c in classes.items() if c in ("relation", "original-control")
+        )
+        rendered: dict = {}  # projection -> its flat string
         for m in lts.states:
+            view = m.restrict(visible)
+            flat = rendered.get(view)
+            if flat is None:
+                flat = rendered[view] = _flat_of_marking(view, classes, relation_names).render()
             ann = dict(annotations.get(m, ()))
-            ann["flat"] = _flat_of_marking(m, classes, relation_names).render()
+            ann["flat"] = flat
             ann["stable"] = m.total(lock) >= 1
             annotations[m] = ann
     return Lts(lts.initial, list(lts.states), list(lts.edges), lts.truncated, annotations)
@@ -164,58 +182,69 @@ def flatten(
 
 
 class _Side:
-    """Preprocessed view of one flattened LTS."""
+    """One flattened LTS with its states numbered once: state ``i`` is
+    ``lts.states[i]``, and ``index`` maps a state back to its number.
+    Every per-state table is a list indexed by that number: ``flat`` (the
+    projection strings, shared between equal projections), ``stable``,
+    ``out_degree``, ``eps_succ`` (silent successors) and ``obs_succ``
+    (``(label, successor)`` pairs).  Everything after construction works
+    on these ints, so no state is hashed again."""
 
     def __init__(self, lts: Lts, tag: str):
         self.lts = lts
         self.tag = tag
-        self.flat = {}
-        self.stable = {}
-        for s in lts.states:
+        self.index = {}
+        self.flat = []
+        self.stable = []
+        for i, s in enumerate(lts.states):
             ann = lts.annotations.get(s)
             if ann is None or "flat" not in ann or "stable" not in ann:
                 raise ContractError(f"{tag}: state not flattened; call flatten() first")
-            self.flat[s] = ann["flat"]
-            self.stable[s] = bool(ann["stable"])
-        self.eps_succ = {s: [] for s in lts.states}
-        self.obs_succ = {s: [] for s in lts.states}
-        self.out_degree = {s: 0 for s in lts.states}
+            self.index[s] = i
+            self.flat.append(ann["flat"])
+            self.stable.append(bool(ann["stable"]))
+        n = len(self.flat)
+        index = self.index
+        self.eps_succ = [[] for _ in range(n)]
+        self.obs_succ = [[] for _ in range(n)]
+        self.out_degree = [0] * n
         for src, label, dst in lts.edges:
-            self.out_degree[src] += 1
+            i = index[src]
+            self.out_degree[i] += 1
             if label == EPS:
-                self.eps_succ[src].append(dst)
+                self.eps_succ[i].append(index[dst])
             else:
-                self.obs_succ[src].append((label, dst))
+                self.obs_succ[i].append((label, index[dst]))
         self._reach = self._stable_reach()
-        self._big: dict = {}
+        self._big = [None] * n
 
     # -- convergence -------------------------------------------------------
 
     def silent_dead_end(self):
-        for s in self.lts.states:
-            if not self.stable[s] and self.out_degree[s] == 0:
+        for s, stable in enumerate(self.stable):
+            if not stable and self.out_degree[s] == 0:
                 return s
         return None
 
     def silent_divergence(self):
         """A state on a silent cycle that never passes a stable state."""
-        interior = [s for s in self.lts.states if not self.stable[s]]
-        succ = {
-            s: [d for d in self.eps_succ[s] if not self.stable[d]] for s in interior
-        }
-        indeg = {s: 0 for s in interior}
+        stable, eps_succ = self.stable, self.eps_succ
+        interior = [s for s, st in enumerate(stable) if not st]
+        indeg = [0] * len(stable)
         for s in interior:
-            for d in succ[s]:
-                indeg[d] += 1
+            for d in eps_succ[s]:
+                if not stable[d]:
+                    indeg[d] += 1
         queue = [s for s in interior if indeg[s] == 0]
         seen = 0
         while queue:
             s = queue.pop()
             seen += 1
-            for d in succ[s]:
-                indeg[d] -= 1
-                if indeg[d] == 0:
-                    queue.append(d)
+            for d in eps_succ[s]:
+                if not stable[d]:
+                    indeg[d] -= 1
+                    if indeg[d] == 0:
+                        queue.append(d)
         if seen == len(interior):
             return None
         for s in interior:
@@ -225,82 +254,76 @@ class _Side:
 
     # -- weak steps --------------------------------------------------------
 
-    def _stable_reach(self) -> dict:
+    def _stable_reach(self) -> list:
         """state -> frozenset of stable states reachable via silent steps
         (including itself when stable).  Iterative Tarjan over the silent
-        edges; each strongly connected component shares one reach set."""
-        index = {}
-        low = {}
-        comp = {}
+        edges; each strongly connected component shares one reach set, and
+        a component with no stable member whose silent edges lead into a
+        single other component shares that component's set."""
+        eps_succ, stable = self.eps_succ, self.stable
+        n = len(eps_succ)
+        index = [-1] * n
+        low = [0] * n
+        comp = [-1] * n
+        on_stack = [False] * n
         stack = []
-        on_stack = set()
-        counter = [0]
-        comp_reach: list = []
-        order: list = []
+        reach_of_comp: list = []
+        counter = 0
 
-        for root in self.lts.states:
-            if root in index:
+        for root in range(n):
+            if index[root] >= 0:
                 continue
-            work = [(root, 0)]
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, iter(eps_succ[root]))]
             while work:
-                node, pi = work[-1]
-                if pi == 0:
-                    index[node] = low[node] = counter[0]
-                    counter[0] += 1
-                    stack.append(node)
-                    on_stack.add(node)
-                succs = self.eps_succ[node]
-                advanced = False
-                while pi < len(succs):
-                    nxt = succs[pi]
-                    pi += 1
-                    if nxt not in index:
-                        work[-1] = (node, pi)
-                        work.append((nxt, 0))
-                        advanced = True
+                node, succs = work[-1]
+                for nxt in succs:
+                    if index[nxt] < 0:
+                        index[nxt] = low[nxt] = counter
+                        counter += 1
+                        stack.append(nxt)
+                        on_stack[nxt] = True
+                        work.append((nxt, iter(eps_succ[nxt])))
                         break
-                    if nxt in on_stack:
-                        low[node] = min(low[node], index[nxt])
-                if advanced:
-                    continue
-                work[-1] = (node, pi)
-                if pi >= len(succs):
+                    if on_stack[nxt] and index[nxt] < low[node]:
+                        low[node] = index[nxt]
+                else:
                     work.pop()
                     if work:
                         parent = work[-1][0]
-                        low[parent] = min(low[parent], low[node])
+                        if low[node] < low[parent]:
+                            low[parent] = low[node]
                     if low[node] == index[node]:
-                        cid = len(comp_reach)
+                        # Tarjan emits components in reverse topological
+                        # order: every silent successor's is finished.
+                        cid = len(reach_of_comp)
                         members = []
                         while True:
                             x = stack.pop()
-                            on_stack.discard(x)
+                            on_stack[x] = False
                             comp[x] = cid
                             members.append(x)
-                            if x is node or x == node:
+                            if x == node:
                                 break
-                        comp_reach.append(members)
-                        order.append(cid)
+                        own = [x for x in members if stable[x]]
+                        succ_comps = {comp[d] for x in members for d in eps_succ[x]}
+                        succ_comps.discard(cid)
+                        if not own and len(succ_comps) == 1:
+                            reach = reach_of_comp[succ_comps.pop()]
+                        else:
+                            reach = frozenset(own).union(*[reach_of_comp[c] for c in succ_comps])
+                        reach_of_comp.append(reach)
+        return [reach_of_comp[c] for c in comp]
 
-        # Tarjan emits components in reverse topological order, so every
-        # silent successor's component is finished before its sources.
-        reach_of_comp: dict = {}
-        for cid in order:
-            members = comp_reach[cid]
-            acc = {s for s in members if self.stable[s]}
-            for s in members:
-                for d in self.eps_succ[s]:
-                    if comp[d] != cid:
-                        acc |= reach_of_comp[comp[d]]
-            reach_of_comp[cid] = frozenset(acc)
-        return {s: reach_of_comp[comp[s]] for s in self.lts.states}
-
-    def eps_targets(self, s) -> frozenset:
+    def eps_targets(self, s: int) -> frozenset:
         return self._reach[s]
 
-    def big_steps(self, s) -> dict:
+    def big_steps(self, s: int) -> dict:
         """label -> frozenset of stable states reachable as eps*;label;eps*."""
-        hit = self._big.get(s)
+        hit = self._big[s]
         if hit is not None:
             return hit
         closure = set()
@@ -311,12 +334,15 @@ class _Side:
                 continue
             closure.add(x)
             queue.extend(self.eps_succ[x])
-        out: dict = {}
+        parts: dict = {}
         for x in closure:
             for label, y in self.obs_succ[x]:
                 # _reach[y] already contains y itself when y is stable
-                out.setdefault(label, set()).update(self._reach[y])
-        frozen = {label: frozenset(ts) for label, ts in out.items()}
+                parts.setdefault(label, []).append(self._reach[y])
+        frozen = {
+            label: sets[0] if len(sets) == 1 else frozenset().union(*sets)
+            for label, sets in parts.items()
+        }
         self._big[s] = frozen
         return frozen
 
@@ -346,6 +372,25 @@ def _path_to(lts: Lts, target) -> list:
     return steps
 
 
+def _refuse_truncated(l1: Lts, l2: Lts):
+    for tag, l in (("left", l1), ("right", l2)):
+        if l.truncated:
+            raise TruncatedError(
+                f"{tag} LTS is truncated; the check needs the complete state space"
+            )
+
+
+def _silent_failure(kind: str, what: str, side: _Side, s: int) -> WeakBisimResult:
+    return WeakBisimResult(
+        NOT_BISIMILAR,
+        witness={"kind": kind, "side": side.tag, "state": side.flat[s]},
+        trace=tuple(
+            [f"{what} on the {side.tag} side", f"state: {side.flat[s]}"]
+            + [f"  via {step}" for step in _path_to(side.lts, side.lts.states[s])]
+        ),
+    )
+
+
 def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
     """Decide flattened weak bisimilarity of two finite, flattened LTSs.
 
@@ -354,50 +399,22 @@ def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
     :func:`flatten`.  The verdict is symmetric in the two arguments.  On
     success the result carries the relation over stable states, on
     failure a structured witness plus a counterexample trace from the
-    initial pair to the mismatch.
+    initial pair to the mismatch.  Internally a pair is two state
+    numbers (see :class:`_Side`), so pairs sort in discovery order.
     """
-    for tag, l in (("left", l1), ("right", l2)):
-        if l.truncated:
-            raise TruncatedError(
-                f"{tag} LTS is truncated; the check needs the complete state space"
-            )
+    _refuse_truncated(l1, l2)
     s1 = _Side(l1, "left")
     s2 = _Side(l2, "right")
-    pos1 = {s: i for i, s in enumerate(l1.states)}
-    pos2 = {s: i for i, s in enumerate(l2.states)}
-    pair_key = lambda pr: (pos1[pr[0]], pos2[pr[1]])
 
     for side in (s1, s2):
         dead = side.silent_dead_end()
         if dead is not None:
-            return WeakBisimResult(
-                NOT_BISIMILAR,
-                witness={
-                    "kind": "silent-dead-end",
-                    "side": side.tag,
-                    "state": side.flat[dead],
-                },
-                trace=tuple(
-                    [f"silent dead-end on the {side.tag} side", f"state: {side.flat[dead]}"]
-                    + [f"  via {s}" for s in _path_to(side.lts, dead)]
-                ),
-            )
+            return _silent_failure("silent-dead-end", "silent dead-end", side, dead)
         div = side.silent_divergence()
         if div is not None:
-            return WeakBisimResult(
-                NOT_BISIMILAR,
-                witness={
-                    "kind": "silent-divergence",
-                    "side": side.tag,
-                    "state": side.flat[div],
-                },
-                trace=tuple(
-                    [f"silent divergence on the {side.tag} side", f"state: {side.flat[div]}"]
-                    + [f"  via {s}" for s in _path_to(side.lts, div)]
-                ),
-            )
+            return _silent_failure("silent-divergence", "silent divergence", side, div)
 
-    init = (l1.initial, l2.initial)
+    init = (s1.index[l1.initial], s2.index[l2.initial])
     if s1.flat[init[0]] != s2.flat[init[1]]:
         return WeakBisimResult(
             NOT_BISIMILAR,
@@ -413,28 +430,23 @@ def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
             ),
         )
 
+    f1, f2 = s1.flat, s2.flat
     # Candidate pairs: product-reachable, content-compatible stable pairs.
-    parents: dict = {init: None}
-    rel = set()
+    rel = {init}
     queue = [init]
-    while queue:
-        pair = queue.pop(0)
-        if pair in rel:
-            continue
-        rel.add(pair)
-        p, q = pair
+    head = 0
+    while head < len(queue):
+        p, q = queue[head]
+        head += 1
         b1, b2 = s1.big_steps(p), s2.big_steps(q)
-        for label in sorted(set(b1) | set(b2), key=format_label):
-            for x in sorted(b1.get(label, ()), key=pos1.get):
-                for y in sorted(b2.get(label, ()), key=pos2.get):
-                    if s1.flat[x] == s2.flat[y] and (x, y) not in parents:
-                        parents[(x, y)] = (pair, format_label(label))
+        moves = [(t1, b2[label]) for label, t1 in b1.items() if label in b2]
+        moves.append((s1.eps_targets(p), s2.eps_targets(q)))
+        for t1, t2 in moves:
+            for x in t1:
+                for y in t2:
+                    if f1[x] == f2[y] and (x, y) not in rel:
+                        rel.add((x, y))
                         queue.append((x, y))
-        for x in sorted(s1.eps_targets(p), key=pos1.get):
-            for y in sorted(s2.eps_targets(q), key=pos2.get):
-                if s1.flat[x] == s2.flat[y] and (x, y) not in parents:
-                    parents[(x, y)] = (pair, "eps")
-                    queue.append((x, y))
 
     def unanswered(pair):
         p, q = pair
@@ -442,17 +454,18 @@ def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
         for label in sorted(set(b1) | set(b2), key=format_label):
             t1 = b1.get(label, frozenset())
             t2 = b2.get(label, frozenset())
-            for x in sorted(t1, key=pos1.get):
-                if not any(s1.flat[x] == s2.flat[y] and (x, y) in rel for y in t2):
+            for x in sorted(t1):
+                if not any(f1[x] == f2[y] and (x, y) in rel for y in t2):
                     return ("left", format_label(label), x)
-            for y in sorted(t2, key=pos2.get):
-                if not any(s1.flat[x] == s2.flat[y] and (x, y) in rel for x in t1):
+            for y in sorted(t2):
+                if not any(f1[x] == f2[y] and (x, y) in rel for x in t1):
                     return ("right", format_label(label), y)
-        for x in sorted(s1.eps_targets(p), key=pos1.get):
-            if not any(s1.flat[x] == s2.flat[y] and (x, y) in rel for y in s2.eps_targets(q)):
+        t1, t2 = s1.eps_targets(p), s2.eps_targets(q)
+        for x in sorted(t1):
+            if not any(f1[x] == f2[y] and (x, y) in rel for y in t2):
                 return ("left", "eps", x)
-        for y in sorted(s2.eps_targets(q), key=pos2.get):
-            if not any(s1.flat[x] == s2.flat[y] and (x, y) in rel for x in s1.eps_targets(p)):
+        for y in sorted(t2):
+            if not any(f1[x] == f2[y] and (x, y) in rel for x in t1):
                 return ("right", "eps", y)
         return None
 
@@ -460,7 +473,7 @@ def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
     changed = True
     while changed:
         changed = False
-        for pair in sorted(rel, key=pair_key):
+        for pair in sorted(rel):
             reason = unanswered(pair)
             if reason is not None:
                 rel.discard(pair)
@@ -468,8 +481,9 @@ def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
                 changed = True
 
     if init in rel:
-        ordered = tuple(sorted(rel, key=pair_key))
-        return WeakBisimResult(BISIMILAR, relation=ordered)
+        states1, states2 = l1.states, l2.states
+        relation = tuple((states1[x], states2[y]) for x, y in sorted(rel))
+        return WeakBisimResult(BISIMILAR, relation=relation)
 
     # Reconstruct a blame chain: each removed pair names a weak move whose
     # content-compatible answers were all removed before it, so following
@@ -529,11 +543,12 @@ def verify_relation(l1: Lts, l2: Lts, relation) -> list:
     initial pair is present.  Returns human-readable problems."""
     s1 = _Side(l1, "left")
     s2 = _Side(l2, "right")
-    rel = set(relation)
+    pairs = [(s1.index[p], s2.index[q]) for p, q in relation]
+    rel = set(pairs)
     problems = []
-    if (l1.initial, l2.initial) not in rel:
+    if (s1.index[l1.initial], s2.index[l2.initial]) not in rel:
         problems.append("relation does not contain the initial pair")
-    for p, q in relation:
+    for p, q in pairs:
         if s1.flat[p] != s2.flat[q]:
             problems.append(f"related pair differs in content: {s1.flat[p]} vs {s2.flat[q]}")
             continue
@@ -575,7 +590,7 @@ def certify_translation(
     ``translation`` may be supplied to certify a pre-built (for instance
     deliberately mutated) translation of the same model.  Truncation in
     either exploration raises :class:`TruncatedError`, as the verdict
-    would be meaningless.
+    would be meaningless; it is raised before anything is flattened.
     """
     policy = policy or model.default_policy
     if s0 is not None and (
@@ -587,6 +602,7 @@ def certify_translation(
 
     raw1 = build_lts(model, policy, max_states=max_states, max_depth=max_depth)
     raw2 = cpn_build_lts(translation.net, policy, max_states=max_states, max_depth=max_depth)
+    _refuse_truncated(raw1, raw2)
 
     relation_names = {p: r for r, p in translation.relation_places.items()}
     flat1 = flatten(raw1)

@@ -22,6 +22,7 @@ from .relational import (
     Value,
     Variable,
     ContractError,
+    active_domain,
 )
 
 __all__ = [
@@ -161,8 +162,6 @@ def eval_fo_oracle(instance: Instance, formula: Formula, env: Mapping[str, Value
 
 
 def _quant_range(instance: Instance, var: Variable, env: Mapping[str, Value]):
-    from .relational import active_domain
-
     dom = active_domain(instance, var.dtype)
     dom.update(v for v in env.values() if v.dtype == var.dtype)
     return sorted(dom, key=lambda v: v.sort_key())

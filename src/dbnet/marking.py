@@ -103,6 +103,17 @@ class Marking:
                 for v in tok:
                     yield v
 
+    def restrict(self, places) -> "Marking":
+        """The tokens on ``places`` only (a set of place names).  The result
+        shares this marking's per-place records, so building and hashing it
+        touches no token."""
+        order = tuple([p for p in self._order if p in places])
+        if len(order) == len(self._order):
+            return self
+        out = Marking.__new__(Marking)
+        out._set({p: self._places[p] for p in order}, order)
+        return out
+
     # -- updates (return new Marking) -------------------------------------
     def minus(self, removals: Iterable[Tuple[str, tuple]]) -> "Marking":
         touched: dict = {}

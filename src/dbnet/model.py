@@ -32,6 +32,7 @@ from .relational import (
     active_domain,
     apply_action,
     check_constraint,
+    instance_lines,
     render_value,
 )
 from .lts import Lts, explore
@@ -590,8 +591,6 @@ def binding_label(t_name: str, scope: TransitionScope, theta: Mapping[str, Value
 
 
 def render_snapshot(snap: Snapshot) -> str:
-    from .relational import instance_lines
-
     return "; ".join(instance_lines(snap.instance)) + " | " + snap.marking.render()
 
 

@@ -18,6 +18,7 @@ plus ``true``/``false`` tokens in the per-update Done places (the
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -144,8 +145,6 @@ class TranslationOutput:
     ctl_type: str
 
     def provenance_jsonl(self) -> str:
-        import json
-
         lines = []
         for name in sorted(self.provenance):
             source, phase = self.provenance[name]

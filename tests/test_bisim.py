@@ -1,20 +1,28 @@
 """Flattening and the weak equivalence check."""
 
+import hashlib
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
+from dbnet import bisim
 from dbnet.bisim import (
     BISIMILAR,
     NOT_BISIMILAR,
     FlatState,
+    TruncatedError,
     certify_translation,
     check_weak_bisim,
     flatten,
     verify_relation,
 )
-from dbnet.corpus import build_empty, build_guarded
+from dbnet.corpus import CORPUS, build_empty, build_guarded, build_shopping_cart
 from dbnet.cpn import cpn_build_lts
 from dbnet.lts import EPS, Lts
-from dbnet.model import build_lts
+from dbnet.model import build_lts, render_snapshot
+from dbnet.mutations import MUTATIONS, apply_mutation
 from dbnet.relational import ContractError, instance_lines
 from dbnet.translate import translate
 
@@ -74,6 +82,26 @@ def test_flatten_is_idempotent(shop_lts):
 def test_flatten_translated_needs_relation_names(shop_translation, shop_cpn_lts):
     with pytest.raises(ContractError, match="relation_names"):
         flatten(shop_cpn_lts, shop_translation.place_classes)
+
+
+@pytest.mark.parametrize("mutation", [None, "swap-add-priorities"])
+def test_memoised_flat_equals_a_direct_rendering(mutation):
+    model = build_shopping_cart(1, 2)
+    out = translate(model)
+    if mutation is not None:
+        out = apply_mutation(out, mutation)
+    raw = cpn_build_lts(out.net, BOUNDED1, max_states=3000)
+    names = {p: r for r, p in out.relation_places.items()}
+    flat = flatten(raw, out.place_classes, relation_names=names)
+    shared = {}
+    for m in flat.states:
+        text = flat.annotations[m]["flat"]
+        assert text == bisim._flat_of_marking(m, out.place_classes, names).render()
+        assert shared.setdefault(text, text) is text  # equal projections share one string
+    if mutation is not None:  # the runaway mutant duplicates facts
+        assert any(
+            n >= 2 for m in flat.states for p in names for _tok, n in m.tokens(p)
+        )
 
 
 def test_flat_state_render_is_sorted():
@@ -175,6 +203,19 @@ def test_verdict_is_symmetric():
     assert check_weak_bisim(l1, l3).verdict == check_weak_bisim(l3, l1).verdict == BISIMILAR
 
 
+def test_silent_chain_shares_one_reach_set():
+    lts = hand_lts(
+        "a",
+        ["a", "b", "c", "d"],
+        [("a", EPS, "b"), ("b", EPS, "c"), ("c", OBS, "d")],
+        {"a": ("F0", False), "b": ("F0", False), "c": ("F0", True), "d": ("F1", True)},
+    )
+    side = bisim._Side(lts, "left")
+    assert side.eps_targets(0) == frozenset({2})
+    assert side.eps_targets(0) is side.eps_targets(1) is side.eps_targets(2)
+    assert side.big_steps(0) == {OBS: frozenset({3})}
+
+
 def test_every_flattened_lts_is_bisimilar_to_itself(shop_lts):
     flat = flatten(shop_lts)
     assert check_weak_bisim(flat, flat).verdict == BISIMILAR
@@ -252,3 +293,87 @@ def test_certify_small_corpus(touch, guarded, domviol, fk_net, selfref):
 def test_certify_honours_truncation_refusal(shop):
     with pytest.raises(ContractError, match="truncated"):
         certify_translation(shop, policy=BOUNDED1, max_states=10)
+
+
+def test_truncation_is_refused_before_flattening(shop, monkeypatch):
+    def no_flatten(*_args, **_kwargs):
+        raise AssertionError("flatten called on a truncated exploration")
+
+    monkeypatch.setattr(bisim, "flatten", no_flatten)
+    with pytest.raises(TruncatedError) as both_cut:
+        certify_translation(shop, policy=BOUNDED1, max_states=10)
+    assert str(both_cut.value) == (
+        "left LTS is truncated; the check needs the complete state space"
+    )
+    runaway = apply_mutation(translate(shop), "swap-add-priorities")
+    with pytest.raises(TruncatedError) as right_cut:
+        certify_translation(shop, policy=BOUNDED1, max_states=500, translation=runaway)
+    assert str(right_cut.value) == (
+        "right LTS is truncated; the check needs the complete state space"
+    )
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: every corpus net and shop 1x2, unmutated and mutated
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "certify_golden.json"
+GOLDEN_CAP = 3000  # states per side; a runaway mutant truncates
+GOLDEN_NETS = dict(CORPUS, **{"shop-1x2": lambda: build_shopping_cart(1, 2)})
+GOLDEN_CASES = [
+    f"{net}/{mutation}" for net in GOLDEN_NETS for mutation in ["none", *sorted(MUTATIONS)]
+]
+
+
+def certify_record(case: str) -> dict:
+    """Everything ``certify_translation`` says about one (net, mutation)
+    case under ``bounded:1``, as JSON data.  The relation is pinned by its
+    size and the sha256 of its rendered pairs, one line per pair."""
+    net_name, mutation = case.split("/")
+    model = GOLDEN_NETS[net_name]()
+    translation = translate(model)
+    if mutation != "none":
+        try:
+            translation = apply_mutation(translation, mutation)
+        except ContractError as exc:
+            return {"outcome": "not-applicable", "message": str(exc)}
+    try:
+        res = certify_translation(
+            model, policy=BOUNDED1, max_states=GOLDEN_CAP, translation=translation
+        )
+    except TruncatedError as exc:
+        return {"outcome": "truncated", "message": str(exc)}
+    record = {
+        "outcome": res.verdict,
+        "witness": res.witness,
+        "trace": list(res.trace),
+        "stats": res.stats,
+    }
+    if res.relation is not None:
+        text = "".join(f"{render_snapshot(p)} ~ {q.render()}\n" for p, q in res.relation)
+        record["relation_pairs"] = len(res.relation)
+        record["relation_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return record
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(GOLDEN_CASES)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_certify_output_matches_the_golden_record(golden, case):
+    got = json.dumps(certify_record(case), indent=1, sort_keys=True)
+    assert got == json.dumps(golden[case], indent=1, sort_keys=True)
+
+
+if __name__ == "__main__":
+    # Rewrite the golden file: PYTHONPATH=src:tests python tests/test_bisim.py --write
+    if sys.argv[1:] == ["--write"]:
+        records = {case: certify_record(case) for case in GOLDEN_CASES}
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")

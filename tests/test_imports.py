@@ -1,8 +1,10 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no
+function imports anything.
 
 No linter ships with the project, so this reads each module's syntax
 tree: a name bound by a module-level ``import`` or ``from ... import``
-must be read somewhere in that module or be listed in its ``__all__``.
+must be read somewhere in that module or be listed in its ``__all__``,
+and every import sits at module level.
 """
 
 import ast
@@ -45,3 +47,32 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def function_local_imports(source: str) -> list:
+    """``(function name, line)`` of every import inside a function body."""
+    hits = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    hits.add((getattr(fn, "name", "<lambda>"), node.lineno))
+    return sorted(hits, key=lambda hit: (hit[1], hit[0]))
+
+
+def test_the_check_finds_a_function_local_import():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    import json\n"
+        "    class C:\n"
+        "        def g(self):\n"
+        "            from os import path\n"
+        "    return json, C\n"
+    )
+    assert function_local_imports(source) == [("f", 3), ("f", 6), ("g", 6)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    assert function_local_imports(path.read_text(encoding="utf-8")) == []

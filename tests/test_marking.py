@@ -169,3 +169,17 @@ def test_failed_minus_leaves_the_receiver_unchanged():
         m.minus([("q", tok(2)), ("r", tok(0))])
     assert (m.key(), m.render(), m.tokens("p"), m.count("p", tok(1)), hash(m)) == before
     assert_same_marking(m, Marking.from_tokens([("p", tok(1)), ("p", tok(1)), ("q", tok(2))]))
+
+
+@given(st.lists(st.tuples(st.sampled_from(PLACES), pair_tokens), max_size=8), updates,
+       st.sets(st.sampled_from(PLACES + ["absent"])))
+def test_restrict_equals_a_marking_of_the_kept_tokens(start, steps, keep):
+    m = Marking.from_tokens(start)
+    for kind, batch in steps:  # exercise shared records from incremental updates
+        if kind == "plus" or m.covers(batch):
+            m = m.plus(batch) if kind == "plus" else m.minus(batch)
+    want = Marking(
+        {place: dict(m.tokens(place)) for place in m.places_marked() if place in keep}
+    )
+    assert_same_marking(m.restrict(keep), want)
+    assert_same_marking(m.restrict(frozenset(keep)).restrict(keep), want)
