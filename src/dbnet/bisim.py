@@ -372,8 +372,9 @@ def _path_to(lts: Lts, target) -> list:
     return steps
 
 
-def _refuse_truncated(l1: Lts, l2: Lts):
-    for tag, l in (("left", l1), ("right", l2)):
+def _refuse_truncated(*ltss: Lts):
+    """Raise on the first truncated LTS, the left side before the right."""
+    for tag, l in zip(("left", "right"), ltss):
         if l.truncated:
             raise TruncatedError(
                 f"{tag} LTS is truncated; the check needs the complete state space"
@@ -590,7 +591,9 @@ def certify_translation(
     ``translation`` may be supplied to certify a pre-built (for instance
     deliberately mutated) translation of the same model.  Truncation in
     either exploration raises :class:`TruncatedError`, as the verdict
-    would be meaningless; it is raised before anything is flattened.
+    would be meaningless; it is raised before anything is flattened, and
+    a truncated source exploration stops the run before the translated
+    net is explored.
     """
     policy = policy or model.default_policy
     if s0 is not None and (
@@ -601,6 +604,7 @@ def certify_translation(
         translation = translate(model)
 
     raw1 = build_lts(model, policy, max_states=max_states, max_depth=max_depth)
+    _refuse_truncated(raw1)
     raw2 = cpn_build_lts(translation.net, policy, max_states=max_states, max_depth=max_depth)
     _refuse_truncated(raw1, raw2)
 

@@ -75,10 +75,11 @@ def explore(
     ``max_depth`` stops expanding past that distance from the start.
     Either cut sets ``truncated`` (conservatively for the depth cut: a
     state at the horizon counts as truncated even if it happens to be
-    terminal).
+    terminal).  Every edge holds the very objects kept in ``states``, not
+    equal copies of them.
     """
     lts = Lts(initial=initial)
-    seen = {initial}
+    seen = {initial: initial}  # each state -> the one object kept for it
     lts.states.append(initial)
     frontier = [initial]
     depth = 0
@@ -90,15 +91,18 @@ def explore(
         for src in frontier:
             emitted = set()
             for label, dst in step_fn(src):
-                if (label, dst) in emitted:  # set semantics on edges too
-                    continue
-                if dst not in seen:
+                known = seen.get(dst)
+                if known is None:
                     if max_states is not None and len(seen) >= max_states:
                         lts.truncated = True
                         continue
-                    seen.add(dst)
+                    seen[dst] = dst
                     lts.states.append(dst)
                     next_frontier.append(dst)
+                elif (label, known) in emitted:  # set semantics on edges too
+                    continue
+                else:
+                    dst = known
                 emitted.add((label, dst))
                 lts.edges.append((src, label, dst))
         frontier = next_frontier

@@ -5,12 +5,20 @@ use the same marking type; relation places of the translated net keep set
 semantics by construction (the surrounding gadgets guard every insert),
 not by anything in this module.
 
-A marking is immutable, and the structure behind it is shared: ``minus``
-and ``plus`` copy and re-sort only the places they touch, and the new
+A marking is immutable, and the structure behind it is shared: an
+update copies and re-sorts only the places it touches, and the new
 marking reuses every other place's bag, canonical token tuple and hash
 from its parent.  Nothing may therefore mutate a marking's per-place data
 after construction.  An empty place is not stored at all, so two markings
 with the same tokens are identical in every query.
+
+``update(removals, additions)`` is the one update: it takes the removals,
+then the additions, into one private copy per touched place and re-sorts
+and re-hashes each touched place once; ``minus`` and ``plus`` are its two
+halves, and firing a transition is a single ``update``.  ``restrict``
+gives the marking of some places only, built from the shared per-place
+records, so it is a cheap hashable key for "the tokens on these places"
+(the coloured-net layer memoises each transition's firings on it).
 """
 
 from __future__ import annotations
@@ -107,7 +115,10 @@ class Marking:
         """The tokens on ``places`` only (a set of place names).  The result
         shares this marking's per-place records, so building and hashing it
         touches no token."""
-        order = tuple([p for p in self._order if p in places])
+        if len(places) < len(self._order):
+            order = tuple(sorted([p for p in places if p in self._places]))
+        else:
+            order = tuple([p for p in self._order if p in places])
         if len(order) == len(self._order):
             return self
         out = Marking.__new__(Marking)
@@ -115,7 +126,13 @@ class Marking:
         return out
 
     # -- updates (return new Marking) -------------------------------------
-    def minus(self, removals: Iterable[Tuple[str, tuple]]) -> "Marking":
+    def update(self, removals: Iterable[Tuple[str, tuple]],
+               additions: Iterable[Tuple[str, tuple]]) -> "Marking":
+        """The marking after taking ``removals`` away and then adding
+        ``additions``, equal to ``minus(removals).plus(additions)`` but
+        with one copy, one re-sort and one hash per touched place.  A
+        removal of an absent token raises ``ContractError``; the receiver
+        is never changed."""
         touched: dict = {}
         for place, tok in removals:
             counts = self._copy_counts(touched, place)
@@ -126,14 +143,16 @@ class Marking:
                 del counts[tok]
             else:
                 counts[tok] = have - 1
-        return self._derive(touched)
-
-    def plus(self, additions: Iterable[Tuple[str, tuple]]) -> "Marking":
-        touched: dict = {}
         for place, tok in additions:
             counts = self._copy_counts(touched, place)
             counts[tok] = counts.get(tok, 0) + 1
         return self._derive(touched)
+
+    def minus(self, removals: Iterable[Tuple[str, tuple]]) -> "Marking":
+        return self.update(removals, ())
+
+    def plus(self, additions: Iterable[Tuple[str, tuple]]) -> "Marking":
+        return self.update((), additions)
 
     def _copy_counts(self, touched: dict, place: str) -> dict:
         """The private copy of ``place``'s counts that this update edits."""

@@ -442,8 +442,10 @@ def bind_transition(net, marking: Marking, t, reads: tuple, rows: Callable, exte
     arc, and only when the join reaches that arc non-empty.  ``external_vars`` range over the
     sorted samples of their type; ``fresh_vars`` (sorted by name) branch
     over ``policy.candidates``, avoiding ``used(type name)`` and the
-    earlier picks of the same firing.  The guard filters last, and
-    repeated bindings are dropped.
+    earlier picks of the same firing.  The guard filters last.
+
+    No binding comes out twice: distinct token and row choices give
+    distinct bindings, and a sample value listed twice is taken once.
     """
     partials = [({}, [])]  # (theta, the tokens it consumes)
     for place, terms in t.inputs:
@@ -472,7 +474,7 @@ def bind_transition(net, marking: Marking, t, reads: tuple, rows: Callable, exte
             return []
 
     for var in external_vars:
-        values = sorted(net.samples.get(var.dtype, ()), key=Value.sort_key)
+        values = list(dict.fromkeys(sorted(net.samples.get(var.dtype, ()), key=Value.sort_key)))
         thetas = [{**theta, var.name: v} for theta in thetas for v in values]
 
     for i, var in enumerate(fresh_vars):
@@ -485,16 +487,7 @@ def bind_transition(net, marking: Marking, t, reads: tuple, rows: Callable, exte
                 grown.append({**theta, var.name: v})
         thetas = grown
 
-    bindings = []
-    seen = set()
-    for theta in thetas:
-        if not eval_guard(t.guard, theta):
-            continue
-        key = tuple(sorted(theta.items()))
-        if key not in seen:
-            seen.add(key)
-            bindings.append(theta)
-    return bindings
+    return [theta for theta in thetas if eval_guard(t.guard, theta)]
 
 
 def _marking_values(marking: Marking, dtype: str) -> set:

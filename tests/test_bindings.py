@@ -13,7 +13,8 @@ must produce exactly the accepted assignments, each once.
 
 Besides the corpus nets, ``twins`` has a transition with two inputs on
 one place (multiset inclusion) and one with two fresh variables of one
-type (a pick avoids the earlier picks).
+type (a pick avoids the earlier picks), and ``echo`` lists a sample
+value twice, which must still give each binding once.
 """
 
 import dataclasses
@@ -30,7 +31,7 @@ from dbnet.translate import translate
 
 from conftest import BOUNDED1
 
-NETS = ["shop", "touch", "guarded", "domviol", "fk_net", "selfref", "empty_net", "twins"]
+NETS = ["shop", "touch", "guarded", "domviol", "fk_net", "selfref", "empty_net", "twins", "echo"]
 
 TWINS = """dbnet "twins";
 
@@ -60,9 +61,41 @@ init {
 """
 
 
+ECHO = """dbnet "echo";
+
+type int = int;
+
+relation R(a: int);
+
+action put(v: int) { add R(v); }
+
+place p(int);
+
+transition Echo {
+  in p(x);
+  act put(v);
+  out p(v);
+}
+
+init {
+  token p(0);
+}
+
+policy {
+  fresh recycling;
+  sample int {2, 1, 2, 1};
+}
+"""
+
+
 @pytest.fixture(scope="module")
 def twins():
     return parse_model(TWINS).model
+
+
+@pytest.fixture(scope="module")
+def echo():
+    return parse_model(ECHO).model
 
 
 def binding_key(theta):
@@ -173,3 +206,17 @@ def test_cpn_bindings_equal_brute_force(request, name):
         for alone in singles:
             engine = [theta for _, theta in cpn_enabled(alone, marking, BOUNDED1)]
             assert_same_bindings(engine, cpn_brute_force(alone, marking, BOUNDED1))
+
+
+def test_a_repeated_sample_value_gives_each_binding_once(echo):
+    # the samples are 2, 1, 2, 1: two values, each listed twice
+    found = enabled_bindings(echo, echo.initial_snapshot(), BOUNDED1)
+    values = [theta["v"] for _, theta in found]
+    assert len(values) == len(set(values)) == 2
+    net = translate(echo).net
+    lts = cpn_build_lts(net, BOUNDED1)
+    assert not lts.truncated
+    for marking in lts.states:
+        keys = [(t.name, binding_key(theta)) for t, theta in cpn_enabled(net, marking, BOUNDED1)]
+        assert len(keys) == len(set(keys))
+    assert any("v" in theta for m in lts.states for _, theta in cpn_enabled(net, m, BOUNDED1))

@@ -313,6 +313,16 @@ def test_truncation_is_refused_before_flattening(shop, monkeypatch):
     )
 
 
+def test_a_truncated_source_stops_before_the_target_is_explored(shop22, monkeypatch):
+    def no_target(*_args, **_kwargs):
+        raise AssertionError("the translated net explored after a truncated source")
+
+    monkeypatch.setattr(bisim, "cpn_build_lts", no_target)
+    with pytest.raises(TruncatedError) as cut:
+        certify_translation(shop22, policy=BOUNDED1, max_states=100)
+    assert str(cut.value) == "left LTS is truncated; the check needs the complete state space"
+
+
 # ---------------------------------------------------------------------------
 # golden outputs: every corpus net and shop 1x2, unmutated and mutated
 

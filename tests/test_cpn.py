@@ -1,7 +1,10 @@
 """Prioritized coloured nets with read arcs and name creation."""
 
+import dataclasses
+
 import pytest
 
+from dbnet import cpn
 from dbnet.cpn import (
     EPS,
     P_HIGH,
@@ -15,6 +18,7 @@ from dbnet.cpn import (
     cpn_enabled,
     cpn_fire,
     cpn_validate,
+    _cpn_scope,
 )
 from dbnet.corpus import build_shopping_cart
 from dbnet.fo import Compare
@@ -233,6 +237,14 @@ def test_external_variable_ranges_over_samples():
     assert label == ("obs", "ext", (("e", "8"), ("x", "1")), "commit")
 
 
+def test_replacing_the_samples_is_seen_by_a_queried_net():
+    t = CpnTransition("ext", inputs=(("a", (x(),)),), outputs=(("b", (x("e"),)),))
+    net = small_net([t], [("a", (iv(1),))], samples={"int": (iv(8),)})
+    assert [th["e"] for _, th in cpn_enabled(net, net.initial_marking, RECYCLING)] == [iv(8)]
+    net.samples = {"int": (iv(9),)}
+    assert [th["e"] for _, th in cpn_enabled(net, net.initial_marking, RECYCLING)] == [iv(9)]
+
+
 def test_fire_refuses_when_not_enabled():
     t = CpnTransition("move", inputs=(("a", (x(),)),), outputs=(("b", (x(),)),))
     net = small_net([t], [("a", (iv(1),))])
@@ -395,3 +407,98 @@ def test_enabling_matches_the_reference_scan_on_the_corpus(request, name):
 def test_enabling_matches_the_reference_scan_on_mutants(mutation):
     net = apply_mutation(translate(build_shopping_cart(1, 2)), mutation).net
     assert_enabling_matches_reference(net, cpn_build_lts(net, BOUNDED1, max_states=1500))
+
+
+# ---------------------------------------------------------------------------
+# the firings memo against a cold net
+
+
+def assert_memo_matches_a_cold_net(net, lts):
+    """Once exploration has warmed ``net``'s memo, its enabled bindings and
+    its explored edges on every state equal what a copy of the net built
+    for that state alone (an empty memo) computes.  The copy keeps only
+    the transitions whose input places are all marked: no other one can
+    be enabled or block a firing."""
+    kept = set(lts.states)
+    outgoing = {}
+    for src, label, dst in lts.edges:
+        outgoing.setdefault(src, set()).add((label, dst))
+    for state in lts.states:
+        cold = dataclasses.replace(net, transitions=tuple(
+            t for t in net.transitions if all(state.tokens(place) for place, _ in t.inputs)
+        ))
+        enabled = cpn_enabled(cold, state, BOUNDED1)
+        assert cpn_enabled(net, state, BOUNDED1) == enabled
+        succ = set()
+        for t, theta in enabled:
+            m2, label = cpn_fire(cold, state, t, theta, BOUNDED1)
+            if m2 in kept:  # a capped exploration drops the states past the cap
+                succ.add((label, m2))
+        assert outgoing.get(state, set()) == succ
+
+
+@pytest.mark.parametrize(
+    "name", ["shop", "touch", "guarded", "domviol", "fk_net", "selfref", "empty_net"]
+)
+def test_memoised_firings_match_a_cold_net_on_the_corpus(request, name):
+    net = translate(request.getfixturevalue(name)).net
+    lts = cpn_build_lts(net, BOUNDED1, max_states=1500)  # the largest has 531
+    assert not lts.truncated
+    assert_memo_matches_a_cold_net(net, lts)
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_memoised_firings_match_a_cold_net_on_mutants(mutation):
+    net = apply_mutation(translate(build_shopping_cart(1, 2)), mutation).net
+    assert_memo_matches_a_cold_net(net, cpn_build_lts(net, BOUNDED1, max_states=1500))
+
+
+def test_fresh_values_are_never_memoised():
+    # The same token on ``a`` in two markings that hold different values
+    # elsewhere: each fresh value avoids its own marking's values.
+    t = CpnTransition("mint", inputs=(("a", (x(),)),), outputs=(("b", (x("f", fresh=True),)),))
+    net = small_net([t], [("a", (iv(1),))])
+    ((_, first),) = cpn_enabled(net, net.initial_marking, BOUNDED1)
+    busy = net.initial_marking.plus([("c", (first["f"],))])
+    ((_, second),) = cpn_enabled(net, busy, BOUNDED1)
+    assert second["f"] != first["f"]
+    assert cpn_enabled(net, net.initial_marking, BOUNDED1) == [(t, first)]
+
+
+def test_bindings_are_computed_once_per_local_marking(monkeypatch):
+    # Locality: without fresh variables, a transition's bindings depend on
+    # the tokens of its input and read places only, so exploration binds
+    # it once per distinct content of those places.  Counted, not timed.
+    net = translate(build_shopping_cart(1, 2)).net
+    calls = []
+    real = cpn.bind_transition
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(cpn, "bind_transition", counting)
+    lts = cpn_build_lts(net, BOUNDED1)
+    monkeypatch.undo()
+
+    levels = (P_HIGH, P_NORMAL, P_LOW)
+    fresh = {t.name for t in net.transitions if _cpn_scope(t)[1]}
+    keys, fresh_calls, visits = set(), 0, 0
+    for state in lts.states:
+        # the scan visits every level down to the first one that fires
+        enabled = cpn_enabled(net, state, BOUNDED1)
+        floor = enabled[0][0].priority if enabled else P_LOW
+        for t in net.transitions:
+            if t.priority not in levels or t.priority < floor:
+                continue
+            if not all(state.tokens(place) for place, _ in t.inputs):
+                continue
+            visits += 1
+            if t.name in fresh:
+                fresh_calls += 1
+            else:
+                local = {place for place, _ in tuple(t.inputs) + tuple(t.reads)}
+                keys.add((t.name, state.restrict(local)))
+    assert fresh and fresh_calls
+    assert len(calls) == len(keys) + fresh_calls
+    assert 4 * len(calls) < visits

@@ -183,3 +183,41 @@ def test_restrict_equals_a_marking_of_the_kept_tokens(start, steps, keep):
     )
     assert_same_marking(m.restrict(keep), want)
     assert_same_marking(m.restrict(frozenset(keep)).restrict(keep), want)
+
+
+def assert_unchanged(m, before):
+    assert (m.key(), m.render(), m.places_marked(), hash(m)) == before
+
+
+@given(st.lists(st.tuples(st.sampled_from(PLACES), pair_tokens), max_size=8), moves, moves)
+def test_update_equals_minus_then_plus(start, removals, additions):
+    m = Marking.from_tokens(start)
+    before = (m.key(), m.render(), m.places_marked(), hash(m))
+    if m.covers(removals):
+        counts = {}
+        for key in start + additions:
+            counts[key] = counts.get(key, 0) + 1
+        for key in removals:
+            counts[key] -= 1
+        assert_same_marking(m.update(removals, additions), from_counts(counts))
+        assert_same_marking(m.update(removals, additions), m.minus(removals).plus(additions))
+        assert_same_marking(m.update((), additions), m.plus(additions))
+        assert_same_marking(m.update(removals, ()), m.minus(removals))
+        # a token taken away and put back leaves an equal marking
+        assert_same_marking(m.update(removals, removals), m)
+    else:
+        with pytest.raises(ContractError, match="absent"):
+            m.update(removals, additions)
+    assert_unchanged(m, before)
+    assert_same_marking(m, Marking.from_tokens(start))
+
+
+def test_update_removes_before_it_adds():
+    m = Marking.from_tokens([("p", tok(1))])
+    before = (m.key(), m.render(), m.places_marked(), hash(m))
+    # the addition of the second copy does not pay for its removal
+    with pytest.raises(ContractError, match=r"cannot remove \(1\) from 'p': absent"):
+        m.update([("p", tok(1)), ("p", tok(1))], [("p", tok(1))])
+    assert_unchanged(m, before)
+    moved = m.update([("p", tok(1))], [("q", tok(1)), ("p", tok(2))])
+    assert_same_marking(moved, Marking.from_tokens([("p", tok(2)), ("q", tok(1))]))
