@@ -23,25 +23,21 @@ and priority level, and an index from first input place to the
 transitions that start there.
 :func:`cpn_enabled` looks up only the places a marking actually holds
 tokens on, so a transition with an empty input place is never visited;
-which transitions qualify depends on nothing else, so the table memoises
-that candidate list per set of marked places.  :func:`cpn_fire` finds
-the fired transition's entry by name.  Bindings come from
-:func:`dbnet.model.bind_transition`.
+:func:`cpn_fire` finds the fired transition's entry by name.  Bindings
+come from :func:`dbnet.model.bind_transition`.  The table is built
+lazily, never in the constructor, so validation of a broken net reports
+what it always did; it is rebuilt when the net's ``transitions`` tuple
+is replaced.
 
-Exploration follows the *locality* principle of CPN simulators
+:func:`cpn_build_lts` follows the *locality* principle of CPN simulators
 (Mortensen, CPN Workshop 2001): a transition's bindings depend only on
-the tokens of its own input and read places.  Each table entry therefore
-memoises, per content of those places (``Marking.restrict``, which
-hashes no token), the transition's firing records: each binding with the
-tokens it removes, the tokens it adds and its label, so that firing is a
-single ``Marking.update``.  A transition with fresh variables is never
-memoised, as its fresh values avoid every value in the marking.  The
-priority rule is applied after the memo, in the enabling scan.
-
-The table is built lazily, never in the constructor, so validation of a
-broken net reports what it always did; it is rebuilt when the net's
-``transitions`` tuple or ``samples`` dict is replaced.  A net is not to
-be edited in place once it has been queried.
+the tokens of its own input and read places.  For the length of one
+exploration it memoises, per transition and content of those places
+(``Marking.restrict``, which hashes no token), the transition's
+firings: the tokens each binding removes, the tokens it adds and its
+label, so that firing is a single ``Marking.update``.  A transition with
+fresh variables is never memoised, as its fresh values avoid every value
+in the marking.  The priority rule is applied after the memo.
 """
 
 from __future__ import annotations
@@ -227,10 +223,6 @@ class _Entry:
     fresh: tuple  # fresh Variables, sorted by name
     external: tuple  # external Variables, sorted by name
     problem: Optional[str]  # why _cpn_scope rejects it, raised on first use
-    # The marking restricted to ``local`` -> its firing records; None for
-    # a transition with fresh variables, whose bindings depend on every
-    # value in the marking.
-    memo: Optional[dict]
 
 
 def _analyse(t: CpnTransition, position: int, rank: int) -> _Entry:
@@ -250,24 +242,20 @@ def _analyse(t: CpnTransition, position: int, rank: int) -> _Entry:
         fresh=tuple(fresh[n] for n in sorted(fresh)),
         external=tuple(external[n] for n in sorted(external)),
         problem=problem,
-        memo=None if fresh else {},
     )
 
 
 class _NetTable:
     """The per-net transition table: one ``_Entry`` per transition, held
     in an index from first input place to the entries that start there
-    (transitions without inputs are kept apart) and by transition name.
-    It describes one ``transitions`` tuple and one ``samples`` dict."""
+    (transitions without inputs are kept apart) and by transition name."""
 
-    def __init__(self, transitions: tuple, samples: dict):
-        self.transitions = transitions
-        self.samples = samples
+    def __init__(self, transitions: tuple):
+        self.transitions = transitions  # the tuple this table describes
         ranked = sorted(range(len(transitions)), key=lambda i: -transitions[i].priority)
         self.by_first_input: dict = {}
         self.no_inputs: list = []
         self.by_name: dict = {}
-        self._candidates: dict = {}  # tuple of marked places -> candidates
         for rank, position in enumerate(ranked):
             t = transitions[position]
             entry = _analyse(t, position, rank)
@@ -277,75 +265,41 @@ class _NetTable:
             else:
                 self.no_inputs.append(entry)
 
-    def candidates(self, marking: Marking) -> tuple:
-        """Entries whose input places all hold tokens, in enabling order.
-        Which places hold tokens decides this, so it is memoised on them."""
-        marked = tuple(marking.places_marked())
-        found = self._candidates.get(marked)
-        if found is None:
-            found = list(self.no_inputs)
-            for place in marked:
-                for entry in self.by_first_input.get(place, ()):
-                    if all(marking.tokens(p) for p in entry.later_inputs):
-                        found.append(entry)
-            found.sort(key=attrgetter("rank"))
-            found = self._candidates[marked] = tuple(found)
+    def candidates(self, marking: Marking) -> list:
+        """Entries whose input places all hold tokens, in enabling order."""
+        found = list(self.no_inputs)
+        for place in marking.places_marked():
+            for entry in self.by_first_input.get(place, ()):
+                if all(marking.tokens(p) for p in entry.later_inputs):
+                    found.append(entry)
+        found.sort(key=attrgetter("rank"))
         return found
 
 
 def _transition_table(net: NuCpn) -> _NetTable:
     table = net._table
-    if table is None or table.transitions is not net.transitions or table.samples is not net.samples:
-        table = net._table = _NetTable(net.transitions, net.samples)
+    if table is None or table.transitions is not net.transitions:
+        table = net._table = _NetTable(net.transitions)
     return table
 
 
-def _instantiate(terms, theta: Mapping[str, Value]):
-    return tuple(theta[x.name] if isinstance(x, Variable) else x for x in terms)
-
-
-def _firing(t: CpnTransition, theta: Mapping[str, Value]) -> tuple:
-    """The firing record ``(theta, removals, additions, label)`` of one
-    binding: what ``Marking.update`` takes away and adds, and the silent
-    ``EPS`` or the transition's observable emission."""
-    removals = tuple((place, _instantiate(terms, theta)) for place, terms in t.inputs)
-    additions = tuple((place, _instantiate(terms, theta)) for place, terms in t.outputs)
-    label = EPS
-    if t.emit is not None:
-        pairs = tuple((n, render_value(theta[n])) for n in t.emit.var_names)
-        label = ("obs", t.emit.transition, pairs, t.emit.outcome)
-    return theta, removals, additions, label
-
-
-def _firings(net: NuCpn, marking: Marking, entry: _Entry, policy: FreshPolicy):
-    """Firing records of one transition whose input places are all marked,
-    in binding order.  Read arcs read place tokens, and fresh values avoid
-    only the marking.  Without fresh variables the records are memoised on
-    the tokens of the transition's own places (the locality principle)."""
+def _transition_bindings(net: NuCpn, marking: Marking, entry: _Entry, policy: FreshPolicy):
+    """Bindings of one transition whose input places are all marked: read
+    arcs read place tokens, and fresh values avoid only the marking."""
     if entry.problem is not None:
         raise ContractError(entry.problem)
-    memo = entry.memo
-    if memo is not None:
-        local = marking.restrict(entry.local)
-        found = memo.get(local)
-        if found is not None:
-            return found
     t = entry.transition
-    thetas = bind_transition(net, marking, t, t.reads, marking.tokens, entry.external, entry.fresh,
-                             partial(_marking_values, marking), policy)
-    found = tuple(_firing(t, theta) for theta in thetas)
-    if memo is not None:
-        memo[local] = found
-    return found
+    return bind_transition(net, marking, t, t.reads, marking.tokens, entry.external, entry.fresh,
+                           partial(_marking_values, marking), policy)
 
 
-def _enabled_firings(net: NuCpn, marking: Marking, policy: FreshPolicy) -> list:
-    """``(transition, firing record)`` for every firing the priority rule
-    allows: those of the highest priority level that has any, in
-    enabling order."""
+def _prioritised(table: _NetTable, marking: Marking, bindings) -> list:
+    """``(transition, b)`` for every ``b`` in ``bindings(entry)`` that the
+    priority rule allows: those of the highest priority level that has
+    any, in enabling order."""
     out: list = []
     level = None
-    for entry in _transition_table(net).candidates(marking):
+    for entry in table.candidates(marking):
         if entry.level not in _PRIORITY_NAMES:
             continue
         if entry.level != level:
@@ -353,7 +307,7 @@ def _enabled_firings(net: NuCpn, marking: Marking, policy: FreshPolicy) -> list:
                 break
             level = entry.level
         t = entry.transition
-        out.extend((t, firing) for firing in _firings(net, marking, entry, policy))
+        out.extend((t, b) for b in bindings(entry))
     return out
 
 
@@ -361,14 +315,31 @@ def cpn_enabled(net: NuCpn, marking: Marking, policy: Optional[FreshPolicy] = No
     """All ``(transition, binding)`` pairs that may actually fire: the
     token- and guard-enabled bindings of the highest priority level that
     has any.  Lower levels are filtered globally, per the reference
-    semantics of prioritized coloured nets.  The bindings may be shared
-    with the net's memo and with earlier answers, so they are read-only."""
+    semantics of prioritized coloured nets."""
     policy = policy or net.default_policy
-    return [(t, firing[0]) for t, firing in _enabled_firings(net, marking, policy)]
+    return _prioritised(_transition_table(net), marking,
+                        partial(_transition_bindings, net, marking, policy=policy))
 
 
 # ---------------------------------------------------------------------------
 # Firing
+
+
+def _instantiate(terms, theta: Mapping[str, Value]):
+    return tuple(theta[x.name] if isinstance(x, Variable) else x for x in terms)
+
+
+def _firing(t: CpnTransition, theta: Mapping[str, Value]) -> tuple:
+    """The firing of one binding as ``(removals, additions, label)``: what
+    ``Marking.update`` takes away and adds, and the silent ``EPS`` or the
+    transition's observable emission."""
+    removals = tuple((place, _instantiate(terms, theta)) for place, terms in t.inputs)
+    additions = tuple((place, _instantiate(terms, theta)) for place, terms in t.outputs)
+    label = EPS
+    if t.emit is not None:
+        pairs = tuple((n, render_value(theta[n])) for n in t.emit.var_names)
+        label = ("obs", t.emit.transition, pairs, t.emit.outcome)
+    return removals, additions, label
 
 
 def _locally_enabled(net: NuCpn, marking: Marking, entry: _Entry, theta) -> bool:
@@ -408,11 +379,11 @@ def cpn_fire(net: NuCpn, marking: Marking, t: CpnTransition, theta: Mapping[str,
         raise ContractError(f"transition {t.name}: binding not enabled")
     higher = [e for e in table.candidates(marking) if e.level > t.priority]
     for entry in sorted(higher, key=attrgetter("position")):
-        if _firings(net, marking, entry, policy):
+        if _transition_bindings(net, marking, entry, policy):
             raise ContractError(
                 f"transition {t.name}: blocked by higher-priority {entry.transition.name}"
             )
-    _, removals, additions, label = _firing(t, theta)
+    removals, additions, label = _firing(t, theta)
     return marking.update(removals, additions), label
 
 
@@ -433,10 +404,29 @@ def cpn_build_lts(
             "(recycling or bounded); got unbounded"
         )
 
+    table = _transition_table(net)
+    # (entry rank, tokens on the entry's own places) -> its firings, for
+    # this exploration only
+    memo: dict = {}
+
+    def firings(marking: Marking, entry: _Entry):
+        key = None
+        if not entry.fresh:  # fresh values avoid every value in the marking
+            key = (entry.rank, marking.restrict(entry.local))
+            found = memo.get(key)
+            if found is not None:
+                return found
+        t = entry.transition
+        found = [_firing(t, theta) for theta in _transition_bindings(net, marking, entry, policy)]
+        if key is not None:
+            memo[key] = found
+        return found
+
     def step(marking: Marking):
+        enabled = _prioritised(table, marking, partial(firings, marking))
         return [
             (label, marking.update(removals, additions))
-            for _, (_, removals, additions, label) in _enabled_firings(net, marking, policy)
+            for _, (removals, additions, label) in enabled
         ]
 
     return explore(net.initial_marking, step, max_states=max_states, max_depth=max_depth)

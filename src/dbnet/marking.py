@@ -115,10 +115,7 @@ class Marking:
         """The tokens on ``places`` only (a set of place names).  The result
         shares this marking's per-place records, so building and hashing it
         touches no token."""
-        if len(places) < len(self._order):
-            order = tuple(sorted([p for p in places if p in self._places]))
-        else:
-            order = tuple([p for p in self._order if p in places])
+        order = tuple(sorted([p for p in places if p in self._places]))
         if len(order) == len(self._order):
             return self
         out = Marking.__new__(Marking)
