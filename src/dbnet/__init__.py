@@ -27,7 +27,7 @@ from .fo import eval_fo_oracle, constraint_to_fo
 from .queries import Conjunct, UcqQuery, eval_ucq, ucq_to_fo
 from .freshness import FreshPolicy
 from .marking import Marking
-from .lts import Lts, format_label, lts_text, lts_dot
+from .lts import Lts, format_label, lts_text
 from .model import (
     ControlPlace,
     DbNet,
@@ -121,7 +121,6 @@ __all__ = [
     "fire",
     "flatten",
     "format_label",
-    "lts_dot",
     "lts_text",
     "make_value",
     "null_value",

@@ -30,15 +30,15 @@ keeps exactly the rejection power that such pairs would have provided.
 Cost: the translated net has an order of magnitude more states than the
 source net but few distinct projections, so ``flatten`` renders each
 distinct projection once and lets equal ones share one string.  The
-checker numbers each side's states once (their position in
-``lts.states``) and works on those ints and int pairs throughout; states
-are mapped back only for the returned relation and for counterexample
-paths.
+checker works on the state numbers that exploration handed out (a
+state's position in ``lts.states``, edges as triples of those numbers)
+and on pairs of them throughout; states are looked up only for the
+returned relation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .cpn import cpn_build_lts
@@ -141,19 +141,13 @@ def flatten(
     (:meth:`Marking.restrict`), and each distinct projection is rendered
     once: states with equal projections share one ``flat`` string.  Edge
     labels are kept: observable labels were already produced by the
-    emitting transitions, and every other step is silent.  Flattening an
-    already-flattened LTS is the identity.
+    emitting transitions, and every other step is silent.  The result
+    shares ``states`` and ``edges`` with ``lts``.
     """
-    annotations = dict(lts.annotations)
-    first = lts.states[0] if lts.states else None
-    if first is not None and annotations.get(first, {}).get("flat") is not None:
-        return Lts(lts.initial, list(lts.states), list(lts.edges), lts.truncated, annotations)
+    annotations = {}
     if classes is None:
         for s in lts.states:
-            ann = dict(annotations.get(s, ()))
-            ann["flat"] = _flat_of_snapshot(s).render()
-            ann["stable"] = True
-            annotations[s] = ann
+            annotations[s] = {"flat": _flat_of_snapshot(s).render(), "stable": True}
     else:
         if relation_names is None:
             raise ContractError("flattening a translated LTS needs relation_names")
@@ -170,11 +164,8 @@ def flatten(
             flat = rendered.get(view)
             if flat is None:
                 flat = rendered[view] = _flat_of_marking(view, classes, relation_names).render()
-            ann = dict(annotations.get(m, ()))
-            ann["flat"] = flat
-            ann["stable"] = m.total(lock) >= 1
-            annotations[m] = ann
-    return Lts(lts.initial, list(lts.states), list(lts.edges), lts.truncated, annotations)
+            annotations[m] = {"flat": flat, "stable": m.total(lock) >= 1}
+    return Lts(lts.states, lts.edges, lts.truncated, annotations)
 
 
 # ---------------------------------------------------------------------------
@@ -182,39 +173,35 @@ def flatten(
 
 
 class _Side:
-    """One flattened LTS with its states numbered once: state ``i`` is
-    ``lts.states[i]``, and ``index`` maps a state back to its number.
-    Every per-state table is a list indexed by that number: ``flat`` (the
-    projection strings, shared between equal projections), ``stable``,
-    ``out_degree``, ``eps_succ`` (silent successors) and ``obs_succ``
-    (``(label, successor)`` pairs).  Everything after construction works
-    on these ints, so no state is hashed again."""
+    """One flattened LTS over its state numbers (state ``i`` is
+    ``lts.states[i]``).  Every per-state table is a list indexed by that
+    number: ``flat`` (the projection strings, shared between equal
+    projections), ``stable``, ``out_degree``, ``eps_succ`` (silent
+    successors) and ``obs_succ`` (``(label, successor)`` pairs).
+    Everything after construction works on these ints, so no state is
+    hashed again."""
 
     def __init__(self, lts: Lts, tag: str):
         self.lts = lts
         self.tag = tag
-        self.index = {}
         self.flat = []
         self.stable = []
-        for i, s in enumerate(lts.states):
+        for s in lts.states:
             ann = lts.annotations.get(s)
             if ann is None or "flat" not in ann or "stable" not in ann:
                 raise ContractError(f"{tag}: state not flattened; call flatten() first")
-            self.index[s] = i
             self.flat.append(ann["flat"])
             self.stable.append(bool(ann["stable"]))
         n = len(self.flat)
-        index = self.index
         self.eps_succ = [[] for _ in range(n)]
         self.obs_succ = [[] for _ in range(n)]
         self.out_degree = [0] * n
         for src, label, dst in lts.edges:
-            i = index[src]
-            self.out_degree[i] += 1
+            self.out_degree[src] += 1
             if label == EPS:
-                self.eps_succ[i].append(index[dst])
+                self.eps_succ[src].append(dst)
             else:
-                self.obs_succ[i].append((label, index[dst]))
+                self.obs_succ[src].append((label, dst))
         self._reach = self._stable_reach()
         self._big = [None] * n
 
@@ -347,15 +334,17 @@ class _Side:
         return frozen
 
 
-def _path_to(lts: Lts, target) -> list:
-    """Shortest path of labels from the initial state to ``target``."""
-    parent = {lts.initial: None}
-    queue = [lts.initial]
-    idx = lts.outgoing_index()
+def _path_to(lts: Lts, target: int) -> list:
+    """Shortest path of labels from state 0 to state ``target``."""
+    out = [[] for _ in lts.states]
+    for src, label, dst in lts.edges:
+        out[src].append((label, dst))
+    parent = {0: None}
+    queue = [0]
     while queue and target not in parent:
         nxt = []
         for s in queue:
-            for label, d in idx[s]:
+            for label, d in out[s]:
                 if d not in parent:
                     parent[d] = (s, label)
                     nxt.append(d)
@@ -387,7 +376,7 @@ def _silent_failure(kind: str, what: str, side: _Side, s: int) -> WeakBisimResul
         witness={"kind": kind, "side": side.tag, "state": side.flat[s]},
         trace=tuple(
             [f"{what} on the {side.tag} side", f"state: {side.flat[s]}"]
-            + [f"  via {step}" for step in _path_to(side.lts, side.lts.states[s])]
+            + [f"  via {step}" for step in _path_to(side.lts, s)]
         ),
     )
 
@@ -415,7 +404,7 @@ def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
         if div is not None:
             return _silent_failure("silent-divergence", "silent divergence", side, div)
 
-    init = (s1.index[l1.initial], s2.index[l2.initial])
+    init = (0, 0)
     if s1.flat[init[0]] != s2.flat[init[1]]:
         return WeakBisimResult(
             NOT_BISIMILAR,
@@ -544,10 +533,12 @@ def verify_relation(l1: Lts, l2: Lts, relation) -> list:
     initial pair is present.  Returns human-readable problems."""
     s1 = _Side(l1, "left")
     s2 = _Side(l2, "right")
-    pairs = [(s1.index[p], s2.index[q]) for p, q in relation]
+    number1 = {s: i for i, s in enumerate(l1.states)}
+    number2 = {s: i for i, s in enumerate(l2.states)}
+    pairs = [(number1[p], number2[q]) for p, q in relation]
     rel = set(pairs)
     problems = []
-    if (s1.index[l1.initial], s2.index[l2.initial]) not in rel:
+    if (0, 0) not in rel:
         problems.append("relation does not contain the initial pair")
     for p, q in pairs:
         if s1.flat[p] != s2.flat[q]:
@@ -578,7 +569,6 @@ def verify_relation(l1: Lts, l2: Lts, relation) -> list:
 
 def certify_translation(
     model: DbNet,
-    s0: Optional[Snapshot] = None,
     policy: Optional[FreshPolicy] = None,
     *,
     max_states: Optional[int] = None,
@@ -596,10 +586,6 @@ def certify_translation(
     net is explored.
     """
     policy = policy or model.default_policy
-    if s0 is not None and (
-        s0.instance is not model.initial_instance or s0.marking != model.initial_marking
-    ):
-        model = _dc_replace(model, initial_instance=s0.instance, initial_marking=s0.marking)
     if translation is None:
         translation = translate(model)
 

@@ -124,7 +124,7 @@ def _write(path: Path, text: str):
 
 
 # ---------------------------------------------------------------------------
-# Net drawing (the state-space drawing lives in lts.lts_dot)
+# Net drawing
 
 
 def _dot_quote(s: str) -> str:
@@ -296,35 +296,43 @@ def _cmd_export_dot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Flags beyond the file and the template sizes, each with its
+# add_argument arguments.
+_FLAGS = {
+    "seed": (("--seed",), dict(type=int, default=0, help="RNG seed")),
+    "fresh": (("--fresh",), dict(help="freshness policy: unbounded, bounded:k or recycling")),
+    "max-states": (("--max-states",), dict(type=int, default=None)),
+    "max-depth": (("--max-depth",), dict(type=int, default=None)),
+    "output": (("-o", "--output"), dict(help="output path or base name")),
+    "steps": (("--steps",), dict(type=int, default=20, help="number of firings")),
+}
+
+# Each subcommand with the flags it reads.
+_COMMANDS = {
+    "validate": (_cmd_validate, ()),
+    "simulate": (_cmd_simulate, ("seed", "fresh", "steps")),
+    "translate": (_cmd_translate, ("output",)),
+    "statespace": (_cmd_statespace, ("fresh", "max-states", "max-depth", "output")),
+    "certify": (_cmd_certify, ("fresh", "max-states", "max-depth", "output")),
+    "export-dot": (_cmd_export_dot, ("output",)),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="dbnet",
         description="validate, run, translate and certify database-coupled nets",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    commands = {
-        "validate": _cmd_validate,
-        "simulate": _cmd_simulate,
-        "translate": _cmd_translate,
-        "statespace": _cmd_statespace,
-        "certify": _cmd_certify,
-        "export-dot": _cmd_export_dot,
-    }
-    for name, fn in commands.items():
+    for name, (fn, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         p.add_argument("file", help="a .dbn or .cpn model file")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (simulate)")
-        p.add_argument(
-            "--fresh", help="freshness policy: unbounded, bounded:k or recycling"
-        )
-        p.add_argument("--max-states", type=int, default=None)
-        p.add_argument("--max-depth", type=int, default=None)
-        p.add_argument("-o", "--output", help="output path or base name")
+        for flag in flags:
+            names, options = _FLAGS[flag]
+            p.add_argument(*names, **options)
         p.add_argument("--users", type=int, default=None, help="template size")
         p.add_argument("--products", type=int, default=None, help="template size")
-        if name == "simulate":
-            p.add_argument("--steps", type=int, default=20, help="number of firings")
     return top
 
 

@@ -377,7 +377,10 @@ def cpn_fire(net: NuCpn, marking: Marking, t: CpnTransition, theta: Mapping[str,
         raise ContractError(f"transition {t.name}: not a transition of net {net.name}")
     if not _locally_enabled(net, marking, entry, theta):
         raise ContractError(f"transition {t.name}: binding not enabled")
-    higher = [e for e in table.candidates(marking) if e.level > t.priority]
+    higher = [
+        e for e in table.candidates(marking)
+        if e.level > t.priority and e.level in _PRIORITY_NAMES  # unknown levels never fire
+    ]
     for entry in sorted(higher, key=attrgetter("position")):
         if _transition_bindings(net, marking, entry, policy):
             raise ContractError(

@@ -1,9 +1,12 @@
 """Labeled transition systems: exploration, hashing, serialization.
 
 States are opaque hashable objects; the explorer only needs a successor
-function.  Serialization renders each state to a canonical string and
-addresses it by a sha256 prefix of that string, so two runs that discover
-states in different orders still produce byte-identical output.
+function.  The explorer numbers states in discovery order, and that number
+is the state's name everywhere after: state ``i`` is ``lts.states[i]``,
+the initial state is state 0 and an edge is a ``(src, label, dst)`` triple
+of state numbers.  Serialization renders each state to a canonical string
+and addresses it by a sha256 prefix of that string, so two runs that
+discover states in different orders still produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ __all__ = [
     "format_label",
     "state_hash",
     "lts_text",
-    "lts_dot",
 ]
 
 # Labels are tuples: ("eps",) for internal steps, or
@@ -39,9 +41,8 @@ def format_label(label: tuple) -> str:
 
 @dataclass
 class Lts:
-    initial: object
-    states: list = field(default_factory=list)  # discovery order
-    edges: list = field(default_factory=list)  # (src, label, dst)
+    states: list = field(default_factory=list)  # discovery order; state 0 is initial
+    edges: list = field(default_factory=list)  # (src, label, dst), state numbers
     truncated: bool = False
     annotations: dict = field(default_factory=dict)  # state -> dict
 
@@ -52,12 +53,6 @@ class Lts:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def outgoing_index(self) -> dict:
-        idx: dict = {s: [] for s in self.states}
-        for src, label, dst in self.edges:
-            idx[src].append((label, dst))
-        return idx
 
 
 def explore(
@@ -75,13 +70,13 @@ def explore(
     ``max_depth`` stops expanding past that distance from the start.
     Either cut sets ``truncated`` (conservatively for the depth cut: a
     state at the horizon counts as truncated even if it happens to be
-    terminal).  Every edge holds the very objects kept in ``states``, not
-    equal copies of them.
+    terminal).  A state's number is its position in ``states``, so the
+    initial state is 0, and edges are triples of those numbers.
     """
-    lts = Lts(initial=initial)
-    seen = {initial: initial}  # each state -> the one object kept for it
-    lts.states.append(initial)
-    frontier = [initial]
+    lts = Lts(states=[initial])
+    states = lts.states
+    seen = {initial: 0}  # each state -> its number
+    frontier = [0]
     depth = 0
     while frontier:
         if max_depth is not None and depth >= max_depth:
@@ -90,21 +85,19 @@ def explore(
         next_frontier = []
         for src in frontier:
             emitted = set()
-            for label, dst in step_fn(src):
-                known = seen.get(dst)
-                if known is None:
-                    if max_states is not None and len(seen) >= max_states:
+            for label, dst in step_fn(states[src]):
+                d = seen.get(dst)
+                if d is None:
+                    if max_states is not None and len(states) >= max_states:
                         lts.truncated = True
                         continue
-                    seen[dst] = dst
-                    lts.states.append(dst)
-                    next_frontier.append(dst)
-                elif (label, known) in emitted:  # set semantics on edges too
+                    d = seen[dst] = len(states)
+                    states.append(dst)
+                    next_frontier.append(d)
+                elif (label, d) in emitted:  # set semantics on edges too
                     continue
-                else:
-                    dst = known
-                emitted.add((label, dst))
-                lts.edges.append((src, label, dst))
+                emitted.add((label, d))
+                lts.edges.append((src, label, d))
         frontier = next_frontier
         depth += 1
     return lts
@@ -117,40 +110,22 @@ def state_hash(rendered: str) -> str:
 def lts_text(lts: Lts, render_state: Callable[[object], str], header: str = "lts") -> str:
     """Canonical text form.  Lines are sorted, so the output is a pure
     function of the reachable graph (not of discovery order)."""
-    hashes = {}
+    hashes = []  # state number -> hash
     state_lines = []
     for s in lts.states:
         rendered = render_state(s)
         h = state_hash(rendered)
-        hashes[s] = h
+        hashes.append(h)
         state_lines.append(f"STATE {h} {rendered}")
     state_lines.sort()
     edge_lines = sorted(
         f"EDGE {hashes[src]} {format_label(label)} {hashes[dst]}"
         for src, label, dst in set(lts.edges)
     )
-    out = [f"LTS {header}", f"INITIAL {hashes[lts.initial]}"]
+    out = [f"LTS {header}", f"INITIAL {hashes[0]}"]
     out.extend(state_lines)
     out.extend(edge_lines)
     out.append(f"STATES {len(state_lines)}")
     out.append(f"EDGES {len(edge_lines)}")
     out.append(f"TRUNCATED {'true' if lts.truncated else 'false'}")
     return "\n".join(out) + "\n"
-
-
-def lts_dot(lts: Lts, render_state: Callable[[object], str], name: str = "lts") -> str:
-    """Graphviz rendering; observable edges solid, internal ones grey."""
-    hashes = {s: state_hash(render_state(s)) for s in lts.states}
-    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=box, fontsize=9];"]
-    for s in sorted(lts.states, key=lambda s: hashes[s]):
-        mark = ", style=bold" if s == lts.initial else ""
-        tooltip = render_state(s).replace('"', "'")
-        lines.append(f'  "{hashes[s]}" [tooltip="{tooltip}"{mark}];')
-    for src, label, dst in sorted(set(lts.edges), key=lambda e: (hashes[e[0]], format_label(e[1]), hashes[e[2]])):
-        if label == EPS:
-            lines.append(f'  "{hashes[src]}" -> "{hashes[dst]}" [color=grey, label="eps", fontsize=8];')
-        else:
-            text = format_label(label).replace('"', "'")
-            lines.append(f'  "{hashes[src]}" -> "{hashes[dst]}" [label="{text}", fontsize=8];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

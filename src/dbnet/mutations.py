@@ -25,11 +25,9 @@ def _rebuild(out: TranslationOutput, transitions) -> TranslationOutput:
     return TranslationOutput(
         net=net,
         place_classes=dict(out.place_classes),
-        label_map=dict(out.label_map),
         provenance=dict(out.provenance),
         lock_place=out.lock_place,
         relation_places=dict(out.relation_places),
-        column_permutations=dict(out.column_permutations),
         gadgets=dict(out.gadgets),
         ctl_type=out.ctl_type,
     )

@@ -33,7 +33,7 @@ from .cpn import (
 )
 from .fo import And, Compare, Formula, Or, TRUE
 from .marking import Marking
-from .model import DbNet, Snapshot, Transition, analyze_transition, validate
+from .model import DbNet, Transition, analyze_transition, validate
 from .queries import UcqQuery
 from .relational import (
     Action,
@@ -45,7 +45,6 @@ from .relational import (
     Value,
     ValidationError,
     Variable,
-    check_constraint,
 )
 
 __all__ = [
@@ -136,11 +135,9 @@ class GadgetInfo:
 class TranslationOutput:
     net: NuCpn
     place_classes: dict  # place name -> class label
-    label_map: dict  # transition name -> None (silent) or Emit
     provenance: dict  # gadget element name -> (source transition, phase)
     lock_place: str
     relation_places: dict  # relation name -> place name
-    column_permutations: dict  # relation name -> column index permutation
     gadgets: dict  # source transition name -> GadgetInfo
     ctl_type: str
 
@@ -177,7 +174,6 @@ class _Builder:
         self.transitions: list = []
         self.classes: dict = {}
         self.provenance: dict = {}
-        self.label_map: dict = {}
 
     def place(self, name: str, column_types: tuple, cls: str,
               source: Optional[str] = None, phase: Optional[str] = None) -> str:
@@ -194,28 +190,15 @@ class _Builder:
             raise ContractError(f"translated transition name collision: {t.name!r}")
         self.transitions.append(t)
         self.provenance[t.name] = (source, phase)
-        self.label_map[t.name] = t.emit
         return t
 
 
-def translate(model: DbNet, s0: Optional[Snapshot] = None) -> TranslationOutput:
+def translate(model: DbNet) -> TranslationOutput:
     """Compile ``model`` (which must validate cleanly) into the
     prioritized coloured net that weakly simulates it step by step."""
     problems = validate(model)
     if problems:
         raise ValidationError("model does not validate: " + "; ".join(problems))
-    if s0 is None:
-        s0 = model.initial_snapshot()
-    else:
-        bad = s0.instance.typecheck()
-        if bad:
-            raise ValidationError("snapshot instance: " + "; ".join(bad))
-        for c in model.schema.constraints:
-            if not check_constraint(s0.instance, c):
-                raise ValidationError("snapshot instance violates a schema constraint")
-        for place in s0.marking.places_marked():
-            if place not in model.control_places:
-                raise ValidationError(f"snapshot marking uses unknown place {place!r}")
 
     ctl_name = _pick_name("ctl", set(model.types))
     ctl = DataType(ctl_name, "string")
@@ -246,11 +229,11 @@ def translate(model: DbNet, s0: Optional[Snapshot] = None) -> TranslationOutput:
 
     # Initial marking: control tokens, one token per fact, one lock.
     tokens = []
-    for place in s0.marking.places_marked():
-        for tok, n in s0.marking.tokens(place):
+    for place in model.initial_marking.places_marked():
+        for tok, n in model.initial_marking.tokens(place):
             tokens.extend((place, tok) for _ in range(n))
     for rname, pname in relation_places.items():
-        for row in s0.instance.facts.get(rname, ()):
+        for row in model.initial_instance.facts.get(rname, ()):
             tokens.append((pname, row))
     tokens.append((lock_place, lock_tok))
 
@@ -269,15 +252,9 @@ def translate(model: DbNet, s0: Optional[Snapshot] = None) -> TranslationOutput:
     return TranslationOutput(
         net=net,
         place_classes=dict(b.classes),
-        label_map=dict(b.label_map),
         provenance=dict(b.provenance),
         lock_place=lock_place,
         relation_places=dict(relation_places),
-        # Gadget guards address key/reference columns by index sets, so no
-        # physical reordering is ever needed; the recorded permutation is
-        # the identity for every relation.
-        column_permutations={r: tuple(range(model.schema.relations[r].arity))
-                             for r in model.schema.relations},
         gadgets=gadgets,
         ctl_type=ctl_name,
     )

@@ -129,7 +129,8 @@ def test_4_transactions_never_leak(capsys):
                 break
         for src, label, dst in lts.edges:
             if label[-1] == "rollback":
-                if instance_lines(src.instance) != instance_lines(dst.instance):
+                before, after = lts.states[src], lts.states[dst]
+                if instance_lines(before.instance) != instance_lines(after.instance):
                     bad.append(f"{name}: rollback changed the database")
                     break
     report(capsys, 4, "explored databases consistent; rollbacks change nothing",
@@ -171,13 +172,14 @@ def test_6_silent_steps_always_converge(capsys):
     for name, out, lts in translated_corpus():
         names = {p: r for r, p in out.relation_places.items()}
         flat = flatten(lts, out.place_classes, relation_names=names)
-        stable = {s for s in flat.states if flat.annotations[s]["stable"]}
-        outgoing = {s: 0 for s in flat.states}
+        numbers = range(len(flat.states))
+        stable = {i for i in numbers if flat.annotations[flat.states[i]]["stable"]}
+        outgoing = [0] * len(flat.states)
         for src, label, dst in flat.edges:
             outgoing[src] += 1
             if label != EPS and dst not in stable:
                 bad.append(f"{name}: observable move lands on an unstable state")
-        dead = [s for s in flat.states if s not in stable and outgoing[s] == 0]
+        dead = [i for i in numbers if i not in stable and outgoing[i] == 0]
         if dead:
             bad.append(f"{name}: {len(dead)} unstable dead end(s)")
         unstable_edges = [

@@ -32,13 +32,14 @@ OBS = ("obs", "T", (), "commit")
 OBS2 = ("obs", "T", (), "rollback")
 
 
-def hand_lts(initial, states, edges, ann):
+def hand_lts(states, edges, ann):
     """A little LTS with explicit flat/stable annotations, as the checker
-    expects after flattening."""
+    expects after flattening.  States are names, the first one initial;
+    edges name their ends, and are numbered here."""
+    number = {s: i for i, s in enumerate(states)}
     return Lts(
-        initial=initial,
         states=list(states),
-        edges=list(edges),
+        edges=[(number[src], label, number[dst]) for src, label, dst in edges],
         annotations={s: {"flat": f, "stable": st} for s, (f, st) in ann.items()},
     )
 
@@ -114,9 +115,8 @@ def test_flat_state_render_is_sorted():
 
 
 def test_stutter_steps_do_not_separate():
-    l1 = hand_lts("a", ["a", "b"], [("a", OBS, "b")], {"a": ("F0", True), "b": ("F1", True)})
+    l1 = hand_lts(["a", "b"], [("a", OBS, "b")], {"a": ("F0", True), "b": ("F1", True)})
     l2 = hand_lts(
-        "p",
         ["p", "q", "r"],
         [("p", EPS, "q"), ("q", OBS, "r")],
         {"p": ("F0", True), "q": ("F0", False), "r": ("F1", True)},
@@ -127,8 +127,8 @@ def test_stutter_steps_do_not_separate():
 
 
 def test_differing_outcome_is_an_unmatched_move():
-    l1 = hand_lts("a", ["a", "b"], [("a", OBS, "b")], {"a": ("F0", True), "b": ("F1", True)})
-    l2 = hand_lts("p", ["p", "r"], [("p", OBS2, "r")], {"p": ("F0", True), "r": ("F1", True)})
+    l1 = hand_lts(["a", "b"], [("a", OBS, "b")], {"a": ("F0", True), "b": ("F1", True)})
+    l2 = hand_lts(["p", "r"], [("p", OBS2, "r")], {"p": ("F0", True), "r": ("F1", True)})
     res = check_weak_bisim(l1, l2)
     assert res.verdict == NOT_BISIMILAR
     assert res.witness["kind"] == "unmatched-move"
@@ -136,9 +136,9 @@ def test_differing_outcome_is_an_unmatched_move():
 
 
 def test_silent_dead_end_is_rejected():
-    l1 = hand_lts("a", ["a"], [], {"a": ("F0", True)})
+    l1 = hand_lts(["a"], [], {"a": ("F0", True)})
     l2 = hand_lts(
-        "p", ["p", "q"], [("p", EPS, "q")], {"p": ("F0", True), "q": ("F0", False)}
+        ["p", "q"], [("p", EPS, "q")], {"p": ("F0", True), "q": ("F0", False)}
     )
     res = check_weak_bisim(l1, l2)
     assert res.verdict == NOT_BISIMILAR
@@ -147,9 +147,8 @@ def test_silent_dead_end_is_rejected():
 
 
 def test_silent_divergence_is_rejected():
-    l1 = hand_lts("a", ["a"], [], {"a": ("F0", True)})
+    l1 = hand_lts(["a"], [], {"a": ("F0", True)})
     l2 = hand_lts(
-        "p",
         ["p", "q"],
         [("p", EPS, "q"), ("q", EPS, "q")],
         {"p": ("F0", True), "q": ("F0", False)},
@@ -161,14 +160,14 @@ def test_silent_divergence_is_rejected():
 
 def test_silent_cycle_through_a_stable_state_is_fine():
     # a stable state on the cycle means the run always converges
-    l1 = hand_lts("a", ["a"], [("a", EPS, "a")], {"a": ("F0", True)})
-    l2 = hand_lts("p", ["p"], [], {"p": ("F0", True)})
+    l1 = hand_lts(["a"], [("a", EPS, "a")], {"a": ("F0", True)})
+    l2 = hand_lts(["p"], [], {"p": ("F0", True)})
     assert check_weak_bisim(l1, l2).verdict == BISIMILAR
 
 
 def test_initial_content_mismatch():
-    l1 = hand_lts("a", ["a"], [], {"a": ("F0", True)})
-    l2 = hand_lts("p", ["p"], [], {"p": ("OTHER", True)})
+    l1 = hand_lts(["a"], [], {"a": ("F0", True)})
+    l2 = hand_lts(["p"], [], {"p": ("OTHER", True)})
     res = check_weak_bisim(l1, l2)
     assert res.verdict == NOT_BISIMILAR
     assert res.witness["kind"] == "content-mismatch"
@@ -176,13 +175,12 @@ def test_initial_content_mismatch():
 
 def test_mismatch_two_moves_deep_is_traced():
     l1 = hand_lts(
-        "a",
         ["a", "b", "c"],
         [("a", OBS, "b"), ("b", OBS2, "c")],
         {"a": ("F0", True), "b": ("F1", True), "c": ("F2", True)},
     )
     l2 = hand_lts(
-        "p", ["p", "q"], [("p", OBS, "q")], {"p": ("F0", True), "q": ("F1", True)}
+        ["p", "q"], [("p", OBS, "q")], {"p": ("F0", True), "q": ("F1", True)}
     )
     res = check_weak_bisim(l1, l2)
     assert res.verdict == NOT_BISIMILAR
@@ -191,11 +189,10 @@ def test_mismatch_two_moves_deep_is_traced():
 
 
 def test_verdict_is_symmetric():
-    l1 = hand_lts("a", ["a", "b"], [("a", OBS, "b")], {"a": ("F0", True), "b": ("F1", True)})
-    l2 = hand_lts("p", ["p", "r"], [("p", OBS2, "r")], {"p": ("F0", True), "r": ("F1", True)})
+    l1 = hand_lts(["a", "b"], [("a", OBS, "b")], {"a": ("F0", True), "b": ("F1", True)})
+    l2 = hand_lts(["p", "r"], [("p", OBS2, "r")], {"p": ("F0", True), "r": ("F1", True)})
     assert check_weak_bisim(l1, l2).verdict == check_weak_bisim(l2, l1).verdict
     l3 = hand_lts(
-        "p",
         ["p", "q", "r"],
         [("p", EPS, "q"), ("q", OBS, "r")],
         {"p": ("F0", True), "q": ("F0", False), "r": ("F1", True)},
@@ -205,7 +202,6 @@ def test_verdict_is_symmetric():
 
 def test_silent_chain_shares_one_reach_set():
     lts = hand_lts(
-        "a",
         ["a", "b", "c", "d"],
         [("a", EPS, "b"), ("b", EPS, "c"), ("c", OBS, "d")],
         {"a": ("F0", False), "b": ("F0", False), "c": ("F0", True), "d": ("F1", True)},
@@ -223,7 +219,7 @@ def test_every_flattened_lts_is_bisimilar_to_itself(shop_lts):
 
 def test_truncated_inputs_are_refused(shop_lts):
     flat = flatten(shop_lts)
-    cut = Lts(flat.initial, flat.states, flat.edges, truncated=True, annotations=flat.annotations)
+    cut = Lts(flat.states, flat.edges, truncated=True, annotations=flat.annotations)
     with pytest.raises(ContractError, match="truncated"):
         check_weak_bisim(cut, flat)
 

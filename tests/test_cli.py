@@ -232,6 +232,30 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     assert "invalid int value" in err
 
 
+# Each subcommand's flags beyond the file and --users/--products.
+FLAGS_READ = {
+    "validate": (),
+    "simulate": ("--seed", "--fresh", "--steps"),
+    "translate": ("-o",),
+    "statespace": ("--fresh", "--max-states", "--max-depth", "-o"),
+    "certify": ("--fresh", "--max-states", "--max-depth", "-o"),
+    "export-dot": ("-o",),
+}
+SHARED_FLAGS = ("--seed", "--fresh", "--max-states", "--max-depth", "-o")
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, f) for c, kept in FLAGS_READ.items() for f in SHARED_FLAGS if f not in kept],
+)
+def test_a_flag_the_subcommand_does_not_read_is_refused(capsys, tmp_path, command, flag):
+    code, out, err = run(capsys, command, TOUCH, flag, tmp_path / "1")
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {flag} {tmp_path / '1'}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unbounded_exploration_is_refused(capsys, tmp_path):
     code, _, err = run(
         capsys, "statespace", TOUCH, "-o", tmp_path / "t", "--fresh", "unbounded"

@@ -107,11 +107,15 @@ def test_fire_refuses_a_binding_dominated_by_a_higher_level():
 
 
 def test_unknown_priority_level_is_never_enabled():
-    # cpn_validate rejects such a transition; enabling ignores it
+    # cpn_validate rejects such a transition; enabling and firing ignore it
     t = CpnTransition("odd", inputs=(("a", (x(),)),), priority=7)
     lo = CpnTransition("lo", inputs=(("a", (x(),)),), priority=P_LOW)
     net = small_net([t, lo], [("a", (iv(1),))])
-    assert names(cpn_enabled(net, net.initial_marking, RECYCLING)) == ["lo"]
+    offered = cpn_enabled(net, net.initial_marking, RECYCLING)
+    assert names(offered) == ["lo"]
+    for tr, theta in offered:
+        after, _ = cpn_fire(net, net.initial_marking, tr, theta, RECYCLING)
+        assert after.count("a", (iv(1),)) == 0
 
 
 def test_normal_sits_between():
@@ -319,8 +323,9 @@ def test_priority_audit_on_a_translated_net(shop_translation, shop_cpn_lts):
     net = shop_translation.net
     levels = {p: level_only(net, p) for p in (P_HIGH, P_NORMAL, P_LOW)}
     outgoing = {}
+    st = shop_cpn_lts.states
     for src, label, dst in shop_cpn_lts.edges:
-        outgoing.setdefault(src, set()).add((label, dst))
+        outgoing.setdefault(st[src], set()).add((label, st[dst]))
     for state in shop_cpn_lts.states:
         expected = []
         for p in (P_HIGH, P_NORMAL, P_LOW):
@@ -410,7 +415,7 @@ def assert_edges_match_the_token_game(net, lts):
     kept = set(lts.states)
     outgoing = {}
     for src, label, dst in lts.edges:
-        outgoing.setdefault(src, set()).add((label, dst))
+        outgoing.setdefault(lts.states[src], set()).add((label, lts.states[dst]))
     for state in lts.states:
         succ = set()
         for t, theta in cpn_enabled(net, state, BOUNDED1):
@@ -445,7 +450,8 @@ def test_fresh_values_are_never_memoised():
     net = small_net([t], [("a", (iv(1),))])
     lts = cpn_build_lts(net, BOUNDED1, max_states=4)
     assert len(lts.edges) >= 3
-    for src, _, dst in lts.edges:
+    for s, _, d in lts.edges:
+        src, dst = lts.states[s], lts.states[d]
         (new,) = {tok for tok, _ in dst.tokens("b")} - {tok for tok, _ in src.tokens("b")}
         assert new[0] not in set(src.all_values())
 

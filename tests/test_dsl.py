@@ -166,8 +166,8 @@ def test_translated_net_survives_print_and_reparse(touch):
     l1 = cpn_build_lts(out.net, RECYCLING)
     l2 = cpn_build_lts(net2, RECYCLING)
     assert l1.state_count == l2.state_count
-    r1 = {(s.render(), l, d.render()) for s, l, d in l1.edges}
-    r2 = {(s.render(), l, d.render()) for s, l, d in l2.edges}
+    r1 = {(l1.states[s].render(), l, l1.states[d].render()) for s, l, d in l1.edges}
+    r2 = {(l2.states[s].render(), l, l2.states[d].render()) for s, l, d in l2.edges}
     assert r1 == r2
 
 

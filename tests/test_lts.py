@@ -1,4 +1,5 @@
-"""Breadth-first exploration keeps one object per state."""
+"""Breadth-first exploration numbers each state once: state ``i`` is
+``lts.states[i]``, and edges are triples of those numbers."""
 
 import pytest
 
@@ -27,18 +28,22 @@ class Cell:
 
 
 def assert_edges_hold_the_kept_states(lts):
-    kept = {s: s for s in lts.states}
-    assert len(kept) == len(lts.states)
+    """Every edge endpoint is a state number and no state is kept twice."""
+    n = len(lts.states)
+    assert len(set(lts.states)) == n
     for src, _, dst in lts.edges:
-        assert kept[src] is src
-        assert kept[dst] is dst
+        assert type(src) is int and 0 <= src < n
+        assert type(dst) is int and 0 <= dst < n
 
 
 def test_equal_successors_share_the_kept_object():
     # 0 -> 1 -> 2 -> 0, with a second route 0 -> 2
-    lts = explore(Cell(0), lambda c: [(EPS, Cell((c.n + 1) % 3)), (("obs", "j", (), "commit"), Cell(2))])
+    obs = ("obs", "j", (), "commit")
+    lts = explore(Cell(0), lambda c: [(EPS, Cell((c.n + 1) % 3)), (obs, Cell(2))])
     assert [c.n for c in lts.states] == [0, 1, 2]
-    assert lts.edge_count == 6
+    assert lts.edges == [
+        (0, EPS, 1), (0, obs, 2), (1, EPS, 2), (1, obs, 2), (2, EPS, 0), (2, obs, 2)
+    ]
     assert_edges_hold_the_kept_states(lts)
 
 

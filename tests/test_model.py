@@ -330,7 +330,8 @@ def test_shop_state_space_matches_naive_explorer(shop, shop_lts):
     states, edges = naive_explore(shop, BOUNDED1)
     assert shop_lts.state_count == len(states)
     assert shop_lts.edge_count == len(edges)
-    got = {(render_snapshot(s), l, render_snapshot(d)) for s, l, d in shop_lts.edges}
+    st = shop_lts.states
+    got = {(render_snapshot(st[s]), l, render_snapshot(st[d])) for s, l, d in shop_lts.edges}
     assert got == edges
 
 
@@ -368,13 +369,13 @@ def test_every_commit_lands_in_a_legal_instance(shop, shop_lts):
     for _, label, dst in shop_lts.edges:
         if label[3] == "commit":
             for c in shop.schema.constraints:
-                assert check_constraint(dst.instance, c)
+                assert check_constraint(shop_lts.states[dst].instance, c)
 
 
 def test_every_rollback_preserves_the_instance(shop_lts):
     for src, label, dst in shop_lts.edges:
         if label[3] == "rollback":
-            assert src.instance == dst.instance
+            assert shop_lts.states[src].instance == shop_lts.states[dst].instance
 
 
 def test_views_are_never_stored(shop, shop_lts):

@@ -6,7 +6,7 @@ from dbnet.corpus import build_guarded, build_touch
 from dbnet.cpn import EPS, P_HIGH, P_LOW, P_NORMAL, cpn_build_lts, cpn_enabled, cpn_fire
 from dbnet.fo import Atom, Compare
 from dbnet.marking import Marking
-from dbnet.model import ControlPlace, DbNet, Snapshot, Transition, ViewPlace
+from dbnet.model import ControlPlace, DbNet, Transition, ViewPlace
 from dbnet.queries import Conjunct, UcqQuery
 from dbnet.relational import (
     Action,
@@ -41,11 +41,6 @@ def test_one_place_per_relation_with_the_right_colours(shop, shop_translation):
         place = out.net.places[pname]
         assert place.column_types == shop.schema.relations[rname].column_types
         assert out.place_classes[pname] == "relation"
-
-
-def test_column_permutations_are_identity(shop, shop_translation):
-    for rname, perm in shop_translation.column_permutations.items():
-        assert perm == tuple(range(shop.schema.relations[rname].arity))
 
 
 def test_original_places_survive_verbatim(shop, shop_translation):
@@ -85,7 +80,8 @@ def test_every_place_is_classified_and_attributed(shop_translation):
 def test_labels_only_on_the_two_exits(shop_translation):
     out = shop_translation
     for g in out.gadgets.values():
-        for name, emit in out.label_map.items():
+        for t in out.net.transitions:
+            name, emit = t.name, t.emit
             if not name.startswith(g.transition + "."):
                 continue
             if name in (g.commit, g.rollback):
@@ -151,23 +147,6 @@ def test_translate_rejects_invalid_models(shop):
     )
     with pytest.raises(ValidationError):
         translate(broken)
-
-
-def test_translate_rejects_bad_start_snapshots(shop):
-    dup = Instance(
-        shop.schema,
-        dict(
-            shop.initial_instance.facts,
-            WithBonus=[
-                (iv(1), make_value(DataType("string", "string"), "50%")),
-                (iv(1), make_value(DataType("string", "string"), "15eur")),
-            ],
-        ),
-    )
-    with pytest.raises(ValidationError, match="constraint"):
-        translate(shop, Snapshot(dup, shop.initial_marking))
-    with pytest.raises(ValidationError, match="unknown place"):
-        translate(shop, Snapshot(shop.initial_instance, Marking.from_tokens([("no", ())])))
 
 
 # ---------------------------------------------------------------------------
