@@ -20,6 +20,7 @@ from dbnet.model import build_lts
 from dbnet.translate import translate
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 SHOP = CORPUS / "shopping-cart.dbn"
 TOUCH = CORPUS / "touch.dbn"
 GUARDED = CORPUS / "guarded.dbn"
@@ -403,7 +404,12 @@ def test_outputs_are_byte_stable(capsys, tmp_path):
 
 
 def test_info_logging_goes_to_stderr_only():
+    # The child imports dbnet from the source tree whatever the caller's
+    # PYTHONPATH holds, so the source directory goes first.
     env = dict(os.environ, DBNET_LOG="info")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "dbnet.cli", "validate", str(SHOP)],
         capture_output=True,
