@@ -266,9 +266,11 @@ class _NetTable:
                 self.no_inputs.append(entry)
 
     def candidates(self, marking: Marking) -> list:
-        """Entries whose input places all hold tokens, in enabling order."""
+        """Entries whose input places all hold tokens, in enabling order.
+        Each entry sits under exactly one first input place, so the order
+        the marked places are visited in does not matter."""
         found = list(self.no_inputs)
-        for place in marking.places_marked():
+        for place in marking.marked():
             for entry in self.by_first_input.get(place, ()):
                 if all(marking.tokens(p) for p in entry.later_inputs):
                     found.append(entry)

@@ -18,13 +18,17 @@ re-hashes only the places it touches: it subtracts each touched place's
 old hash and adds the new one (incremental hashing, as in Nguyen & Ruys,
 "Incremental Hashing for SPIN", SPIN 2008).  The sum needs well-spread
 terms: Python's tuple hashes of related records are not independent, and
-summed raw they collide (the 22,683 translated markings of shop 3x3 under
-``bounded:2`` got 1,382 to 1,728 fewer distinct hashes than markings over
-hash seeds 0 to 3), so each place hash is passed through a 64-bit finaliser first.  Equality compares the
-hash, then the place dicts, where shared records match by identity
-without touching a token.  The sorted views, ``key()`` and
-``places_marked()``, are built only when asked for; exploration never
-needs them.
+summed raw they collide, so each place hash is passed through a 64-bit
+finaliser first.  A token's hash comes from the addresses of its values,
+which are interned and hash by identity, so it differs from run to run;
+summed raw, the 22,683 translated markings of shop 3x3 under
+``bounded:2`` got 990 to 1,677 fewer distinct hashes than markings in
+three runs, and mixed they get none.  Equality compares the hash, then
+the place dicts, where shared records match by identity without touching
+a token.  The sorted views, ``key()`` and ``places_marked()``, are built
+only when asked for: by validation, translation and printing, and by
+``flatten`` once per distinct projection.  The enabling scan walks the
+unsorted ``marked()`` view.
 
 ``update(removals, additions)`` is the one update: it takes the removals,
 then the additions, into one private copy per touched place and re-sorts
@@ -126,7 +130,13 @@ class Marking:
         return rec[0] if rec is not None else ()
 
     def places_marked(self):
+        """The marked places, sorted (for printing and validation)."""
         return sorted(self._places)
+
+    def marked(self):
+        """The marked places in no particular order, as a read-only view
+        with no copy (for the enabling scan)."""
+        return self._places.keys()
 
     def total(self, place: str) -> int:
         rec = self._places.get(place)

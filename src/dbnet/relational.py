@@ -8,6 +8,8 @@ only if every constraint holds).
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable, Mapping, Optional, Union
@@ -101,13 +103,44 @@ def canon_decimal(raw: Union[str, int, Decimal]) -> Decimal:
     return Decimal(s)
 
 
-@dataclass(frozen=True)
 class Value:
     """A typed constant.  ``payload is None`` encodes the distinguished
-    null literal of the type; it compares like any ordinary value."""
+    null literal of the type; it compares like any ordinary value.
+
+    Values are interned (hash-consing, as in Filliâtre & Conchon,
+    "Type-Safe Modular Hash-Consing", ML 2006): constructing a value
+    returns the one live object for its ``(dtype, payload)``, so equal
+    values are the same object.  Nets only ever test values for equality,
+    and so equality is identity and hashing is by address, both done in C
+    by ``object`` inside every dict, set and tuple operation."""
+
+    __slots__ = ("dtype", "payload", "__weakref__")
 
     dtype: str  # DataType name
     payload: object  # str | int | Decimal | None
+
+    def __new__(cls, dtype: str, payload: object) -> "Value":
+        key = (dtype, payload)
+        value = _INTERNED.get(key)
+        if value is None:
+            with _INTERN_LOCK:  # two threads must not make two objects for one key
+                value = _INTERNED.get(key)
+                if value is None:
+                    value = object.__new__(cls)
+                    object.__setattr__(value, "dtype", dtype)
+                    object.__setattr__(value, "payload", payload)
+                    _INTERNED[key] = value
+        return value
+
+    def __setattr__(self, name, _):
+        raise AttributeError(f"Value is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Value is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the intern table
+        return (Value, (self.dtype, self.payload))
 
     def is_null(self) -> bool:
         return self.payload is None
@@ -121,6 +154,12 @@ class Value:
 
     def __repr__(self):  # keeps test failure output short
         return f"{self.dtype}:{render_value(self)}"
+
+
+# (dtype, payload) -> the live Value with that key.  The table holds its
+# values weakly, so it keeps none alive and never needs clearing.
+_INTERNED = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)

@@ -300,8 +300,8 @@ def test_restrict_shares_the_kept_places(start, steps, keep):
 
 # ---------------------------------------------------------------------------
 # hash quality: a marking's hash sums per-place hashes, and a sum of raw
-# tuple hashes collides on these state spaces (under most hash seeds; the
-# shop 3x3 source layer also under PYTHONHASHSEED=0)
+# tuple hashes collides on these state spaces (token hashes come from the
+# addresses of interned values, so the collisions differ from run to run)
 
 
 def assert_one_hash_per_marking(markings):

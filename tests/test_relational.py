@@ -1,11 +1,17 @@
 """Typed instances, constraints and transactional action application."""
 
+import copy
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dbnet.dsl import parse_model
 from dbnet.fo import constraint_to_fo, eval_fo_oracle
+from dbnet.freshness import stream_value
 from dbnet.relational import (
     COMMITTED,
     ROLLED_BACK,
@@ -101,6 +107,110 @@ def test_null_is_a_value_of_its_type():
 def test_disjoint_domains():
     assert iv(1) != make_value(REAL, 1)
     assert sv("1") != iv(1)
+
+
+# ---------------------------------------------------------------------------
+# interning: one live object per (dtype, payload)
+
+
+def test_every_constructor_returns_the_interned_value():
+    one = make_value(INT, 1)
+    assert make_value(INT, 1) is one
+    assert Value("int", 1) is one
+    assert Value(dtype="int", payload=1) is one
+    assert Value(payload=1, dtype="int") is one
+    assert make_value(REAL, "1.50") is make_value(REAL, "1.5")
+    assert null_value(INT) is null_value("int") is Value("int", None)
+    assert stream_value(INT, 1) is one
+    assert stream_value(STR, 2) is sv("v2")
+    assert stream_value(REAL, 3) is rv("3.00")
+
+
+def test_dsl_literals_are_the_interned_values():
+    mf = parse_model(
+        'dbnet "m";\n'
+        "type int = int;\n"
+        "type string = string;\n"
+        "type real = real;\n"
+        "relation T(i: int, s: string, r: real);\n"
+        "constraint domain T.i in {7, null};\n"
+        'constraint domain T.s in {"a"};\n'
+        "constraint domain T.r in {2.50};\n"
+    )
+    allowed = [v for c in mf.model.schema.constraints if isinstance(c, DomainConstraint)
+               for v in c.allowed]
+    assert len(allowed) == 4
+    wanted = [null_value(INT), iv(7), sv("a"), rv("2.5")]
+    assert all(any(v is w for v in allowed) for w in wanted)
+
+
+@pytest.mark.parametrize("value", [iv(3), sv("x"), rv("0.25"), null_value(REAL)])
+def test_copies_and_pickles_return_the_interned_value(value):
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+    assert copy.deepcopy((value, [value]))[0] is value
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) is value
+
+
+def test_values_are_immutable():
+    v = iv(4)
+    with pytest.raises(AttributeError):
+        v.payload = 5
+    with pytest.raises(AttributeError):
+        v.extra = 5
+    with pytest.raises(AttributeError):
+        del v.dtype
+    assert (v.dtype, v.payload) == ("int", 4)
+    assert make_value(INT, 4) is v
+
+
+def test_equality_and_hashing_stay_in_c():
+    # a decorator that brought back generated __eq__/__hash__ would make
+    # every token, fact and marking hash through Python code again
+    assert Value.__hash__ is object.__hash__
+    assert Value.__eq__ is object.__eq__
+    assert "__dict__" not in dir(iv(1))
+
+
+def test_threads_constructing_one_key_get_one_object():
+    def build(out):
+        out.extend(Value("racy", i) for i in range(2000))
+
+    results = [[] for _ in range(4)]
+    threads = [threading.Thread(target=build, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for made in zip(*results):
+        assert all(v is made[0] for v in made)
+    assert len(results[0]) == 2000
+
+
+payloads = st.one_of(
+    st.none(),
+    st.integers(-3, 3),
+    st.text(alphabet="ab1", max_size=2),
+    st.decimals(min_value=-2, max_value=2, places=1, allow_nan=False, allow_infinity=False),
+)
+keys = st.tuples(st.sampled_from(["int", "string", "real", "other"]), payloads)
+
+
+@given(keys, keys)
+def test_interning_keeps_the_dataclass_equality(k1, k2):
+    a, b = Value(*k1), Value(*k2)
+    # the frozen dataclass compared exactly these pairs
+    assert (a == b) == (k1 == k2)
+    assert (a is b) == (a == b)
+    assert (a == b) == ((a.dtype, a.payload) == (b.dtype, b.payload))
+    assert (hash(a) == hash(b)) or a != b
 
 
 # ---------------------------------------------------------------------------
