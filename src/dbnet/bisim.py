@@ -27,6 +27,26 @@ guard stage a gadget can only finish its own firing, so an interior state
 has no weak answer to the other observable; requiring convergence instead
 keeps exactly the rejection power that such pairs would have provided.
 
+Early refusal (``certify_translation``): the source side is explored and
+flattened first, and its flat strings are collected.  The translated net
+is then explored under a monitor, in the manner of on-the-fly
+equivalence checking (Fernandez & Mounier, CAV 1991).  The monitor stops
+exploration at the first stable state whose flat string no source state
+has, provided it reached that state by the checker's own weak moves: a
+path from state 0 that passes at most one observable between
+consecutive stable states.  It keeps, per state, the fewest observables
+since the last stable state on the routes seen so far, capped at 2, and
+refuses when an edge with a count of at most one lands on such a state.
+This is sound by induction over the path: the initial pair is related,
+and each stretch from a stable state to the next is an
+``eps_targets`` or ``big_steps`` move, which any relation the checker
+accepts must answer with a source state of equal contents.  So the
+foreign state would need a related source state with its contents, and
+there is none.  A path with two observables between stable states is
+no weak move at all (such a state may even sit in bisimilar nets), and
+the monitor never refuses on one.  A run that meets no such state goes
+through the full check below; a refusal wins over a hit state cap.
+
 Cost: the translated net has an order of magnitude more states than the
 source net but few distinct projections, so ``flatten`` renders each
 distinct projection once and lets equal ones share one string.  The
@@ -38,6 +58,7 @@ returned relation.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -334,29 +355,40 @@ class _Side:
         return frozen
 
 
-def _path_to(lts: Lts, target: int) -> list:
-    """Shortest path of labels from state 0 to state ``target``."""
+def _path_to(lts: Lts, target: int, stable=None) -> list:
+    """Labels of a shortest path from state 0 to state ``target``.  Given
+    ``stable`` (state -> stability flag), only paths that pass at most one
+    observable between consecutive stable states count, that is chains of
+    the checker's weak moves (``eps_targets`` and ``big_steps``)."""
     out = [[] for _ in lts.states]
     for src, label, dst in lts.edges:
         out[src].append((label, dst))
-    parent = {0: None}
-    queue = [0]
-    while queue and target not in parent:
-        nxt = []
-        for s in queue:
-            for label, d in out[s]:
-                if d not in parent:
-                    parent[d] = (s, label)
-                    nxt.append(d)
-        queue = nxt
-    if target not in parent:
+    # A search node is (state, observables since the last stable state).
+    parent = {(0, 0): None}
+    queue = [(0, 0)]
+    goal = None
+    for node in queue:  # the queue grows while it is read: breadth first
+        s, count = node
+        if s == target:
+            goal = node
+            break
+        for label, d in out[s]:
+            c = 0
+            if stable is not None:
+                c = count + (label != EPS)
+                if c > 1:
+                    continue
+                if stable[d]:
+                    c = 0
+            if (d, c) not in parent:
+                parent[(d, c)] = (node, label)
+                queue.append((d, c))
+    if goal is None:
         return []
     steps = []
-    cur = target
-    while parent[cur] is not None:
-        prev, label = parent[cur]
+    while parent[goal] is not None:
+        goal, label = parent[goal]
         steps.append(format_label(label))
-        cur = prev
     steps.reverse()
     return steps
 
@@ -370,15 +402,19 @@ def _refuse_truncated(*ltss: Lts):
             )
 
 
-def _silent_failure(kind: str, what: str, side: _Side, s: int) -> WeakBisimResult:
+def _state_failure(kind: str, what: str, tag: str, flat: str, steps: list) -> WeakBisimResult:
+    """A refusal that names one state of one side and a path to it."""
     return WeakBisimResult(
         NOT_BISIMILAR,
-        witness={"kind": kind, "side": side.tag, "state": side.flat[s]},
+        witness={"kind": kind, "side": tag, "state": flat},
         trace=tuple(
-            [f"{what} on the {side.tag} side", f"state: {side.flat[s]}"]
-            + [f"  via {step}" for step in _path_to(side.lts, s)]
+            [f"{what} on the {tag} side", f"state: {flat}"] + [f"  via {step}" for step in steps]
         ),
     )
+
+
+def _silent_failure(kind: str, what: str, side: _Side, s: int) -> WeakBisimResult:
+    return _state_failure(kind, what, side.tag, side.flat[s], _path_to(side.lts, s))
 
 
 def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
@@ -567,6 +603,66 @@ def verify_relation(l1: Lts, l2: Lts, relation) -> list:
     return problems
 
 
+def _log_info(message: str, *args) -> None:
+    """Log at info level through :mod:`logging` if the program has loaded
+    it.  A program that never imported ``logging`` has no handler that
+    could show the record, and importing it here would add about 6 ms
+    to every ``import dbnet``."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).info(message, *args)
+
+
+_NO_LEGAL_ROUTE = 2  # observables between two stable states: more than a weak move has
+
+
+def _explore_target(translation, policy, relation_names, known, *, max_states, max_depth):
+    """Explore the translated net under the early-refusal monitor (see the
+    module docstring).  ``known`` holds the source side's flat strings.
+    Returns the explored graph and, if the monitor stopped it, the
+    refusal with a chain of weak moves to the foreign state; otherwise
+    None.  The monitor ends with this call, before anything is flattened.
+
+    Per state number the monitor keeps the fewest observables since the
+    last stable state over the routes seen so far, or ``_NO_LEGAL_ROUTE``
+    when every route seen passes two observables between stable states.
+    A count only falls, so each state is looked at no more than twice.
+    A stable state reached with a count of at most one resets it to 0
+    and has its contents rendered, once; unlike ``flatten``, the monitor
+    keeps no memo of renderings, as it meets each projection about once
+    (shop 3x3 under ``bounded:2``: 1,212 renderings, no repeat)."""
+    classes, lock = translation.place_classes, translation.lock_place
+    best = bytearray(1)  # state 0 starts a route with no observable
+    found = []
+
+    def stop(src, label, dst, marking):
+        count = best[src] + (label != EPS)
+        if dst == len(best):  # a new state: no route to it yet
+            best.append(_NO_LEGAL_ROUTE)
+        if count >= best[dst]:
+            return False
+        if marking.total(lock) < 1:  # interior
+            best[dst] = count
+            return False
+        best[dst] = 0
+        flat = _flat_of_marking(marking, classes, relation_names).render()
+        if flat in known:
+            return False
+        found.append((dst, flat))
+        return True
+
+    lts = cpn_build_lts(translation.net, policy, max_states=max_states, max_depth=max_depth,
+                        stop=stop)
+    if not found:
+        return lts, None
+    state, flat = found[0]
+    _log_info("refused at translated state %d: no source state has %s", state, flat)
+    stable = [m.total(lock) >= 1 for m in lts.states]
+    return lts, _state_failure(
+        "foreign-state", "foreign stable state", "right", flat, _path_to(lts, state, stable)
+    )
+
+
 def certify_translation(
     model: DbNet,
     policy: Optional[FreshPolicy] = None,
@@ -578,12 +674,20 @@ def certify_translation(
     """Full pipeline: explore the source net and its translation under one
     shared fresh-value regime, flatten both, and decide weak bisimilarity.
 
+    The translated net is explored under the early-refusal monitor (see
+    the module docstring): at the first stable state that the checker's
+    weak moves reach and whose contents no source state has, the result
+    is ``NOT_BISIMILAR`` with a ``"foreign-state"`` witness, and the
+    partial graph is neither flattened nor checked.  ``stats`` then
+    counts what was explored before the stop.
+
     ``translation`` may be supplied to certify a pre-built (for instance
-    deliberately mutated) translation of the same model.  Truncation in
-    either exploration raises :class:`TruncatedError`, as the verdict
-    would be meaningless; it is raised before anything is flattened, and
-    a truncated source exploration stops the run before the translated
-    net is explored.
+    deliberately mutated) translation of the same model.  Unless the
+    monitor refused, truncation in either exploration raises
+    :class:`TruncatedError`, as the verdict would be meaningless; it is
+    raised before the truncated side is flattened, and a truncated
+    source exploration stops the run before the translated net is
+    explored.
     """
     policy = policy or model.default_policy
     if translation is None:
@@ -591,13 +695,17 @@ def certify_translation(
 
     raw1 = build_lts(model, policy, max_states=max_states, max_depth=max_depth)
     _refuse_truncated(raw1)
-    raw2 = cpn_build_lts(translation.net, policy, max_states=max_states, max_depth=max_depth)
-    _refuse_truncated(raw1, raw2)
-
-    relation_names = {p: r for r, p in translation.relation_places.items()}
     flat1 = flatten(raw1)
-    flat2 = flatten(raw2, translation.place_classes, relation_names=relation_names)
-    result = check_weak_bisim(flat1, flat2)
+    relation_names = {p: r for r, p in translation.relation_places.items()}
+    raw2, result = _explore_target(
+        translation, policy, relation_names,
+        {ann["flat"] for ann in flat1.annotations.values()},
+        max_states=max_states, max_depth=max_depth,
+    )
+    if result is None:
+        _refuse_truncated(raw1, raw2)
+        flat2 = flatten(raw2, translation.place_classes, relation_names=relation_names)
+        result = check_weak_bisim(flat1, flat2)
     result.stats = {
         "source-states": raw1.state_count,
         "source-edges": raw1.edge_count,

@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 usage/parse/validation failure (including
 ``--steps`` or ``--max-depth`` below 0 and ``--max-states``, ``--users``
 or ``--products`` below 1),
 2 truncated exploration (``statespace`` still writes the truncated state
-space, ``certify`` gives no verdict), 3 not-bisimilar.
+space, ``certify`` gives no verdict unless a state it can refuse came
+first), 3 not-bisimilar.
 """
 
 from __future__ import annotations

@@ -398,10 +398,12 @@ def cpn_build_lts(
     *,
     max_states: Optional[int] = None,
     max_depth: Optional[int] = None,
+    stop=None,
 ) -> Lts:
     """Reachability graph over markings.  Silent transitions produce
     ``eps`` edges; emitting transitions produce observable edges.  Refuses
-    unbounded freshness for the same reason the source layer does."""
+    unbounded freshness for the same reason the source layer does.
+    ``stop`` is handed to :func:`dbnet.lts.explore`."""
     policy = policy or net.default_policy
     if not policy.finite_branching:
         raise ContractError(
@@ -434,4 +436,5 @@ def cpn_build_lts(
             for _, (removals, additions, label) in enabled
         ]
 
-    return explore(net.initial_marking, step, max_states=max_states, max_depth=max_depth)
+    return explore(net.initial_marking, step, max_states=max_states, max_depth=max_depth,
+                   stop=stop)

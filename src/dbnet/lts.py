@@ -61,6 +61,7 @@ def explore(
     *,
     max_states: Optional[int] = None,
     max_depth: Optional[int] = None,
+    stop: Optional[Callable[[int, tuple, int, object], bool]] = None,
 ) -> Lts:
     """Breadth-first closure of ``initial`` under ``step_fn``.
 
@@ -72,6 +73,12 @@ def explore(
     state at the horizon counts as truncated even if it happens to be
     terminal).  A state's number is its position in ``states``, so the
     initial state is 0, and edges are triples of those numbers.
+
+    ``stop`` is called as ``stop(src, label, dst, states[dst])`` after
+    each edge is recorded; once it returns true, exploration ends there
+    and the graph built so far is returned.  Such a graph is partial
+    whether or not ``truncated`` is set, so only the caller that asked
+    to stop may read it.
     """
     lts = Lts(states=[initial])
     states = lts.states
@@ -98,6 +105,8 @@ def explore(
                     continue
                 emitted.add((label, d))
                 lts.edges.append((src, label, d))
+                if stop is not None and stop(src, label, d, states[d]):
+                    return lts
         frontier = next_frontier
         depth += 1
     return lts

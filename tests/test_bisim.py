@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import logging
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +22,8 @@ from dbnet.bisim import (
 )
 from dbnet.corpus import CORPUS, build_empty, build_guarded, build_shopping_cart
 from dbnet.cpn import cpn_build_lts
-from dbnet.lts import EPS, Lts
+from dbnet.lts import EPS, Lts, explore
+from dbnet.marking import Marking
 from dbnet.model import build_lts, render_snapshot
 from dbnet.mutations import MUTATIONS, apply_mutation
 from dbnet.relational import ContractError, instance_lines
@@ -292,21 +295,29 @@ def test_certify_honours_truncation_refusal(shop):
 
 
 def test_truncation_is_refused_before_flattening(shop, monkeypatch):
-    def no_flatten(*_args, **_kwargs):
-        raise AssertionError("flatten called on a truncated exploration")
+    flattened = []
+    real_flatten = bisim.flatten
 
-    monkeypatch.setattr(bisim, "flatten", no_flatten)
+    def checked_flatten(lts, *args, **kwargs):
+        assert not lts.truncated, "flatten called on a truncated exploration"
+        flattened.append(lts)
+        return real_flatten(lts, *args, **kwargs)
+
+    monkeypatch.setattr(bisim, "flatten", checked_flatten)
     with pytest.raises(TruncatedError) as both_cut:
         certify_translation(shop, policy=BOUNDED1, max_states=10)
     assert str(both_cut.value) == (
         "left LTS is truncated; the check needs the complete state space"
     )
-    runaway = apply_mutation(translate(shop), "swap-add-priorities")
+    assert flattened == []
+    # The correct translation has 531 states, so no foreign state can end
+    # the exploration before the cap does.
     with pytest.raises(TruncatedError) as right_cut:
-        certify_translation(shop, policy=BOUNDED1, max_states=500, translation=runaway)
+        certify_translation(shop, policy=BOUNDED1, max_states=500)
     assert str(right_cut.value) == (
         "right LTS is truncated; the check needs the complete state space"
     )
+    assert len(flattened) == 1  # the complete source side only
 
 
 def test_a_truncated_source_stops_before_the_target_is_explored(shop22, monkeypatch):
@@ -320,10 +331,192 @@ def test_a_truncated_source_stops_before_the_target_is_explored(shop22, monkeypa
 
 
 # ---------------------------------------------------------------------------
+# early refusal at a foreign stable state
+
+
+HAND_CLASSES = {"lock": "lock", "p": "original-control"}
+FOREIGN = "facts{}|ctl{p()}"  # the empty net never marks p
+
+
+def hand_target(monkeypatch, graph, foreign=(), interior=()):
+    """Make ``certify_translation`` of the empty net explore a hand-made
+    translated graph instead of a real translation.  ``graph`` maps a
+    state name to its ``(label, successor)`` list; the first key is
+    initial.  Every state holds a token on its own intermediate place,
+    a stable one also holds the lock, and a ``foreign`` one also holds
+    a token on the original-control place ``p``."""
+    def marking(name):
+        tokens = [(f"at.{name}", ())]
+        if name not in interior:
+            tokens.append(("lock", ()))
+        if name in foreign:
+            tokens.append(("p", ()))
+        return Marking.from_tokens(tokens)
+
+    names = {n for n in graph} | {d for succ in graph.values() for _, d in succ}
+    markings = {n: marking(n) for n in names}
+    named = {m: n for n, m in markings.items()}
+
+    def explore_hand(_net, _policy, *, max_states, max_depth, stop):
+        step = lambda m: [(label, markings[d]) for label, d in graph.get(named[m], ())]
+        return explore(markings[next(iter(graph))], step,
+                       max_states=max_states, max_depth=max_depth, stop=stop)
+
+    monkeypatch.setattr(bisim, "cpn_build_lts", explore_hand)
+    classes = dict(HAND_CLASSES, **{f"at.{n}": "intermediate" for n in names})
+    return SimpleNamespace(net=None, place_classes=classes, relation_places={}, lock_place="lock")
+
+
+def test_two_observables_between_stable_states_are_no_weak_move(monkeypatch):
+    # y is foreign, but the only route to it passes two observables with no
+    # stable state between them: no weak move reaches y, so refusing there
+    # would be unsound.  The full check decides, and finds the nets
+    # bisimilar, as no weak move of p is left unanswered.
+    target = hand_target(
+        monkeypatch,
+        {"p": [(OBS2, "z")], "z": [(OBS, "y")]},
+        foreign={"y"},
+        interior={"z"},
+    )
+    checked = []
+    real_check = bisim.check_weak_bisim
+    monkeypatch.setattr(
+        bisim, "check_weak_bisim", lambda *a: checked.append(1) or real_check(*a)
+    )
+    res = certify_translation(build_empty(), policy=RECYCLING, translation=target)
+    assert res.verdict == BISIMILAR
+    assert checked == [1]
+    assert res.stats["translated-states"] == 3
+
+
+def legal_detour(monkeypatch, max_states=None):
+    """y is first reached over two observables (via z), later by a legal
+    chain of three steps (via w1, w2).  y leads on to an interior x."""
+    target = hand_target(
+        monkeypatch,
+        {
+            "p": [(OBS2, "z"), (EPS, "w1")],
+            "z": [(OBS, "y")],
+            "w1": [(EPS, "w2")],
+            "y": [(EPS, "x")],
+            "w2": [(OBS, "y")],
+        },
+        foreign={"y"},
+        interior={"z", "x", "w1", "w2"},
+    )
+    return certify_translation(
+        build_empty(), policy=RECYCLING, translation=target, max_states=max_states
+    )
+
+
+def test_a_foreign_state_is_refused_along_a_legal_path(monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger="dbnet.bisim")
+    res = legal_detour(monkeypatch)
+    assert res.verdict == NOT_BISIMILAR
+    assert res.witness == {"kind": "foreign-state", "side": "right", "state": FOREIGN}
+    # The shortest path, via z, passes two observables; the trace takes
+    # the chain of weak moves instead.
+    assert res.trace == (
+        "foreign stable state on the right side",
+        f"state: {FOREIGN}",
+        "  via eps",
+        "  via eps",
+        "  via T[]:commit",
+    )
+    # p, z, w1, y, w2 and x are numbered before w2 reaches y again.
+    assert res.stats == {
+        "source-states": 1,
+        "source-edges": 0,
+        "translated-states": 6,
+        "translated-edges": 6,
+    }
+    assert [r.getMessage() for r in caplog.records] == [
+        f"refused at translated state 3: no source state has {FOREIGN}"
+    ]
+
+
+def test_shortest_and_legal_paths_differ():
+    lts = hand_lts(
+        ["p", "z", "w", "y"],
+        [("p", OBS2, "z"), ("p", EPS, "w"), ("z", OBS, "y"), ("w", OBS, "y")],
+        {"p": ("F0", True), "z": ("F0", False), "w": ("F0", False), "y": ("F1", True)},
+    )
+    stable = [True, False, False, True]
+    assert bisim._path_to(lts, 3) == ["T[]:rollback", "T[]:commit"]
+    assert bisim._path_to(lts, 3, stable) == ["eps", "T[]:commit"]
+
+
+def test_a_foreign_state_is_refused_even_past_the_cap(monkeypatch):
+    # max_states=5 drops x, so the exploration is truncated; y is then
+    # reached legally all the same, which decides the verdict.
+    res = legal_detour(monkeypatch, max_states=5)
+    assert res.verdict == NOT_BISIMILAR
+    assert res.witness["kind"] == "foreign-state"
+    assert res.stats["translated-states"] == 5
+
+
+@pytest.mark.parametrize("policy", [BOUNDED1, RECYCLING], ids=["bounded1", "recycling"])
+def test_a_correct_translation_never_triggers_the_monitor(shop22, policy, monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger="dbnet.bisim")
+    checked = []
+    real_check = bisim.check_weak_bisim
+    monkeypatch.setattr(
+        bisim, "check_weak_bisim", lambda *a: checked.append(1) or real_check(*a)
+    )
+    res = certify_translation(shop22, policy=policy)
+    assert res.bisimilar
+    assert checked == [1]
+    assert caplog.records == []
+
+
+def oracle_certify(model, policy, *, max_states, translation):
+    """Certification without early refusal: both sides explored in full,
+    flattened and checked, with ``certify_translation``'s stats."""
+    raw1 = build_lts(model, policy, max_states=max_states)
+    raw2 = cpn_build_lts(translation.net, policy, max_states=max_states)
+    names = {p: r for r, p in translation.relation_places.items()}
+    res = check_weak_bisim(
+        flatten(raw1), flatten(raw2, translation.place_classes, relation_names=names)
+    )
+    res.stats = {
+        "source-states": raw1.state_count,
+        "source-edges": raw1.edge_count,
+        "translated-states": raw2.state_count,
+        "translated-edges": raw2.edge_count,
+    }
+    return res
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_early_refusal_agrees_with_the_oracle_on_shop22(shop22, mutation):
+    translation = apply_mutation(translate(shop22), mutation)
+    got = certify_translation(shop22, policy=BOUNDED1, max_states=3000, translation=translation)
+    try:
+        want = oracle_certify(
+            shop22, policy=BOUNDED1, max_states=3000, translation=translation
+        ).verdict
+    except TruncatedError:
+        want = "truncated"
+    if mutation in ("drop-revert", "swap-add-priorities"):
+        # the oracle runs into the cap; early refusal decides
+        assert want == "truncated"
+        assert got.verdict == NOT_BISIMILAR
+        assert got.witness["kind"] == "foreign-state"
+    else:
+        assert got.verdict == want
+    if mutation == "swap-add-priorities":
+        # stopped at state 1,294, the first foreign stable state in
+        # breadth-first order
+        assert got.stats["translated-states"] == 1295
+
+
+# ---------------------------------------------------------------------------
 # golden outputs: every corpus net and shop 1x2, unmutated and mutated
 
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "certify_golden.json"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "certify_golden.json"  # the oracle's records
+REFUSAL_GOLDEN = DATA / "certify_refusal_golden.json"  # where early refusal differs
 GOLDEN_CAP = 3000  # states per side; a runaway mutant truncates
 GOLDEN_NETS = dict(CORPUS, **{"shop-1x2": lambda: build_shopping_cart(1, 2)})
 GOLDEN_CASES = [
@@ -331,10 +524,11 @@ GOLDEN_CASES = [
 ]
 
 
-def certify_record(case: str) -> dict:
-    """Everything ``certify_translation`` says about one (net, mutation)
-    case under ``bounded:1``, as JSON data.  The relation is pinned by its
-    size and the sha256 of its rendered pairs, one line per pair."""
+def certify_record(case: str, certify=oracle_certify) -> dict:
+    """Everything ``certify`` (the oracle or ``certify_translation``) says
+    about one (net, mutation) case under ``bounded:1``, as JSON data.  The
+    relation is pinned by its size and the sha256 of its rendered pairs,
+    one line per pair."""
     net_name, mutation = case.split("/")
     model = GOLDEN_NETS[net_name]()
     translation = translate(model)
@@ -344,9 +538,7 @@ def certify_record(case: str) -> dict:
         except ContractError as exc:
             return {"outcome": "not-applicable", "message": str(exc)}
     try:
-        res = certify_translation(
-            model, policy=BOUNDED1, max_states=GOLDEN_CAP, translation=translation
-        )
+        res = certify(model, policy=BOUNDED1, max_states=GOLDEN_CAP, translation=translation)
     except TruncatedError as exc:
         return {"outcome": "truncated", "message": str(exc)}
     record = {
@@ -362,9 +554,18 @@ def certify_record(case: str) -> dict:
     return record
 
 
+def canonical(record) -> str:
+    return json.dumps(record, indent=1, sort_keys=True)
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def refusal_golden():
+    return json.loads(REFUSAL_GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_golden_covers_every_case(golden):
@@ -373,13 +574,46 @@ def test_golden_covers_every_case(golden):
 
 @pytest.mark.parametrize("case", GOLDEN_CASES)
 def test_certify_output_matches_the_golden_record(golden, case):
-    got = json.dumps(certify_record(case), indent=1, sort_keys=True)
-    assert got == json.dumps(golden[case], indent=1, sort_keys=True)
+    # certify without early refusal: the oracle
+    assert canonical(certify_record(case)) == canonical(golden[case])
+
+
+def test_early_refusals_are_the_decided_foreign_states_and_every_runaway(
+    golden, refusal_golden
+):
+    was = {case: golden[case]["outcome"] for case in refusal_golden}
+    assert sum(o == NOT_BISIMILAR for o in was.values()) == 12
+    truncated = sorted(case for case in GOLDEN_CASES if golden[case]["outcome"] == "truncated")
+    assert sorted(case for case, o in was.items() if o == "truncated") == truncated
+    assert len(truncated) == 5
+    assert all(case.endswith("/swap-add-priorities") for case in truncated)
+    for record in refusal_golden.values():
+        assert record["outcome"] == NOT_BISIMILAR
+        assert record["witness"]["kind"] == "foreign-state"
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_certify_matches_the_oracle_unless_it_refuses_early(golden, refusal_golden, case):
+    got = canonical(certify_record(case, certify_translation))
+    assert got == canonical(refusal_golden.get(case, golden[case]))
+
 
 
 if __name__ == "__main__":
-    # Rewrite the golden file: PYTHONPATH=src:tests python tests/test_bisim.py --write
+    # Rewrite a golden file from the oracle, or the early refusals of
+    # certify_translation:
+    #   PYTHONPATH=src:tests python tests/test_bisim.py --write
+    #   PYTHONPATH=src:tests python tests/test_bisim.py --write-refusal
     if sys.argv[1:] == ["--write"]:
         records = {case: certify_record(case) for case in GOLDEN_CASES}
-        GOLDEN.parent.mkdir(exist_ok=True)
+        DATA.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    elif sys.argv[1:] == ["--write-refusal"]:
+        records = {case: certify_record(case, certify_translation) for case in GOLDEN_CASES}
+        refusals = {
+            case: record for case, record in records.items()
+            if (record.get("witness") or {}).get("kind") == "foreign-state"
+        }
+        REFUSAL_GOLDEN.write_text(
+            json.dumps(refusals, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        )
