@@ -47,9 +47,20 @@ no weak move at all (such a state may even sit in bisimilar nets), and
 the monitor never refuses on one.  A run that meets no such state goes
 through the full check below; a refusal wins over a hit state cap.
 
-Cost: the translated net has an order of magnitude more states than the
-source net but few distinct projections, so ``flatten`` renders each
-distinct projection once and lets equal ones share one string.  The
+Silent-chain compression (``certify_translation``): the translated net
+is explored with ``cpn_build_lts``'s ``keep`` hook set to "the lock is
+home", so an interior state whose only enabled firing is silent is
+walked through rather than kept (see :mod:`dbnet.cpn`).  The kept graph
+has every stable state of the full one, the same ``eps_targets`` and
+``big_steps`` between them, and a silent dead-end or divergence exactly
+when the full graph has one: a walk stops at a dead end, and a silent
+cycle stays a cycle.  So the verdict is the full graph's.  A
+compressed edge carries the first step's label, so the monitor above
+counts observables as before; a trace's ``via`` lines name kept steps.
+
+Cost: the translated net has many more states than the source net but
+few distinct projections, so ``flatten`` renders each distinct
+projection once and lets equal ones share one string.  The
 checker works on the state numbers that exploration handed out (a
 state's position in ``lts.states``, edges as triples of those numbers)
 and on pairs of them throughout; states are looked up only for the
@@ -60,6 +71,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Optional
 
 from .cpn import cpn_build_lts
@@ -145,6 +157,11 @@ def _flat_of_marking(m: Marking, classes: Mapping, relation_names: Mapping) -> F
     return FlatState(tuple(sorted(facts)), tuple(sorted(control)))
 
 
+def _is_stable(lock: str, marking: Marking) -> bool:
+    """A translated state is stable iff the lock place is marked."""
+    return marking.total(lock) >= 1
+
+
 def flatten(
     lts: Lts,
     classes: Optional[Mapping] = None,
@@ -185,7 +202,7 @@ def flatten(
             flat = rendered.get(view)
             if flat is None:
                 flat = rendered[view] = _flat_of_marking(view, classes, relation_names).render()
-            annotations[m] = {"flat": flat, "stable": m.total(lock) >= 1}
+            annotations[m] = {"flat": flat, "stable": _is_stable(lock, m)}
     return Lts(lts.states, lts.edges, lts.truncated, annotations)
 
 
@@ -617,8 +634,10 @@ _NO_LEGAL_ROUTE = 2  # observables between two stable states: more than a weak m
 
 
 def _explore_target(translation, policy, relation_names, known, *, max_states, max_depth):
-    """Explore the translated net under the early-refusal monitor (see the
-    module docstring).  ``known`` holds the source side's flat strings.
+    """Explore the translated net, keeping the stable states and the
+    interior states that do not sit on a silent chain, under the
+    early-refusal monitor (see the module docstring).  ``known`` holds
+    the source side's flat strings.
     Returns the explored graph and, if the monitor stopped it, the
     refusal with a chain of weak moves to the foreign state; otherwise
     None.  The monitor ends with this call, before anything is flattened.
@@ -641,7 +660,7 @@ def _explore_target(translation, policy, relation_names, known, *, max_states, m
             best.append(_NO_LEGAL_ROUTE)
         if count >= best[dst]:
             return False
-        if marking.total(lock) < 1:  # interior
+        if not _is_stable(lock, marking):
             best[dst] = count
             return False
         best[dst] = 0
@@ -652,12 +671,12 @@ def _explore_target(translation, policy, relation_names, known, *, max_states, m
         return True
 
     lts = cpn_build_lts(translation.net, policy, max_states=max_states, max_depth=max_depth,
-                        stop=stop)
+                        stop=stop, keep=partial(_is_stable, lock))
     if not found:
         return lts, None
     state, flat = found[0]
     _log_info("refused at translated state %d: no source state has %s", state, flat)
-    stable = [m.total(lock) >= 1 for m in lts.states]
+    stable = [_is_stable(lock, m) for m in lts.states]
     return lts, _state_failure(
         "foreign-state", "foreign stable state", "right", flat, _path_to(lts, state, stable)
     )
@@ -674,12 +693,15 @@ def certify_translation(
     """Full pipeline: explore the source net and its translation under one
     shared fresh-value regime, flatten both, and decide weak bisimilarity.
 
-    The translated net is explored under the early-refusal monitor (see
-    the module docstring): at the first stable state that the checker's
-    weak moves reach and whose contents no source state has, the result
-    is ``NOT_BISIMILAR`` with a ``"foreign-state"`` witness, and the
-    partial graph is neither flattened nor checked.  ``stats`` then
-    counts what was explored before the stop.
+    The translated net is explored with its silent chains compressed and
+    under the early-refusal monitor (see the module docstring): at the
+    first stable state that the checker's weak moves reach and whose
+    contents no source state has, the result is ``NOT_BISIMILAR`` with a
+    ``"foreign-state"`` witness, and the partial graph is neither
+    flattened nor checked.  ``stats`` counts the translated states kept
+    (``translated-states``, of which ``translated-stable-states`` are
+    stable) and the edges between them, up to the stop if there was one.
+    ``max_states`` and ``max_depth`` count kept states too.
 
     ``translation`` may be supplied to certify a pre-built (for instance
     deliberately mutated) translation of the same model.  Unless the
@@ -710,6 +732,9 @@ def certify_translation(
         "source-states": raw1.state_count,
         "source-edges": raw1.edge_count,
         "translated-states": raw2.state_count,
+        "translated-stable-states": sum(
+            _is_stable(translation.lock_place, m) for m in raw2.states
+        ),
         "translated-edges": raw2.edge_count,
     }
     return result

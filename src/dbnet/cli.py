@@ -16,6 +16,11 @@ or ``--products`` below 1),
 2 truncated exploration (``statespace`` still writes the truncated state
 space, ``certify`` gives no verdict unless a state it can refuse came
 first), 3 not-bisimilar.
+
+``certify`` folds the translated net's silent chains as it explores, so
+its ``--max-states``/``--max-depth``, its ``translated-states`` line and
+the ``via`` lines of a counterexample count the states it keeps; the
+state space ``statespace`` writes is never compressed.
 """
 
 from __future__ import annotations

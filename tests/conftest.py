@@ -16,13 +16,37 @@ from dbnet.corpus import (
     build_shopping_cart,
     build_touch,
 )
-from dbnet.cpn import cpn_build_lts
+from dbnet.cpn import CpnPlace, CpnTransition, Emit, NuCpn, cpn_build_lts
 from dbnet.freshness import FreshPolicy
+from dbnet.marking import Marking
 from dbnet.model import build_lts
 from dbnet.translate import translate
 
 BOUNDED1 = FreshPolicy.parse("bounded:1")
 RECYCLING = FreshPolicy.parse("recycling")
+
+
+def unit_net(moves: dict, marked=("lock",)) -> NuCpn:
+    """A net over uncoloured places.  ``moves`` maps a transition name to
+    its input and output place names, one ``()`` token per name; a name
+    in upper case is observable.  ``marked`` holds one token each at the
+    start."""
+    places = {p for ins, outs in moves.values() for p in ins + outs} | set(marked)
+    return NuCpn(
+        name="units",
+        types={},
+        places={p: CpnPlace(p, ()) for p in sorted(places)},
+        transitions=tuple(
+            CpnTransition(
+                name,
+                inputs=tuple((p, ()) for p in ins),
+                outputs=tuple((p, ()) for p in outs),
+                emit=Emit(name, "commit", ()) if name.isupper() else None,
+            )
+            for name, (ins, outs) in moves.items()
+        ),
+        initial_marking=Marking.from_tokens([(p, ()) for p in marked]),
+    )
 
 
 @pytest.fixture(scope="session")

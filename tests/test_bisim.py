@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import sys
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,7 +30,7 @@ from dbnet.mutations import MUTATIONS, apply_mutation
 from dbnet.relational import ContractError, instance_lines
 from dbnet.translate import translate
 
-from conftest import BOUNDED1, RECYCLING
+from conftest import BOUNDED1, RECYCLING, unit_net
 
 OBS = ("obs", "T", (), "commit")
 OBS2 = ("obs", "T", (), "rollback")
@@ -310,10 +311,11 @@ def test_truncation_is_refused_before_flattening(shop, monkeypatch):
         "left LTS is truncated; the check needs the complete state space"
     )
     assert flattened == []
-    # The correct translation has 531 states, so no foreign state can end
-    # the exploration before the cap does.
+    # The source side has 29 states and the correct translation keeps 81
+    # (531 uncompressed), so no foreign state can end the exploration
+    # before the cap does.
     with pytest.raises(TruncatedError) as right_cut:
-        certify_translation(shop, policy=BOUNDED1, max_states=500)
+        certify_translation(shop, policy=BOUNDED1, max_states=60)
     assert str(right_cut.value) == (
         "right LTS is truncated; the check needs the complete state space"
     )
@@ -357,7 +359,8 @@ def hand_target(monkeypatch, graph, foreign=(), interior=()):
     markings = {n: marking(n) for n in names}
     named = {m: n for n, m in markings.items()}
 
-    def explore_hand(_net, _policy, *, max_states, max_depth, stop):
+    def explore_hand(_net, _policy, *, max_states, max_depth, stop, keep=None):
+        # the graph is explored as drawn: ``keep`` compresses no chain here
         step = lambda m: [(label, markings[d]) for label, d in graph.get(named[m], ())]
         return explore(markings[next(iter(graph))], step,
                        max_states=max_states, max_depth=max_depth, stop=stop)
@@ -428,6 +431,7 @@ def test_a_foreign_state_is_refused_along_a_legal_path(monkeypatch, caplog):
         "source-states": 1,
         "source-edges": 0,
         "translated-states": 6,
+        "translated-stable-states": 2,
         "translated-edges": 6,
     }
     assert [r.getMessage() for r in caplog.records] == [
@@ -505,9 +509,27 @@ def test_early_refusal_agrees_with_the_oracle_on_shop22(shop22, mutation):
     else:
         assert got.verdict == want
     if mutation == "swap-add-priorities":
-        # stopped at state 1,294, the first foreign stable state in
-        # breadth-first order
-        assert got.stats["translated-states"] == 1295
+        # stopped at kept state 155, the first foreign stable state in
+        # breadth-first order (state 1,294 of the uncompressed graph)
+        assert got.stats["translated-states"] == 156
+
+
+def test_a_silent_cycle_inside_a_gadget_is_a_divergence():
+    # every state on the cycle has one silent firing: the walk keeps the
+    # state where it closes the cycle, and the divergence stays visible
+    net = unit_net({
+        "enter": (["lock"], ["a"]),
+        "ab": (["a"], ["b"]),
+        "bc": (["b"], ["c"]),
+        "ca": (["c"], ["a"]),
+    })
+    classes = dict(lock="lock", a="intermediate", b="intermediate", c="intermediate")
+    target = SimpleNamespace(net=net, place_classes=classes, relation_places={},
+                             lock_place="lock")
+    res = certify_translation(build_empty(), policy=RECYCLING, translation=target)
+    assert res.verdict == NOT_BISIMILAR
+    assert res.witness == {"kind": "silent-divergence", "side": "right", "state": "facts{}|ctl{}"}
+    assert res.stats["translated-states"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +538,9 @@ def test_early_refusal_agrees_with_the_oracle_on_shop22(shop22, mutation):
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "certify_golden.json"  # the oracle's records
-REFUSAL_GOLDEN = DATA / "certify_refusal_golden.json"  # where early refusal differs
+# certify_translation's records where they differ from the oracle's: early
+# refusals, and the counts and traces of the compressed translated graph
+REFUSAL_GOLDEN = DATA / "certify_refusal_golden.json"
 GOLDEN_CAP = 3000  # states per side; a runaway mutant truncates
 GOLDEN_NETS = dict(CORPUS, **{"shop-1x2": lambda: build_shopping_cart(1, 2)})
 GOLDEN_CASES = [
@@ -529,14 +553,10 @@ def certify_record(case: str, certify=oracle_certify) -> dict:
     about one (net, mutation) case under ``bounded:1``, as JSON data.  The
     relation is pinned by its size and the sha256 of its rendered pairs,
     one line per pair."""
-    net_name, mutation = case.split("/")
-    model = GOLDEN_NETS[net_name]()
-    translation = translate(model)
-    if mutation != "none":
-        try:
-            translation = apply_mutation(translation, mutation)
-        except ContractError as exc:
-            return {"outcome": "not-applicable", "message": str(exc)}
+    try:
+        model, translation = golden_translation(case)
+    except ContractError as exc:
+        return {"outcome": "not-applicable", "message": str(exc)}
     try:
         res = certify(model, policy=BOUNDED1, max_states=GOLDEN_CAP, translation=translation)
     except TruncatedError as exc:
@@ -552,6 +572,17 @@ def certify_record(case: str, certify=oracle_certify) -> dict:
         record["relation_pairs"] = len(res.relation)
         record["relation_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return record
+
+
+def golden_translation(case: str):
+    """The model of one case and its translation, mutated as the case
+    says; raises ContractError if the mutation does not apply."""
+    net_name, mutation = case.split("/")
+    model = GOLDEN_NETS[net_name]()
+    translation = translate(model)
+    if mutation != "none":
+        translation = apply_mutation(translation, mutation)
+    return model, translation
 
 
 def canonical(record) -> str:
@@ -578,30 +609,98 @@ def test_certify_output_matches_the_golden_record(golden, case):
     assert canonical(certify_record(case)) == canonical(golden[case])
 
 
+def witness_kind(record):
+    return (record.get("witness") or {}).get("kind")
+
+
 def test_early_refusals_are_the_decided_foreign_states_and_every_runaway(
     golden, refusal_golden
 ):
-    was = {case: golden[case]["outcome"] for case in refusal_golden}
+    was = {
+        case: golden[case]["outcome"]
+        for case, record in refusal_golden.items()
+        if witness_kind(record) == "foreign-state"
+    }
     assert sum(o == NOT_BISIMILAR for o in was.values()) == 12
     truncated = sorted(case for case in GOLDEN_CASES if golden[case]["outcome"] == "truncated")
     assert sorted(case for case, o in was.items() if o == "truncated") == truncated
     assert len(truncated) == 5
     assert all(case.endswith("/swap-add-priorities") for case in truncated)
-    for record in refusal_golden.values():
-        assert record["outcome"] == NOT_BISIMILAR
-        assert record["witness"]["kind"] == "foreign-state"
+    for case in was:
+        assert refusal_golden[case]["outcome"] == NOT_BISIMILAR
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES)
 def test_certify_matches_the_oracle_unless_it_refuses_early(golden, refusal_golden, case):
+    # the pinned record is the oracle's unless certify_translation's differs
     got = canonical(certify_record(case, certify_translation))
     assert got == canonical(refusal_golden.get(case, golden[case]))
 
 
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_certify_gives_the_oracles_verdict(golden, refusal_golden, case, monkeypatch):
+    # certify_translation's record (pinned by the test above) against the
+    # oracle's verdict and relation, and against the witness kind that the
+    # same pipeline gives over the uncompressed translated graph, where
+    # early refusal already names a foreign state on 12 decided cases
+    got = refusal_golden.get(case, golden[case])
+    want = golden[case]
+    real = bisim.cpn_build_lts
+    monkeypatch.setattr(bisim, "cpn_build_lts", lambda *a, keep, **kw: real(*a, **kw))
+    uncompressed = certify_record(case, certify_translation)
+    assert witness_kind(got) == witness_kind(uncompressed)
+    if want["outcome"] == "truncated":  # the runaways: refused early
+        assert got["outcome"] == NOT_BISIMILAR
+        assert witness_kind(got) == "foreign-state"
+        return
+    assert got["outcome"] == want["outcome"] == uncompressed["outcome"]
+    for key in ("relation_pairs", "relation_sha256"):
+        assert got.get(key) == want.get(key)
+
+
+def checker_view(lts: Lts, translation) -> tuple:
+    """What the checker reads of a translated graph, by marking: each
+    stable marking's ``eps_targets`` and ``big_steps`` (label -> set of
+    stable markings), and whether a silent dead-end and a silent
+    divergence are found."""
+    names = {p: r for r, p in translation.relation_places.items()}
+    side = bisim._Side(flatten(lts, translation.place_classes, relation_names=names), "right")
+    marks = lambda targets: frozenset(lts.states[t] for t in targets)
+    moves = {
+        lts.states[s]: (
+            marks(side.eps_targets(s)),
+            {label: marks(ts) for label, ts in side.big_steps(s).items()},
+        )
+        for s, stable in enumerate(side.stable) if stable
+    }
+    return moves, side.silent_dead_end() is not None, side.silent_divergence() is not None
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_the_compressed_graph_keeps_what_the_checker_reads(golden, case):
+    if golden[case]["outcome"] == "not-applicable":
+        return
+    model, translation = golden_translation(case)
+    keep = partial(bisim._is_stable, translation.lock_place)
+    full = cpn_build_lts(translation.net, BOUNDED1, max_states=GOLDEN_CAP)
+    kept = cpn_build_lts(translation.net, BOUNDED1, max_states=GOLDEN_CAP, keep=keep)
+    if full.truncated:  # a runaway: the two partial graphs cover different ground
+        assert kept.truncated
+        return
+    assert not kept.truncated
+    assert kept.state_count <= full.state_count
+    view = checker_view(kept, translation)
+    assert view == checker_view(full, translation)
+    res = certify_translation(model, policy=BOUNDED1, max_states=GOLDEN_CAP,
+                              translation=translation)
+    if (res.witness or {}).get("kind") != "foreign-state":  # a refusal counts a partial graph
+        stable_markings = view[0]
+        assert res.stats["translated-stable-states"] == len(stable_markings)
+
 
 if __name__ == "__main__":
-    # Rewrite a golden file from the oracle, or the early refusals of
-    # certify_translation:
+    # Rewrite a golden file from the oracle, or certify_translation's
+    # records where they differ from it:
     #   PYTHONPATH=src:tests python tests/test_bisim.py --write
     #   PYTHONPATH=src:tests python tests/test_bisim.py --write-refusal
     if sys.argv[1:] == ["--write"]:
@@ -609,11 +708,11 @@ if __name__ == "__main__":
         DATA.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     elif sys.argv[1:] == ["--write-refusal"]:
+        oracle = json.loads(GOLDEN.read_text(encoding="utf-8"))
         records = {case: certify_record(case, certify_translation) for case in GOLDEN_CASES}
-        refusals = {
-            case: record for case, record in records.items()
-            if (record.get("witness") or {}).get("kind") == "foreign-state"
+        differing = {
+            case: record for case, record in records.items() if record != oracle[case]
         }
         REFUSAL_GOLDEN.write_text(
-            json.dumps(refusals, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(differing, indent=1, sort_keys=True) + "\n", encoding="utf-8"
         )

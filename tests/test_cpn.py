@@ -26,7 +26,7 @@ from dbnet.mutations import MUTATIONS, apply_mutation
 from dbnet.relational import ContractError, DataType, Variable, make_value
 from dbnet.translate import translate
 
-from conftest import BOUNDED1, RECYCLING
+from conftest import BOUNDED1, RECYCLING, unit_net
 
 INT = DataType("int", "int")
 STR = DataType("string", "string")
@@ -343,6 +343,86 @@ def test_priority_audit_on_a_translated_net(shop_translation, shop_cpn_lts):
             m2, label = cpn_fire(net, state, t, theta, BOUNDED1)
             succ.add((label, m2))
         assert outgoing.get(state, set()) == succ
+
+
+# ---------------------------------------------------------------------------
+# silent-chain compression
+
+
+def locked(marking):
+    return marking.total("lock") >= 1
+
+
+def edges_by_marking(lts):
+    st = lts.states
+    return {(st[s], label, st[d]) for s, label, d in lts.edges}
+
+
+def units(*places):
+    return Marking.from_tokens([(p, ()) for p in places])
+
+
+def test_a_silent_chain_folds_into_the_step_that_entered_it():
+    leave = ("obs", "LEAVE", (), "commit")
+    net = unit_net({
+        "enter": (["lock"], ["a"]),
+        "on": (["a"], ["b"]),
+        "LEAVE": (["b"], ["c"]),
+        "exit": (["c"], ["lock"]),
+    })
+    full = cpn_build_lts(net, RECYCLING)
+    assert full.state_count == 4
+    lts = cpn_build_lts(net, RECYCLING, keep=locked)
+    # a is walked through; b stays, as its one firing is observable
+    assert lts.states == [units("lock"), units("b")]
+    assert edges_by_marking(lts) == {
+        (units("lock"), EPS, units("b")),
+        (units("b"), leave, units("lock")),
+    }
+    assert not lts.truncated
+
+
+def test_a_walk_stops_at_a_branch_and_at_a_dead_end():
+    net = unit_net({
+        "enter": (["lock"], ["a"]),
+        "on": (["a"], ["b"]),
+        "left": (["b"], ["c"]),
+        "right": (["b"], ["d"]),
+        "stuck": (["d"], ["e"]),
+    })
+    lts = cpn_build_lts(net, RECYCLING, keep=locked)
+    assert set(lts.states) == {units("lock"), units("b"), units("c"), units("e")}
+    assert edges_by_marking(lts) == {
+        (units("lock"), EPS, units("b")),
+        (units("b"), EPS, units("c")),
+        (units("b"), EPS, units("e")),
+    }
+
+
+def test_a_silent_cycle_stays_a_cycle():
+    net = unit_net({
+        "enter": (["lock"], ["a"]),
+        "ab": (["a"], ["b"]),
+        "bc": (["b"], ["c"]),
+        "ca": (["c"], ["a"]),
+    })
+    lts = cpn_build_lts(net, RECYCLING, keep=locked)
+    assert lts.states == [units("lock"), units("a")]
+    assert edges_by_marking(lts) == {
+        (units("lock"), EPS, units("a")),
+        (units("a"), EPS, units("a")),
+    }
+
+
+@pytest.mark.parametrize("limit", [{"max_states": 100}, {"max_depth": 5}])
+def test_a_runaway_walk_is_cut_at_the_cap(limit):
+    # the only firing inside is a silent grow, so the bag on q never stops
+    # growing and no walk ends by itself
+    net = unit_net({"enter": (["lock"], ["p"]), "grow": (["p"], ["p", "q"])})
+    lts = cpn_build_lts(net, RECYCLING, keep=locked, **limit)
+    assert lts.truncated
+    assert lts.states == [units("lock")]
+    assert lts.edges == []
 
 
 # ---------------------------------------------------------------------------
