@@ -49,7 +49,8 @@ through the full check below; a refusal wins over a hit state cap.
 
 Silent-chain compression (``certify_translation``): the translated net
 is explored with ``cpn_build_lts``'s ``keep`` hook set to "the lock is
-home", so an interior state whose only enabled firing is silent is
+home", so an interior state whose enabled firings all have one silent
+effect (the same tokens removed and added: one successor, one edge) is
 walked through rather than kept (see :mod:`dbnet.cpn`).  The kept graph
 has every stable state of the full one, the same ``eps_targets`` and
 ``big_steps`` between them, and a silent dead-end or divergence exactly
@@ -159,7 +160,7 @@ def _flat_of_marking(m: Marking, classes: Mapping, relation_names: Mapping) -> F
 
 def _is_stable(lock: str, marking: Marking) -> bool:
     """A translated state is stable iff the lock place is marked."""
-    return marking.total(lock) >= 1
+    return lock in marking.marked()
 
 
 def flatten(

@@ -33,21 +33,29 @@ is replaced.
 (Mortensen, CPN Workshop 2001): a transition's bindings depend only on
 the tokens of its own input and read places.  For the length of one
 exploration it memoises, per transition and content of those places
-(``Marking.restrict``, which hashes no token), the transition's
-firings: the tokens each binding removes, the tokens it adds and its
-label, so that firing is a single ``Marking.update``.  A transition with
-fresh variables is never memoised, as its fresh values avoid every value
-in the marking.  The priority rule is applied after the memo.
+(``Marking.records``: the shared record of each place, so no marking is
+built), the transition's firings: the tokens each binding removes, the
+tokens it adds and its label, so that firing is a single
+``Marking.update``.  A transition with fresh variables is never
+memoised, as its fresh values avoid every value in the marking.  The
+priority rule is applied after the memo.
 
 Given a ``keep`` predicate, :func:`cpn_build_lts` also compresses silent
-chains: a marking that ``keep`` rejects and whose only priority-enabled
-firing is silent is walked through instead of becoming a state.  Such a
-step is inert (it cannot be avoided and observes nothing), so weak
-bisimilarity over the kept states is unchanged, as in the collapse of
-inert silent steps that branching-bisimulation minimisation relies on
-(Groote & Vaandrager, ICALP 1990).  The certifier keeps the stable
-markings, where the lock is home; most of a gadget's steps then vanish
-(shop 3x3 under ``bounded:2``: 4,545 of 22,683 states kept).
+chains: a marking that ``keep`` rejects and whose priority-enabled
+firings all have one silent effect (the same tokens removed and added)
+is walked through instead of becoming a state.  Such a step is inert (it
+cannot be avoided and observes nothing; bindings with one effect lead to
+one marking and make one edge), so weak bisimilarity over the kept
+states is unchanged, as in the collapse of inert silent steps that
+branching-bisimulation minimisation relies on (Groote & Vaandrager,
+ICALP 1990).  The certifier keeps the stable markings, where the lock is
+home; most of a gadget's steps then vanish (shop 3x3 under
+``bounded:2``: 4,449 states kept, where the full graph has 22,683).  A
+walk that stops at an interior marking has already scanned it, and
+hands those firings to the marking's expansion, so the scan is not
+repeated there; a later walk that reaches it stops without a scan
+(25,323 enabling scans on that net, 30,083 without the handover and
+the one-effect rule).
 """
 
 from __future__ import annotations
@@ -228,8 +236,8 @@ class _Entry:
     position: int  # in the net's transition order
     rank: int  # in the enabling order: highest priority level first, then position
     level: int  # its priority
-    later_inputs: tuple  # input places after the first, which the index keys on
-    local: frozenset  # input and read places: its bindings depend on their tokens only
+    later_inputs: frozenset  # input places after the first, which the index keys on
+    inputs_and_reads: tuple  # sorted places; its bindings depend on their tokens only
     fresh: tuple  # fresh Variables, sorted by name
     external: tuple  # external Variables, sorted by name
     problem: Optional[str]  # why _cpn_scope rejects it, raised on first use
@@ -247,8 +255,8 @@ def _analyse(t: CpnTransition, position: int, rank: int) -> _Entry:
         position=position,
         rank=rank,
         level=t.priority,
-        later_inputs=tuple(place for place, _ in t.inputs[1:]),
-        local=frozenset(place for place, _ in tuple(t.inputs) + tuple(t.reads)),
+        later_inputs=frozenset(place for place, _ in t.inputs[1:]),
+        inputs_and_reads=tuple(sorted({place for place, _ in tuple(t.inputs) + tuple(t.reads)})),
         fresh=tuple(fresh[n] for n in sorted(fresh)),
         external=tuple(external[n] for n in sorted(external)),
         problem=problem,
@@ -277,12 +285,15 @@ class _NetTable:
 
     def candidates(self, marking: Marking) -> list:
         """Entries whose input places all hold tokens, in enabling order.
+        Only the marked places that some transition starts at are visited.
         Each entry sits under exactly one first input place, so the order
-        the marked places are visited in does not matter."""
+        they are visited in does not matter."""
         found = list(self.no_inputs)
-        for place in marking.marked():
-            for entry in self.by_first_input.get(place, ()):
-                if all(marking.tokens(p) for p in entry.later_inputs):
+        by_first_input = self.by_first_input
+        marked = marking.marked()
+        for place in marked & by_first_input.keys():
+            for entry in by_first_input[place]:
+                if marked >= entry.later_inputs:
                     found.append(entry)
         found.sort(key=attrgetter("rank"))
         return found
@@ -305,10 +316,10 @@ def _transition_bindings(net: NuCpn, marking: Marking, entry: _Entry, policy: Fr
                            partial(_marking_values, marking), policy)
 
 
-def _prioritised(table: _NetTable, marking: Marking, bindings) -> list:
-    """``(transition, b)`` for every ``b`` in ``bindings(entry)`` that the
-    priority rule allows: those of the highest priority level that has
-    any, in enabling order."""
+def _prioritised(table: _NetTable, marking: Marking, pairs) -> list:
+    """The ``(transition, b)`` pairs in ``pairs(entry)`` over the candidate
+    entries that the priority rule allows: those of the highest priority
+    level that has any, in enabling order."""
     out: list = []
     level = None
     for entry in table.candidates(marking):
@@ -318,8 +329,7 @@ def _prioritised(table: _NetTable, marking: Marking, bindings) -> list:
             if out:
                 break
             level = entry.level
-        t = entry.transition
-        out.extend((t, b) for b in bindings(entry))
+        out.extend(pairs(entry))
     return out
 
 
@@ -329,8 +339,12 @@ def cpn_enabled(net: NuCpn, marking: Marking, policy: Optional[FreshPolicy] = No
     has any.  Lower levels are filtered globally, per the reference
     semantics of prioritized coloured nets."""
     policy = policy or net.default_policy
-    return _prioritised(_transition_table(net), marking,
-                        partial(_transition_bindings, net, marking, policy=policy))
+
+    def pairs(entry: _Entry) -> list:
+        t = entry.transition
+        return [(t, b) for b in _transition_bindings(net, marking, entry, policy)]
+
+    return _prioritised(_transition_table(net), marking, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +431,23 @@ def cpn_build_lts(
     ``stop`` is handed to :func:`dbnet.lts.explore`.
 
     Given ``keep``, silent chains are compressed: each successor that
-    ``keep`` rejects is walked on while the current marking has exactly
-    one priority-enabled firing and that firing is silent.  The walk
-    stops at a marking ``keep`` accepts, at a branch (two or more
-    firings), at a single observable firing, at a dead end, or at a
-    marking already met in this walk (so a silent cycle stays a cycle);
-    the compressed edge carries the first step's label and lands where
-    the walk stopped.  The markings walked through are not states of the
-    graph, so ``max_states`` and ``max_depth`` count the states kept.  A
-    walk through more markings than either limit is cut: its edge is
-    dropped and the graph is marked truncated, as the full graph would
-    have been."""
+    ``keep`` rejects is walked on while the current marking's
+    priority-enabled firings all have one effect, ``(removals,
+    additions, label)``, and that effect is silent; several bindings
+    with one effect are one step.  The walk stops at a marking ``keep``
+    accepts, at a branch (two or more effects), at an observable
+    effect, at a dead end, or at a marking already met in this walk (so
+    a silent cycle stays a cycle); the compressed edge carries the first
+    step's label and lands where the walk stopped.  A walk that stops at
+    a branch, an observable or a dead end has scanned that marking, and
+    keeps the firings it found until the marking is expanded, which then
+    uses them instead of scanning again: at most one list per marking
+    where a walk stopped, dropped at its expansion.  A later walk that
+    reaches such a marking stops there without a scan.  The markings walked
+    through are not states of the graph, so ``max_states`` and
+    ``max_depth`` count the states kept.  A walk through more markings
+    than either limit is cut: its edge is dropped and the graph is
+    marked truncated, as the full graph would have been."""
     policy = policy or net.default_policy
     if not policy.finite_branching:
         raise ContractError(
@@ -436,19 +456,21 @@ def cpn_build_lts(
         )
 
     table = _transition_table(net)
-    # (entry rank, tokens on the entry's own places) -> its firings, for
-    # this exploration only
+    # (entry rank, records of the entry's own places) -> its
+    # (transition, firing) pairs, for this exploration only
     memo: dict = {}
 
     def firings(marking: Marking, entry: _Entry):
         key = None
         if not entry.fresh:  # fresh values avoid every value in the marking
-            key = (entry.rank, marking.restrict(entry.local))
+            key = (entry.rank, marking.records(entry.inputs_and_reads))
             found = memo.get(key)
             if found is not None:
                 return found
         t = entry.transition
-        found = [_firing(t, theta) for theta in _transition_bindings(net, marking, entry, policy)]
+        found = [
+            (t, _firing(t, theta)) for theta in _transition_bindings(net, marking, entry, policy)
+        ]
         if key is not None:
             memo[key] = found
         return found
@@ -469,30 +491,40 @@ def cpn_build_lts(
     limits = [n for n in (max_states, max_depth) if n is not None]
     limit = min(limits) if limits else None
     cut = False
+    # interior marking where a walk stopped -> its prioritised firings,
+    # until explore expands it, and None after that: a later walk stops
+    # there again without a scan, and keeps nothing alive
+    handed: dict = {}
 
     def walk(start: Marking, marking: Marking) -> Optional[Marking]:
         """Where the silent chain into ``marking`` from ``start`` stops;
         None if it passes more than ``limit`` markings."""
         nonlocal cut
         met = {start}
-        while not keep(marking) and marking not in met:
+        while not keep(marking) and marking not in met and marking not in handed:
             here = enabled(marking)
-            if len(here) != 1:  # a dead end or a branch
-                break
-            removals, additions, label = here[0][1]
-            if label != EPS:
+            effect = here[0][1] if here else None
+            if (effect is None or effect[2] != EPS
+                    or len(here) > 1 and any(f != effect for _, f in here)):
+                # a dead end, an observable or a branch: its expansion reuses `here`
+                handed[marking] = here
                 break
             if limit is not None and len(met) > limit:
                 cut = True
                 return None
             met.add(marking)
-            marking = marking.update(removals, additions)
+            marking = marking.update(effect[0], effect[1])
         return marking
 
     def compressed_step(marking: Marking):
+        here = handed.get(marking)
+        if here is None:
+            here = enabled(marking)
+        else:
+            handed[marking] = None
         out = []
-        for label, succ in step(marking):
-            end = walk(marking, succ)
+        for _, (removals, additions, label) in here:
+            end = walk(marking, marking.update(removals, additions))
             if end is not None:
                 out.append((label, end))
         return out

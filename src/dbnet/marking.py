@@ -36,7 +36,10 @@ and re-hashes each touched place once; ``minus`` and ``plus`` are its two
 halves, and firing a transition is a single ``update``.  ``restrict``
 gives the marking of some places only, built from the shared per-place
 records, so it is a cheap hashable key for "the tokens on these places"
-(the coloured-net layer memoises each transition's firings on it).
+(``flatten`` renders each translated projection once on it).
+``records`` is the same key as a plain tuple of those shared records,
+with no marking built; the coloured-net layer memoises each
+transition's firings on it.
 """
 
 from __future__ import annotations
@@ -170,6 +173,14 @@ class Marking:
         out._places = kept
         out._hash = _sum_hash(kept.values())
         return out
+
+    def records(self, places: tuple) -> tuple:
+        """The shared record of each of ``places`` (a tuple of place names,
+        in a fixed order), None where a place is unmarked.  Two markings
+        give equal tuples exactly when their ``restrict(places)`` are
+        equal, so it keys "the tokens on these places" without building a
+        marking."""
+        return tuple(map(self._places.get, places))
 
     # -- updates (return new Marking) -------------------------------------
     def update(self, removals: Iterable[Tuple[str, tuple]],

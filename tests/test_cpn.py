@@ -414,6 +414,85 @@ def test_a_silent_cycle_stays_a_cycle():
     }
 
 
+def test_bindings_with_one_effect_are_one_step_of_a_chain():
+    # ``on`` reads either token on r and moves a's token to b: two
+    # bindings with one effect, so a is walked through, not a branch
+    def unit(name, ins, outs, emit=None):
+        return CpnTransition(name, inputs=tuple((p, ()) for p in ins),
+                             outputs=tuple((p, ()) for p in outs), emit=emit)
+
+    def with_r(*places):
+        return Marking.from_tokens([(p, ()) for p in places] + [("r", (iv(1),)), ("r", (iv(2),))])
+
+    leave = Emit("LEAVE", "commit", ())
+    net = NuCpn(
+        name="one-effect",
+        types={"int": INT},
+        places=dict({p: CpnPlace(p, ()) for p in ("lock", "a", "b", "c")},
+                    r=CpnPlace("r", ("int",))),
+        transitions=(
+            unit("enter", ["lock"], ["a"]),
+            CpnTransition("on", inputs=(("a", ()),), reads=(("r", (x(),)),), outputs=(("b", ()),)),
+            unit("LEAVE", ["b"], ["c"], emit=leave),
+            unit("exit", ["c"], ["lock"]),
+        ),
+        initial_marking=with_r("lock"),
+    )
+    at_a = cpn_enabled(net, with_r("a"), RECYCLING)
+    assert len(at_a) == 2
+    assert {cpn_fire(net, with_r("a"), t, theta, RECYCLING) for t, theta in at_a} == {
+        (with_r("b"), EPS)
+    }
+    lts = cpn_build_lts(net, RECYCLING, keep=locked)
+    assert lts.states == [with_r("lock"), with_r("b")]
+    assert edges_by_marking(lts) == {
+        (with_r("lock"), EPS, with_r("b")),
+        (with_r("b"), ("obs", "LEAVE", (), "commit"), with_r("lock")),
+    }
+    assert not lts.truncated
+
+
+def test_a_walks_stop_is_not_scanned_again_when_it_is_expanded(monkeypatch):
+    # A walk that stops at an interior branch hands the firings it found
+    # to that state's expansion.  Re-walks of converging chains may still
+    # scan a marking twice, so only the expansion itself is checked.
+    translation = translate(build_shopping_cart(1, 2))
+    lock = translation.lock_place
+
+    def keep(marking):
+        return lock in marking.marked()
+
+    events = []
+    real_scan, real_explore = cpn._prioritised, cpn.explore
+
+    def scan(table, marking, pairs):
+        events.append(("scan", marking))
+        return real_scan(table, marking, pairs)
+
+    def explore(initial, step_fn, **kw):
+        def step(state):
+            events.append(("expand", state))
+            return step_fn(state)
+        return real_explore(initial, step, **kw)
+
+    monkeypatch.setattr(cpn, "_prioritised", scan)
+    monkeypatch.setattr(cpn, "explore", explore)
+    lts = cpn_build_lts(translation.net, BOUNDED1, keep=keep)
+    monkeypatch.undo()
+    assert not lts.truncated
+
+    scanned, expanding, checked = set(), None, 0
+    for kind, marking in events:
+        if kind == "expand":
+            # a kept interior state that some walk has stopped at
+            expanding = marking if marking in scanned and not keep(marking) else None
+            checked += expanding is not None
+        else:
+            assert marking != expanding
+            scanned.add(marking)
+    assert checked > 0
+
+
 @pytest.mark.parametrize("limit", [{"max_states": 100}, {"max_depth": 5}])
 def test_a_runaway_walk_is_cut_at_the_cap(limit):
     # the only firing inside is a silent grow, so the bag on q never stops

@@ -298,6 +298,19 @@ def test_restrict_shares_the_kept_places(start, steps, keep):
     assert m.restrict(keep | set(m.places_marked())) is m
 
 
+@given(starts, updates, updates, st.lists(st.sampled_from(PLACES + ["absent"]), unique=True))
+def test_records_are_equal_iff_the_restricted_markings_are(start, left, right, places):
+    base = Marking.from_tokens(start)
+    a, b = walk(base, left), walk(base, right)
+    rebuilt = Marking({place: dict(b.tokens(place)) for place in b.places_marked()})
+    places = tuple(sorted(places))
+    for x, y in ((a, b), (b, a), (a, rebuilt), (b, rebuilt), (base, a)):
+        same = x.records(places) == y.records(places)
+        assert same == (x.restrict(places) == y.restrict(places))
+        if same:
+            assert hash(x.records(places)) == hash(y.records(places))
+
+
 # ---------------------------------------------------------------------------
 # hash quality: a marking's hash sums per-place hashes, and a sum of raw
 # tuple hashes collides on these state spaces (token hashes come from the
