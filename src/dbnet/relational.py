@@ -344,28 +344,41 @@ class Schema:
 class Instance:
     """A finite, well-typed set of facts per relation (set semantics).
 
-    Instances are immutable; update operations return new objects.  Facts
-    are kept behind a canonical sorted key so equal instances hash equal.
+    Instances are immutable; update operations return new objects.
+    ``facts`` maps every relation of the schema to a frozenset of rows.
+    :meth:`with_changes` rebuilds only the relations an update touches,
+    and the new instance shares every other relation's frozenset, the
+    very same object, with its parent.  Equality compares the fact dicts,
+    where shared frozensets match by identity; the hash combines the
+    per-relation frozenset hashes, which CPython computes once per
+    frozenset and caches.  No sorted form is kept: ``instance_lines``
+    sorts when an instance is printed.
+
+    ``_consistent`` records whether the instance is known to satisfy every
+    constraint of its schema: None until :func:`apply_action` first takes
+    it as input and checks it in full, True after a commit produced it.
     """
 
-    __slots__ = ("schema", "facts", "_key", "_hash", "_adom", "_answers")
+    __slots__ = ("schema", "facts", "_hash", "_adom", "_answers", "_consistent")
 
     def __init__(self, schema: Schema, facts: Optional[Mapping[str, Iterable[tuple]]] = None):
-        self.schema = schema
-        frozen = {name: frozenset() for name in schema.relations}
+        frozen = {name: _NO_ROWS for name in schema.relations}
         if facts:
             for rel, rows in facts.items():
                 if rel not in frozen:
                     raise ValidationError(f"facts for unknown relation {rel!r}")
                 frozen[rel] = frozenset(tuple(r) for r in rows)
-        self.facts = frozen
-        self._key = tuple(
-            (rel, tuple(sorted(self.facts[rel], key=_fact_sort_key)))
-            for rel in sorted(self.facts)
-        )
-        self._hash = hash(self._key)
+        self._set_up(schema, frozen)
+
+    def _set_up(self, schema: Schema, facts: dict):
+        self.schema = schema
+        self.facts = facts
+        # relation order may differ between equal instances, so the
+        # (relation, rows) pairs are combined as a set
+        self._hash = hash(frozenset(facts.items()))
         self._adom = None
         self._answers = {}  # query -> answer set, memoised by queries.eval_ucq
+        self._consistent = None  # see apply_action
 
     def typecheck(self) -> list:
         problems = []
@@ -380,11 +393,10 @@ class Instance:
                         problems.append(f"{rel}: column {i + 1} value {v!r} has wrong type")
         return problems
 
-    def key(self):
-        return self._key
-
     def __eq__(self, other):
-        return isinstance(other, Instance) and self._key == other._key
+        return self is other or (
+            isinstance(other, Instance) and self._hash == other._hash and self.facts == other.facts
+        )
 
     def __hash__(self):
         return self._hash
@@ -396,18 +408,29 @@ class Instance:
         return row in self.facts.get(rel, frozenset())
 
     def with_changes(self, dels, adds) -> "Instance":
-        """New instance with ``dels`` removed first, then ``adds`` inserted."""
-        staged = {rel: set(rows) for rel, rows in self.facts.items()}
-        for rel, row in dels:
-            staged[rel].discard(row)
-        for rel, row in adds:
-            staged[rel].add(row)
-        return Instance(self.schema, staged)
+        """New instance with ``dels`` removed first, then ``adds`` inserted.
+        Only the relations named in ``dels`` or ``adds`` are rebuilt."""
+        staged: dict = {}
+        for edit, changes in ((set.discard, dels), (set.add, adds)):
+            for rel, row in changes:
+                rows = staged.get(rel)
+                if rows is None:
+                    rows = staged[rel] = set(self.facts[rel])
+                edit(rows, row)
+        facts = dict(self.facts)
+        for rel, rows in staged.items():
+            facts[rel] = frozenset(rows)
+        out = Instance.__new__(Instance)
+        out._set_up(self.schema, facts)
+        return out
 
     def all_values(self):
         for rows in self.facts.values():
             for row in rows:
                 yield from row
+
+
+_NO_ROWS = frozenset()
 
 
 def _fact_sort_key(row: tuple):
@@ -440,7 +463,11 @@ def active_domain(instance: Instance, dtype: Union[DataType, str]) -> set:
 
 
 def check_constraint(instance: Instance, c: Constraint) -> bool:
-    """Decide one constraint on one instance (recomputed from scratch)."""
+    """Decide one constraint on one instance, from scratch: it reads every
+    fact of the relations ``c`` names and no memo.  Raises
+    ``ValidationError`` if ``c`` is ill-formed for the schema.
+    :func:`apply_action` calls it only on the constraints an update can
+    break."""
     problems = instance.schema._validate_constraint(c)
     if problems:
         raise ValidationError("; ".join(problems))
@@ -531,10 +558,51 @@ class Action:
 def apply_action(instance: Instance, action: Action, theta: Binding):
     """Transactional application: candidate = (I minus dels) plus adds,
     deletions first; commit only if every schema constraint holds on the
-    candidate, otherwise return the input instance unchanged."""
+    candidate, otherwise return the input instance unchanged.
+
+    The candidate is checked by the delta rule of incremental integrity
+    checking (Nicolas, Acta Informatica 1982) when the input is known to
+    satisfy every constraint: only a key or domain constraint whose
+    relation the action adds to, and a reference whose source it adds to
+    or whose target it deletes from, is checked.  Sound, since keys and
+    domains hold on every subset of a relation that satisfies them, and a
+    reference holds while its source gains nothing and its target loses
+    nothing; so every skipped constraint still holds on the candidate.
+    The input learns that it is consistent by one full check, the first
+    time it is used, or by being committed; an input that fails the full
+    check has the candidate checked in full, so the outcome is exact on
+    every instance."""
     dels, adds = action.instantiate(theta)
     candidate = instance.with_changes(dels, adds)
-    for c in instance.schema.constraints:
+    constraints = instance.schema.constraints
+    if _consistent(instance):
+        added = {rel for rel, _ in adds}
+        deleted = {rel for rel, _ in dels}
+        constraints = [c for c in constraints if _can_break(c, added, deleted)]
+    for c in constraints:
         if not check_constraint(candidate, c):
             return instance, ROLLED_BACK
+    candidate._consistent = True
     return candidate, COMMITTED
+
+
+def _consistent(instance: Instance) -> bool:
+    """Whether ``instance`` satisfies every constraint, decided once.  An
+    ill-formed constraint counts as not known to hold, so that the full
+    check of the candidate raises exactly where it always did."""
+    if instance._consistent is None:
+        try:
+            instance._consistent = all(
+                check_constraint(instance, c) for c in instance.schema.constraints
+            )
+        except ValidationError:
+            instance._consistent = False
+    return instance._consistent
+
+
+def _can_break(c: Constraint, added: set, deleted: set) -> bool:
+    """Whether an update that adds facts to the relations ``added`` and
+    deletes from ``deleted`` can make ``c`` fail on a consistent instance."""
+    if isinstance(c, ForeignKey):
+        return c.source in added or c.target in deleted
+    return c.relation in added

@@ -1,12 +1,17 @@
 """The database-coupled net layer: enabling, firing, exploration."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 import dbnet.model
+import dbnet.relational
 from dbnet.corpus import build_shopping_cart
 from dbnet.dsl import parse_model
 from dbnet.fo import Atom, Compare
 from dbnet.freshness import FreshPolicy
+from dbnet.lts import lts_text
 from dbnet.marking import Marking
 from dbnet.model import (
     ControlPlace,
@@ -38,6 +43,7 @@ from dbnet.relational import (
 from conftest import BOUNDED1, RECYCLING
 
 INT = DataType("int", "int")
+CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def iv(n):
@@ -326,21 +332,118 @@ def test_empty_net_single_state(empty_net):
     assert lts.edge_count == 0
 
 
+def rendered(lts):
+    """The rendered states and edges of a graph from ``build_lts``."""
+    st = lts.states
+    states = {render_snapshot(snap) for snap in st}
+    edges = {(render_snapshot(st[s]), l, render_snapshot(st[d])) for s, l, d in lts.edges}
+    return states, edges
+
+
 def test_shop_state_space_matches_naive_explorer(shop, shop_lts):
     states, edges = naive_explore(shop, BOUNDED1)
     assert shop_lts.state_count == len(states)
     assert shop_lts.edge_count == len(edges)
-    st = shop_lts.states
-    got = {(render_snapshot(st[s]), l, render_snapshot(st[d])) for s, l, d in shop_lts.edges}
-    assert got == edges
+    assert rendered(shop_lts) == (set(states), edges)
 
 
-def test_explorers_agree_on_every_small_net(touch, guarded, domviol, fk_net, selfref):
-    for net in (touch, guarded, domviol, fk_net, selfref):
-        lts = build_lts(net, BOUNDED1)
-        states, edges = naive_explore(net, BOUNDED1)
-        assert lts.state_count == len(states), net.name
-        assert lts.edge_count == len(edges), net.name
+def corpus_nets():
+    nets = {path.stem: parse_model(path.read_text(encoding="utf-8")).model
+            for path in sorted(CORPUS_DIR.glob("*.dbn"))}
+    assert len(nets) == 7
+    nets["shop-2x2"] = build_shopping_cart(2, 2)
+    return nets
+
+
+# A cap far above every graph explored below, so that a wrong successor
+# function that makes a graph run away fails the test quickly.
+CAP = 5_000
+
+
+def test_explorers_agree_on_every_small_net():
+    # naive_explore binds and fires through the public enabled_bindings
+    # and fire at every state, so it never sees build_lts's memo
+    for name, net in corpus_nets().items():
+        for policy in (RECYCLING, BOUNDED1):
+            lts = build_lts(net, policy, max_states=CAP)
+            states, edges = naive_explore(net, policy)
+            where = (name, policy.describe())
+            assert not lts.truncated, where
+            assert lts.state_count == len(states), where
+            assert lts.edge_count == len(edges), where
+            assert rendered(lts) == (set(states), edges), where
+
+
+@pytest.mark.parametrize("size, policy, states, edges, digest", [
+    ((3, 3), "bounded:2", 1213, 2238,
+     "e9332051a37fa17d1250a2cf51456db8cea8d7909e1aab0821a3d08d5ab82048"),
+    ((2, 2), "recycling", 149, 272,
+     "166563a355451c3ff0eaa34c6f9169493b1d31986c8235258fc8913bee65f698"),
+], ids=["shop3x3-bounded2", "shop2x2-recycling"])
+def test_source_graph_text_is_pinned(size, policy, states, edges, digest):
+    model = build_shopping_cart(*size)
+    lts = build_lts(model, FreshPolicy.parse(policy), max_states=CAP)
+    text = lts_text(lts, render_snapshot, header=model.name)
+    assert (lts.state_count, lts.edge_count) == (states, edges)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records the positional
+    arguments of each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+MINT = """dbnet "mint";
+type int = int;
+relation R(a: int);
+constraint domain R.a in {1, 2};
+action ins(n: int) { add R(n); }
+place p(int);
+transition Mint {
+  in p(x);
+  act ins(~n);
+  out p(x);
+  rollback p(x);
+}
+init {
+  token p(0);
+}
+policy {
+  fresh recycling;
+}
+"""
+
+
+def test_fresh_transition_is_bound_at_every_state(monkeypatch):
+    # Every state holds the same token on Mint's only place, and Mint has
+    # no view, but its fresh value must avoid the growing relation R.
+    model = parse_model(MINT).model
+    binds = counting(monkeypatch, dbnet.model, "bind_transition")
+    lts = build_lts(model, RECYCLING, max_states=CAP)
+    assert [args[2].name for args in binds] == ["Mint"] * lts.state_count
+    assert lts.state_count == 3  # R empty, {1}, {1, 2}; a third add rolls back
+    states, edges = naive_explore(model, RECYCLING)
+    assert rendered(lts) == (set(states), edges)
+
+
+def test_source_exploration_binds_and_checks_little(monkeypatch):
+    # 10,917 bind_transition and 6,660 check_constraint calls without the
+    # memo and the delta rule
+    binds = counting(monkeypatch, dbnet.model, "bind_transition")
+    checks = counting(monkeypatch, dbnet.relational, "check_constraint")
+    lts = build_lts(build_shopping_cart(3, 3), FreshPolicy.parse("bounded:2"), max_states=CAP)
+    assert lts.state_count == 1213 and not lts.truncated
+    assert len(binds) <= 1357
+    assert len(checks) <= 1255
 
 
 def test_unbounded_exploration_is_refused(shop):

@@ -406,3 +406,104 @@ def test_thousand_random_instances_agree_with_fo_reading():
             assert check_constraint(i, c) == eval_fo_oracle(i, constraint_to_fo(SCHEMA, c))
             checked += 1
     assert checked == 3000
+
+
+# ---------------------------------------------------------------------------
+# transactions: the delta rule against a full check of the candidate
+
+# R(int) keyed; S(int, int) keyed on its first column, whose first column
+# lies in {0, 1, 2} and whose second column references R; T(int) is
+# unconstrained.
+TX_SCHEMA = Schema(
+    relations={
+        "R": RelationSchema("R", ("int",)),
+        "S": RelationSchema("S", ("int", "int")),
+        "T": RelationSchema("T", ("int",)),
+    },
+    constraints=(
+        PK_R,
+        PrimaryKey("S", (0,)),
+        FK,
+        DomainConstraint("S", 0, (iv(0), iv(1), iv(2))),
+    ),
+)
+
+small = st.integers(0, 3)
+tx_facts = st.one_of(
+    st.tuples(st.just("R"), st.tuples(small)),
+    st.tuples(st.just("S"), st.tuples(small, small)),
+    st.tuples(st.just("T"), st.tuples(small)),
+)
+tx_update = st.tuples(st.lists(tx_facts, max_size=3), st.lists(tx_facts, max_size=3))
+
+
+def tx_row(row):
+    return tuple(iv(n) for n in row)
+
+
+def tx_action(dels, adds) -> Action:
+    """A parameterless action deleting, then adding, the given facts."""
+    return Action(
+        "tx",
+        params=(),
+        dels=tuple((rel, tx_row(row)) for rel, row in dels),
+        adds=tuple((rel, tx_row(row)) for rel, row in adds),
+    )
+
+
+def reference_apply(instance, action):
+    """Transactional application with every constraint checked from
+    scratch on a candidate built afresh."""
+    dels, adds = action.instantiate({})
+    staged = {rel: set(rows) for rel, rows in instance.facts.items()}
+    for rel, row in dels:
+        staged[rel].discard(row)
+    for rel, row in adds:
+        staged[rel].add(row)
+    candidate = Instance(instance.schema, staged)
+    if all(check_constraint(candidate, c) for c in instance.schema.constraints):
+        return candidate, COMMITTED
+    return instance, ROLLED_BACK
+
+
+@settings(max_examples=300)
+@given(st.lists(tx_facts, max_size=6), st.lists(tx_update, min_size=1, max_size=4))
+def test_apply_action_agrees_with_a_full_check(facts, updates):
+    # Random instances are consistent or not; a chain of updates also
+    # feeds committed results, known to be consistent, back in.
+    staged = {}
+    for rel, row in facts:
+        staged.setdefault(rel, []).append(tx_row(row))
+    instance = Instance(TX_SCHEMA, staged)
+    for dels, adds in updates:
+        action = tx_action(dels, adds)
+        want, want_status = reference_apply(instance, action)
+        got, status = apply_action(instance, action, {})
+        assert status == want_status
+        assert got == want and hash(got) == hash(want)
+        assert instance_lines(got) == instance_lines(want)
+        instance = got
+
+
+def test_inconsistent_input_rolls_back_an_unconstrained_update():
+    dangling = Instance(TX_SCHEMA, {"S": [tx_row((1, 3))]})  # R(3) is missing
+    out, outcome = apply_action(dangling, tx_action([], [("T", (0,))]), {})
+    assert outcome == ROLLED_BACK
+    assert out == dangling
+
+
+def test_commits_share_untouched_relations():
+    start = Instance(TX_SCHEMA, {"R": [tx_row((1,))], "T": [tx_row((0,))]})
+    out, outcome = apply_action(start, tx_action([], [("S", (0, 1))]), {})
+    assert outcome == COMMITTED
+    assert out.facts["R"] is start.facts["R"] and out.facts["T"] is start.facts["T"]
+    assert out.facts["S"] == {tx_row((0, 1))}
+
+
+def test_apply_action_raises_on_an_ill_formed_constraint():
+    bad = Schema(relations=SCHEMA.relations, constraints=(PK_R, PrimaryKey("Nope", (0,))))
+    start = Instance(bad, {"R": [(iv(1),)]})
+    add_r = Action("addr", params=(), adds=(("R", (iv(2),)),))
+    for _ in range(2):  # on first use, and again once the input was checked
+        with pytest.raises(ValidationError):
+            apply_action(start, add_r, {})
