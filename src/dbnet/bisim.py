@@ -253,7 +253,13 @@ class _Side:
         return None
 
     def silent_divergence(self):
-        """A state on a silent cycle that never passes a stable state."""
+        """A state on a silent cycle that never passes a stable state.
+
+        Kahn's peel removes the interior states that no interior cycle
+        leads into; each state left over has a silent predecessor that
+        is left over too.  Walking back along those from the lowest
+        numbered leftover state must repeat a state, and that state lies
+        on a cycle of interior states."""
         stable, eps_succ = self.stable, self.eps_succ
         interior = [s for s, st in enumerate(stable) if not st]
         indeg = [0] * len(stable)
@@ -273,10 +279,17 @@ class _Side:
                         queue.append(d)
         if seen == len(interior):
             return None
-        for s in interior:
-            if indeg[s] > 0:
-                return s
-        return None
+        left = [s for s in interior if indeg[s] > 0]
+        back = {s: [] for s in left}
+        for s in left:
+            for d in eps_succ[s]:
+                if indeg[d] > 0:
+                    back[d].append(s)
+        s, met = left[0], set()
+        while s not in met:
+            met.add(s)
+            s = min(back[s])
+        return s
 
     # -- weak steps --------------------------------------------------------
 
@@ -373,11 +386,11 @@ class _Side:
         return frozen
 
 
-def _path_to(lts: Lts, target: int, stable=None) -> list:
-    """Labels of a shortest path from state 0 to state ``target``.  Given
-    ``stable`` (state -> stability flag), only paths that pass at most one
-    observable between consecutive stable states count, that is chains of
-    the checker's weak moves (``eps_targets`` and ``big_steps``)."""
+def _path_to(lts: Lts, target: int, stable) -> list:
+    """Labels of a shortest path from state 0 to state ``target`` among
+    the paths that pass at most one observable between consecutive stable
+    states (``stable`` is state -> stability flag), that is chains of the
+    checker's weak moves (``eps_targets`` and ``big_steps``)."""
     out = [[] for _ in lts.states]
     for src, label, dst in lts.edges:
         out[src].append((label, dst))
@@ -391,13 +404,11 @@ def _path_to(lts: Lts, target: int, stable=None) -> list:
             goal = node
             break
         for label, d in out[s]:
-            c = 0
-            if stable is not None:
-                c = count + (label != EPS)
-                if c > 1:
-                    continue
-                if stable[d]:
-                    c = 0
+            c = count + (label != EPS)
+            if c > 1:
+                continue
+            if stable[d]:
+                c = 0
             if (d, c) not in parent:
                 parent[(d, c)] = (node, label)
                 queue.append((d, c))
@@ -432,7 +443,7 @@ def _state_failure(kind: str, what: str, tag: str, flat: str, steps: list) -> We
 
 
 def _silent_failure(kind: str, what: str, side: _Side, s: int) -> WeakBisimResult:
-    return _state_failure(kind, what, side.tag, side.flat[s], _path_to(side.lts, s))
+    return _state_failure(kind, what, side.tag, side.flat[s], _path_to(side.lts, s, side.stable))
 
 
 def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
@@ -500,17 +511,17 @@ def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
             t2 = b2.get(label, frozenset())
             for x in sorted(t1):
                 if not any(f1[x] == f2[y] and (x, y) in rel for y in t2):
-                    return ("left", format_label(label), x)
+                    return ("left", label, x)
             for y in sorted(t2):
                 if not any(f1[x] == f2[y] and (x, y) in rel for x in t1):
-                    return ("right", format_label(label), y)
+                    return ("right", label, y)
         t1, t2 = s1.eps_targets(p), s2.eps_targets(q)
         for x in sorted(t1):
             if not any(f1[x] == f2[y] and (x, y) in rel for y in t2):
-                return ("left", "eps", x)
+                return ("left", EPS, x)
         for y in sorted(t2):
             if not any(f1[x] == f2[y] and (x, y) in rel for x in t1):
-                return ("right", "eps", y)
+                return ("right", EPS, y)
         return None
 
     removed: dict = {}
@@ -539,7 +550,7 @@ def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
         _order, side, label, target = removed[pair]
         trace.extend(prefix)
         trace.append(f"pair: left={s1.flat[pair[0]]} right={s2.flat[pair[1]]}")
-        trace.append(f"  {side} side moves [{label}] but no answer survives")
+        trace.append(f"  {side} side moves [{format_label(label)}] but no answer survives")
         if side == "left":
             tflat = s1.flat[target]
             answers = _answers_for(pair, label, target, s1, s2, left=True)
@@ -558,23 +569,20 @@ def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
     witness = {
         "kind": "unmatched-move",
         "side": removed[init][1],
-        "label": removed[init][2],
+        "label": format_label(removed[init][2]),
         "left": s1.flat[init[0]],
         "right": s2.flat[init[1]],
     }
     return WeakBisimResult(NOT_BISIMILAR, witness=witness, trace=tuple(trace))
 
 
-def _answers_for(pair, label_text, target, s1: _Side, s2: _Side, *, left: bool):
+def _answers_for(pair, label, target, s1: _Side, s2: _Side, *, left: bool):
     """All content-compatible candidate pairs answering one weak move."""
     p, q = pair
-    if label_text == "eps":
+    if label == EPS:
         pool = s2.eps_targets(q) if left else s1.eps_targets(p)
     else:
-        big = s2.big_steps(q) if left else s1.big_steps(p)
-        pool = frozenset().union(
-            *[ts for lab, ts in big.items() if format_label(lab) == label_text]
-        ) if big else frozenset()
+        pool = (s2.big_steps(q) if left else s1.big_steps(p)).get(label, frozenset())
     if left:
         return [(target, y) for y in pool if s1.flat[target] == s2.flat[y]]
     return [(x, target) for x in pool if s1.flat[x] == s2.flat[target]]

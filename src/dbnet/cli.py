@@ -35,7 +35,7 @@ from pathlib import Path
 
 from .bisim import TruncatedError, certify_translation
 from .corpus import COLUMN_NAMES, TEMPLATES
-from .cpn import NuCpn, P_NORMAL, cpn_enabled, cpn_fire, cpn_build_lts, cpn_validate
+from .cpn import NuCpn, P_NORMAL, _PRIORITY_NAMES, cpn_enabled, cpn_fire, cpn_build_lts, cpn_validate
 from .dsl import ModelFile, parse_model, print_model
 from .freshness import FreshPolicy
 from .lts import format_label, lts_text
@@ -57,7 +57,6 @@ __all__ = ["run_command", "main"]
 log = logging.getLogger("dbnet")
 
 _TEMPLATE_RE = re.compile(r"^#\s*template:\s*([\w.-]+)\s*$", re.MULTILINE)
-_PRIORITY_TAGS = {0: "low", 1: "normal", 2: "high"}
 
 
 def _setup_logging():
@@ -165,7 +164,7 @@ def _net_dot(mf: ModelFile) -> str:
             style = ", style=dashed" if cls == "relation" else ""
             lines.append(f"  {_dot_quote(p)} [shape=ellipse{style}];")
         for t in model.transitions:
-            extra = "" if t.priority == P_NORMAL else f"\\n[{_PRIORITY_TAGS[t.priority]}]"
+            extra = "" if t.priority == P_NORMAL else f"\\n[{_PRIORITY_NAMES[t.priority]}]"
             peri = ", peripheries=2" if t.emit is not None else ""
             lines.append(f'  {_dot_quote(t.name)} [shape=box, label="{t.name}{extra}"{peri}];')
         for t in model.transitions:

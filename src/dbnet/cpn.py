@@ -70,7 +70,7 @@ from .freshness import FreshPolicy
 from .lts import EPS, Lts, explore
 from .marking import Marking
 from .model import _marking_values, _walk_guard_vars, bind_transition, eval_guard
-from .relational import ContractError, Value, Variable, render_value
+from .relational import ContractError, Value, Variable, ground, render_value
 
 __all__ = [
     "P_LOW",
@@ -351,16 +351,12 @@ def cpn_enabled(net: NuCpn, marking: Marking, policy: Optional[FreshPolicy] = No
 # Firing
 
 
-def _instantiate(terms, theta: Mapping[str, Value]):
-    return tuple(theta[x.name] if isinstance(x, Variable) else x for x in terms)
-
-
 def _firing(t: CpnTransition, theta: Mapping[str, Value]) -> tuple:
     """The firing of one binding as ``(removals, additions, label)``: what
     ``Marking.update`` takes away and adds, and the silent ``EPS`` or the
     transition's observable emission."""
-    removals = tuple((place, _instantiate(terms, theta)) for place, terms in t.inputs)
-    additions = tuple((place, _instantiate(terms, theta)) for place, terms in t.outputs)
+    removals = tuple((place, ground(terms, theta)) for place, terms in t.inputs)
+    additions = tuple((place, ground(terms, theta)) for place, terms in t.outputs)
     label = EPS
     if t.emit is not None:
         pairs = tuple((n, render_value(theta[n])) for n in t.emit.var_names)
@@ -370,11 +366,11 @@ def _firing(t: CpnTransition, theta: Mapping[str, Value]) -> tuple:
 
 def _locally_enabled(net: NuCpn, marking: Marking, entry: _Entry, theta) -> bool:
     t = entry.transition
-    demands = [(place, _instantiate(terms, theta)) for place, terms in t.inputs]
+    demands = [(place, ground(terms, theta)) for place, terms in t.inputs]
     if not marking.covers(demands):
         return False
     for place, terms in t.reads:
-        if marking.count(place, _instantiate(terms, theta)) < 1:
+        if marking.count(place, ground(terms, theta)) < 1:
             return False
     if entry.problem is not None:
         raise ContractError(entry.problem)
@@ -430,8 +426,8 @@ def cpn_build_lts(
     unbounded freshness for the same reason the source layer does.
     ``stop`` is handed to :func:`dbnet.lts.explore`.
 
-    Given ``keep``, silent chains are compressed: each successor that
-    ``keep`` rejects is walked on while the current marking's
+    Silent chains are compressed: each successor that ``keep`` rejects
+    is walked on while the current marking's
     priority-enabled firings all have one effect, ``(removals,
     additions, label)``, and that effect is silent; several bindings
     with one effect are one step.  The walk stops at a marking ``keep``
@@ -447,7 +443,9 @@ def cpn_build_lts(
     through are not states of the graph, so ``max_states`` and
     ``max_depth`` count the states kept.  A walk through more markings
     than either limit is cut: its edge is dropped and the graph is
-    marked truncated, as the full graph would have been."""
+    marked truncated, as the full graph would have been.  Without
+    ``keep`` every marking is kept, so each walk stops at once and the
+    graph is the plain reachability graph."""
     policy = policy or net.default_policy
     if not policy.finite_branching:
         raise ContractError(
@@ -478,16 +476,8 @@ def cpn_build_lts(
     def enabled(marking: Marking) -> list:
         return _prioritised(table, marking, partial(firings, marking))
 
-    def step(marking: Marking):
-        return [
-            (label, marking.update(removals, additions))
-            for _, (removals, additions, label) in enabled(marking)
-        ]
-
     if keep is None:
-        return explore(net.initial_marking, step, max_states=max_states, max_depth=max_depth,
-                       stop=stop)
-
+        keep = lambda marking: True
     limits = [n for n in (max_states, max_depth) if n is not None]
     limit = min(limits) if limits else None
     cut = False

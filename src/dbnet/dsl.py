@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Optional
 
-from .cpn import CpnPlace, CpnTransition, Emit, NuCpn, P_HIGH, P_LOW, P_NORMAL
+from .cpn import CpnPlace, CpnTransition, Emit, NuCpn, P_NORMAL, _PRIORITY_NAMES
 from .fo import And, Atom, Compare, Formula, Not, Or, Truth, TRUE
 from .freshness import FreshPolicy
 from .marking import Marking
@@ -40,14 +40,14 @@ from .relational import (
     ValidationError,
     Value,
     Variable,
+    _fact_sort_key,
     make_value,
 )
 
 __all__ = ["DslError", "ModelFile", "parse_model", "print_model"]
 
 _KINDS = ("int", "real", "string")
-_PRIORITY_WORDS = {"low": P_LOW, "normal": P_NORMAL, "high": P_HIGH}
-_PRIORITY_NAMES = {v: k for k, v in _PRIORITY_WORDS.items()}
+_PRIORITY_WORDS = {name: level for level, name in _PRIORITY_NAMES.items()}
 _COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
@@ -872,10 +872,6 @@ def _fmt_formula(f: Formula, prec: int = 0) -> str:
     raise ValidationError(f"guard construct {type(f).__name__} has no textual form")
 
 
-def _fact_key(row: tuple):
-    return tuple(v.sort_key() for v in row)
-
-
 class _Printer:
     def __init__(self):
         self.lines: list = []
@@ -987,7 +983,7 @@ def _print_dbnet(net: DbNet, column_names: dict) -> str:
     p.blank()
     p.line("init {")
     for rel in net.initial_instance.facts:
-        for row in sorted(net.initial_instance.facts[rel], key=_fact_key):
+        for row in sorted(net.initial_instance.facts[rel], key=_fact_sort_key):
             p.line(f"  fact {rel}({_terms(row)});")
     mk = net.initial_marking
     for place in mk.places_marked():

@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Optional
 from .fo import And, Compare, Formula, Not, Or, Truth, TRUE, _compare
 from .freshness import FreshPolicy
 from .marking import Marking
-from .queries import eval_ucq, validate_view_query
+from .queries import eval_ucq, join, validate_view_query
 from .relational import (
     COMMITTED,
     ContractError,
@@ -45,6 +45,7 @@ from .relational import (
     active_domain,
     apply_action,
     check_constraint,
+    ground,
     instance_lines,
     render_value,
 )
@@ -115,8 +116,6 @@ class DbNet:
     initial_marking: Marking
     samples: dict = field(default_factory=dict)  # type name -> tuple of Value
     default_policy: FreshPolicy = field(default_factory=FreshPolicy)
-    # transition name -> (transition, its scope), filled by ``_scope``.
-    _scopes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def initial_snapshot(self) -> Snapshot:
         return Snapshot(self.initial_instance, self.initial_marking)
@@ -216,17 +215,6 @@ def analyze_transition(t: Transition) -> TransitionScope:
         external_vars=pick(external),
         order=order,
     )
-
-
-def _scope(model: DbNet, t: Transition) -> TransitionScope:
-    """``analyze_transition(t)``, computed once per net: the entry for a
-    name is used only while it belongs to this very transition object."""
-    hit = model._scopes.get(t.name)
-    if hit is not None and hit[0] is t:
-        return hit[1]
-    scope = analyze_transition(t)
-    model._scopes[t.name] = (t, scope)
-    return scope
 
 
 def eval_guard(guard: Formula, theta: Mapping[str, Value]) -> bool:
@@ -424,67 +412,32 @@ def _check_inscription(model: DbNet, who: str, place: str, terms, require_vars: 
 # Enabled bindings and firing
 
 
-def _extend(terms, row, theta: dict) -> Optional[dict]:
-    """``theta`` extended so that the arc inscription ``terms`` matches
-    ``row``, or None on a clash.  Inscriptions may mix variables with
-    constants; ``theta`` itself comes back when the row binds nothing new."""
-    out = theta
-    for term, value in zip(terms, row):
-        if isinstance(term, Variable):
-            bound = out.get(term.name)
-            if bound is None:
-                if out is theta:
-                    out = dict(theta)
-                out[term.name] = value
-            elif bound != value:
-                return None
-        elif term != value:
-            return None
-    return out
-
-
 def bind_transition(net, marking: Marking, t, reads: tuple, rows: Callable, external_vars: tuple,
                     fresh_vars: tuple, used: Callable, policy: FreshPolicy) -> list:
-    """The enabled bindings of one transition, in a fixed order: the join,
-    extend and filter procedure that both net layers bind with.
+    """The enabled bindings of one transition, in a fixed order: the
+    procedure that both net layers bind with.
 
-    ``t.inputs`` join against the tokens of ``marking``, which must cover
-    them as a multiset.  Each read-like arc ``(place, terms)`` of
-    ``reads`` then joins against ``rows(place)``, ``(row, multiplicity)``
-    pairs as ``Marking.tokens`` gives them; ``rows`` is asked once per
-    arc, and only when the join reaches that arc non-empty.  ``external_vars`` range over the
-    sorted samples of their type; ``fresh_vars`` (sorted by name) branch
-    over ``policy.candidates``, avoiding ``used(type name)`` and the
-    earlier picks of the same firing.  The guard filters last.
+    ``t.inputs`` are joined (:func:`dbnet.queries.join`) against the
+    tokens of ``marking``; with two or more inputs, only the bindings
+    whose grounded inputs ``marking`` covers as a multiset are kept.  The
+    read-like arcs ``reads`` are then joined against ``rows(place)``.
+    ``external_vars`` range over the sorted samples of their type;
+    ``fresh_vars`` (sorted by name) branch over ``policy.candidates``,
+    avoiding ``used(type name)`` and the earlier picks of the same
+    firing.  The guard filters last.
 
     No binding comes out twice: distinct token and row choices give
     distinct bindings, and a sample value listed twice is taken once.
     """
-    partials = [({}, [])]  # (theta, the tokens it consumes)
-    for place, terms in t.inputs:
-        grown = []
-        for theta, taken in partials:
-            for token, _count in marking.tokens(place):
-                theta2 = _extend(terms, token, theta)
-                if theta2 is not None:
-                    grown.append((theta2, taken + [(place, token)]))
-        partials = grown
-        if not partials:
-            return []
-    # A single token drawn from the marking is always there.
-    thetas = [theta for theta, taken in partials if len(taken) < 2 or marking.covers(taken)]
-
-    for place, terms in reads:
-        arc_rows = rows(place)
-        grown = []
-        for theta in thetas:
-            for row, _count in arc_rows:
-                theta2 = _extend(terms, row, theta)
-                if theta2 is not None:
-                    grown.append(theta2)
-        thetas = grown
-        if not thetas:
-            return []
+    thetas = join([{}], t.inputs, marking.tokens)
+    if len(t.inputs) > 1:  # a single token drawn from the marking is always there
+        thetas = [
+            theta for theta in thetas
+            if marking.covers([(place, ground(terms, theta)) for place, terms in t.inputs])
+        ]
+    thetas = join(thetas, reads, rows)
+    if not thetas:
+        return thetas
 
     for var in external_vars:
         values = list(dict.fromkeys(sorted(net.samples.get(var.dtype, ()), key=Value.sort_key)))
@@ -518,16 +471,16 @@ def enabled_bindings(model: DbNet, snap: Snapshot, policy: Optional[FreshPolicy]
     policy = policy or model.default_policy
     out = []
     for t in model.transitions:
-        for theta in transition_bindings(model, snap, t, policy):
+        for theta in transition_bindings(model, snap, t, analyze_transition(t), policy):
             out.append((t, theta))
     return out
 
 
-def transition_bindings(model: DbNet, snap: Snapshot, t: Transition, policy: FreshPolicy) -> list:
-    """The bindings of ``t`` in ``snap``.  A view arc reads the answers of
-    its query, in sorted order; a fresh value avoids the active domain as
-    well as the marking."""
-    scope = _scope(model, t)
+def transition_bindings(model: DbNet, snap: Snapshot, t: Transition, scope: TransitionScope,
+                        policy: FreshPolicy) -> list:
+    """The bindings of ``t``, whose scope is ``scope``, in ``snap``.  A
+    view arc reads the answers of its query, in sorted order; a fresh
+    value avoids the active domain as well as the marking."""
 
     def view_rows(place: str) -> list:
         answers = eval_ucq(snap.instance, model.queries[model.view_places[place].query])
@@ -542,19 +495,17 @@ def fire(model: DbNet, snap: Snapshot, t: Transition, theta: Mapping[str, Value]
     """One atomic firing.  Returns ``(successor, outcome)`` where outcome
     is ``"commit"`` or ``"rollback"``.  Raises ``ContractError`` if the
     binding is not enabled in ``snap``."""
-    scope = _scope(model, t)
+    scope = analyze_transition(t)
     missing = [v.name for v in scope.order if v.name not in theta]
     if missing:
         raise ContractError(f"transition {t.name}: binding misses {missing}")
 
-    demands = [
-        (place, tuple(theta[v.name] for v in vars_)) for place, vars_ in t.inputs
-    ]
+    demands = [(place, ground(vars_, theta)) for place, vars_ in t.inputs]
     if not snap.marking.covers(demands):
         raise ContractError(f"transition {t.name}: input tokens not available")
     for place, vars_ in t.views:
         query = model.queries[model.view_places[place].query]
-        row = tuple(theta[v.name] for v in vars_)
+        row = ground(vars_, theta)
         if row not in eval_ucq(snap.instance, query):
             raise ContractError(f"transition {t.name}: view {place} does not contain {row}")
     for var in scope.external_vars:
@@ -581,23 +532,15 @@ def _firing(model: DbNet, t: Transition, scope: TransitionScope, theta: Mapping[
     ``(additions, label)`` of each outcome (``rollback`` is None without
     an action)."""
     def emit(arcs, outcome):
-        additions = tuple(
-            (place, tuple(theta[x.name] if isinstance(x, Variable) else x for x in terms))
-            for place, terms in arcs
-        )
+        additions = tuple((place, ground(terms, theta)) for place, terms in arcs)
         return additions, binding_label(t.name, scope, theta, outcome)
 
-    removals = tuple(
-        (place, tuple(theta[v.name] for v in vars_)) for place, vars_ in t.inputs
-    )
+    removals = tuple((place, ground(vars_, theta)) for place, vars_ in t.inputs)
     if t.action is None:
         return removals, None, None, emit(t.outputs, "commit"), None
     aname, args = t.action
     action = model.actions[aname]
-    call = {
-        p.name: (theta[a.name] if isinstance(a, Variable) else a)
-        for p, a in zip(action.params, args)
-    }
+    call = dict(zip((p.name for p in action.params), ground(args, theta)))
     return removals, action, call, emit(t.outputs, "commit"), emit(t.rollbacks, "rollback")
 
 
@@ -656,7 +599,7 @@ def build_lts(
     for position, t in enumerate(model.transitions):
         inputs = tuple(place for place, _ in t.inputs)
         queries = tuple(model.queries[model.view_places[place].query] for place, _ in t.views)
-        table.append((position, t, _scope(model, t), inputs, frozenset(inputs), queries))
+        table.append((position, t, analyze_transition(t), inputs, frozenset(inputs), queries))
     # (position, input place records, view answers) -> the transition's
     # firings, for this exploration only
     memo: dict = {}
@@ -670,7 +613,7 @@ def build_lts(
             if found is not None:
                 return found
         found = [_firing(model, t, scope, theta)
-                 for theta in transition_bindings(model, snap, t, policy)]
+                 for theta in transition_bindings(model, snap, t, scope, policy)]
         if key is not None:
             memo[key] = found
         return found

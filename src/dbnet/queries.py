@@ -6,8 +6,11 @@ The data-logic layer exposes the database through queries of the shape
                | ...                                      (more disjuncts)
 
 where each filter ``fi`` compares a variable against a variable or
-constant.  ``eval_ucq`` is the production evaluator (backtracking join
-with most-bound-first atom selection); ``ucq_to_fo`` reduces a query to a
+constant.  ``eval_ucq`` is the production evaluator: it joins each
+disjunct's atoms one at a time with :func:`join`, the procedure that
+also binds the transitions of both net layers (a view arc of the
+translated net is exactly such an atom, read from a relation place), and
+filters the complete bindings.  ``ucq_to_fo`` reduces a query to a
 first-order formula so ``fo.eval_fo_oracle`` can serve as an independent
 reference implementation.
 """
@@ -15,15 +18,16 @@ reference implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, Optional
 
-from .fo import And, Compare, Exists, Formula, Or, _compare
-from .relational import ContractError, Instance, Schema, Variable
+from .fo import And, Exists, Formula, Or, _compare
+from .relational import ContractError, Instance, Schema, Variable, ground
 
 __all__ = [
     "Conjunct",
     "UcqQuery",
     "eval_ucq",
+    "join",
     "ucq_to_fo",
     "validate_view_query",
 ]
@@ -149,60 +153,62 @@ def ucq_to_fo(query: UcqQuery) -> Formula:
 # sets, as it does its active domain; the memo dies with the instance.
 
 
+def _extend(terms, row, theta: dict) -> Optional[dict]:
+    """``theta`` extended so that the inscription ``terms`` matches
+    ``row``, or None on a clash.  Inscriptions may mix variables with
+    constants; ``theta`` itself comes back when the row binds nothing new."""
+    out = theta
+    for term, value in zip(terms, row):
+        if isinstance(term, Variable):
+            bound = out.get(term.name)
+            if bound is None:
+                if out is theta:
+                    out = dict(theta)
+                out[term.name] = value
+            elif bound != value:
+                return None
+        elif term != value:
+            return None
+    return out
+
+
+def join(thetas: list, arcs, rows: Callable) -> list:
+    """Every extension of a binding in ``thetas`` that matches each arc
+    ``(name, terms)`` of ``arcs``, in order, against a row of
+    ``rows(name)``: ``(row, multiplicity)`` pairs, as ``Marking.tokens``
+    gives them.  ``rows`` is asked once per arc, and only while some
+    binding is left.  Distinct row choices give distinct bindings."""
+    for name, terms in arcs:
+        if not thetas:
+            break
+        arc_rows = rows(name)
+        thetas = [
+            theta2 for theta in thetas for row, _count in arc_rows
+            if (theta2 := _extend(terms, row, theta)) is not None
+        ]
+    return thetas
+
+
 def eval_ucq(instance: Instance, query: UcqQuery) -> frozenset:
-    """All answer tuples of ``query`` on ``instance`` (set semantics)."""
+    """All answer tuples of ``query`` on ``instance`` (set semantics).
+    Each disjunct joins its atoms in the order written, keeps the
+    bindings its filters accept and contributes their head projection."""
     answers = instance._answers.get(query)
     if answers is None:
+        facts = instance.facts
+
+        def rows(relation: str) -> list:
+            return [(row, 1) for row in facts.get(relation, ())]
+
         found = set()
         for conj in query.disjuncts:
-            _eval_conjunct(instance, query.head, conj, found)
+            arcs = [(atom.relation, atom.terms) for atom in conj.atoms]
+            for theta in join([{}], arcs, rows):
+                try:
+                    if all(_compare(f.op, *ground((f.left, f.right), theta))
+                           for f in conj.filters):
+                        found.add(ground(query.head, theta))
+                except KeyError as e:
+                    raise ContractError(f"unsafe query: variable {e} unbound") from None
         answers = instance._answers[query] = frozenset(found)
     return answers
-
-
-def _eval_conjunct(instance: Instance, head, conj: Conjunct, answers: set):
-    def holds(f: Compare, theta: dict) -> bool:
-        left = theta[f.left.name] if isinstance(f.left, Variable) else f.left
-        right = theta[f.right.name] if isinstance(f.right, Variable) else f.right
-        return _compare(f.op, left, right)
-
-    def fully_bound(f: Compare, theta: dict) -> bool:
-        return all(
-            not isinstance(t, Variable) or t.name in theta for t in (f.left, f.right)
-        )
-
-    def extend(theta: dict, remaining: list):
-        # Prune with every filter that is fully bound so far; re-checking a
-        # filter on a later call is harmless and keeps the bookkeeping flat.
-        if any(fully_bound(f, theta) and not holds(f, theta) for f in conj.filters):
-            return
-        if not remaining:
-            try:
-                answers.add(tuple(theta[v.name] for v in head))
-            except KeyError as e:
-                raise ContractError(f"unsafe query: head variable {e} unbound") from None
-            return
-        # Most-bound-first: join the atom with the fewest unbound positions.
-        def boundness(a):
-            return sum(1 for t in a.terms if not isinstance(t, Variable) or t.name in theta)
-
-        atom = max(remaining, key=boundness)
-        rest = [a for a in remaining if a is not atom]
-        for row in instance.facts.get(atom.relation, ()):
-            theta2 = dict(theta)
-            ok = True
-            for t, v in zip(atom.terms, row):
-                if isinstance(t, Variable):
-                    bound = theta2.get(t.name)
-                    if bound is None:
-                        theta2[t.name] = v
-                    elif bound != v:
-                        ok = False
-                        break
-                elif t != v:
-                    ok = False
-                    break
-            if ok:
-                extend(theta2, rest)
-
-    extend({}, list(conj.atoms))

@@ -31,6 +31,7 @@ __all__ = [
     "ContractError",
     "ValidationError",
     "canon_decimal",
+    "ground",
     "make_value",
     "null_value",
     "render_value",
@@ -180,6 +181,11 @@ Term = Union[Value, Variable]
 # Bindings map variable *names* to Values; every consumer validates types
 # against the Variable objects in scope.
 Binding = Mapping[str, Value]
+
+
+def ground(terms, theta: Mapping) -> tuple:
+    """The terms with each variable replaced by its entry in ``theta``."""
+    return tuple(theta[t.name] if isinstance(t, Variable) else t for t in terms)
 
 
 def make_value(dtype: DataType, payload) -> Value:
@@ -547,11 +553,8 @@ class Action:
                 raise ContractError(
                     f"action {self.name}: parameter {p.name} expects {p.dtype}, got {v.dtype}"
                 )
-        ground = lambda terms: tuple(
-            theta[t.name] if isinstance(t, Variable) else t for t in terms
-        )
-        dels = [(rel, ground(terms)) for rel, terms in self.dels]
-        adds = [(rel, ground(terms)) for rel, terms in self.adds]
+        dels = [(rel, ground(terms, theta)) for rel, terms in self.dels]
+        adds = [(rel, ground(terms, theta)) for rel, terms in self.adds]
         return dels, adds
 
 

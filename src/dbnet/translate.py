@@ -45,6 +45,7 @@ from .relational import (
     Value,
     ValidationError,
     Variable,
+    ground,
 )
 
 __all__ = [
@@ -388,13 +389,10 @@ def _build_gadget(
             _plain(a) if isinstance(a, Variable) else a for a in t.action[1]
         )
         param_map = {p.name: a for p, a in zip(action.params, args)}
-        ground = lambda terms: tuple(
-            param_map[x.name] if isinstance(x, Variable) else x for x in terms
-        )
         for i, (rel, terms) in enumerate(action.dels, start=1):
-            components.append(("del", i, rel, ground(terms)))
+            components.append(("del", i, rel, ground(terms, param_map)))
         for i, (rel, terms) in enumerate(action.adds, start=1):
-            components.append(("add", i, rel, ground(terms)))
+            components.append(("add", i, rel, ground(terms, param_map)))
 
     update_components = []
     if components:

@@ -1,13 +1,16 @@
-"""No module of the package imports a name it never uses, and no
-function imports anything.
+"""No module of the package imports a name it never uses, no function
+imports anything, and no private helper is left unused.
 
 No linter ships with the project, so this reads each module's syntax
 tree: a name bound by a module-level ``import`` or ``from ... import``
 must be read somewhere in that module or be listed in its ``__all__``,
-and every import sits at module level.
+every import sits at module level, and every private module-level
+function or class is referenced somewhere in the package outside its
+own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -76,3 +79,46 @@ def test_the_check_finds_a_function_local_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_function_local_imports(path):
     assert function_local_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _mentions(tree) -> Counter:
+    """How often each name is mentioned in ``tree``: as a name, an
+    attribute or an imported name."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name] += 1
+    return found
+
+
+def unreferenced_private_definitions(sources: dict) -> list:
+    """``(module, name)`` of every module-level ``def _name`` or ``class
+    _name`` in ``sources`` (module -> source text) that no code of any
+    module mentions outside the definition itself."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((_mentions(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and everywhere[node.name] == _mentions(node)[node.name]):
+                unused.append((module, node.name))
+    return sorted(unused)
+
+
+def test_the_check_finds_an_unreferenced_private_definition():
+    sources = {
+        "a": "def _used(): return 1\ndef _loop(): return _loop()\nclass _Gone: pass\n",
+        "b": "from a import _used\n_used()\n",
+    }
+    assert unreferenced_private_definitions(sources) == [("a", "_Gone"), ("a", "_loop")]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unreferenced_private_definitions(sources) == []

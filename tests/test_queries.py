@@ -2,19 +2,25 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import gen
 from dbnet.fo import Atom, Compare, Exists, Forall, Or, Truth, Variable, eval_fo_oracle
-from dbnet.queries import Conjunct, UcqQuery, eval_ucq, ucq_to_fo, validate_view_query
+from dbnet.marking import Marking
+from dbnet.model import eval_guard
+from dbnet.queries import Conjunct, UcqQuery, eval_ucq, join, ucq_to_fo, validate_view_query
 from dbnet.relational import (
+    ContractError,
     DataType,
     Instance,
     RelationSchema,
     Schema,
+    ground,
     make_value,
     null_value,
 )
+from dbnet.translate import _compile_conjunct
 
 INT = DataType("int", "int")
 STR = DataType("string", "string")
@@ -219,6 +225,40 @@ def test_thousand_random_queries_agree_with_oracle():
         q = gen.random_query(rng, f"Q{i}")
         assert validate_view_query(gen.TYPES, gen.GEN_SCHEMA, q) == []
         assert eval_ucq(inst, q) == gen.answers_by_oracle(inst, q), q
+
+
+def test_compiled_view_disjuncts_agree_with_eval_ucq_and_oracle():
+    # The translation realises each disjunct of a view as read arcs on the
+    # relation places plus a guard.  Grounded over a marking of those
+    # places, the compiled disjuncts must answer what the query answers.
+    # The arc variables reuse the query's own names in another order, so
+    # an existential left unrenamed would clash with one of them.
+    rng = random.Random(2914)
+    places = {rel: f"rel.{rel}" for rel in gen.GEN_SCHEMA.relations}
+    for i in range(1000):
+        inst = gen.random_instance(rng)
+        q = gen.random_query(rng, f"Q{i}")
+        marking = Marking.from_tokens(
+            (places[rel], row) for rel, rows in inst.facts.items() for row in rows
+        )
+        arc = tuple(Variable(f"x{len(q.head) - 1 - k}", h.dtype) for k, h in enumerate(q.head))
+        found = set()
+        for j, conj in enumerate(q.disjuncts, start=1):
+            reads, guard = _compile_conjunct("T", 1, j, q, conj, arc, places)
+            for theta in join([{}], reads, marking.tokens):
+                if eval_guard(guard, theta):
+                    found.add(ground(arc, theta))
+        assert found == eval_ucq(inst, q) == gen.answers_by_oracle(inst, q), q
+
+
+def test_unbound_variables_make_a_query_unsafe():
+    x, y = Variable("x", "int"), Variable("y", "int")
+    inst = Instance(gen.GEN_SCHEMA, {"A": [(iv(1),)]})
+    unbound_head = UcqQuery("H", (y,), (Conjunct((Atom("A", (x,)),)),))
+    unbound_filter = UcqQuery("F", (x,), (Conjunct((Atom("A", (x,)),), (Compare("!=", y, iv(0)),)),))
+    for q in (unbound_head, unbound_filter):
+        with pytest.raises(ContractError, match="unsafe query"):
+            eval_ucq(inst, q)
 
 
 @settings(max_examples=60, deadline=None)
