@@ -56,7 +56,6 @@ from .translate import TranslationOutput, translate
 from .bisim import (
     BISIMILAR,
     NOT_BISIMILAR,
-    FlatState,
     WeakBisimResult,
     certify_translation,
     check_weak_bisim,
@@ -81,7 +80,6 @@ __all__ = [
     "DomainConstraint",
     "DslError",
     "Emit",
-    "FlatState",
     "ForeignKey",
     "FreshPolicy",
     "Instance",

@@ -1,11 +1,13 @@
 """Flattened weak-bisimulation checking between the two net layers.
 
 The comparison works on *flattened* labelled transition systems: every
-state carries a :class:`FlatState` (database facts plus tokens on the
-original control places, nothing else) and a stability flag.  For the
-source layer every snapshot is stable and the projection is the identity;
-for the translated layer a state is stable exactly when the lock token is
-at home, and the gadget-interior states in between are silent.
+state carries its flat contents and a stability flag.  The flat contents
+are one string rendered by ``_flat``: the database facts (relation places
+on the translated side) and the tokens on the original control places,
+nothing else.  For the source layer every snapshot is stable and the
+projection is the identity; for the translated layer a state is stable
+exactly when the lock token is at home, and the gadget-interior states in
+between are silent.
 
 ``check_weak_bisim`` decides weak bisimilarity over the stable states,
 with two silent-run side conditions that make the notion sensitive to
@@ -80,13 +82,12 @@ from .lts import EPS, Lts, format_label
 from .marking import Marking
 from .model import DbNet, Snapshot, build_lts
 from .freshness import FreshPolicy
-from .relational import ContractError, instance_lines, render_fact, render_value
+from .relational import ContractError, render_fact
 from .translate import TranslationOutput, translate
 
 __all__ = [
     "BISIMILAR",
     "NOT_BISIMILAR",
-    "FlatState",
     "WeakBisimResult",
     "TruncatedError",
     "flatten",
@@ -97,19 +98,6 @@ __all__ = [
 
 BISIMILAR = "bisimilar"
 NOT_BISIMILAR = "not-bisimilar"
-
-
-@dataclass(frozen=True)
-class FlatState:
-    """What two states must agree on to be comparable: the facts (as a
-    multiset, so duplicated relation tokens are visible) and the tokens on
-    the original control places.  Both parts are canonically sorted."""
-
-    facts: tuple
-    control: tuple
-
-    def render(self) -> str:
-        return "facts{" + ";".join(self.facts) + "}|ctl{" + ";".join(self.control) + "}"
 
 
 class TruncatedError(ContractError):
@@ -129,33 +117,42 @@ class WeakBisimResult:
         return self.verdict == BISIMILAR
 
 
-def _token_lines(place: str, token, count: int) -> list:
-    text = f"{place}({','.join(render_value(v) for v in token)})"
-    return [text] * count
+def _flat(facts, control) -> str:
+    """The flat contents of a state: what two states must agree on to be
+    comparable.  ``facts`` and ``control`` hold ``(name, tuple, count)``
+    triples, a relation's fact or a control place's token with its
+    multiplicity (so duplicated relation tokens are visible); each part
+    is rendered line by line and sorted."""
+    parts = []
+    for triples in (facts, control):
+        lines = []
+        for name, row, n in triples:
+            lines += [render_fact(name, row)] * n
+        lines.sort()
+        parts.append(";".join(lines))
+    return "facts{" + parts[0] + "}|ctl{" + parts[1] + "}"
 
 
-def _flat_of_snapshot(snap: Snapshot) -> FlatState:
-    control = []
-    for place in snap.marking.places_marked():
-        for token, n in snap.marking.tokens(place):
-            control.extend(_token_lines(place, token, n))
-    return FlatState(tuple(instance_lines(snap.instance)), tuple(sorted(control)))
+def _flat_of_snapshot(snap: Snapshot) -> str:
+    m = snap.marking
+    return _flat(
+        ((rel, row, 1) for rel, rows in snap.instance.facts.items() for row in rows),
+        ((place, token, n) for place in m.places_marked() for token, n in m.tokens(place)),
+    )
 
 
-def _flat_of_marking(m: Marking, classes: Mapping, relation_names: Mapping) -> FlatState:
+def _flat_of_marking(m: Marking, classes: Mapping, relation_names: Mapping) -> str:
     facts = []
     control = []
     for place in m.places_marked():
         cls = classes.get(place)
         if cls == "relation":
             rel = relation_names[place]
-            for token, n in m.tokens(place):
-                facts.extend([render_fact(rel, token)] * n)
+            facts.extend((rel, token, n) for token, n in m.tokens(place))
         elif cls == "original-control":
-            for token, n in m.tokens(place):
-                control.extend(_token_lines(place, token, n))
+            control.extend((place, token, n) for token, n in m.tokens(place))
         # lock and gadget-interior places are not part of the flat view
-    return FlatState(tuple(sorted(facts)), tuple(sorted(control)))
+    return _flat(facts, control)
 
 
 def _is_stable(lock: str, marking: Marking) -> bool:
@@ -169,7 +166,8 @@ def flatten(
     *,
     relation_names: Optional[Mapping] = None,
 ) -> Lts:
-    """Annotate every state with its flat projection and stability flag.
+    """Annotate every state with its flat contents (``"flat"``, the
+    string ``_flat`` renders) and stability flag (``"stable"``).
 
     For a source-layer LTS (``classes`` omitted) the projection is the
     identity and every state is stable.  For a translated LTS, ``classes``
@@ -186,7 +184,7 @@ def flatten(
     annotations = {}
     if classes is None:
         for s in lts.states:
-            annotations[s] = {"flat": _flat_of_snapshot(s).render(), "stable": True}
+            annotations[s] = {"flat": _flat_of_snapshot(s), "stable": True}
     else:
         if relation_names is None:
             raise ContractError("flattening a translated LTS needs relation_names")
@@ -202,7 +200,7 @@ def flatten(
             view = m.restrict(visible)
             flat = rendered.get(view)
             if flat is None:
-                flat = rendered[view] = _flat_of_marking(view, classes, relation_names).render()
+                flat = rendered[view] = _flat_of_marking(view, classes, relation_names)
             annotations[m] = {"flat": flat, "stable": _is_stable(lock, m)}
     return Lts(lts.states, lts.edges, lts.truncated, annotations)
 
@@ -503,37 +501,18 @@ def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
                         rel.add((x, y))
                         queue.append((x, y))
 
-    def unanswered(pair):
-        p, q = pair
-        b1, b2 = s1.big_steps(p), s2.big_steps(q)
-        for label in sorted(set(b1) | set(b2), key=format_label):
-            t1 = b1.get(label, frozenset())
-            t2 = b2.get(label, frozenset())
-            for x in sorted(t1):
-                if not any(f1[x] == f2[y] and (x, y) in rel for y in t2):
-                    return ("left", label, x)
-            for y in sorted(t2):
-                if not any(f1[x] == f2[y] and (x, y) in rel for x in t1):
-                    return ("right", label, y)
-        t1, t2 = s1.eps_targets(p), s2.eps_targets(q)
-        for x in sorted(t1):
-            if not any(f1[x] == f2[y] and (x, y) in rel for y in t2):
-                return ("left", EPS, x)
-        for y in sorted(t2):
-            if not any(f1[x] == f2[y] and (x, y) in rel for x in t1):
-                return ("right", EPS, y)
-        return None
-
+    # Drop each pair with a weak move that no related pair answers.
     removed: dict = {}
     changed = True
     while changed:
         changed = False
         for pair in sorted(rel):
-            reason = unanswered(pair)
-            if reason is not None:
-                rel.discard(pair)
-                removed[pair] = (len(removed),) + reason
-                changed = True
+            for move in _weak_moves(s1, s2, *pair):
+                if not any(a in rel for a in move[3]):
+                    rel.discard(pair)
+                    removed[pair] = (len(removed),) + move
+                    changed = True
+                    break
 
     if init in rel:
         states1, states2 = l1.states, l2.states
@@ -541,23 +520,17 @@ def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
         return WeakBisimResult(BISIMILAR, relation=relation)
 
     # Reconstruct a blame chain: each removed pair names a weak move whose
-    # content-compatible answers were all removed before it, so following
-    # the earliest-removed answer strictly descends and terminates.
+    # answers were all removed before it, so following the earliest-removed
+    # answer strictly descends and terminates.
     trace = []
     pair = init
     prefix = []
     while True:
-        _order, side, label, target = removed[pair]
+        _order, side, label, target, answers = removed[pair]
         trace.extend(prefix)
         trace.append(f"pair: left={s1.flat[pair[0]]} right={s2.flat[pair[1]]}")
         trace.append(f"  {side} side moves [{format_label(label)}] but no answer survives")
-        if side == "left":
-            tflat = s1.flat[target]
-            answers = _answers_for(pair, label, target, s1, s2, left=True)
-        else:
-            tflat = s2.flat[target]
-            answers = _answers_for(pair, label, target, s1, s2, left=False)
-        trace.append(f"  moving to: {tflat}")
+        trace.append(f"  moving to: {(s1 if side == 'left' else s2).flat[target]}")
         dead_answers = sorted(
             (removed[a][0], a) for a in answers if a in removed
         )
@@ -576,16 +549,25 @@ def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
     return WeakBisimResult(NOT_BISIMILAR, witness=witness, trace=tuple(trace))
 
 
-def _answers_for(pair, label, target, s1: _Side, s2: _Side, *, left: bool):
-    """All content-compatible candidate pairs answering one weak move."""
-    p, q = pair
-    if label == EPS:
-        pool = s2.eps_targets(q) if left else s1.eps_targets(p)
-    else:
-        pool = (s2.big_steps(q) if left else s1.big_steps(p)).get(label, frozenset())
-    if left:
-        return [(target, y) for y in pool if s1.flat[target] == s2.flat[y]]
-    return [(x, target) for x in pool if s1.flat[x] == s2.flat[target]]
+def _weak_moves(s1: _Side, s2: _Side, p: int, q: int):
+    """Every weak move of the pair ``(p, q)`` as ``(side, label, target,
+    answers)``.  ``answers`` pairs ``target`` with each target of the
+    other side's weak moves under the same label that has equal contents;
+    the move is answered when one of them is related.  Moves come in
+    blame order: labels by :func:`format_label`, then the silent move;
+    per label the left targets, then the right ones, each sorted."""
+    f1, f2 = s1.flat, s2.flat
+    b1, b2 = s1.big_steps(p), s2.big_steps(q)
+    moves = [
+        (label, b1.get(label, frozenset()), b2.get(label, frozenset()))
+        for label in sorted(set(b1) | set(b2), key=format_label)
+    ]
+    moves.append((EPS, s1.eps_targets(p), s2.eps_targets(q)))
+    for label, t1, t2 in moves:
+        for x in sorted(t1):
+            yield "left", label, x, [(x, y) for y in t2 if f1[x] == f2[y]]
+        for y in sorted(t2):
+            yield "right", label, y, [(x, y) for x in t1 if f1[x] == f2[y]]
 
 
 def verify_relation(l1: Lts, l2: Lts, relation) -> list:
@@ -606,26 +588,11 @@ def verify_relation(l1: Lts, l2: Lts, relation) -> list:
         if s1.flat[p] != s2.flat[q]:
             problems.append(f"related pair differs in content: {s1.flat[p]} vs {s2.flat[q]}")
             continue
-        b1, b2 = s1.big_steps(p), s2.big_steps(q)
-        for label in set(b1) | set(b2):
-            t1 = b1.get(label, frozenset())
-            t2 = b2.get(label, frozenset())
-            for x in t1:
-                if not any((x, y) in rel for y in t2):
-                    problems.append(
-                        f"unanswered left move {format_label(label)} from {s1.flat[p]}"
-                    )
-            for y in t2:
-                if not any((x, y) in rel for x in t1):
-                    problems.append(
-                        f"unanswered right move {format_label(label)} from {s2.flat[q]}"
-                    )
-        for x in s1.eps_targets(p):
-            if not any((x, y) in rel for y in s2.eps_targets(q)):
-                problems.append(f"unanswered left silent move from {s1.flat[p]}")
-        for y in s2.eps_targets(q):
-            if not any((x, y) in rel for x in s1.eps_targets(p)):
-                problems.append(f"unanswered right silent move from {s2.flat[q]}")
+        for side, label, _target, answers in _weak_moves(s1, s2, p, q):
+            if not any(a in rel for a in answers):
+                move = "silent move" if label == EPS else f"move {format_label(label)}"
+                flat = s1.flat[p] if side == "left" else s2.flat[q]
+                problems.append(f"unanswered {side} {move} from {flat}")
     return problems
 
 
@@ -673,7 +640,7 @@ def _explore_target(translation, policy, relation_names, known, *, max_states, m
             best[dst] = count
             return False
         best[dst] = 0
-        flat = _flat_of_marking(marking, classes, relation_names).render()
+        flat = _flat_of_marking(marking, classes, relation_names)
         if flat in known:
             return False
         found.append((dst, flat))

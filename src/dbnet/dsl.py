@@ -621,7 +621,6 @@ class _Parser:
         vartab: dict = {}
         inputs, readsv, outputs, rollbacks = [], [], [], []
         guard: Formula = TRUE
-        guard_seen = False
         action = None
         priority = P_NORMAL
         emit = None
@@ -648,7 +647,6 @@ class _Parser:
                 self.expect(";")
             elif what == "guard":
                 guard = self.formula(vartab)
-                guard_seen = True
                 self.expect(";")
             elif what == "act":
                 a = self.expect("ident", "action name")
@@ -684,7 +682,6 @@ class _Parser:
                 self.expect(";")
                 emit = Emit(tname, outcome, tuple(names))
         self.expect("}")
-        del guard_seen
         if dbn:
             self.transitions.append(
                 Transition(name, tuple(inputs), tuple(readsv), guard, action,
@@ -774,8 +771,10 @@ class _Parser:
                 mode = self.keyword("recycling", "unbounded", "bounded")
                 if mode == "bounded":
                     self.expect(":")
-                    width = self.expect("int", "width").value
-                    self.policy = FreshPolicy("bounded", width)
+                    width = self.expect("int", "width")
+                    if width.value < 1:
+                        raise self.err("bounded freshness needs a positive width", width)
+                    self.policy = FreshPolicy("bounded", width.value)
                 else:
                     self.policy = FreshPolicy(mode)
             else:

@@ -141,17 +141,6 @@ class TransitionScope:
     external_vars: tuple  # free in outputs/guard/action, fed from samples
     order: tuple  # every variable, sorted by name: the binding domain
 
-    def categories(self, name: str) -> str:
-        for label, group in (
-            ("input", self.input_vars),
-            ("view", self.view_vars),
-            ("fresh", self.fresh_vars),
-            ("external", self.external_vars),
-        ):
-            if any(v.name == name for v in group):
-                return label
-        raise ContractError(f"variable {name!r} not in scope")
-
 
 def _walk_guard_vars(f: Formula, acc: dict):
     if isinstance(f, Truth):

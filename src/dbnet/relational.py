@@ -80,13 +80,6 @@ class DataType:
     def ordered(self) -> bool:
         return self.kind in _ORDERED_KINDS
 
-    @property
-    def predicates(self) -> frozenset:
-        """Predicate symbols available on this type (equality always)."""
-        if self.ordered:
-            return frozenset({"=", "<", "<=", ">", ">="})
-        return frozenset({"="})
-
 
 # A TypeDomain is a plain mapping name -> DataType.
 TypeDomain = Mapping[str, DataType]
@@ -449,12 +442,7 @@ def render_fact(rel: str, row: tuple) -> str:
 
 def instance_lines(instance: Instance) -> list:
     """Canonical textual serialization: one fact per line, sorted."""
-    lines = []
-    for rel in sorted(instance.facts):
-        for row in sorted(instance.facts[rel], key=_fact_sort_key):
-            lines.append(render_fact(rel, row))
-    lines.sort()
-    return lines
+    return sorted(render_fact(rel, row) for rel, rows in instance.facts.items() for row in rows)
 
 
 def active_domain(instance: Instance, dtype: Union[DataType, str]) -> set:

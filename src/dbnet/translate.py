@@ -168,9 +168,7 @@ def _pick_name(base: str, taken: set) -> str:
 class _Builder:
     """Accumulates places/transitions plus all the bookkeeping maps."""
 
-    def __init__(self, model: DbNet, ctl: DataType):
-        self.model = model
-        self.ctl = ctl
+    def __init__(self):
         self.places: dict = {}
         self.transitions: list = []
         self.classes: dict = {}
@@ -203,7 +201,7 @@ def translate(model: DbNet) -> TranslationOutput:
 
     ctl_name = _pick_name("ctl", set(model.types))
     ctl = DataType(ctl_name, "string")
-    b = _Builder(model, ctl)
+    b = _Builder()
 
     # Shared places: originals, relations, lock.
     for p in model.control_places.values():

@@ -14,7 +14,6 @@ from dbnet import bisim
 from dbnet.bisim import (
     BISIMILAR,
     NOT_BISIMILAR,
-    FlatState,
     TruncatedError,
     certify_translation,
     check_weak_bisim,
@@ -27,11 +26,12 @@ from dbnet.lts import EPS, Lts, explore
 from dbnet.marking import Marking
 from dbnet.model import build_lts, render_snapshot
 from dbnet.mutations import MUTATIONS, apply_mutation
-from dbnet.relational import ContractError, instance_lines
+from dbnet.relational import ContractError, DataType, instance_lines, make_value
 from dbnet.translate import translate
 
 from conftest import BOUNDED1, RECYCLING, unit_net
 
+INT = DataType("int", "int")
 OBS = ("obs", "T", (), "commit")
 OBS2 = ("obs", "T", (), "rollback")
 
@@ -62,19 +62,20 @@ def test_flatten_source_side_is_the_identity_projection(shop, shop_lts):
     assert flat.edges == shop_lts.edges
 
 
-def test_flatten_translated_side_hides_the_machinery(shop, shop_translation, shop_cpn_lts):
-    out = shop_translation
-    names = {p: r for r, p in out.relation_places.items()}
-    flat = flatten(shop_cpn_lts, out.place_classes, relation_names=names)
-    m0 = out.net.initial_marking
-    ann = flat.annotations[m0]
-    assert ann["stable"] is True  # the lock is free initially
-    # same flat content as the source initial state
-    src = flatten(build_lts(shop, BOUNDED1))
-    assert ann["flat"] == src.annotations[src.states[0]]["flat"]
-    # the lock never shows up in any flat rendering
-    for m in flat.states:
-        assert out.lock_place not in flat.annotations[m]["flat"]
+def test_flatten_translated_side_hides_the_machinery():
+    for build in CORPUS.values():
+        model = build()
+        out = translate(model)
+        names = {p: r for r, p in out.relation_places.items()}
+        flat = flatten(cpn_build_lts(out.net, BOUNDED1), out.place_classes, relation_names=names)
+        ann = flat.annotations[out.net.initial_marking]
+        assert ann["stable"] is True  # the lock is free initially
+        # same flat content as the source initial state
+        src = flatten(build_lts(model, BOUNDED1, max_states=1))
+        assert ann["flat"] == src.annotations[src.states[0]]["flat"], model.name
+        # the lock never shows up in any flat rendering
+        for m in flat.states:
+            assert out.lock_place not in flat.annotations[m]["flat"]
 
 
 def test_flatten_is_idempotent(shop_lts):
@@ -101,7 +102,7 @@ def test_memoised_flat_equals_a_direct_rendering(mutation):
     shared = {}
     for m in flat.states:
         text = flat.annotations[m]["flat"]
-        assert text == bisim._flat_of_marking(m, out.place_classes, names).render()
+        assert text == bisim._flat_of_marking(m, out.place_classes, names)
         assert shared.setdefault(text, text) is text  # equal projections share one string
     if mutation is not None:  # the runaway mutant duplicates facts
         assert any(
@@ -110,8 +111,13 @@ def test_memoised_flat_equals_a_direct_rendering(mutation):
 
 
 def test_flat_state_render_is_sorted():
-    f = FlatState(("R(1)", "R(2)"), ("p(0)",))
-    assert f.render() == "facts{R(1);R(2)}|ctl{p(0)}"
+    one, two = make_value(INT, 1), make_value(INT, 2)
+    facts = [("S", (one,), 1), ("R", (two,), 2), ("R", (one,), 1)]
+    control = [("q", (), 1), ("p", (one, two), 3)]
+    assert bisim._flat(facts, control) == (
+        "facts{R(1);R(2);R(2);S(1)}|ctl{p(1,2);p(1,2);p(1,2);q()}"
+    )
+    assert bisim._flat([], []) == "facts{}|ctl{}"
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,12 @@ def test_arity_mismatch_in_token():
     assert e.line == 4
 
 
+def test_zero_width_bounded_freshness_is_located():
+    e = err_of('dbnet "m";\ntype int = int;\npolicy {\n  fresh bounded:0;\n}')
+    assert (e.line, e.col) == (4, 17)
+    assert "positive width" in e.message
+
+
 def test_garbage_after_the_model():
     e = err_of('dbnet "m";\ntype int = int;\nwibble;')
     assert e.line == 3

@@ -1,12 +1,14 @@
 """No module of the package imports a name it never uses, no function
-imports anything, and no private helper is left unused.
+imports anything, no private helper is left unused, and no module
+exports a name it does not have.
 
 No linter ships with the project, so this reads each module's syntax
 tree: a name bound by a module-level ``import`` or ``from ... import``
 must be read somewhere in that module or be listed in its ``__all__``,
-every import sits at module level, and every private module-level
+every import sits at module level, every private module-level
 function or class is referenced somewhere in the package outside its
-own definition.
+own definition, and every name in a module's ``__all__`` is defined or
+imported at the module's top level.
 """
 
 import ast
@@ -18,21 +20,30 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dbnet"
 
 
-def unused_imports(source: str) -> list:
-    tree = ast.parse(source)
+def _all_of(tree) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _imported(tree) -> set:
+    """Names bound by the module-level imports of ``tree``."""
     imported = set()
-    exported = set()
     for node in tree.body:
         if isinstance(node, ast.Import):
             imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            exported.update(ast.literal_eval(node.value))
+    return imported
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(imported - read - exported)
+    return sorted(_imported(tree) - read - set(_all_of(tree)))
 
 
 def test_the_check_finds_an_unused_import():
@@ -122,3 +133,36 @@ def test_the_check_finds_an_unreferenced_private_definition():
 def test_every_private_definition_is_referenced():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert unreferenced_private_definitions(sources) == []
+
+
+def missing_exports(source: str) -> list:
+    """Names listed in the module's ``__all__`` that no top-level
+    definition, assignment or import of the module binds."""
+    tree = ast.parse(source)
+    bound = _imported(tree)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return sorted(set(_all_of(tree)) - bound)
+
+
+def test_the_check_finds_a_missing_export():
+    source = (
+        "from os import path\n"
+        "import json as js\n"
+        "X, (Y, Z) = 1, (2, 3)\n"
+        "T: int = 0\n"
+        "def f(): pass\n"
+        "class C: pass\n"
+        "__all__ = ['path', 'js', 'X', 'Z', 'T', 'f', 'C', 'FlatState', 'json']\n"
+    )
+    assert missing_exports(source) == ["FlatState", "json"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    assert missing_exports(path.read_text(encoding="utf-8")) == []

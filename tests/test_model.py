@@ -59,16 +59,21 @@ def find(bindings, tname):
 
 
 def test_scope_classifies_every_variable(shop):
+    def names(group):
+        return [v.name for v in group]
+
     scope = analyze_transition(shop.transition("LogIn"))
-    assert scope.categories("s") == "input"
-    assert scope.categories("uid") == "view"
-    assert scope.categories("cid") == "fresh"
-    assert [v.name for v in scope.order] == ["cid", "s", "uid"]
+    assert names(scope.input_vars) == ["s"]
+    assert names(scope.view_vars) == ["uid"]
+    assert names(scope.fresh_vars) == ["cid"]
+    assert names(scope.external_vars) == []
+    assert names(scope.order) == ["cid", "s", "uid"]
 
     scope = analyze_transition(shop.transition("AcquireBonus"))
-    assert scope.categories("bt") == "external"
-    with pytest.raises(ContractError):
-        scope.categories("nope")
+    assert "bt" in names(scope.external_vars)
+    groups = (scope.input_vars, scope.view_vars, scope.fresh_vars, scope.external_vars)
+    assert sorted(name for group in groups for name in names(group)) == names(scope.order)
+    assert "nope" not in names(scope.order)
 
 
 # ---------------------------------------------------------------------------
