@@ -15,23 +15,31 @@ with no answer (``unmatched-move``) or a firing that never gives the
 lock back (``silent-dead-end``).
 """
 
-from dbnet import FreshPolicy, MUTATIONS, apply_mutation, certify_translation, translate
-from dbnet.corpus import build_domviol, build_guarded, build_touch
+from pathlib import Path
+
+from dbnet import FreshPolicy, apply_mutation, certify_translation, parse_model, translate
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+
+
+def load(name):
+    return parse_model((CORPUS / f"{name}.dbn").read_text(encoding="utf-8")).model
+
 
 # which small net shows off which defect best
 stage = [
-    ("drop-revert", build_domviol),
-    ("swap-add-priorities", build_touch),
-    ("skip-check-stage", build_domviol),
-    ("forget-lock-on-cancel", build_guarded),
-    ("consume-on-read", build_touch),
-    ("reorder-del-add", build_touch),
+    ("drop-revert", "domviol"),
+    ("swap-add-priorities", "touch"),
+    ("skip-check-stage", "domviol"),
+    ("forget-lock-on-cancel", "guarded"),
+    ("consume-on-read", "touch"),
+    ("reorder-del-add", "touch"),
 ]
 
 policy = FreshPolicy.parse("recycling")
 
-for name, builder in stage:
-    net = builder()
+for name, net_name in stage:
+    net = load(net_name)
     broken = apply_mutation(translate(net), name)
     res = certify_translation(net, policy=policy, translation=broken)
     print(f"=== {name} on {net.name!r}: {res.verdict}")
@@ -42,8 +50,8 @@ for name, builder in stage:
 
 assert all(
     not certify_translation(
-        b(), policy=policy, translation=apply_mutation(translate(b()), m)
+        load(n), policy=policy, translation=apply_mutation(translate(load(n)), m)
     ).bisimilar
-    for m, b in stage
+    for m, n in stage
 ), "a mutation survived?!"
 print("all six mutations detected")

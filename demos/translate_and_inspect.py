@@ -8,10 +8,13 @@ the structure grouped by source transition, then certifies that the
 stretched net still behaves identically.
 """
 
-from dbnet import FreshPolicy, certify_translation, print_model, translate
-from dbnet.corpus import build_touch
+from pathlib import Path
 
-net = build_touch()
+from dbnet import FreshPolicy, certify_translation, parse_model, print_model, translate
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+
+net = parse_model((CORPUS / "touch.dbn").read_text(encoding="utf-8")).model
 out = translate(net)
 
 print(f"{net.name}: {len(net.transitions)} transitions -> "

@@ -6,9 +6,11 @@ Six subcommands over ``.dbn`` / ``.cpn`` files: ``validate``,
 ``--seed``; progress chatter goes to stderr and is controlled by the
 ``DBNET_LOG`` environment variable (``debug``, ``info``, ``warning``).
 
-A file starting with ``# template: <name>`` can be rebuilt at other
-sizes with ``--users`` / ``--products``; without those flags the file is
-taken literally.
+A file whose first line is ``# template: <name>`` can be rebuilt at
+other sizes with ``--users`` / ``--products``.  The rebuild parses the
+library's own text of that template (``dbnet.corpus.shop_text`` for
+``shopping-cart``), not the rest of the file; without those flags the
+file is taken literally.
 
 Exit codes: 0 success, 1 usage/parse/validation failure (including
 ``--steps`` or ``--max-depth`` below 0 and ``--max-states``, ``--users``
@@ -34,7 +36,7 @@ import sys
 from pathlib import Path
 
 from .bisim import TruncatedError, certify_translation
-from .corpus import COLUMN_NAMES, TEMPLATES
+from .corpus import shop_text
 from .cpn import NuCpn, P_NORMAL, _PRIORITY_NAMES, cpn_enabled, cpn_fire, cpn_build_lts, cpn_validate
 from .dsl import ModelFile, parse_model, print_model
 from .freshness import FreshPolicy
@@ -56,7 +58,7 @@ __all__ = ["run_command", "main"]
 
 log = logging.getLogger("dbnet")
 
-_TEMPLATE_RE = re.compile(r"^#\s*template:\s*([\w.-]+)\s*$", re.MULTILINE)
+_TEMPLATE_RE = re.compile(r"#\s*template:\s*([\w.-]+)\s*$")
 
 
 def _setup_logging():
@@ -86,19 +88,18 @@ def _load(args) -> ModelFile:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise _Fail(f"cannot read {path}: {exc}") from exc
-    marker = _TEMPLATE_RE.search(text)
+    marker = _TEMPLATE_RE.match(text.partition("\n")[0])
     sized = args.users is not None or args.products is not None
     if sized:
         if marker is None:
             raise _Fail("--users/--products need a '# template:' marker in the file")
         name = marker.group(1)
-        builder = TEMPLATES.get(name)
-        if builder is None:
+        if name != "shopping-cart":
             raise _Fail(f"unknown template {name!r}")
-        net = builder(users=args.users or 1, products=args.products or 1)
+        text = shop_text(users=args.users or 1, products=args.products or 1)
         log.info("rebuilt template %s (users=%s, products=%s)",
                  name, args.users or 1, args.products or 1)
-        return ModelFile(kind="dbnet", model=net, column_names=COLUMN_NAMES.get(name, {}))
+        return parse_model(text)
     try:
         mf = parse_model(text)
     except ValidationError as exc:

@@ -1,490 +1,153 @@
-"""Ready-made example nets.
+"""The web-shop net, at any number of users and products.
 
-The centrepiece is a small web-shop storyline: customers log in, put
-products in a cart (reserving warehouse stock), may acquire a bonus —
-acquiring a second one violates the key constraint and rolls back into a
-renegotiation loop — then check out and finish the order with or without
-spending the bonus.  It touches every feature at once: views, fresh cart
-identifiers, external bindings, add/del actions, key/foreign-key/domain
-constraints and rollback routing.
+Customers log in, put products in a cart (reserving warehouse stock),
+may acquire a bonus — acquiring a second one violates the key
+constraint and rolls back into a renegotiation loop — then check out
+and finish the order with or without spending the bonus.  It touches
+every feature at once: views, fresh cart identifiers, external
+bindings, add/del actions, key/foreign-key/domain constraints and
+rollback routing.
 
-Around it sit deliberately narrow nets, one feature each, sized so their
-full state spaces stay tiny:
-
-* ``touch``     — add an already-present fact, and delete-then-re-add it;
-* ``guarded``   — a dead guarded loop plus a fresh-value producer;
-* ``domviol``   — an action whose external argument may violate a domain
-  constraint, with a rollback arc;
-* ``fk``        — inserts that may miss their foreign-key target;
-* ``selfref``   — a relation referencing itself;
-* ``empty``     — nothing at all.
-
-``write_corpus`` renders every net to a ``.dbn`` file; the shop file
-carries a ``# template:`` marker so the command line can rebuild it at
-other sizes.
+The net is one ``.dbn`` text whose ``init`` block is written for the
+requested size; at one user and one product it is, byte for byte,
+``corpus/shopping-cart.dbn``.  The ``# template:`` marker on its first
+line lets the command line rebuild that file at other sizes.  The
+single-feature nets exist only as their files in ``corpus/``.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
-from pathlib import Path
+from .dsl import parse_model
+from .model import DbNet
 
-from .dsl import ModelFile, print_model
-from .fo import Atom, Compare
-from .marking import Marking
-from .model import ControlPlace, DbNet, Transition, ViewPlace
-from .queries import Conjunct, UcqQuery
-from .relational import (
-    Action,
-    DataType,
-    DomainConstraint,
-    ForeignKey,
-    Instance,
-    PrimaryKey,
-    RelationSchema,
-    Schema,
-    Value,
-    Variable,
-    make_value,
-)
+__all__ = ["build_shopping_cart", "shop_text"]
 
-__all__ = [
-    "CORPUS",
-    "COLUMN_NAMES",
-    "TEMPLATES",
-    "build_shopping_cart",
-    "build_touch",
-    "build_guarded",
-    "build_domviol",
-    "build_fk",
-    "build_selfref",
-    "build_empty",
-    "corpus_model_file",
-    "write_corpus",
-]
+# One login session is available, so a single customer shops per run;
+# which one is the first choice point.  Two bonus kinds are sampled so a
+# second acquisition really collides on the key (adding the same row
+# twice is a no-op in a set).  ``{facts}`` stands for the sized rows.
+_SHOP = '''# template: shopping-cart
+dbnet "shopping-cart";
 
-_INT = DataType("int", "int")
-_STRING = DataType("string", "string")
-_REAL = DataType("real", "real")
+type int = int;
+type string = string;
+type real = real;
+type addr = string;
+
+relation User(ID: int, card: string);
+relation WithBonus(UID: int, btype: string);
+relation Product(PName: string);
+relation InWarehouse(PID: int, pname: string, cost: real);
+constraint key User(ID);
+constraint key WithBonus(UID);
+constraint key Product(PName);
+constraint key InWarehouse(PID);
+constraint foreign WithBonus(UID) -> User(ID);
+constraint foreign InWarehouse(pname) -> Product(PName);
+constraint domain WithBonus.btype in {"15eur", "50%", "extra_item"};
+
+query Q_users(uid: int) := User(uid, c);
+query Q_products(pid: int, n: string, c: real) := Product(n) & InWarehouse(pid, n, c) & c != null;
+query Q_wbonus(uid: int, bt: string) := WithBonus(uid, bt);
+
+action addb(uid: int, bt: string) { add WithBonus(uid, bt); }
+action change(uid: int, o: string, n2: string) { del WithBonus(uid, o); add WithBonus(uid, n2); }
+action reserve(pid: int, n: string, c: real) { del InWarehouse(pid, n, c); }
+action apply(uid: int, bt: string) { del WithBonus(uid, bt); }
+
+place session(int);
+place logged(int, int);
+place cart(int, int);
+place rebonus(int, int);
+place checked(int, int);
+place reserved(int, int);
+place done(int, int, addr);
+view Users := Q_users;
+view Products := Q_products;
+view BonusHolders := Q_wbonus;
+
+transition LogIn {
+  in session(s);
+  read Users(uid);
+  out logged(uid, ~cid);
+}
+
+transition AddProduct {
+  in logged(uid, cid);
+  read Products(pid, n, c);
+  act reserve(pid, n, c);
+  out logged(uid, cid);
+  out cart(cid, pid);
+}
+
+transition AcquireBonus {
+  in logged(uid, cid);
+  act addb(uid, bt);
+  out logged(uid, cid);
+  rollback rebonus(uid, cid);
+}
+
+transition KeepBonus {
+  in rebonus(uid, cid);
+  out logged(uid, cid);
+}
+
+transition ChangeBonus {
+  in rebonus(uid, cid);
+  read BonusHolders(uid, o);
+  act change(uid, o, n2);
+  out logged(uid, cid);
+}
+
+transition CheckOut {
+  in logged(uid, cid);
+  out checked(uid, cid);
+}
+
+transition PrepareOrder {
+  in cart(cid, pid);
+  in checked(uid, cid);
+  out checked(uid, cid);
+  out reserved(cid, pid);
+}
+
+transition FinishOrder {
+  in checked(uid, cid);
+  out done(uid, cid, dest);
+}
+
+transition FinishOrderWithBonus {
+  in checked(uid, cid);
+  read BonusHolders(uid, bt);
+  act apply(uid, bt);
+  out done(uid, cid, dest);
+}
+
+init {
+{facts}  token session(0);
+}
+
+policy {
+  fresh recycling;
+  sample addr {"a1"};
+  sample string {"15eur", "50%"};
+}
+'''
 
 
-def _v(name, dtype, fresh=False):
-    return Variable(name, dtype, fresh)
+def shop_text(users: int = 1, products: int = 1) -> str:
+    """The shop's ``.dbn`` text with ``users`` registered customers and
+    ``products`` warehouse rows."""
+    if users < 1 or products < 1:
+        raise ValueError("need at least one user and one product")
+    ks = range(1, products + 1)
+    facts = [f'  fact User({u}, "card{u}");\n' for u in range(1, users + 1)]
+    facts += [f'  fact Product("p{k}");\n' for k in ks]
+    facts += [f'  fact InWarehouse({100 + k}, "p{k}", {k}.5);\n' for k in ks]
+    return _SHOP.replace("{facts}", "".join(facts))
 
 
 def build_shopping_cart(users: int = 1, products: int = 1) -> DbNet:
     """The web-shop net, with ``users`` registered customers and
-    ``products`` warehouse rows.  One login session is available, so a
-    single customer shops per run; which one is the first choice point."""
-    if users < 1 or products < 1:
-        raise ValueError("need at least one user and one product")
-    addr = DataType("addr", "string")
-    types = {"int": _INT, "string": _STRING, "real": _REAL, "addr": addr}
-
-    schema = Schema(
-        relations={
-            "User": RelationSchema("User", ("int", "string")),
-            "WithBonus": RelationSchema("WithBonus", ("int", "string")),
-            "Product": RelationSchema("Product", ("string",)),
-            "InWarehouse": RelationSchema("InWarehouse", ("int", "string", "real")),
-        },
-        constraints=(
-            PrimaryKey("User", (0,)),
-            PrimaryKey("WithBonus", (0,)),
-            PrimaryKey("Product", (0,)),
-            PrimaryKey("InWarehouse", (0,)),
-            ForeignKey("WithBonus", (0,), "User", (0,)),
-            ForeignKey("InWarehouse", (1,), "Product", (0,)),
-            DomainConstraint(
-                "WithBonus",
-                1,
-                (
-                    make_value(_STRING, "50%"),
-                    make_value(_STRING, "15eur"),
-                    make_value(_STRING, "extra_item"),
-                ),
-            ),
-        ),
-    )
-
-    uid, bt, o, n2 = _v("uid", "int"), _v("bt", "string"), _v("o", "string"), _v("n2", "string")
-    pid, pname, cost = _v("pid", "int"), _v("n", "string"), _v("c", "real")
-    queries = {
-        "Q_users": UcqQuery(
-            "Q_users", (uid,), (Conjunct((Atom("User", (uid, _v("c", "string"))),)),)
-        ),
-        "Q_products": UcqQuery(
-            "Q_products",
-            (pid, pname, cost),
-            (
-                Conjunct(
-                    (Atom("Product", (pname,)), Atom("InWarehouse", (pid, pname, cost))),
-                    (Compare("!=", cost, Value("real", None)),),
-                ),
-            ),
-        ),
-        "Q_wbonus": UcqQuery(
-            "Q_wbonus", (uid, bt), (Conjunct((Atom("WithBonus", (uid, bt)),)),)
-        ),
-    }
-
-    actions = {
-        "addb": Action("addb", (uid, bt), adds=(("WithBonus", (uid, bt)),)),
-        "change": Action(
-            "change",
-            (uid, o, n2),
-            adds=(("WithBonus", (uid, n2)),),
-            dels=(("WithBonus", (uid, o)),),
-        ),
-        "reserve": Action("reserve", (pid, pname, cost), dels=(("InWarehouse", (pid, pname, cost)),)),
-        "apply": Action("apply", (uid, bt), dels=(("WithBonus", (uid, bt)),)),
-    }
-
-    places = {
-        "session": ControlPlace("session", ("int",)),
-        "logged": ControlPlace("logged", ("int", "int")),
-        "cart": ControlPlace("cart", ("int", "int")),
-        "rebonus": ControlPlace("rebonus", ("int", "int")),
-        "checked": ControlPlace("checked", ("int", "int")),
-        "reserved": ControlPlace("reserved", ("int", "int")),
-        "done": ControlPlace("done", ("int", "int", "addr")),
-    }
-    views = {
-        "Users": ViewPlace("Users", "Q_users"),
-        "Products": ViewPlace("Products", "Q_products"),
-        "BonusHolders": ViewPlace("BonusHolders", "Q_wbonus"),
-    }
-
-    s, cid = _v("s", "int"), _v("cid", "int", fresh=True)
-    rcid = _v("cid", "int")
-    dest = _v("dest", "addr")
-    transitions = (
-        Transition(
-            "LogIn",
-            inputs=(("session", (s,)),),
-            views=(("Users", (uid,)),),
-            outputs=(("logged", (uid, cid)),),
-        ),
-        Transition(
-            "AddProduct",
-            inputs=(("logged", (uid, rcid)),),
-            views=(("Products", (pid, pname, cost)),),
-            action=("reserve", (pid, pname, cost)),
-            outputs=(("logged", (uid, rcid)), ("cart", (rcid, pid))),
-        ),
-        Transition(
-            "AcquireBonus",
-            inputs=(("logged", (uid, rcid)),),
-            action=("addb", (uid, bt)),
-            outputs=(("logged", (uid, rcid)),),
-            rollbacks=(("rebonus", (uid, rcid)),),
-        ),
-        Transition(
-            "KeepBonus",
-            inputs=(("rebonus", (uid, rcid)),),
-            outputs=(("logged", (uid, rcid)),),
-        ),
-        Transition(
-            "ChangeBonus",
-            inputs=(("rebonus", (uid, rcid)),),
-            views=(("BonusHolders", (uid, o)),),
-            action=("change", (uid, o, n2)),
-            outputs=(("logged", (uid, rcid)),),
-        ),
-        Transition(
-            "CheckOut",
-            inputs=(("logged", (uid, rcid)),),
-            outputs=(("checked", (uid, rcid)),),
-        ),
-        Transition(
-            "PrepareOrder",
-            inputs=(("cart", (rcid, pid)), ("checked", (uid, rcid))),
-            outputs=(("checked", (uid, rcid)), ("reserved", (rcid, pid))),
-        ),
-        Transition(
-            "FinishOrder",
-            inputs=(("checked", (uid, rcid)),),
-            outputs=(("done", (uid, rcid, dest)),),
-        ),
-        Transition(
-            "FinishOrderWithBonus",
-            inputs=(("checked", (uid, rcid)),),
-            views=(("BonusHolders", (uid, bt)),),
-            action=("apply", (uid, bt)),
-            outputs=(("done", (uid, rcid, dest)),),
-        ),
-    )
-
-    facts = {
-        "User": [
-            (make_value(_INT, u), make_value(_STRING, f"card{u}")) for u in range(1, users + 1)
-        ],
-        "Product": [(make_value(_STRING, f"p{k}"),) for k in range(1, products + 1)],
-        "InWarehouse": [
-            (
-                make_value(_INT, 100 + k),
-                make_value(_STRING, f"p{k}"),
-                make_value(_REAL, Decimal(k) + Decimal("0.5")),
-            )
-            for k in range(1, products + 1)
-        ],
-    }
-    return DbNet(
-        name="shopping-cart",
-        types=types,
-        schema=schema,
-        queries=queries,
-        actions=actions,
-        control_places=places,
-        view_places=views,
-        transitions=transitions,
-        initial_instance=Instance(schema, facts),
-        initial_marking=Marking.from_tokens([("session", (make_value(_INT, 0),))]),
-        samples={
-            # two bonus kinds so a second acquisition really collides on
-            # the key (adding the same row twice is a no-op in a set)
-            "string": (make_value(_STRING, "15eur"), make_value(_STRING, "50%")),
-            "addr": (make_value(addr, "a1"),),
-        },
-    )
-
-
-def build_touch() -> DbNet:
-    """Adding a fact that is already there, and deleting-then-re-adding
-    it.  ``Touch`` fires once; ``Refresh`` loops."""
-    types = {"int": _INT, "string": _STRING}
-    schema = Schema(relations={"T": RelationSchema("T", ("string",))}, constraints=())
-    c = make_value(_STRING, "c")
-    actions = {
-        "touch": Action("touch", (), adds=(("T", (c,)),)),
-        "refresh": Action("refresh", (), adds=(("T", (c,)),), dels=(("T", (c,)),)),
-    }
-    x = _v("x", "int")
-    return DbNet(
-        name="touch",
-        types=types,
-        schema=schema,
-        queries={},
-        actions=actions,
-        control_places={
-            "p": ControlPlace("p", ("int",)),
-            "d": ControlPlace("d", ("int",)),
-        },
-        view_places={},
-        transitions=(
-            Transition("Touch", inputs=(("p", (x,)),), action=("touch", ()), outputs=(("d", (x,)),)),
-            Transition(
-                "Refresh", inputs=(("d", (x,)),), action=("refresh", ()), outputs=(("d", (x,)),)
-            ),
-        ),
-        initial_instance=Instance(schema, {"T": [(c,)]}),
-        initial_marking=Marking.from_tokens([("p", (make_value(_INT, 1),))]),
-    )
-
-
-def build_guarded() -> DbNet:
-    """A loop whose guard never holds, next to a transition that mints a
-    fresh value.  The dead loop only ever enters and cancels."""
-    types = {"int": _INT}
-    schema = Schema(relations={}, constraints=())
-    g, f = _v("g", "int"), _v("f", "int", fresh=True)
-    return DbNet(
-        name="guarded",
-        types=types,
-        schema=schema,
-        queries={},
-        actions={},
-        control_places={
-            "p": ControlPlace("p", ("int",)),
-            "r": ControlPlace("r", ("int",)),
-        },
-        view_places={},
-        transitions=(
-            Transition(
-                "G",
-                inputs=(("p", (g,)),),
-                guard=Compare("!=", g, make_value(_INT, 1)),
-                outputs=(("p", (g,)),),
-            ),
-            Transition("H", inputs=(("p", (g,)),), outputs=(("r", (f,)),)),
-        ),
-        initial_instance=Instance(schema, {}),
-        initial_marking=Marking.from_tokens([("p", (make_value(_INT, 1),))]),
-    )
-
-
-def build_domviol() -> DbNet:
-    """One action whose external argument may fall outside the column's
-    allowed set; the offending run rolls back through the rollback arc."""
-    types = {"int": _INT, "string": _STRING}
-    schema = Schema(
-        relations={"D": RelationSchema("D", ("string",))},
-        constraints=(DomainConstraint("D", 0, (make_value(_STRING, "ok"),)),),
-    )
-    val = _v("v", "string")
-    actions = {"set": Action("set", (val,), adds=(("D", (val,)),))}
-    x = _v("x", "int")
-    return DbNet(
-        name="domviol",
-        types=types,
-        schema=schema,
-        queries={},
-        actions=actions,
-        control_places={"q": ControlPlace("q", ("int",))},
-        view_places={},
-        transitions=(
-            Transition(
-                "Set",
-                inputs=(("q", (x,)),),
-                action=("set", (val,)),
-                outputs=(("q", (x,)),),
-                rollbacks=(("q", (x,)),),
-            ),
-        ),
-        initial_instance=Instance(schema, {}),
-        initial_marking=Marking.from_tokens([("q", (make_value(_INT, 1),))]),
-        samples={"string": (make_value(_STRING, "bad"), make_value(_STRING, "ok"))},
-    )
-
-
-def build_fk() -> DbNet:
-    """Inserts that must hit an existing target row: linking to the known
-    id commits, linking to the unknown one rolls back.  Repeating a
-    committed insert then violates the key instead."""
-    types = {"int": _INT}
-    schema = Schema(
-        relations={
-            "R": RelationSchema("R", ("int",)),
-            "S": RelationSchema("S", ("int", "int")),
-        },
-        constraints=(
-            PrimaryKey("R", (0,)),
-            PrimaryKey("S", (0,)),
-            ForeignKey("S", (1,), "R", (0,)),
-        ),
-    )
-    b, a = _v("b", "int"), _v("a", "int")
-    actions = {"link": Action("link", (b, a), adds=(("S", (b, a)),))}
-    x = _v("x", "int")
-    return DbNet(
-        name="fk",
-        types=types,
-        schema=schema,
-        queries={},
-        actions=actions,
-        control_places={"p": ControlPlace("p", ("int",))},
-        view_places={},
-        transitions=(
-            Transition(
-                "Link",
-                inputs=(("p", (x,)),),
-                action=("link", (b, a)),
-                outputs=(("p", (x,)),),
-                rollbacks=(("p", (x,)),),
-            ),
-        ),
-        initial_instance=Instance(schema, {"R": [(make_value(_INT, 1),)]}),
-        initial_marking=Marking.from_tokens([("p", (make_value(_INT, 0),))]),
-        samples={"int": (make_value(_INT, 1), make_value(_INT, 5))},
-    )
-
-
-def build_selfref() -> DbNet:
-    """A hierarchy relation referencing itself: an employee row points at
-    a boss row in the same table.  The root is its own boss."""
-    types = {"int": _INT}
-    schema = Schema(
-        relations={"Emp": RelationSchema("Emp", ("int", "int"))},
-        constraints=(PrimaryKey("Emp", (0,)), ForeignKey("Emp", (1,), "Emp", (0,))),
-    )
-    e, boss = _v("e", "int"), _v("boss", "int")
-    actions = {"hire": Action("hire", (e, boss), adds=(("Emp", (e, boss)),))}
-    x = _v("x", "int")
-    one = make_value(_INT, 1)
-    return DbNet(
-        name="selfref",
-        types=types,
-        schema=schema,
-        queries={},
-        actions=actions,
-        control_places={"p": ControlPlace("p", ("int",))},
-        view_places={},
-        transitions=(
-            Transition(
-                "Hire",
-                inputs=(("p", (x,)),),
-                action=("hire", (e, boss)),
-                outputs=(("p", (x,)),),
-                rollbacks=(("p", (x,)),),
-            ),
-        ),
-        initial_instance=Instance(schema, {"Emp": [(one, one)]}),
-        initial_marking=Marking.from_tokens([("p", (make_value(_INT, 0),))]),
-        samples={"int": (make_value(_INT, 2), make_value(_INT, 9))},
-    )
-
-
-def build_empty() -> DbNet:
-    """No relations, no places, no transitions."""
-    return DbNet(
-        name="empty",
-        types={"int": _INT},
-        schema=Schema(relations={}, constraints=()),
-        queries={},
-        actions={},
-        control_places={},
-        view_places={},
-        transitions=(),
-        initial_instance=Instance(Schema(relations={}, constraints=())),
-        initial_marking=Marking.from_tokens([]),
-    )
-
-
-CORPUS = {
-    "shopping-cart": build_shopping_cart,
-    "touch": build_touch,
-    "guarded": build_guarded,
-    "domviol": build_domviol,
-    "fk": build_fk,
-    "selfref": build_selfref,
-    "empty": build_empty,
-}
-
-# Surface column names for pretty-printing; the schema itself is positional.
-COLUMN_NAMES = {
-    "shopping-cart": {
-        "User": ("ID", "card"),
-        "WithBonus": ("UID", "btype"),
-        "Product": ("PName",),
-        "InWarehouse": ("PID", "pname", "cost"),
-    },
-    "touch": {"T": ("tag",)},
-    "domviol": {"D": ("val",)},
-    "fk": {"R": ("A",), "S": ("B", "a")},
-    "selfref": {"Emp": ("E", "boss")},
-}
-
-# Nets the command line can rebuild at other sizes from a file marker.
-TEMPLATES = {"shopping-cart": build_shopping_cart}
-
-
-def corpus_model_file(name: str, **params) -> ModelFile:
-    builder = CORPUS[name]
-    net = builder(**params) if params else builder()
-    return ModelFile(kind="dbnet", model=net, column_names=COLUMN_NAMES.get(name, {}))
-
-
-def write_corpus(directory) -> list:
-    """Render every corpus net to ``<directory>/<name>.dbn``; returns the
-    written paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in CORPUS:
-        text = print_model(corpus_model_file(name))
-        if name in TEMPLATES:
-            text = f"# template: {name}\n" + text
-        path = directory / f"{name}.dbn"
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-    return written
+    ``products`` warehouse rows."""
+    return parse_model(shop_text(users, products)).model

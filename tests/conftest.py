@@ -5,25 +5,28 @@ translation) are session-scoped so the audit-style tests can walk the
 same graph instead of rebuilding it per test.
 """
 
+from pathlib import Path
+
 import pytest
 
-from dbnet.corpus import (
-    build_domviol,
-    build_empty,
-    build_fk,
-    build_guarded,
-    build_selfref,
-    build_shopping_cart,
-    build_touch,
-)
+from dbnet.corpus import build_shopping_cart
 from dbnet.cpn import CpnPlace, CpnTransition, Emit, NuCpn, cpn_build_lts
+from dbnet.dsl import parse_model
 from dbnet.freshness import FreshPolicy
 from dbnet.marking import Marking
-from dbnet.model import build_lts
+from dbnet.model import DbNet, build_lts
 from dbnet.translate import translate
 
 BOUNDED1 = FreshPolicy.parse("bounded:1")
 RECYCLING = FreshPolicy.parse("recycling")
+
+CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
+CORPUS_NAMES = [path.stem for path in sorted(CORPUS_DIR.glob("*.dbn"))]
+
+
+def load_corpus(name: str) -> DbNet:
+    """The corpus net ``corpus/<name>.dbn``, freshly parsed."""
+    return parse_model((CORPUS_DIR / f"{name}.dbn").read_text(encoding="utf-8")).model
 
 
 def unit_net(moves: dict, marked=("lock",)) -> NuCpn:
@@ -51,7 +54,7 @@ def unit_net(moves: dict, marked=("lock",)) -> NuCpn:
 
 @pytest.fixture(scope="session")
 def shop():
-    return build_shopping_cart(1, 1)
+    return load_corpus("shopping-cart")
 
 
 @pytest.fixture(scope="session")
@@ -61,32 +64,32 @@ def shop22():
 
 @pytest.fixture(scope="session")
 def touch():
-    return build_touch()
+    return load_corpus("touch")
 
 
 @pytest.fixture(scope="session")
 def guarded():
-    return build_guarded()
+    return load_corpus("guarded")
 
 
 @pytest.fixture(scope="session")
 def domviol():
-    return build_domviol()
+    return load_corpus("domviol")
 
 
 @pytest.fixture(scope="session")
 def fk_net():
-    return build_fk()
+    return load_corpus("fk")
 
 
 @pytest.fixture(scope="session")
 def selfref():
-    return build_selfref()
+    return load_corpus("selfref")
 
 
 @pytest.fixture(scope="session")
 def empty_net():
-    return build_empty()
+    return load_corpus("empty")
 
 
 @pytest.fixture(scope="session")

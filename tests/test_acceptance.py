@@ -16,15 +16,7 @@ import time
 from pathlib import Path
 
 from dbnet.bisim import certify_translation, flatten
-from dbnet.corpus import (
-    build_domviol,
-    build_empty,
-    build_fk,
-    build_guarded,
-    build_selfref,
-    build_shopping_cart,
-    build_touch,
-)
+from dbnet.corpus import build_shopping_cart
 from dbnet.cpn import P_HIGH, P_LOW, P_NORMAL, cpn_build_lts, cpn_enabled
 from dbnet.lts import EPS
 from dbnet.model import build_lts
@@ -34,22 +26,11 @@ from dbnet.relational import check_constraint, instance_lines
 from dbnet.translate import translate
 
 import gen
-from conftest import BOUNDED1, RECYCLING
+from conftest import BOUNDED1, CORPUS_DIR, CORPUS_NAMES, RECYCLING, load_corpus
 from test_cpn import level_only
 from test_mutations import KILLERS
 
-CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
-
-DB_BUILDERS = {
-    "shopping-cart": build_shopping_cart,
-    "touch": build_touch,
-    "guarded": build_guarded,
-    "domviol": build_domviol,
-    "fk": build_fk,
-    "selfref": build_selfref,
-    "empty": build_empty,
-}
 
 STATE_CAP = 100_000
 
@@ -63,8 +44,8 @@ def report(capsys, index, title, ok, detail=""):
 
 def translated_corpus():
     """Every corpus net next to its translation and explored state space."""
-    for name, builder in DB_BUILDERS.items():
-        out = translate(builder())
+    for name in CORPUS_NAMES:
+        out = translate(load_corpus(name))
         lts = cpn_build_lts(out.net, BOUNDED1, max_states=2 * STATE_CAP)
         assert not lts.truncated, name
         yield name, out, lts
@@ -92,7 +73,7 @@ def test_1_cart_family_stays_equivalent(capsys):
 def test_2_every_seeded_defect_is_caught(capsys):
     missed = []
     for name in sorted(MUTATIONS):
-        model = DB_BUILDERS[KILLERS[name]]()
+        model = load_corpus(KILLERS[name])
         broken = apply_mutation(translate(model), name)
         res = certify_translation(
             model, policy=BOUNDED1, max_states=STATE_CAP, translation=broken
@@ -117,8 +98,8 @@ def test_3_thousand_random_queries_match_the_logic_reading(capsys):
 
 def test_4_transactions_never_leak(capsys):
     bad = []
-    for name, builder in DB_BUILDERS.items():
-        model = builder()
+    for name in CORPUS_NAMES:
+        model = load_corpus(name)
         lts = build_lts(model, BOUNDED1, max_states=STATE_CAP)
         if lts.truncated:
             bad.append(f"{name}: truncated")

@@ -20,7 +20,7 @@ from dbnet.bisim import (
     flatten,
     verify_relation,
 )
-from dbnet.corpus import CORPUS, build_empty, build_guarded, build_shopping_cart
+from dbnet.corpus import build_shopping_cart
 from dbnet.cpn import cpn_build_lts
 from dbnet.lts import EPS, Lts, explore
 from dbnet.marking import Marking
@@ -29,7 +29,7 @@ from dbnet.mutations import MUTATIONS, apply_mutation
 from dbnet.relational import ContractError, DataType, instance_lines, make_value
 from dbnet.translate import translate
 
-from conftest import BOUNDED1, RECYCLING, unit_net
+from conftest import BOUNDED1, CORPUS_NAMES, RECYCLING, load_corpus, unit_net
 
 INT = DataType("int", "int")
 OBS = ("obs", "T", (), "commit")
@@ -63,8 +63,8 @@ def test_flatten_source_side_is_the_identity_projection(shop, shop_lts):
 
 
 def test_flatten_translated_side_hides_the_machinery():
-    for build in CORPUS.values():
-        model = build()
+    for name in CORPUS_NAMES:
+        model = load_corpus(name)
         out = translate(model)
         names = {p: r for r, p in out.relation_places.items()}
         flat = flatten(cpn_build_lts(out.net, BOUNDED1), out.place_classes, relation_names=names)
@@ -304,7 +304,7 @@ def test_certify_is_policy_robust_on_the_shop(shop):
 
 
 def test_certify_the_empty_net():
-    res = certify_translation(build_empty(), policy=RECYCLING)
+    res = certify_translation(load_corpus("empty"), policy=RECYCLING)
     assert res.bisimilar
     assert res.stats["source-states"] == 1
 
@@ -411,7 +411,7 @@ def test_two_observables_between_stable_states_are_no_weak_move(monkeypatch):
     monkeypatch.setattr(
         bisim, "check_weak_bisim", lambda *a: checked.append(1) or real_check(*a)
     )
-    res = certify_translation(build_empty(), policy=RECYCLING, translation=target)
+    res = certify_translation(load_corpus("empty"), policy=RECYCLING, translation=target)
     assert res.verdict == BISIMILAR
     assert checked == [1]
     assert res.stats["translated-states"] == 3
@@ -433,7 +433,7 @@ def legal_detour(monkeypatch, max_states=None):
         interior={"z", "x", "w1", "w2"},
     )
     return certify_translation(
-        build_empty(), policy=RECYCLING, translation=target, max_states=max_states
+        load_corpus("empty"), policy=RECYCLING, translation=target, max_states=max_states
     )
 
 
@@ -550,7 +550,7 @@ def test_a_silent_cycle_inside_a_gadget_is_a_divergence():
     classes = dict(lock="lock", a="intermediate", b="intermediate", c="intermediate")
     target = SimpleNamespace(net=net, place_classes=classes, relation_places={},
                              lock_place="lock")
-    res = certify_translation(build_empty(), policy=RECYCLING, translation=target)
+    res = certify_translation(load_corpus("empty"), policy=RECYCLING, translation=target)
     assert res.verdict == NOT_BISIMILAR
     assert res.witness == {"kind": "silent-divergence", "side": "right", "state": "facts{}|ctl{}"}
     assert res.stats["translated-states"] == 2
@@ -566,7 +566,8 @@ GOLDEN = DATA / "certify_golden.json"  # the oracle's records
 # refusals, and the counts and traces of the compressed translated graph
 REFUSAL_GOLDEN = DATA / "certify_refusal_golden.json"
 GOLDEN_CAP = 3000  # states per side; a runaway mutant truncates
-GOLDEN_NETS = dict(CORPUS, **{"shop-1x2": lambda: build_shopping_cart(1, 2)})
+GOLDEN_NETS = {name: partial(load_corpus, name) for name in CORPUS_NAMES}
+GOLDEN_NETS["shop-1x2"] = partial(build_shopping_cart, 1, 2)
 GOLDEN_CASES = [
     f"{net}/{mutation}" for net in GOLDEN_NETS for mutation in ["none", *sorted(MUTATIONS)]
 ]

@@ -19,11 +19,12 @@ from dbnet.dsl import parse_model
 from dbnet.model import build_lts
 from dbnet.translate import translate
 
-CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+from conftest import CORPUS_DIR
+
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
-SHOP = CORPUS / "shopping-cart.dbn"
-TOUCH = CORPUS / "touch.dbn"
-GUARDED = CORPUS / "guarded.dbn"
+SHOP = CORPUS_DIR / "shopping-cart.dbn"
+TOUCH = CORPUS_DIR / "touch.dbn"
+GUARDED = CORPUS_DIR / "guarded.dbn"
 
 STATS_RE = re.compile(r"states=(\d+) edges=(\d+) truncated=(True|False)")
 
@@ -344,6 +345,18 @@ def test_sizing_needs_a_marker(capsys):
     code, _, err = run(capsys, "validate", TOUCH, "--users", "2")
     assert code == 1
     assert "'# template:'" in err
+
+
+def test_a_marker_after_the_first_line_is_no_marker(capsys, tmp_path):
+    f = tmp_path / "late.dbn"
+    f.write_text('dbnet "m";\n# template: shopping-cart\ntype int = int;\n')
+    code, out, err = run(capsys, "validate", f, "--users", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --users/--products need a '# template:' marker in the file\n"
+    code, out, _ = run(capsys, "validate", f)
+    assert code == 0
+    assert out == "m: ok\n"
 
 
 def test_unknown_template_name(capsys, tmp_path):

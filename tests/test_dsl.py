@@ -1,22 +1,20 @@
 """Surface syntax: parsing, printing, and the canonical round trip."""
 
-from pathlib import Path
+import hashlib
 
 import pytest
 
-from dbnet.corpus import CORPUS, corpus_model_file
+from dbnet.corpus import build_shopping_cart, shop_text
 from dbnet.cpn import cpn_build_lts
 from dbnet.dsl import DslError, parse_model, print_model
 from dbnet.model import build_lts, validate
 from dbnet.relational import PrimaryKey
 from dbnet.translate import translate
 
-from conftest import RECYCLING
-
-CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+from conftest import CORPUS_DIR, CORPUS_NAMES, RECYCLING
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_corpus_files_round_trip(name):
     text = (CORPUS_DIR / f"{name}.dbn").read_text(encoding="utf-8")
     mf1 = parse_model(text)
@@ -28,10 +26,43 @@ def test_corpus_files_round_trip(name):
     assert print_model(mf2) == printed
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_corpus_files_match_the_builders(name):
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_corpus_files_are_in_printed_form(name):
+    # each file is exactly what print_model writes for the net it defines,
+    # after a leading template marker
     text = (CORPUS_DIR / f"{name}.dbn").read_text(encoding="utf-8")
-    assert parse_model(text).model == corpus_model_file(name).model
+    body = text.partition("\n")[2] if text.startswith("# template:") else text
+    assert print_model(parse_model(text)) == body
+
+
+def test_shop_file_is_the_template_at_one_user_and_one_product():
+    text = (CORPUS_DIR / "shopping-cart.dbn").read_text(encoding="utf-8")
+    assert shop_text(1, 1) == text
+    assert text.startswith("# template: shopping-cart\n")
+
+
+# sha256 of print_model of the shop, users x products, as the Python
+# constructors that the template text replaced built it
+SHOP_DIGESTS = {
+    (1, 1): "7e797954621f0ab14c054962b7576f11f6c9c522b4facab515bfd1f02feccb1f",
+    (1, 2): "1a2405ef9a20dcfda48ac5beb5f6bb580549a17372eced7661f68760605889b7",
+    (2, 1): "19e8203c175b50244e9ced137bdae3528de1ec73cdba54c885a00d1ec9dbd6c6",
+    (2, 2): "fb7f3de53d2d6039b4ea183f07cb0530e413887813db40946d727995ec9869f3",
+    (3, 3): "7478acdf597c08b8b13a98715889b069711a9fae1346b3c0a4baf8133e7b3653",
+    (5, 5): "9ca965370467ae58e160f518fc52fb7ee224d5e8c553dad179c8e5e3bcf7ebb4",
+}
+
+
+@pytest.mark.parametrize("size", SHOP_DIGESTS, ids=lambda size: "%dx%d" % size)
+def test_shop_template_prints_as_pinned(size):
+    printed = print_model(parse_model(shop_text(*size)))
+    assert hashlib.sha256(printed.encode("utf-8")).hexdigest() == SHOP_DIGESTS[size]
+
+
+@pytest.mark.parametrize("size", [(0, 1), (1, 0)])
+def test_shop_sizes_below_one_are_rejected(size):
+    with pytest.raises(ValueError, match="at least one user and one product"):
+        build_shopping_cart(*size)
 
 
 def test_inline_key_markers_become_key_constraints():

@@ -1,7 +1,6 @@
 """The database-coupled net layer: enabling, firing, exploration."""
 
 import hashlib
-from pathlib import Path
 
 import pytest
 
@@ -40,10 +39,9 @@ from dbnet.relational import (
     make_value,
 )
 
-from conftest import BOUNDED1, RECYCLING
+from conftest import BOUNDED1, CORPUS_NAMES, RECYCLING, load_corpus
 
 INT = DataType("int", "int")
-CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def iv(n):
@@ -353,8 +351,7 @@ def test_shop_state_space_matches_naive_explorer(shop, shop_lts):
 
 
 def corpus_nets():
-    nets = {path.stem: parse_model(path.read_text(encoding="utf-8")).model
-            for path in sorted(CORPUS_DIR.glob("*.dbn"))}
+    nets = {name: load_corpus(name) for name in CORPUS_NAMES}
     assert len(nets) == 7
     nets["shop-2x2"] = build_shopping_cart(2, 2)
     return nets

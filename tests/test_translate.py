@@ -2,7 +2,6 @@
 
 import pytest
 
-from dbnet.corpus import build_guarded, build_touch
 from dbnet.cpn import EPS, P_HIGH, P_LOW, P_NORMAL, cpn_build_lts, cpn_enabled, cpn_fire
 from dbnet.fo import Atom, Compare
 from dbnet.marking import Marking
@@ -21,7 +20,7 @@ from dbnet.relational import (
 )
 from dbnet.translate import translate
 
-from conftest import BOUNDED1, RECYCLING
+from conftest import BOUNDED1, RECYCLING, load_corpus
 
 INT = DataType("int", "int")
 
@@ -285,7 +284,7 @@ def test_two_view_transitions_chain_stages():
 
 
 def test_cancel_restores_the_start_marking():
-    net = build_guarded()
+    net = load_corpus("guarded")
     out = translate(net)
     m0 = out.net.initial_marking
     g = out.gadgets["G"]
