@@ -29,56 +29,58 @@ guard stage a gadget can only finish its own firing, so an interior state
 has no weak answer to the other observable; requiring convergence instead
 keeps exactly the rejection power that such pairs would have provided.
 
+The kernel (``certify_translation``): the translated net is explored
+with ``cpn_build_lts``'s ``keep`` hook set to "the lock is home", so
+only its stable states become states, and each edge is a weak move of
+the checker's: ``eps*`` ending on a stable state, or ``eps* ; label ;
+eps*`` (see :mod:`dbnet.cpn`).  The weak moves of the full graph are
+chains of these, so on the kernel ``eps_targets`` and ``big_steps`` are
+the full graph's, and the check there is the same check.  What the
+kernel lacks are the interior states that the convergence conditions
+look at; the local searches report the silent dead ends and silent
+cycles there instead, and a stable state reached only across two
+observables is searched too, though no weak move leads to it.  Shop 3x3
+under ``bounded:2`` keeps 1,213 translated states, one per source state,
+where the silent-chain compression before it kept 4,449.
+
 Early refusal (``certify_translation``): the source side is explored and
-flattened first, and its flat strings are collected.  The translated net
-is then explored under a monitor, in the manner of on-the-fly
-equivalence checking (Fernandez & Mounier, CAV 1991).  The monitor stops
-exploration at the first stable state whose flat string no source state
-has, provided it reached that state by the checker's own weak moves: a
-path from state 0 that passes at most one observable between
-consecutive stable states.  It keeps, per state, the fewest observables
-since the last stable state on the routes seen so far, capped at 2, and
-refuses when an edge with a count of at most one lands on such a state.
-This is sound by induction over the path: the initial pair is related,
-and each stretch from a stable state to the next is an
-``eps_targets`` or ``big_steps`` move, which any relation the checker
-accepts must answer with a source state of equal contents.  So the
-foreign state would need a related source state with its contents, and
-there is none.  A path with two observables between stable states is
-no weak move at all (such a state may even sit in bisimilar nets), and
-the monitor never refuses on one.  A run that meets no such state goes
-through the full check below; a refusal wins over a hit state cap.
+flattened first, and its flat strings are collected.  The kernel is then
+explored under a monitor, in the manner of on-the-fly equivalence
+checking (Fernandez & Mounier, CAV 1991).  The monitor looks up the
+contents of each new target of a weak move among the source contents,
+and stops exploration at the first stable state that no source state
+matches.  ``cpn_build_lts`` explores the states that chains of weak
+moves reach from state 0 before any state reached only across two
+observables, and consults the monitor only until then.  This is sound
+by induction over the chain: the initial pair is related, and each weak
+move must be answered, by any relation the checker accepts, with a
+source state of equal contents.  So the foreign state would need a
+related source state with its contents, and there is none.  A state
+reached only across two observables is no target of a weak move (such
+a state may even sit in bisimilar nets), and the monitor never refuses
+on one.  A run that meets no such state goes through the full check
+below; a refusal wins over a hit state cap.  A trace's ``via`` lines
+name the weak moves of the chain, each by its observable or ``eps``,
+and after them, for a silent dead end or cycle, the firings of the
+local search that met it.
 
-Silent-chain compression (``certify_translation``): the translated net
-is explored with ``cpn_build_lts``'s ``keep`` hook set to "the lock is
-home", so an interior state whose enabled firings all have one silent
-effect (the same tokens removed and added: one successor, one edge) is
-walked through rather than kept (see :mod:`dbnet.cpn`).  The kept graph
-has every stable state of the full one, the same ``eps_targets`` and
-``big_steps`` between them, and a silent dead-end or divergence exactly
-when the full graph has one: a walk stops at a dead end, and a silent
-cycle stays a cycle.  So the verdict is the full graph's.  A
-compressed edge carries the first step's label, so the monitor above
-counts observables as before; a trace's ``via`` lines name kept steps.
-
-Cost: the translated net has many more states than the source net but
-few distinct projections, so ``flatten`` renders each distinct
-projection once and lets equal ones share one string.  The
-checker works on the state numbers that exploration handed out (a
-state's position in ``lts.states``, edges as triples of those numbers)
-and on pairs of them throughout; states are looked up only for the
-returned relation.
+Cost: ``flatten`` renders each distinct projection once and lets equal
+ones share one string.  The checker works on the state numbers that
+exploration handed out (a state's position in ``lts.states``, edges as
+triples of those numbers) and on pairs of them throughout; states are
+looked up only for the returned relation.
 """
 
 from __future__ import annotations
 
 import sys
+import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping, Optional
 
 from .cpn import cpn_build_lts
-from .lts import EPS, Lts, format_label
+from .lts import EPS, Lts, cycle_member, format_label
 from .marking import Marking
 from .model import DbNet, Snapshot, build_lts
 from .freshness import FreshPolicy
@@ -251,43 +253,12 @@ class _Side:
         return None
 
     def silent_divergence(self):
-        """A state on a silent cycle that never passes a stable state.
-
-        Kahn's peel removes the interior states that no interior cycle
-        leads into; each state left over has a silent predecessor that
-        is left over too.  Walking back along those from the lowest
-        numbered leftover state must repeat a state, and that state lies
-        on a cycle of interior states."""
-        stable, eps_succ = self.stable, self.eps_succ
-        interior = [s for s, st in enumerate(stable) if not st]
-        indeg = [0] * len(stable)
-        for s in interior:
-            for d in eps_succ[s]:
-                if not stable[d]:
-                    indeg[d] += 1
-        queue = [s for s in interior if indeg[s] == 0]
-        seen = 0
-        while queue:
-            s = queue.pop()
-            seen += 1
-            for d in eps_succ[s]:
-                if not stable[d]:
-                    indeg[d] -= 1
-                    if indeg[d] == 0:
-                        queue.append(d)
-        if seen == len(interior):
-            return None
-        left = [s for s in interior if indeg[s] > 0]
-        back = {s: [] for s in left}
-        for s in left:
-            for d in eps_succ[s]:
-                if indeg[d] > 0:
-                    back[d].append(s)
-        s, met = left[0], set()
-        while s not in met:
-            met.add(s)
-            s = min(back[s])
-        return s
+        """A state on a silent cycle that never passes a stable state."""
+        stable = self.stable
+        return cycle_member([
+            [] if stable[s] else [d for d in succ if not stable[d]]
+            for s, succ in enumerate(self.eps_succ)
+        ])
 
     # -- weak steps --------------------------------------------------------
 
@@ -596,6 +567,14 @@ def verify_relation(l1: Lts, l2: Lts, relation) -> list:
     return problems
 
 
+def _log_phase(phase: str, started: float, message: str, *args) -> float:
+    """Log one phase's seconds since ``started`` and ``message``; returns
+    the time now, where the next phase starts."""
+    now = time.perf_counter()
+    _log_info("%s: %.3f s, " + message, phase, now - started, *args)
+    return now
+
+
 def _log_info(message: str, *args) -> None:
     """Log at info level through :mod:`logging` if the program has loaded
     it.  A program that never imported ``logging`` has no handler that
@@ -606,56 +585,62 @@ def _log_info(message: str, *args) -> None:
         logging.getLogger(__name__).info(message, *args)
 
 
-_NO_LEGAL_ROUTE = 2  # observables between two stable states: more than a weak move has
-
-
 def _explore_target(translation, policy, relation_names, known, *, max_states, max_depth):
-    """Explore the translated net, keeping the stable states and the
-    interior states that do not sit on a silent chain, under the
+    """Explore the translated net as its kernel of stable states under the
     early-refusal monitor (see the module docstring).  ``known`` holds
-    the source side's flat strings.
-    Returns the explored graph and, if the monitor stopped it, the
-    refusal with a chain of weak moves to the foreign state; otherwise
-    None.  The monitor ends with this call, before anything is flattened.
+    the source side's flat strings.  Returns the kernel and, if the
+    monitor stopped it, the refusal with a chain of weak moves to the
+    foreign state; otherwise None.
 
-    Per state number the monitor keeps the fewest observables since the
-    last stable state over the routes seen so far, or ``_NO_LEGAL_ROUTE``
-    when every route seen passes two observables between stable states.
-    A count only falls, so each state is looked at no more than twice.
-    A stable state reached with a count of at most one resets it to 0
-    and has its contents rendered, once; unlike ``flatten``, the monitor
-    keeps no memo of renderings, as it meets each projection about once
-    (shop 3x3 under ``bounded:2``: 1,212 renderings, no repeat)."""
-    classes, lock = translation.place_classes, translation.lock_place
-    best = bytearray(1)  # state 0 starts a route with no observable
+    The monitor renders a stable state's contents once, on the first
+    weak move into it; ``cpn_build_lts`` consults it only while it
+    explores the states that weak moves reach from the initial one."""
+    classes = translation.place_classes
     found = []
+    checked = 1  # states numbered below this are looked up; state 0 is the check's
 
     def stop(src, label, dst, marking):
-        count = best[src] + (label != EPS)
-        if dst == len(best):  # a new state: no route to it yet
-            best.append(_NO_LEGAL_ROUTE)
-        if count >= best[dst]:
+        nonlocal checked
+        if dst < checked:
             return False
-        if not _is_stable(lock, marking):
-            best[dst] = count
-            return False
-        best[dst] = 0
+        checked = dst + 1
         flat = _flat_of_marking(marking, classes, relation_names)
         if flat in known:
             return False
         found.append((dst, flat))
         return True
 
-    lts = cpn_build_lts(translation.net, policy, max_states=max_states, max_depth=max_depth,
-                        stop=stop, keep=partial(_is_stable, lock))
+    kernel = cpn_build_lts(translation.net, policy, max_states=max_states, max_depth=max_depth,
+                           stop=stop, keep=partial(_is_stable, translation.lock_place))
     if not found:
-        return lts, None
+        return kernel, None
     state, flat = found[0]
     _log_info("refused at translated state %d: no source state has %s", state, flat)
-    stable = [_is_stable(lock, m) for m in lts.states]
-    return lts, _state_failure(
-        "foreign-state", "foreign stable state", "right", flat, _path_to(lts, state, stable)
+    return kernel, _state_failure(
+        "foreign-state", "foreign stable state", "right", flat, _kernel_path(kernel, state)
     )
+
+
+def _kernel_path(kernel, state: int, labels: tuple = ()) -> list:
+    """The ``via`` steps to a state of the kernel, followed by ``labels``;
+    none if no chain of weak moves reaches it."""
+    path = _path_to(kernel, state, [True] * kernel.state_count)
+    if state and not path:
+        return []
+    return path + [format_label(label) for label in labels]
+
+
+def _silent_refusal(kernel, classes, relation_names) -> Optional[WeakBisimResult]:
+    """The refusal for the first silent dead end, or else the first silent
+    cycle, that the kernel's local searches met; None if they met neither."""
+    for kind, what, met in (("silent-dead-end", "silent dead-end", kernel.dead_end),
+                            ("silent-divergence", "silent divergence", kernel.divergence)):
+        if met is not None:
+            root, labels, marking = met
+            steps = _kernel_path(kernel, kernel.states.index(root), labels)
+            flat = _flat_of_marking(marking, classes, relation_names)
+            return _state_failure(kind, what, "right", flat, steps)
+    return None
 
 
 def certify_translation(
@@ -669,15 +654,20 @@ def certify_translation(
     """Full pipeline: explore the source net and its translation under one
     shared fresh-value regime, flatten both, and decide weak bisimilarity.
 
-    The translated net is explored with its silent chains compressed and
-    under the early-refusal monitor (see the module docstring): at the
-    first stable state that the checker's weak moves reach and whose
-    contents no source state has, the result is ``NOT_BISIMILAR`` with a
-    ``"foreign-state"`` witness, and the partial graph is neither
-    flattened nor checked.  ``stats`` counts the translated states kept
-    (``translated-states``, of which ``translated-stable-states`` are
-    stable) and the edges between them, up to the stop if there was one.
-    ``max_states`` and ``max_depth`` count kept states too.
+    The translated net is explored as its kernel of stable states under
+    the early-refusal monitor (see the module docstring): at the first
+    stable state that a chain of weak moves reaches and whose contents no
+    source state has, the result is ``NOT_BISIMILAR`` with a
+    ``"foreign-state"`` witness, and the partial kernel is neither
+    flattened nor checked.  Otherwise a silent dead end, then a silent
+    cycle, that a local search met is refused, and the kernel goes to
+    :func:`check_weak_bisim`.  ``stats`` counts the kernel's stable
+    states (``translated-states``) and weak moves (``translated-edges``),
+    up to the stop if there was one, and the markings of its largest
+    local search (``largest-local-search``).  ``max_states`` caps the
+    stable states and ``max_depth`` the weak moves from the initial
+    one; a local search that would visit more than ``max_states``
+    markings, or follow more than ``max_depth`` firings, is cut.
 
     ``translation`` may be supplied to certify a pre-built (for instance
     deliberately mutated) translation of the same model.  Unless the
@@ -686,31 +676,42 @@ def certify_translation(
     raised before the truncated side is flattened, and a truncated
     source exploration stops the run before the translated net is
     explored.
+
+    Under ``DBNET_LOG=info`` each phase (source exploration, target
+    exploration, check) logs one line with its seconds and states.
     """
     policy = policy or model.default_policy
     if translation is None:
         translation = translate(model)
 
+    started = time.perf_counter()
     raw1 = build_lts(model, policy, max_states=max_states, max_depth=max_depth)
     _refuse_truncated(raw1)
     flat1 = flatten(raw1)
+    started = _log_phase("source exploration", started, "%d states", raw1.state_count)
     relation_names = {p: r for r, p in translation.relation_places.items()}
-    raw2, result = _explore_target(
+    kernel, result = _explore_target(
         translation, policy, relation_names,
         {ann["flat"] for ann in flat1.annotations.values()},
         max_states=max_states, max_depth=max_depth,
     )
+    started = _log_phase(
+        "target exploration", started, "%d stable states, %d weak moves, largest local search %d",
+        kernel.state_count, kernel.edge_count, kernel.largest_search,
+    )
     if result is None:
-        _refuse_truncated(raw1, raw2)
-        flat2 = flatten(raw2, translation.place_classes, relation_names=relation_names)
-        result = check_weak_bisim(flat1, flat2)
+        _refuse_truncated(raw1, kernel)
+        result = _silent_refusal(kernel, translation.place_classes, relation_names)
+        if result is None:
+            flat2 = flatten(kernel, translation.place_classes, relation_names=relation_names)
+            result = check_weak_bisim(flat1, flat2)
+        _log_phase("check", started, "%d + %d states, %s",
+                   raw1.state_count, kernel.state_count, result.verdict)
     result.stats = {
         "source-states": raw1.state_count,
         "source-edges": raw1.edge_count,
-        "translated-states": raw2.state_count,
-        "translated-stable-states": sum(
-            _is_stable(translation.lock_place, m) for m in raw2.states
-        ),
-        "translated-edges": raw2.edge_count,
+        "translated-states": kernel.state_count,
+        "translated-edges": kernel.edge_count,
+        "largest-local-search": kernel.largest_search,
     }
     return result

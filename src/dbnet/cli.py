@@ -19,10 +19,14 @@ or ``--products`` below 1),
 space, ``certify`` gives no verdict unless a state it can refuse came
 first), 3 not-bisimilar.
 
-``certify`` folds the translated net's silent chains as it explores, so
-its ``--max-states``/``--max-depth``, its ``translated-states`` line and
-the ``via`` lines of a counterexample count the states it keeps; the
-state space ``statespace`` writes is never compressed.
+``certify`` explores the translated net as its stable states, each
+expanded by a local search through the gadget interior it reaches.
+``--max-states`` caps its stable states and ``--max-depth`` the weak
+moves from the initial state; its ``translated-states`` line counts
+stable states and ``translated-edges`` weak moves; and a search that
+would visit more than ``--max-states`` states or follow more than
+``--max-depth`` firings counts as truncation.  The state space
+``statespace`` writes is the full one.
 """
 
 from __future__ import annotations

@@ -40,22 +40,20 @@ tokens it adds and its label, so that firing is a single
 memoised, as its fresh values avoid every value in the marking.  The
 priority rule is applied after the memo.
 
-Given a ``keep`` predicate, :func:`cpn_build_lts` also compresses silent
-chains: a marking that ``keep`` rejects and whose priority-enabled
-firings all have one silent effect (the same tokens removed and added)
-is walked through instead of becoming a state.  Such a step is inert (it
-cannot be avoided and observes nothing; bindings with one effect lead to
-one marking and make one edge), so weak bisimilarity over the kept
-states is unchanged, as in the collapse of inert silent steps that
-branching-bisimulation minimisation relies on (Groote & Vaandrager,
-ICALP 1990).  The certifier keeps the stable markings, where the lock is
-home; most of a gadget's steps then vanish (shop 3x3 under
-``bounded:2``: 4,449 states kept, where the full graph has 22,683).  A
-walk that stops at an interior marking has already scanned it, and
-hands those firings to the marking's expansion, so the scan is not
-repeated there; a later walk that reaches it stops without a scan
-(25,323 enabling scans on that net, 30,083 without the handover and
-the one-effect rule).
+Given a ``keep`` predicate, :func:`cpn_build_lts` explores the
+*kernel* instead: the graph over the markings ``keep`` accepts, whose
+edges are weak moves.  Expanding one of them runs a local search through
+the interior markings it reaches, which computes its weak moves on the
+fly, as on-the-fly equivalence checkers compute a state's silent
+closure (Fernandez & Mounier, CAV 1991; Mateescu, FMICS 2005).  The
+search also reports silent dead ends and silent cycles, and forgets its
+interior markings when it ends, so none outlives it.  The certifier
+keeps the stable markings, where the lock is home (shop 3x3 under
+``bounded:2``: 1,213 stable states and 2,418 weak moves, where the full
+graph has 22,683 states; the largest search visits 120 markings, and
+the exploration makes 22,779 enabling scans against the full graph's
+22,683, as a few interior markings are reached from more than one
+stable state).
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ from typing import Callable, Mapping, Optional
 
 from .fo import Formula, TRUE
 from .freshness import FreshPolicy
-from .lts import EPS, Lts, explore
+from .lts import EPS, Lts, cycle_member, explore
 from .marking import Marking
 from .model import _marking_values, _walk_guard_vars, bind_transition, eval_guard
 from .relational import ContractError, Value, Variable, ground, render_value
@@ -84,6 +82,7 @@ __all__ = [
     "cpn_enabled",
     "cpn_fire",
     "cpn_build_lts",
+    "Kernel",
 ]
 
 P_LOW = 0
@@ -412,6 +411,25 @@ def cpn_fire(net: NuCpn, marking: Marking, t: CpnTransition, theta: Mapping[str,
     return marking.update(removals, additions), label
 
 
+@dataclass
+class Kernel(Lts):
+    """The graph of stable markings that :func:`cpn_build_lts` explores
+    under ``keep``: its edges are weak moves, and it reports what the
+    local searches met in the interior.  ``dead_end`` and ``divergence``
+    are the first silent dead end and the first marking on a silent
+    cycle, each as ``(root, labels, marking)``: the stable marking whose
+    search met it, the labels of the firings from there, and the marking
+    itself.  ``largest_search`` counts the markings of the largest
+    search, its root included."""
+
+    dead_end: Optional[tuple] = None
+    divergence: Optional[tuple] = None
+    largest_search: int = 0
+
+
+_TWO = ("two observables",)  # a route that is no weak move
+
+
 def cpn_build_lts(
     net: NuCpn,
     policy: Optional[FreshPolicy] = None,
@@ -426,26 +444,26 @@ def cpn_build_lts(
     unbounded freshness for the same reason the source layer does.
     ``stop`` is handed to :func:`dbnet.lts.explore`.
 
-    Silent chains are compressed: each successor that ``keep`` rejects
-    is walked on while the current marking's
-    priority-enabled firings all have one effect, ``(removals,
-    additions, label)``, and that effect is silent; several bindings
-    with one effect are one step.  The walk stops at a marking ``keep``
-    accepts, at a branch (two or more effects), at an observable
-    effect, at a dead end, or at a marking already met in this walk (so
-    a silent cycle stays a cycle); the compressed edge carries the first
-    step's label and lands where the walk stopped.  A walk that stops at
-    a branch, an observable or a dead end has scanned that marking, and
-    keeps the firings it found until the marking is expanded, which then
-    uses them instead of scanning again: at most one list per marking
-    where a walk stopped, dropped at its expansion.  A later walk that
-    reaches such a marking stops there without a scan.  The markings walked
-    through are not states of the graph, so ``max_states`` and
-    ``max_depth`` count the states kept.  A walk through more markings
-    than either limit is cut: its edge is dropped and the graph is
-    marked truncated, as the full graph would have been.  Without
-    ``keep`` every marking is kept, so each walk stops at once and the
-    graph is the plain reachability graph."""
+    Given ``keep``, the result is the :class:`Kernel` instead: the graph
+    over the markings ``keep`` accepts, the stable ones, explored
+    breadth-first.  Expanding a stable marking runs a local search
+    through the interior markings it reaches, breadth-first as well; the
+    search stops at each stable marking and yields one edge per weak
+    move ``(label, stable target)``, where the route passes at most one
+    observable and ``label`` is that observable or ``eps``.  A stable
+    marking reached only across two observables gets no edge, but is
+    explored all the same, after every state that weak moves reach
+    (:func:`dbnet.lts.explore`).  The search's visited set is dropped
+    when it ends, so no interior marking outlives it; the locality memo
+    outlives it.  The search also reports a silent dead end (an interior
+    marking without firings) and a silent cycle (interior markings that
+    silent firings lead around), which are the states the full graph's
+    convergence conditions look at.  ``max_states`` caps the stable
+    states and ``max_depth`` the weak moves from the initial one; a
+    search that would visit more than ``max_states`` markings (a marking
+    counts once per observable it is reached with) or follow more than
+    ``max_depth`` firings is cut, keeps the edges it yielded, and marks
+    the graph truncated."""
     policy = policy or net.default_policy
     if not policy.finite_branching:
         raise ContractError(
@@ -477,49 +495,67 @@ def cpn_build_lts(
         return _prioritised(table, marking, partial(firings, marking))
 
     if keep is None:
-        keep = lambda marking: True
-    limits = [n for n in (max_states, max_depth) if n is not None]
-    limit = min(limits) if limits else None
-    cut = False
-    # interior marking where a walk stopped -> its prioritised firings,
-    # until explore expands it, and None after that: a later walk stops
-    # there again without a scan, and keeps nothing alive
-    handed: dict = {}
+        def step(marking: Marking):
+            return [(label, marking.update(removals, additions))
+                    for _, (removals, additions, label) in enabled(marking)]
 
-    def walk(start: Marking, marking: Marking) -> Optional[Marking]:
-        """Where the silent chain into ``marking`` from ``start`` stops;
-        None if it passes more than ``limit`` markings."""
-        nonlocal cut
-        met = {start}
-        while not keep(marking) and marking not in met and marking not in handed:
-            here = enabled(marking)
-            effect = here[0][1] if here else None
-            if (effect is None or effect[2] != EPS
-                    or len(here) > 1 and any(f != effect for _, f in here)):
-                # a dead end, an observable or a branch: its expansion reuses `here`
-                handed[marking] = here
-                break
-            if limit is not None and len(met) > limit:
-                cut = True
-                return None
-            met.add(marking)
-            marking = marking.update(effect[0], effect[1])
-        return marking
+        return explore(net.initial_marking, step, max_states=max_states,
+                       max_depth=max_depth, stop=stop)
 
-    def compressed_step(marking: Marking):
-        here = handed.get(marking)
-        if here is None:
-            here = enabled(marking)
-        else:
-            handed[marking] = None
-        out = []
-        for _, (removals, additions, label) in here:
-            end = walk(marking, marking.update(removals, additions))
-            if end is not None:
-                out.append((label, end))
-        return out
+    kernel = Kernel()
 
-    lts = explore(net.initial_marking, compressed_step, max_states=max_states,
+    def search(root: Marking):
+        """The weak moves out of ``root``; ``(None, target)`` for a
+        stable target reached only across two observables."""
+        # A node is (marking, weak label so far): eps, the one observable
+        # passed, or _TWO; it is numbered by its position in `queue`.
+        number = {(root, EPS): 0}
+        queue = [(root, EPS)]
+        parent = [None]  # node -> (its parent node, the firing's label)
+        depth = [0]  # node -> firings from the root
+        silent = []  # node -> the interior nodes one silent firing away
+
+        def labels(i: int) -> tuple:
+            out = []
+            while parent[i] is not None:
+                i, label = parent[i]
+                out.append(label)
+            return tuple(reversed(out))
+
+        try:
+            for i, (marking, weak) in enumerate(queue):  # the queue grows while it is read
+                here = enabled(marking)
+                if not here and i and kernel.dead_end is None:
+                    kernel.dead_end = (root, labels(i), marking)
+                succ = []
+                silent.append(succ)
+                for _, (removals, additions, label) in here:
+                    after = marking.update(removals, additions)
+                    now = weak if label == EPS else label if weak == EPS else _TWO
+                    if keep(after):
+                        yield (None if now is _TWO else now), after
+                        continue
+                    node = (after, now)
+                    j = number.get(node)
+                    if j is None:
+                        if len(queue) == max_states or depth[i] == max_depth:
+                            kernel.truncated = True
+                            return
+                        j = number[node] = len(queue)
+                        queue.append(node)
+                        parent.append((i, label))
+                        depth.append(depth[i] + 1)
+                    if label == EPS:
+                        succ.append(j)
+        finally:  # also when the search is cut, or `stop` ends the exploration
+            kernel.largest_search = max(kernel.largest_search, len(queue))
+        if kernel.divergence is None:
+            on_cycle = cycle_member(silent)
+            if on_cycle is not None:
+                kernel.divergence = (root, labels(on_cycle), queue[on_cycle][0])
+
+    lts = explore(net.initial_marking, search, max_states=max_states,
                   max_depth=max_depth, stop=stop)
-    lts.truncated = lts.truncated or cut
-    return lts
+    kernel.states, kernel.edges = lts.states, lts.edges
+    kernel.truncated = kernel.truncated or lts.truncated
+    return kernel

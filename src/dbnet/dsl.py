@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cpn import CpnPlace, CpnTransition, Emit, NuCpn, P_NORMAL, _PRIORITY_NAMES
 from .fo import And, Atom, Compare, Formula, Not, Or, Truth, TRUE
@@ -75,8 +75,7 @@ class ModelFile:
 # Lexer
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # "ident" | "int" | "real" | "string" | punctuation itself
     value: object
     line: int

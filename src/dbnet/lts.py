@@ -19,6 +19,7 @@ __all__ = [
     "EPS",
     "Lts",
     "explore",
+    "cycle_member",
     "format_label",
     "state_hash",
     "lts_text",
@@ -74,8 +75,14 @@ def explore(
     terminal).  A state's number is its position in ``states``, so the
     initial state is 0, and edges are triples of those numbers.
 
+    ``step_fn`` may also yield ``(None, successor)``: the successor is a
+    state, but no edge leads there.  Unless an edge reaches it too, it is
+    numbered and expanded only once every state that edges reach from
+    ``initial`` has been.
+
     ``stop`` is called as ``stop(src, label, dst, states[dst])`` after
-    each edge is recorded; once it returns true, exploration ends there
+    each edge is recorded, up to the first expansion of a state that only
+    edge-less steps reach; once it returns true, exploration ends there
     and the graph built so far is returned.  Such a graph is partial
     whether or not ``truncated`` is set, so only the caller that asked
     to stop may read it.
@@ -84,7 +91,18 @@ def explore(
     states = lts.states
     seen = {initial: 0}  # each state -> its number
     frontier = [0]
+    apart = []  # successors of edge-less steps, numbered once the frontier runs dry
     depth = 0
+
+    def number(state):
+        if max_states is not None and len(states) >= max_states:
+            lts.truncated = True
+            return None
+        d = seen[state] = len(states)
+        states.append(state)
+        next_frontier.append(d)
+        return d
+
     while frontier:
         if max_depth is not None and depth >= max_depth:
             lts.truncated = True
@@ -93,23 +111,65 @@ def explore(
         for src in frontier:
             emitted = set()
             for label, dst in step_fn(states[src]):
+                if label is None:
+                    apart.append(dst)
+                    continue
                 d = seen.get(dst)
                 if d is None:
-                    if max_states is not None and len(states) >= max_states:
-                        lts.truncated = True
+                    d = number(dst)
+                    if d is None:
                         continue
-                    d = seen[dst] = len(states)
-                    states.append(dst)
-                    next_frontier.append(d)
                 elif (label, d) in emitted:  # set semantics on edges too
                     continue
                 emitted.add((label, d))
                 lts.edges.append((src, label, d))
                 if stop is not None and stop(src, label, d, states[d]):
                     return lts
+        if not next_frontier and apart:
+            stop = None  # every state that edges reach is expanded
+            for dst in apart:
+                if dst not in seen:
+                    number(dst)
+            apart = []
         frontier = next_frontier
         depth += 1
     return lts
+
+
+def cycle_member(succ: list) -> Optional[int]:
+    """A node on a cycle of the graph with successor lists ``succ``
+    (node ``i``'s successors are ``succ[i]``), or None if it has none.
+
+    Kahn's peel removes the nodes that no cycle leads into; each node
+    left over has a predecessor that is left over too.  Walking back
+    along those from the lowest numbered leftover node must repeat a
+    node, and that node lies on a cycle."""
+    indeg = [0] * len(succ)
+    for out in succ:
+        for d in out:
+            indeg[d] += 1
+    queue = [s for s, n in enumerate(indeg) if n == 0]
+    seen = 0
+    while queue:
+        s = queue.pop()
+        seen += 1
+        for d in succ[s]:
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                queue.append(d)
+    if seen == len(succ):
+        return None
+    left = [s for s, n in enumerate(indeg) if n > 0]
+    back = {s: [] for s in left}
+    for s in left:
+        for d in succ[s]:
+            if indeg[d] > 0:
+                back[d].append(s)
+    s, met = left[0], set()
+    while s not in met:
+        met.add(s)
+        s = min(back[s])
+    return s
 
 
 def state_hash(rendered: str) -> str:

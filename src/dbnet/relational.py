@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterable, Mapping, Optional, Union
 
@@ -275,6 +275,8 @@ Constraint = Union[PrimaryKey, ForeignKey, DomainConstraint]
 class Schema:
     relations: Mapping[str, RelationSchema]
     constraints: tuple = ()
+    # the constraints found well-formed for this schema, each once
+    _well_formed: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def relation(self, name: str) -> RelationSchema:
         try:
@@ -295,6 +297,17 @@ class Schema:
         for c in self.constraints:
             problems.extend(self._validate_constraint(c))
         return problems
+
+    def _require_well_formed(self, c: Constraint) -> None:
+        """Raise ``ValidationError`` if ``c`` is ill-formed for this
+        schema.  A well-formed constraint is validated once per schema, as
+        neither it nor the schema ever changes."""
+        if c in self._well_formed:
+            return
+        problems = self._validate_constraint(c)
+        if problems:
+            raise ValidationError("; ".join(problems))
+        self._well_formed.add(c)
 
     def _validate_constraint(self, c: Constraint):
         problems = []
@@ -458,13 +471,12 @@ def active_domain(instance: Instance, dtype: Union[DataType, str]) -> set:
 
 def check_constraint(instance: Instance, c: Constraint) -> bool:
     """Decide one constraint on one instance, from scratch: it reads every
-    fact of the relations ``c`` names and no memo.  Raises
-    ``ValidationError`` if ``c`` is ill-formed for the schema.
+    fact of the relations ``c`` names and no earlier decision.  Raises
+    ``ValidationError`` if ``c`` is ill-formed for the schema, which each
+    schema checks once per constraint.
     :func:`apply_action` calls it only on the constraints an update can
     break."""
-    problems = instance.schema._validate_constraint(c)
-    if problems:
-        raise ValidationError("; ".join(problems))
+    instance.schema._require_well_formed(c)
     if isinstance(c, PrimaryKey):
         seen = {}
         for row in instance.facts.get(c.relation, ()):

@@ -432,3 +432,25 @@ def test_info_logging_goes_to_stderr_only():
     assert proc.returncode == 0
     assert proc.stdout.strip() == "shopping-cart: ok"
     assert "dbnet: parsed" in proc.stderr
+
+
+def test_certify_logs_one_line_per_phase_to_stderr(capsys):
+    env = dict(os.environ, DBNET_LOG="info")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "dbnet.cli", "certify", str(TOUCH)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    _, quiet, _ = run(capsys, "certify", TOUCH)
+    assert proc.returncode == 0
+    assert proc.stdout == quiet  # logging adds nothing to stdout
+    phases = [line for line in proc.stderr.splitlines() if " s, " in line]
+    assert [re.sub(r"[\d.]+ s, ", "T s, ", line) for line in phases] == [
+        "dbnet: source exploration: T s, 2 states",
+        "dbnet: target exploration: T s, 2 stable states, 2 weak moves, largest local search 6",
+        "dbnet: check: T s, 2 + 2 states, bisimilar",
+    ]

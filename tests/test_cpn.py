@@ -346,7 +346,7 @@ def test_priority_audit_on_a_translated_net(shop_translation, shop_cpn_lts):
 
 
 # ---------------------------------------------------------------------------
-# silent-chain compression
+# the kernel of stable markings: one local search per expansion
 
 
 def locked(marking):
@@ -362,8 +362,10 @@ def units(*places):
     return Marking.from_tokens([(p, ()) for p in places])
 
 
+LEAVE = ("obs", "LEAVE", (), "commit")
+
+
 def test_a_silent_chain_folds_into_the_step_that_entered_it():
-    leave = ("obs", "LEAVE", (), "commit")
     net = unit_net({
         "enter": (["lock"], ["a"]),
         "on": (["a"], ["b"]),
@@ -372,51 +374,67 @@ def test_a_silent_chain_folds_into_the_step_that_entered_it():
     })
     full = cpn_build_lts(net, RECYCLING)
     assert full.state_count == 4
-    lts = cpn_build_lts(net, RECYCLING, keep=locked)
-    # a is walked through; b stays, as its one firing is observable
-    assert lts.states == [units("lock"), units("b")]
-    assert edges_by_marking(lts) == {
-        (units("lock"), EPS, units("b")),
-        (units("b"), leave, units("lock")),
-    }
-    assert not lts.truncated
+    kernel = cpn_build_lts(net, RECYCLING, keep=locked)
+    # the gadget run enter, on, LEAVE, exit is one weak move, named by
+    # its observable
+    assert kernel.states == [units("lock")]
+    assert edges_by_marking(kernel) == {(units("lock"), LEAVE, units("lock"))}
+    assert kernel.largest_search == 4  # the lock's marking, a, b and c
+    assert kernel.dead_end is kernel.divergence is None
+    assert not kernel.truncated
 
 
-def test_a_walk_stops_at_a_branch_and_at_a_dead_end():
+def test_a_search_reports_its_first_dead_end():
     net = unit_net({
         "enter": (["lock"], ["a"]),
         "on": (["a"], ["b"]),
-        "left": (["b"], ["c"]),
+        "left": (["b"], ["lock"]),
         "right": (["b"], ["d"]),
         "stuck": (["d"], ["e"]),
     })
-    lts = cpn_build_lts(net, RECYCLING, keep=locked)
-    assert set(lts.states) == {units("lock"), units("b"), units("c"), units("e")}
-    assert edges_by_marking(lts) == {
-        (units("lock"), EPS, units("b")),
-        (units("b"), EPS, units("c")),
-        (units("b"), EPS, units("e")),
-    }
+    kernel = cpn_build_lts(net, RECYCLING, keep=locked)
+    assert kernel.states == [units("lock")]
+    assert edges_by_marking(kernel) == {(units("lock"), EPS, units("lock"))}
+    # the root, the firings from it, and the dead marking
+    assert kernel.dead_end == (units("lock"), (EPS, EPS, EPS, EPS), units("e"))
+    assert kernel.divergence is None
 
 
 def test_a_silent_cycle_stays_a_cycle():
+    # a leads into the cycle b -> c -> b, so the witness is b or c, never a
     net = unit_net({
         "enter": (["lock"], ["a"]),
         "ab": (["a"], ["b"]),
         "bc": (["b"], ["c"]),
-        "ca": (["c"], ["a"]),
+        "cb": (["c"], ["b"]),
     })
-    lts = cpn_build_lts(net, RECYCLING, keep=locked)
-    assert lts.states == [units("lock"), units("a")]
-    assert edges_by_marking(lts) == {
-        (units("lock"), EPS, units("a")),
-        (units("a"), EPS, units("a")),
-    }
+    kernel = cpn_build_lts(net, RECYCLING, keep=locked)
+    assert kernel.states == [units("lock")]
+    assert kernel.edges == []
+    root, labels, marking = kernel.divergence
+    assert root == units("lock")
+    assert marking in (units("b"), units("c"))
+    assert len(labels) == (2 if marking == units("b") else 3)
+    assert kernel.dead_end is None
+
+
+def test_a_stable_marking_behind_two_observables_is_explored_without_an_edge():
+    # IN and OUT are two observables between the stable markings, and
+    # from the second one, sink takes the lock into a dead end
+    net = unit_net({
+        "IN": (["lock", "t"], ["a"]),
+        "OUT": (["a"], ["lock", "s"]),
+        "sink": (["s", "lock"], ["d"]),
+    }, marked=("lock", "t"))
+    kernel = cpn_build_lts(net, RECYCLING, keep=locked)
+    assert kernel.states == [units("lock", "t"), units("lock", "s")]
+    assert kernel.edges == []
+    assert kernel.dead_end == (units("lock", "s"), (EPS,), units("d"))
 
 
 def test_bindings_with_one_effect_are_one_step_of_a_chain():
     # ``on`` reads either token on r and moves a's token to b: two
-    # bindings with one effect, so a is walked through, not a branch
+    # bindings with one effect, which reach one marking of the search
     def unit(name, ins, outs, emit=None):
         return CpnTransition(name, inputs=tuple((p, ()) for p in ins),
                              outputs=tuple((p, ()) for p in outs), emit=emit)
@@ -443,65 +461,24 @@ def test_bindings_with_one_effect_are_one_step_of_a_chain():
     assert {cpn_fire(net, with_r("a"), t, theta, RECYCLING) for t, theta in at_a} == {
         (with_r("b"), EPS)
     }
-    lts = cpn_build_lts(net, RECYCLING, keep=locked)
-    assert lts.states == [with_r("lock"), with_r("b")]
-    assert edges_by_marking(lts) == {
-        (with_r("lock"), EPS, with_r("b")),
-        (with_r("b"), ("obs", "LEAVE", (), "commit"), with_r("lock")),
-    }
-    assert not lts.truncated
-
-
-def test_a_walks_stop_is_not_scanned_again_when_it_is_expanded(monkeypatch):
-    # A walk that stops at an interior branch hands the firings it found
-    # to that state's expansion.  Re-walks of converging chains may still
-    # scan a marking twice, so only the expansion itself is checked.
-    translation = translate(build_shopping_cart(1, 2))
-    lock = translation.lock_place
-
-    def keep(marking):
-        return lock in marking.marked()
-
-    events = []
-    real_scan, real_explore = cpn._prioritised, cpn.explore
-
-    def scan(table, marking, pairs):
-        events.append(("scan", marking))
-        return real_scan(table, marking, pairs)
-
-    def explore(initial, step_fn, **kw):
-        def step(state):
-            events.append(("expand", state))
-            return step_fn(state)
-        return real_explore(initial, step, **kw)
-
-    monkeypatch.setattr(cpn, "_prioritised", scan)
-    monkeypatch.setattr(cpn, "explore", explore)
-    lts = cpn_build_lts(translation.net, BOUNDED1, keep=keep)
-    monkeypatch.undo()
-    assert not lts.truncated
-
-    scanned, expanding, checked = set(), None, 0
-    for kind, marking in events:
-        if kind == "expand":
-            # a kept interior state that some walk has stopped at
-            expanding = marking if marking in scanned and not keep(marking) else None
-            checked += expanding is not None
-        else:
-            assert marking != expanding
-            scanned.add(marking)
-    assert checked > 0
+    kernel = cpn_build_lts(net, RECYCLING, keep=locked)
+    assert kernel.states == [with_r("lock")]
+    assert edges_by_marking(kernel) == {(with_r("lock"), LEAVE, with_r("lock"))}
+    assert kernel.largest_search == 4
+    assert not kernel.truncated
 
 
 @pytest.mark.parametrize("limit", [{"max_states": 100}, {"max_depth": 5}])
 def test_a_runaway_walk_is_cut_at_the_cap(limit):
     # the only firing inside is a silent grow, so the bag on q never stops
-    # growing and no walk ends by itself
+    # growing and the search never ends by itself
     net = unit_net({"enter": (["lock"], ["p"]), "grow": (["p"], ["p", "q"])})
-    lts = cpn_build_lts(net, RECYCLING, keep=locked, **limit)
-    assert lts.truncated
-    assert lts.states == [units("lock")]
-    assert lts.edges == []
+    kernel = cpn_build_lts(net, RECYCLING, keep=locked, **limit)
+    assert kernel.truncated
+    assert kernel.states == [units("lock")]
+    assert kernel.edges == []
+    # 100 markings, or the root and the 5 markings within 5 firings
+    assert kernel.largest_search == limit.get("max_states", 6)
 
 
 # ---------------------------------------------------------------------------

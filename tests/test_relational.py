@@ -296,6 +296,27 @@ def test_check_constraint_rejects_ill_formed():
         check_constraint(inst(), PrimaryKey("Nope", (0,)))
 
 
+def test_each_constraint_is_validated_once_per_schema(monkeypatch):
+    validated = []
+    real = Schema._validate_constraint
+    monkeypatch.setattr(Schema, "_validate_constraint",
+                        lambda schema, c: validated.append(c) or real(schema, c))
+    schema = Schema(relations=SCHEMA.relations, constraints=SCHEMA.constraints)
+    for rows in ([1], [1, 2], [3]):
+        for c in schema.constraints:
+            check_constraint(Instance(schema, {"R": [(iv(n),) for n in rows], "S": []}), c)
+    assert validated == list(schema.constraints)
+    # another schema validates on its own; an ill-formed constraint raises
+    # on every call and is never taken for well-formed
+    other = Schema(relations=SCHEMA.relations, constraints=SCHEMA.constraints)
+    check_constraint(Instance(other, {"R": [], "S": []}), FK)
+    bad = PrimaryKey("Nope", (0,))
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="unknown relation"):
+            check_constraint(Instance(schema, {"R": [], "S": []}), bad)
+    assert validated == [*schema.constraints, FK, bad, bad]
+
+
 def test_null_participates_in_keys_like_any_value():
     sch = Schema(relations={"T": RelationSchema("T", ("int", "int"))})
     pk = PrimaryKey("T", (0,))
