@@ -666,8 +666,9 @@ def certify_translation(
     up to the stop if there was one, and the markings of its largest
     local search (``largest-local-search``).  ``max_states`` caps the
     stable states and ``max_depth`` the weak moves from the initial
-    one; a local search that would visit more than ``max_states``
-    markings, or follow more than ``max_depth`` firings, is cut.
+    one; once the local searches have visited ``max_states`` markings in
+    all, or one would follow more than ``max_depth`` firings, the
+    search is cut.
 
     ``translation`` may be supplied to certify a pre-built (for instance
     deliberately mutated) translation of the same model.  Unless the

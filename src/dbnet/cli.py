@@ -23,10 +23,10 @@ first), 3 not-bisimilar.
 expanded by a local search through the gadget interior it reaches.
 ``--max-states`` caps its stable states and ``--max-depth`` the weak
 moves from the initial state; its ``translated-states`` line counts
-stable states and ``translated-edges`` weak moves; and a search that
-would visit more than ``--max-states`` states or follow more than
-``--max-depth`` firings counts as truncation.  The state space
-``statespace`` writes is the full one.
+stable states and ``translated-edges`` weak moves; and local searches
+that visit more than ``--max-states`` states in all, or one that would
+follow more than ``--max-depth`` firings, count as truncation.  The
+state space ``statespace`` writes is the full one.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ closure (Fernandez & Mounier, CAV 1991; Mateescu, FMICS 2005).  The
 search also reports silent dead ends and silent cycles, and forgets its
 interior markings when it ends, so none outlives it.  The certifier
 keeps the stable markings, where the lock is home (shop 3x3 under
-``bounded:2``: 1,213 stable states and 2,418 weak moves, where the full
+``bounded:2``: 1,213 stable states and 2,238 weak moves, where the full
 graph has 22,683 states; the largest search visits 120 markings, and
 the exploration makes 22,779 enabling scans against the full graph's
 22,683, as a few interior markings are reached from more than one
@@ -450,20 +450,24 @@ def cpn_build_lts(
     through the interior markings it reaches, breadth-first as well; the
     search stops at each stable marking and yields one edge per weak
     move ``(label, stable target)``, where the route passes at most one
-    observable and ``label`` is that observable or ``eps``.  A stable
-    marking reached only across two observables gets no edge, but is
-    explored all the same, after every state that weak moves reach
+    observable and ``label`` is that observable or ``eps``; a silent
+    move back to the marking itself gets no edge, as the checker's
+    ``eps_targets`` hold each state already.  A stable marking reached
+    only across two observables gets no edge, but is explored all the
+    same, after every state that weak moves reach
     (:func:`dbnet.lts.explore`).  The search's visited set is dropped
     when it ends, so no interior marking outlives it; the locality memo
     outlives it.  The search also reports a silent dead end (an interior
     marking without firings) and a silent cycle (interior markings that
     silent firings lead around), which are the states the full graph's
     convergence conditions look at.  ``max_states`` caps the stable
-    states and ``max_depth`` the weak moves from the initial one; a
-    search that would visit more than ``max_states`` markings (a marking
-    counts once per observable it is reached with) or follow more than
-    ``max_depth`` firings is cut, keeps the edges it yielded, and marks
-    the graph truncated."""
+    states and ``max_depth`` the weak moves from the initial one.  The
+    searches share one budget of ``max_states`` markings, so the work of
+    the whole exploration stays within it: a marking counts once per
+    search that visits it and per observable it is reached with, and a
+    search's root counts too.  A search that would go past the budget,
+    or follow more than ``max_depth`` firings, is cut, keeps the edges
+    it yielded, and marks the graph truncated."""
     policy = policy or net.default_policy
     if not policy.finite_branching:
         raise ContractError(
@@ -503,10 +507,13 @@ def cpn_build_lts(
                        max_depth=max_depth, stop=stop)
 
     kernel = Kernel()
+    visited = 0  # nodes of all searches so far, roots included
 
     def search(root: Marking):
         """The weak moves out of ``root``; ``(None, target)`` for a
         stable target reached only across two observables."""
+        nonlocal visited
+        visited += 1
         # A node is (marking, weak label so far): eps, the one observable
         # passed, or _TWO; it is numbered by its position in `queue`.
         number = {(root, EPS): 0}
@@ -533,14 +540,17 @@ def cpn_build_lts(
                     after = marking.update(removals, additions)
                     now = weak if label == EPS else label if weak == EPS else _TWO
                     if keep(after):
-                        yield (None if now is _TWO else now), after
+                        if now != EPS or after != root:  # eps_targets holds the root already
+                            yield (None if now is _TWO else now), after
                         continue
                     node = (after, now)
                     j = number.get(node)
                     if j is None:
-                        if len(queue) == max_states or depth[i] == max_depth:
+                        if depth[i] == max_depth or (max_states is not None
+                                                     and visited >= max_states):
                             kernel.truncated = True
                             return
+                        visited += 1
                         j = number[node] = len(queue)
                         queue.append(node)
                         parent.append((i, label))

@@ -91,7 +91,7 @@ def explore(
     states = lts.states
     seen = {initial: 0}  # each state -> its number
     frontier = [0]
-    apart = []  # successors of edge-less steps, numbered once the frontier runs dry
+    apart = {}  # successors of edge-less steps, numbered once the frontier runs dry
     depth = 0
 
     def number(state):
@@ -112,7 +112,8 @@ def explore(
             emitted = set()
             for label, dst in step_fn(states[src]):
                 if label is None:
-                    apart.append(dst)
+                    if dst not in seen:
+                        apart[dst] = None
                     continue
                 d = seen.get(dst)
                 if d is None:
@@ -130,7 +131,7 @@ def explore(
             for dst in apart:
                 if dst not in seen:
                     number(dst)
-            apart = []
+            apart = {}
         frontier = next_frontier
         depth += 1
     return lts

@@ -337,11 +337,11 @@ def test_truncation_is_refused_before_flattening(shop, monkeypatch):
         "left LTS is truncated; the check needs the complete state space"
     )
     assert flattened == []
-    # The source side and the kernel both have 29 states, but the largest
-    # local search visits 52 markings, so a cap of 40 cuts the right side
-    # only; the correct translation has no foreign state to refuse.
+    # The source side and the kernel both have 29 states, but the local
+    # searches visit 535 markings in all, so a cap of 60 cuts the right
+    # side only; the correct translation has no foreign state to refuse.
     with pytest.raises(TruncatedError) as right_cut:
-        certify_translation(shop, policy=BOUNDED1, max_states=40)
+        certify_translation(shop, policy=BOUNDED1, max_states=60)
     assert str(right_cut.value) == (
         "right LTS is truncated; the check needs the complete state space"
     )
@@ -776,9 +776,7 @@ def test_the_compressed_graph_keeps_what_the_checker_reads(golden, case):
     keep = partial(bisim._is_stable, translation.lock_place)
     full = cpn_build_lts(translation.net, BOUNDED1, max_states=GOLDEN_CAP)
     if full.truncated:  # a runaway: partial graphs cover different ground
-        # a local search may visit as many markings as there are states,
-        # so a small cap keeps this quick
-        assert cpn_build_lts(translation.net, BOUNDED1, max_states=100, keep=keep).truncated
+        assert cpn_build_lts(translation.net, BOUNDED1, max_states=GOLDEN_CAP, keep=keep).truncated
         return
     kernel = cpn_build_lts(translation.net, BOUNDED1, max_states=GOLDEN_CAP, keep=keep)
     assert not kernel.truncated

@@ -394,7 +394,9 @@ def test_a_search_reports_its_first_dead_end():
     })
     kernel = cpn_build_lts(net, RECYCLING, keep=locked)
     assert kernel.states == [units("lock")]
-    assert edges_by_marking(kernel) == {(units("lock"), EPS, units("lock"))}
+    # left rolls back to the root: a silent move that eps_targets holds
+    # already, so it gets no edge
+    assert kernel.edges == []
     # the root, the firings from it, and the dead marking
     assert kernel.dead_end == (units("lock"), (EPS, EPS, EPS, EPS), units("e"))
     assert kernel.divergence is None
@@ -479,6 +481,29 @@ def test_a_runaway_walk_is_cut_at_the_cap(limit):
     assert kernel.edges == []
     # 100 markings, or the root and the 5 markings within 5 firings
     assert kernel.largest_search == limit.get("max_states", 6)
+
+
+def test_the_searches_share_one_budget_of_markings(monkeypatch):
+    # every stable marking's search runs away, and TICK leads on to a new
+    # stable marking each time.  The first search spends the budget of
+    # 100 markings, so the second is cut at its first interior marking
+    # and no stable marking after it is found: the work stays within the
+    # cap, where a cap per search would allow 100 markings per stable one.
+    net = unit_net({
+        "enter": (["lock"], ["g"]),
+        "grow": (["g"], ["g", "q"]),
+        "TICK": (["lock"], ["lock", "s"]),
+    })
+    scans = []
+    real = cpn._prioritised
+    monkeypatch.setattr(cpn, "_prioritised", lambda *a: scans.append(1) or real(*a))
+    kernel = cpn_build_lts(net, RECYCLING, keep=locked, max_states=100)
+    assert kernel.truncated
+    assert kernel.states == [units("lock"), units("lock", "s")]
+    tick = ("obs", "TICK", (), "commit")
+    assert edges_by_marking(kernel) == {(units("lock"), tick, units("lock", "s"))}
+    assert kernel.largest_search == 100
+    assert len(scans) == 101  # the first search, and the second one's root
 
 
 # ---------------------------------------------------------------------------
