@@ -90,7 +90,7 @@ def _load(args) -> ModelFile:
     path = Path(args.file)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Fail(f"cannot read {path}: {exc}") from exc
     marker = _TEMPLATE_RE.match(text.partition("\n")[0])
     sized = args.users is not None or args.products is not None
@@ -129,7 +129,10 @@ def _base(args, suffix_to_strip: str) -> Path:
 
 
 def _write(path: Path, text: str):
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _Fail(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path}")
 
 

@@ -33,12 +33,12 @@ is replaced.
 (Mortensen, CPN Workshop 2001): a transition's bindings depend only on
 the tokens of its own input and read places.  For the length of one
 exploration it memoises, per transition and content of those places
-(``Marking.records``: the shared record of each place, so no marking is
-built), the transition's firings: the tokens each binding removes, the
-tokens it adds and its label, so that firing is a single
-``Marking.update``.  A transition with fresh variables is never
-memoised, as its fresh values avoid every value in the marking.  The
-priority rule is applied after the memo.
+(``Marking.records``: the interned record of each place, so no marking
+is built and the key hashes by address), the transition's firings: the
+tokens each binding removes, the tokens it adds and its label, so that
+firing is a single ``Marking.update``.  A transition with fresh
+variables is never memoised, as its fresh values avoid every value in
+the marking.  The priority rule is applied after the memo.
 
 Given a ``keep`` predicate, :func:`cpn_build_lts` explores the
 *kernel* instead: the graph over the markings ``keep`` accepts, whose

@@ -5,27 +5,36 @@ use the same marking type; relation places of the translated net keep set
 semantics by construction (the surrounding gadgets guard every insert),
 not by anything in this module.
 
-A marking is a dict from each marked place to a shared, immutable place
-record ``(pairs, hash)`` (see :func:`_place_record`), plus one integer
-hash; an empty place is not stored at all, so two markings with the same
-tokens are identical in every query.  An update builds records only for
+A marking is a dict from each marked place to its place record (see
+:class:`PlaceRecord`), plus one integer hash; an empty place is not
+stored at all, so two markings with the same tokens are identical in
+every query.  Records are interned (hash-consing, as in Filliâtre &
+Conchon, "Type-Safe Modular Hash-Consing", ML 2006, applied one level
+above the interned values): building a record returns the one live
+object for its ``(place, pairs)``, so every marking of every state, on
+either net layer, shares it, and each distinct place contents is stored
+once (as SPIN's collapse compression stores each distinct state
+component once; Holzmann, SPIN 1997).  Records therefore compare and
+hash by identity, in C.  The intern table holds its records weakly: it
+keeps none alive, a record goes when the last marking holding it goes,
+and the table never needs clearing.  An update builds records only for
 the places it touches, and the new marking reuses every other place's
-record, the very same objects, from its parent.  Nothing may therefore
-mutate a record after construction.
+record from its parent.  Nothing may mutate a record after
+construction.
 
 The marking's hash is the sum of its places' record hashes, so an update
 re-hashes only the places it touches: it subtracts each touched place's
 old hash and adds the new one (incremental hashing, as in Nguyen & Ruys,
 "Incremental Hashing for SPIN", SPIN 2008).  The sum needs well-spread
-terms: Python's tuple hashes of related records are not independent, and
-summed raw they collide, so each place hash is passed through a 64-bit
-finaliser first.  A token's hash comes from the addresses of its values,
+terms: Python's tuple hashes of related place contents are not
+independent, and summed raw they collide, so each place hash is passed
+through a 64-bit finaliser first.  A token's hash comes from the addresses of its values,
 which are interned and hash by identity, so it differs from run to run;
 summed raw, the 22,683 translated markings of shop 3x3 under
 ``bounded:2`` got 990 to 1,677 fewer distinct hashes than markings in
 three runs, and mixed they get none.  Equality compares the hash, then
-the place dicts, where shared records match by identity without touching
-a token.  The sorted views, ``key()`` and ``places_marked()``, are built
+the place dicts, whose records match by identity without touching a
+token.  The sorted views, ``key()`` and ``places_marked()``, are built
 only when asked for: by validation, translation and printing, and by
 ``flatten`` once per distinct projection.  The enabling scan walks the
 unsorted ``marked()`` view.
@@ -34,17 +43,19 @@ unsorted ``marked()`` view.
 then the additions, into one private copy per touched place and re-sorts
 and re-hashes each touched place once; ``minus`` and ``plus`` are its two
 halves, and firing a transition is a single ``update``.  ``restrict``
-gives the marking of some places only, built from the shared per-place
-records, so it is a cheap hashable key for "the tokens on these places"
+gives the marking of some places only, built from the per-place records,
+so it is a cheap hashable key for "the tokens on these places"
 (``flatten`` renders each translated projection once on it).
-``records`` is the same key as a plain tuple of those shared records,
-with no marking built; the coloured-net layer memoises each
-transition's firings on it.
+``records`` is the same key as a plain tuple of those records, with no
+marking built, and it hashes each record by address; both net layers
+memoise each transition's firings on it.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
+import weakref
 from typing import Iterable, Mapping, Tuple
 
 from .relational import ContractError, render_value
@@ -75,23 +86,65 @@ def _fmix64(h: int) -> int:
     return h ^ (h >> 33)
 
 
-def _place_record(place: str, counts: dict):
-    """The shared per-place record ``(pairs, hash)`` for a non-empty bag
-    ``counts`` (token -> positive multiplicity).  ``pairs`` is the
-    canonical tuple of ``(token, multiplicity)`` in token order, and is
-    both what ``tokens(place)`` returns and this place's part of
-    ``Marking.key()``.  ``hash`` is ``hash((place, pairs))`` mixed by
-    :func:`_fmix64`; a marking's hash is the sum of these."""
+class PlaceRecord:
+    """The tokens of one marked place: the one live object for its
+    ``(place, pairs)``.  ``pairs`` is the canonical tuple of ``(token,
+    multiplicity)`` in token order, and is both what ``tokens(place)``
+    returns and this place's part of ``Marking.key()``.  ``hash`` is
+    ``hash((place, pairs))`` mixed by :func:`_fmix64`; a marking's hash
+    is the sum of these.  Records are interned, so equal records are the
+    same object, and equality and hashing are ``object``'s, by identity."""
+
+    __slots__ = ("place", "pairs", "hash", "__weakref__")
+
+    place: str
+    pairs: tuple
+    hash: int
+
+    def __new__(cls, place: str, pairs: tuple) -> "PlaceRecord":
+        key = (place, pairs)
+        rec = _RECORDS.get(key)
+        if rec is None:
+            with _RECORDS_LOCK:  # two threads must not make two objects for one key
+                rec = _RECORDS.get(key)
+                if rec is None:
+                    rec = object.__new__(cls)
+                    object.__setattr__(rec, "place", place)
+                    object.__setattr__(rec, "pairs", pairs)
+                    object.__setattr__(rec, "hash", _fmix64(hash(key)))
+                    _RECORDS[key] = rec
+        return rec
+
+    def __setattr__(self, name, _):
+        raise AttributeError(f"PlaceRecord is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PlaceRecord is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the intern table
+        return (PlaceRecord, (self.place, self.pairs))
+
+
+# (place, pairs) -> the live PlaceRecord with that key.  The table holds
+# its records weakly, so it keeps none alive and never needs clearing.
+_RECORDS = weakref.WeakValueDictionary()
+_RECORDS_LOCK = threading.Lock()
+
+
+def _place_record(place: str, counts: dict) -> PlaceRecord:
+    """The record of ``place`` holding the non-empty bag ``counts``
+    (token -> positive multiplicity)."""
     if len(counts) == 1:
         pairs = tuple(counts.items())
     else:
         pairs = tuple(sorted(counts.items(), key=_pair_sort_key))
-    return (pairs, _fmix64(hash((place, pairs))))
+    return PlaceRecord(place, pairs)
 
 
 def _sum_hash(records) -> int:
     # kept within a machine word, so ``__hash__`` returns it as it is
-    return sum(rec[1] for rec in records) & sys.maxsize
+    return sum(rec.hash for rec in records) & sys.maxsize
 
 
 class Marking:
@@ -107,7 +160,7 @@ class Marking:
             counts = {tok: n for tok, n in bag.items() if n > 0}
             if counts:
                 built[place] = _place_record(place, counts)
-        self._places = built  # place -> shared record from _place_record
+        self._places = built  # place -> its interned PlaceRecord
         self._hash = _sum_hash(built.values())
 
     @staticmethod
@@ -122,7 +175,7 @@ class Marking:
     def count(self, place: str, token: tuple) -> int:
         rec = self._places.get(place)
         if rec is not None:
-            for tok, n in rec[0]:
+            for tok, n in rec.pairs:
                 if tok == token:
                     return n
         return 0
@@ -130,7 +183,7 @@ class Marking:
     def tokens(self, place: str) -> tuple:
         """(token, multiplicity) pairs in canonical order."""
         rec = self._places.get(place)
-        return rec[0] if rec is not None else ()
+        return rec.pairs if rec is not None else ()
 
     def places_marked(self):
         """The marked places, sorted (for printing and validation)."""
@@ -143,10 +196,10 @@ class Marking:
 
     def total(self, place: str) -> int:
         rec = self._places.get(place)
-        return sum(n for _, n in rec[0]) if rec is not None else 0
+        return sum(n for _, n in rec.pairs) if rec is not None else 0
 
     def size(self) -> int:
-        return sum(n for rec in self._places.values() for _, n in rec[0])
+        return sum(n for rec in self._places.values() for _, n in rec.pairs)
 
     def covers(self, demands: Iterable[Tuple[str, tuple]]) -> bool:
         """Multiset inclusion: enough copies of every demanded token."""
@@ -157,7 +210,7 @@ class Marking:
 
     def all_values(self):
         for rec in self._places.values():
-            for tok, _ in rec[0]:
+            for tok, _ in rec.pairs:
                 for v in tok:
                     yield v
 
@@ -175,7 +228,7 @@ class Marking:
         return out
 
     def records(self, places: tuple) -> tuple:
-        """The shared record of each of ``places`` (a tuple of place names,
+        """The record of each of ``places`` (a tuple of place names,
         in a fixed order), None where a place is unmarked.  Two markings
         give equal tuples exactly when their ``restrict(places)`` are
         equal, so it keys "the tokens on these places" without building a
@@ -216,7 +269,7 @@ class Marking:
         counts = touched.get(place)
         if counts is None:
             rec = self._places.get(place)
-            counts = touched[place] = dict(rec[0]) if rec is not None else {}
+            counts = touched[place] = dict(rec.pairs) if rec is not None else {}
         return counts
 
     def _derive(self, touched: dict) -> "Marking":
@@ -228,10 +281,10 @@ class Marking:
         for place, counts in touched.items():
             old = places.get(place)
             if old is not None:
-                h -= old[1]
+                h -= old.hash
             if counts:
                 rec = places[place] = _place_record(place, counts)
-                h += rec[1]
+                h += rec.hash
             elif old is not None:
                 del places[place]
         out = Marking.__new__(Marking)
@@ -243,7 +296,7 @@ class Marking:
     def key(self):
         """``((place, pairs), ...)`` over the marked places, in place order."""
         places = self._places
-        return tuple((p, places[p][0]) for p in sorted(places))
+        return tuple((p, places[p].pairs) for p in sorted(places))
 
     def __eq__(self, other):
         return self is other or (

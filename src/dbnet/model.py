@@ -96,7 +96,7 @@ class Transition:
     rollbacks: tuple = ()  # (control place name, tuple of Term)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snapshot:
     instance: Instance
     marking: Marking

@@ -78,6 +78,16 @@ def test_missing_file_is_a_usage_error(capsys):
     assert err.startswith("error: cannot read")
 
 
+def test_a_file_that_is_not_utf8_is_a_read_error(capsys, tmp_path):
+    binary = tmp_path / "binary.dbn"
+    binary.write_bytes(b"\xff\xfe" + bytes(range(256)))
+    code, out, err = run(capsys, "validate", binary)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {binary}: ")
+    assert "Traceback" not in err
+
+
 def test_parse_diagnostics_carry_the_path(capsys, tmp_path):
     broken = tmp_path / "broken.dbn"
     broken.write_text('dbnet "m";\ntype int = int;\nwibble;\n')
@@ -148,6 +158,15 @@ def test_translate_writes_cpn_dot_and_provenance(capsys, tmp_path):
     reparsed = parse_model(base.with_suffix(".cpn").read_text())
     assert reparsed.kind == "cpn"
     assert reparsed.model.name == "touch.translated"
+
+
+def test_an_unwritable_output_is_a_write_error(capsys, tmp_path):
+    base = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "translate", TOUCH, "-o", base)
+    assert code == 1
+    assert "wrote" not in out
+    assert err.startswith(f"error: cannot write {base.with_suffix('.cpn')}: ")
+    assert "Traceback" not in err
 
 
 def test_translate_refuses_cpn_input(capsys, tmp_path):

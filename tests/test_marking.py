@@ -1,3 +1,8 @@
+import copy
+import pickle
+import sys
+import threading
+import weakref
 from collections import Counter
 
 import pytest
@@ -331,3 +336,93 @@ def test_distinct_markings_hash_apart_on_both_layers(shop22):
     assert_one_hash_per_marking(target.states)
     shop33 = build_lts(build_shopping_cart(3, 3), policy)
     assert_one_hash_per_marking([s.marking for s in shop33.states])
+
+
+# ---------------------------------------------------------------------------
+# interning: one live record per (place, pairs), shared by every marking
+
+
+def record(m, place):
+    return m.records((place,))[0]
+
+
+def test_equal_contents_share_one_record_whatever_builds_them():
+    a, b = tok(1), tok(2)
+    built = Marking({"p": {a: 2, b: 1}, "q": {a: 1}})
+    ways = [
+        Marking({"p": {b: 1, a: 2}, "q": {a: 1}}),
+        Marking.from_tokens([("q", a), ("p", b), ("p", a), ("p", a)]),
+        Marking.from_tokens([("p", a)]).update([("p", a)], [("p", b), ("p", a), ("p", a), ("q", a)]),
+        Marking.from_tokens([("p", a), ("q", a), ("q", b)]).plus([("p", a), ("p", b)]).minus([("q", b)]),
+        Marking({"p": {a: 2, b: 1}, "q": {a: 1}, "r": {b: 1}}).restrict({"p", "q"}),
+    ]
+    for m in ways:
+        assert m == built
+        for place in ("p", "q"):
+            assert record(m, place) is record(built, place)
+
+
+@given(starts, updates)
+def test_a_walked_marking_shares_the_records_of_one_built_from_scratch(start, steps):
+    m = walk(Marking.from_tokens(start), steps)
+    rebuilt = Marking({place: dict(m.tokens(place)) for place in m.places_marked()})
+    for place in PLACES:
+        assert record(m, place) is record(rebuilt, place)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_keep_the_interned_records(clone):
+    m = Marking.from_tokens([("p", tok(1)), ("p", tok(1)), ("q", tok(2, 3))])
+    twin = clone(m)
+    assert twin == m and hash(twin) == hash(m)
+    for place in ("p", "q"):
+        assert record(twin, place) is record(m, place)
+
+
+def test_threads_building_one_record_get_one_object():
+    def build(out):
+        out.extend(record(Marking({"racy": {tok(i): 1}}), "racy") for i in range(2000))
+
+    results = [[] for _ in range(4)]
+    threads = [threading.Thread(target=build, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for made in zip(*results):
+        assert all(rec is made[0] for rec in made)
+    assert len(results[0]) == 2000
+
+
+def test_a_record_no_marking_holds_is_freed():
+    m = Marking.from_tokens([("lonely", tok(987654))])
+    ref = weakref.ref(record(m, "lonely"))
+    assert ref() is not None
+    del m
+    assert ref() is None
+
+
+def test_records_compare_and_hash_by_identity():
+    rec = record(Marking.from_tokens([("p", tok(1))]), "p")
+    assert type(rec).__eq__ is object.__eq__
+    assert type(rec).__hash__ is object.__hash__
+    assert not hasattr(rec, "__dict__")
+
+
+def test_the_source_graph_holds_one_record_per_distinct_place_contents():
+    lts = build_lts(build_shopping_cart(3, 3), FreshPolicy.parse("bounded:2"))
+    objects, contents = set(), set()
+    for snap in lts.states:
+        m = snap.marking
+        for place in m.marked():
+            objects.add(id(record(m, place)))  # all alive, so ids are distinct
+            contents.add((place, m.tokens(place)))
+    assert len(contents) == 53
+    assert len(objects) == len(contents)
