@@ -73,14 +73,13 @@ looked up only for the returned relation.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping, Optional
 
 from .cpn import cpn_build_lts
-from .lts import EPS, Lts, cycle_member, format_label
+from .lts import EPS, Lts, _log_info, cycle_member, format_label
 from .marking import Marking
 from .model import DbNet, Snapshot, build_lts
 from .freshness import FreshPolicy
@@ -571,18 +570,8 @@ def _log_phase(phase: str, started: float, message: str, *args) -> float:
     """Log one phase's seconds since ``started`` and ``message``; returns
     the time now, where the next phase starts."""
     now = time.perf_counter()
-    _log_info("%s: %.3f s, " + message, phase, now - started, *args)
+    _log_info(__name__, "%s: %.3f s, " + message, phase, now - started, *args)
     return now
-
-
-def _log_info(message: str, *args) -> None:
-    """Log at info level through :mod:`logging` if the program has loaded
-    it.  A program that never imported ``logging`` has no handler that
-    could show the record, and importing it here would add about 6 ms
-    to every ``import dbnet``."""
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger(__name__).info(message, *args)
 
 
 def _explore_target(translation, policy, relation_names, known, *, max_states, max_depth):
@@ -615,7 +604,7 @@ def _explore_target(translation, policy, relation_names, known, *, max_states, m
     if not found:
         return kernel, None
     state, flat = found[0]
-    _log_info("refused at translated state %d: no source state has %s", state, flat)
+    _log_info(__name__, "refused at translated state %d: no source state has %s", state, flat)
     return kernel, _state_failure(
         "foreign-state", "foreign stable state", "right", flat, _kernel_path(kernel, state)
     )

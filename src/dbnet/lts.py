@@ -12,6 +12,8 @@ discover states in different orders still produce byte-identical output.
 from __future__ import annotations
 
 import hashlib
+import sys
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -24,6 +26,9 @@ __all__ = [
     "state_hash",
     "lts_text",
 ]
+
+# explore logs a progress line each time it has numbered this many states
+PROGRESS_EVERY = 10_000
 
 # Labels are tuples: ("eps",) for internal steps, or
 # ("obs", transition_name, ((var, value_text), ...), outcome).
@@ -86,7 +91,13 @@ def explore(
     and the graph built so far is returned.  Such a graph is partial
     whether or not ``truncated`` is set, so only the caller that asked
     to stop may read it.
+
+    Under ``DBNET_LOG=info`` it logs one line each time it has numbered
+    another ``PROGRESS_EVERY`` states: the states so far, the depth, the
+    frontier (states numbered but not yet expanded) and the seconds
+    since it started.
     """
+    started = time.perf_counter()
     lts = Lts(states=[initial])
     states = lts.states
     seen = {initial: 0}  # each state -> its number
@@ -101,6 +112,10 @@ def explore(
         d = seen[state] = len(states)
         states.append(state)
         next_frontier.append(d)
+        if not (d + 1) % PROGRESS_EVERY:
+            # states are expanded in the order they are numbered
+            _log_info(__name__, "explore: %d states, depth %d, frontier %d, %.1f s",
+                      d + 1, depth, d - src, time.perf_counter() - started)
         return d
 
     while frontier:
@@ -135,6 +150,16 @@ def explore(
         frontier = next_frontier
         depth += 1
     return lts
+
+
+def _log_info(logger: str, message: str, *args) -> None:
+    """Log at info level on the logger named ``logger`` through
+    :mod:`logging`, if the program has loaded it.  A program that never
+    imported ``logging`` has no handler that could show the record, and
+    importing it here would add about 6 ms to every ``import dbnet``."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(logger).info(message, *args)
 
 
 def cycle_member(succ: list) -> Optional[int]:

@@ -198,9 +198,6 @@ class Marking:
         rec = self._places.get(place)
         return sum(n for _, n in rec.pairs) if rec is not None else 0
 
-    def size(self) -> int:
-        return sum(n for rec in self._places.values() for _, n in rec.pairs)
-
     def covers(self, demands: Iterable[Tuple[str, tuple]]) -> bool:
         """Multiset inclusion: enough copies of every demanded token."""
         need: dict = {}

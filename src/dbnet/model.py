@@ -19,9 +19,18 @@ only the constraints the update can break, and one ``Marking.update``.
 firings per content of its input places and answers of its view
 queries, the way :func:`dbnet.cpn.cpn_build_lts` does on the translated
 side; a transition with a fresh variable is bound afresh at every state,
-since its fresh values depend on the whole snapshot.  On shop 5x5 under
+since its fresh values depend on the whole snapshot.  It memoises the two
+halves of applying a firing as well: the transaction per ``(instance,
+action, arguments)`` and the token move per ``(marking, removals,
+additions)``, and it keeps one object per distinct instance and per
+distinct marking (hash-consing, as in Filliâtre & Conchon, ML 2006,
+applied to whole state components, which SPIN's collapse compression
+stores once each; Holzmann, SPIN 1997).  On shop 5x5 under
 ``bounded:2`` (16,181 states) that takes ``bind_transition`` from
-145,629 calls to 721 and ``check_constraint`` from 70,020 to 8,327.
+145,629 calls to 721, ``check_constraint`` from 70,020 to 4,167,
+``apply_action`` from 10,460 to 2,800 and ``Marking.update`` from
+31,510 to 8,570; its states hold 352 ``Instance`` and 5,501 ``Marking``
+objects, one per distinct value, where they held 951 and 16,181.
 """
 
 from __future__ import annotations
@@ -509,7 +518,7 @@ def fire(model: DbNet, snap: Snapshot, t: Transition, theta: Mapping[str, Value]
     if not eval_guard(t.guard, theta):
         raise ContractError(f"transition {t.name}: guard rejects the binding")
 
-    succ, label = _apply(snap, _firing(model, t, scope, theta))
+    succ, label = _apply(snap, _firing(model, t, scope, theta), apply_action, Marking.update)
     return succ, label[3]
 
 
@@ -533,17 +542,20 @@ def _firing(model: DbNet, t: Transition, scope: TransitionScope, theta: Mapping[
     return removals, action, call, emit(t.outputs, "commit"), emit(t.rollbacks, "rollback")
 
 
-def _apply(snap: Snapshot, firing: tuple):
-    """``(successor, label)``: run the firing's action on the instance and
-    move the tokens of the outcome, in one ``Marking.update``."""
+def _apply(snap: Snapshot, firing: tuple, run: Callable, move: Callable):
+    """``(successor, label)``: run the firing's action on the instance by
+    ``run(instance, action, call)``, which returns ``(instance', status)``
+    as :func:`~dbnet.relational.apply_action` does, and move the tokens of
+    the outcome by ``move(marking, removals, additions)``, which returns
+    the marking as ``Marking.update`` does."""
     removals, action, call, commit, rollback = firing
     instance = snap.instance
     additions, label = commit
     if action is not None:
-        instance, status = apply_action(instance, action, call)
+        instance, status = run(instance, action, call)
         if status != COMMITTED:
             additions, label = rollback
-    return Snapshot(instance, snap.marking.update(removals, additions)), label
+    return Snapshot(instance, move(snap.marking, removals, additions)), label
 
 
 def binding_label(t_name: str, scope: TransitionScope, theta: Mapping[str, Value], outcome: str):
@@ -576,7 +588,22 @@ def build_lts(
     of enabledness.  A transition with an unmarked input place is skipped
     before its views are evaluated.  A transition with a fresh variable is
     never memoised: its fresh values avoid the whole active domain and
-    every token, which no key of its own places and views captures."""
+    every token, which no key of its own places and views captures.
+
+    Applying a firing is memoised too, in its two halves, each a pure
+    function of its key: the transaction maps ``(instance, action name,
+    argument values in parameter order)`` to :func:`apply_action`'s
+    ``(instance', status)``, and the token move maps ``(marking,
+    removals, additions)`` to ``Marking.update``'s result.  Each result is
+    first replaced by the one object kept for its value, starting with the
+    initial snapshot's instance and marking; so every state holds the one
+    object of its instance and of its marking, and states with equal
+    instances share its view answers and its known consistency.  This is
+    exact: equal instances have equal facts, so an action has equal
+    outcomes on them (the delta rule of :func:`apply_action` decides only
+    which constraints it checks, and it is sound).  On shop 5x5 under
+    ``bounded:2`` it takes ``apply_action`` from 10,460 calls to 2,800 and
+    ``Marking.update`` from 31,510 to 8,570."""
     policy = policy or model.default_policy
     if not policy.finite_branching:
         raise ContractError(
@@ -592,6 +619,29 @@ def build_lts(
     # (position, input place records, view answers) -> the transition's
     # firings, for this exploration only
     memo: dict = {}
+    # the two halves of applying a firing, and one object per distinct
+    # instance and marking, for this exploration only
+    initial = model.initial_snapshot()
+    instances = {initial.instance: initial.instance}
+    markings = {initial.marking: initial.marking}
+    transactions: dict = {}  # (instance, action name, arguments) -> (instance', status)
+    moves: dict = {}  # (marking, removals, additions) -> marking'
+
+    def run(instance, action, call):
+        key = (instance, action.name, tuple(call.values()))
+        found = transactions.get(key)
+        if found is None:
+            after, status = apply_action(instance, action, call)
+            found = transactions[key] = (instances.setdefault(after, after), status)
+        return found
+
+    def move(marking, removals, additions):
+        key = (marking, removals, additions)
+        found = moves.get(key)
+        if found is None:
+            after = marking.update(removals, additions)
+            found = moves[key] = markings.setdefault(after, after)
+        return found
 
     def firings(snap: Snapshot, position, t, scope, inputs, queries) -> list:
         key = None
@@ -614,8 +664,8 @@ def build_lts(
             if not marked >= needed:
                 continue
             for firing in firings(snap, position, t, scope, inputs, queries):
-                succ, label = _apply(snap, firing)
+                succ, label = _apply(snap, firing, run, move)
                 steps.append((label, succ))
         return steps
 
-    return explore(model.initial_snapshot(), step, max_states=max_states, max_depth=max_depth)
+    return explore(initial, step, max_states=max_states, max_depth=max_depth)

@@ -453,6 +453,22 @@ def test_info_logging_goes_to_stderr_only():
     assert "dbnet: parsed" in proc.stderr
 
 
+def test_python_m_dbnet_runs_the_cli(capsys):
+    env = dict(os.environ)
+    env.pop("DBNET_LOG", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "dbnet", "validate", str(TOUCH)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    code, out, err = run(capsys, "validate", TOUCH)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (0, "touch: ok\n", "")
+
+
 def test_certify_logs_one_line_per_phase_to_stderr(capsys):
     env = dict(os.environ, DBNET_LOG="info")
     env["PYTHONPATH"] = os.pathsep.join(

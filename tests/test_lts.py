@@ -1,8 +1,12 @@
 """Breadth-first exploration numbers each state once: state ``i`` is
 ``lts.states[i]``, and edges are triples of those numbers."""
 
+import logging
+import re
+
 import pytest
 
+import dbnet.lts
 from dbnet.cpn import cpn_build_lts
 from dbnet.lts import EPS, explore
 from dbnet.model import build_lts
@@ -56,3 +60,18 @@ def test_source_edges_hold_the_kept_states(request, name):
 def test_translated_edges_hold_the_kept_states(request, name):
     net = translate(request.getfixturevalue(name)).net
     assert_edges_hold_the_kept_states(cpn_build_lts(net, BOUNDED1))
+
+
+def test_explore_logs_progress_every_so_many_states(monkeypatch, caplog):
+    # a binary tree over 0..9: state n steps to 2n+1 and 2n+2, and the
+    # breadth-first numbering of each state is its value
+    monkeypatch.setattr(dbnet.lts, "PROGRESS_EVERY", 3)
+    caplog.set_level(logging.INFO, logger="dbnet.lts")
+    lts = explore(0, lambda n: [(("obs", "T", (), "commit"), m) for m in (2 * n + 1, 2 * n + 2) if m < 10])
+    assert lts.states == list(range(10))
+    lines = [re.sub(r"[\d.]+ s$", "T s", r.getMessage()) for r in caplog.records]
+    assert lines == [
+        "explore: 3 states, depth 0, frontier 2, T s",
+        "explore: 6 states, depth 1, frontier 3, T s",
+        "explore: 9 states, depth 2, frontier 5, T s",
+    ]

@@ -448,6 +448,87 @@ def test_source_exploration_binds_and_checks_little(monkeypatch):
     assert len(checks) <= 1255
 
 
+# Add commits a new fact.  Clear deletes an absent one and Again re-adds
+# a present one: each commits an instance equal to its input, Clear's
+# the initial one.  Undo's rollback then returns to Again's source.
+REDO = """dbnet "redo";
+type int = int;
+relation R(a: int);
+constraint domain R.a in {1};
+action ins(n: int) { add R(n); }
+action del(n: int) { del R(n); }
+place p(int);
+place q(int);
+place r(int);
+place s(int);
+transition Add {
+  in p(x);
+  act ins(x);
+  out q(x);
+}
+transition Clear {
+  in p(x);
+  act del(x);
+  out s(x);
+}
+transition Again {
+  in q(x);
+  act ins(x);
+  out r(x);
+}
+transition Undo {
+  in r(x);
+  act ins(y);
+  out r(x);
+  rollback q(x);
+}
+init {
+  token p(1);
+}
+policy {
+  fresh recycling;
+  sample int {2};
+}
+"""
+
+
+@pytest.mark.parametrize("model, policy, states, markings, instances", [
+    (parse_model(REDO).model, RECYCLING, 4, 4, 2),
+    (build_shopping_cart(3, 3), FreshPolicy.parse("bounded:2"), 1213, 421, 56),
+], ids=["redo", "shop3x3-bounded2"])
+def test_source_graph_holds_one_object_per_distinct_component(model, policy, states, markings,
+                                                              instances):
+    lts = build_lts(model, policy, max_states=CAP)
+    assert lts.state_count == states
+    for part, distinct in (("marking", markings), ("instance", instances)):
+        objects = [getattr(snap, part) for snap in lts.states]
+        assert len({id(x) for x in objects}) == len(set(objects)) == distinct, part
+
+
+def test_source_exploration_applies_each_half_of_a_firing_once(monkeypatch):
+    # 1,020 apply_action and 2,238 Marking.update calls without the memos,
+    # one per edge that runs an action and one per edge
+    actions = counting(monkeypatch, dbnet.model, "apply_action")
+    moves = counting(monkeypatch, Marking, "update")
+    lts = build_lts(build_shopping_cart(3, 3), FreshPolicy.parse("bounded:2"), max_states=CAP)
+    assert lts.state_count == 1213
+    transactions = {(instance, action.name, tuple(call.values())) for instance, action, call in actions}
+    assert len(actions) == len(transactions) == 372
+    assert len(moves) == len({(m, tuple(r), tuple(a)) for m, r, a in moves}) == 594
+
+
+@pytest.mark.parametrize("model, policy", [
+    (parse_model(REDO).model, RECYCLING),
+    (build_shopping_cart(3, 3), FreshPolicy.parse("bounded:2")),
+], ids=["redo", "shop3x3-bounded2"])
+def test_a_rolled_back_successor_holds_its_source_instance(model, policy):
+    lts = build_lts(model, policy, max_states=CAP)
+    rollbacks = [(src, dst) for src, label, dst in lts.edges if label[3] == "rollback"]
+    assert rollbacks
+    for src, dst in rollbacks:
+        assert lts.states[dst].instance is lts.states[src].instance
+
+
 def test_unbounded_exploration_is_refused(shop):
     with pytest.raises(ContractError, match="unbounded"):
         build_lts(shop, FreshPolicy.parse("unbounded"))
