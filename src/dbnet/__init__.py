@@ -59,7 +59,6 @@ from .bisim import (
     WeakBisimResult,
     certify_translation,
     check_weak_bisim,
-    flatten,
     verify_relation,
 )
 from .mutations import MUTATIONS, apply_mutation
@@ -117,7 +116,6 @@ __all__ = [
     "eval_fo_oracle",
     "eval_ucq",
     "fire",
-    "flatten",
     "format_label",
     "lts_text",
     "make_value",

@@ -1,13 +1,20 @@
-"""Flattened weak-bisimulation checking between the two net layers.
+"""Weak-bisimulation checking between the two net layers.
 
-The comparison works on *flattened* labelled transition systems: every
-state carries its flat contents and a stability flag.  The flat contents
-are one string rendered by ``_flat``: the database facts (relation places
-on the translated side) and the tokens on the original control places,
-nothing else.  For the source layer every snapshot is stable and the
-projection is the identity; for the translated layer a state is stable
-exactly when the lock token is at home, and the gadget-interior states in
-between are silent.
+The comparison works on labelled transition systems whose every state
+comes with its *contents* and a stability flag.  The contents are a
+marking of the translated net's visible places: the relation places,
+which hold the database facts, and the original control places, nothing
+else.  A source snapshot's contents is its image
+(:func:`dbnet.translate.snapshot_image`); a translated marking's is its
+``restrict`` to the visible places.  Two states have the same contents
+exactly when these markings are equal, and as place records are
+interned, that compares records by identity without touching a token.
+Contents are rendered to text (``facts{...}|ctl{...}``, by
+``_flat_of_marking``) only for the lines of a witness or trace.  For the
+source layer every snapshot is stable; for the translated layer a state
+is stable exactly when the lock token is at home, and the gadget-interior
+states in between are silent.  ``flatten`` pairs each state of a graph
+with its contents and stability flag, the checker's view of that side.
 
 ``check_weak_bisim`` decides weak bisimilarity over the stable states,
 with two silent-run side conditions that make the notion sensitive to
@@ -16,7 +23,7 @@ broken gadget plumbing:
 * every maximal silent run out of a stable state must be able to reach a
   stable state again (no silent dead-ends, no cycles that never pass
   through a stable state), and
-* stable states are related only if their flat contents are equal.
+* stable states are related only if their contents are equal.
 
 Transfer goes over weak steps on both sides: a weak observable step is
 ``eps* ; label ; eps*`` landing on a stable state.  On silent-free inputs
@@ -40,11 +47,10 @@ kernel lacks are the interior states that the convergence conditions
 look at; the local searches report the silent dead ends and silent
 cycles there instead, and a stable state reached only across two
 observables is searched too, though no weak move leads to it.  Shop 3x3
-under ``bounded:2`` keeps 1,213 translated states, one per source state,
-where the silent-chain compression before it kept 4,449.
+under ``bounded:2`` keeps 1,213 translated states, one per source state.
 
-Early refusal (``certify_translation``): the source side is explored and
-flattened first, and its flat strings are collected.  The kernel is then
+Early refusal (``certify_translation``): the source side is explored
+first, and the contents of its states are collected.  The kernel is then
 explored under a monitor, in the manner of on-the-fly equivalence
 checking (Fernandez & Mounier, CAV 1991).  The monitor looks up the
 contents of each new target of a weak move among the source contents,
@@ -63,12 +69,6 @@ below; a refusal wins over a hit state cap.  A trace's ``via`` lines
 name the weak moves of the chain, each by its observable or ``eps``,
 and after them, for a silent dead end or cycle, the firings of the
 local search that met it.
-
-Cost: ``flatten`` renders each distinct projection once and lets equal
-ones share one string.  The checker works on the state numbers that
-exploration handed out (a state's position in ``lts.states``, edges as
-triples of those numbers) and on pairs of them throughout; states are
-looked up only for the returned relation.
 """
 
 from __future__ import annotations
@@ -76,22 +76,21 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .cpn import cpn_build_lts
 from .lts import EPS, Lts, _log_info, cycle_member, format_label
 from .marking import Marking
-from .model import DbNet, Snapshot, build_lts
+from .model import DbNet, build_lts
 from .freshness import FreshPolicy
 from .relational import ContractError, render_fact
-from .translate import TranslationOutput, translate
+from .translate import TranslationOutput, snapshot_image, translate
 
 __all__ = [
     "BISIMILAR",
     "NOT_BISIMILAR",
     "WeakBisimResult",
     "TruncatedError",
-    "flatten",
     "check_weak_bisim",
     "verify_relation",
     "certify_translation",
@@ -118,42 +117,35 @@ class WeakBisimResult:
         return self.verdict == BISIMILAR
 
 
-def _flat(facts, control) -> str:
-    """The flat contents of a state: what two states must agree on to be
-    comparable.  ``facts`` and ``control`` hold ``(name, tuple, count)``
-    triples, a relation's fact or a control place's token with its
-    multiplicity (so duplicated relation tokens are visible); each part
-    is rendered line by line and sorted."""
-    parts = []
-    for triples in (facts, control):
-        lines = []
-        for name, row, n in triples:
-            lines += [render_fact(name, row)] * n
-        lines.sort()
-        parts.append(";".join(lines))
-    return "facts{" + parts[0] + "}|ctl{" + parts[1] + "}"
-
-
-def _flat_of_snapshot(snap: Snapshot) -> str:
-    m = snap.marking
-    return _flat(
-        ((rel, row, 1) for rel, rows in snap.instance.facts.items() for row in rows),
-        ((place, token, n) for place in m.places_marked() for token, n in m.tokens(place)),
-    )
-
-
-def _flat_of_marking(m: Marking, classes: Mapping, relation_names: Mapping) -> str:
-    facts = []
-    control = []
-    for place in m.places_marked():
+def _flat_of_marking(contents: Marking, classes: Mapping, relation_names: Mapping) -> str:
+    """The text of ``contents`` for a witness or trace line,
+    ``facts{...}|ctl{...}``: each fact on a relation place and each token
+    on an original-control place, once per copy (so duplicated relation
+    tokens are visible), each part sorted.  Given a whole translated
+    marking, it leaves the lock and the gadget-interior places out."""
+    facts, control = [], []
+    for place in contents.places_marked():
         cls = classes.get(place)
         if cls == "relation":
-            rel = relation_names[place]
-            facts.extend((rel, token, n) for token, n in m.tokens(place))
+            name, lines = relation_names[place], facts
         elif cls == "original-control":
-            control.extend((place, token, n) for token, n in m.tokens(place))
-        # lock and gadget-interior places are not part of the flat view
-    return _flat(facts, control)
+            name, lines = place, control
+        else:
+            continue
+        for token, n in contents.tokens(place):
+            lines += [render_fact(name, token)] * n
+    return "facts{" + ";".join(sorted(facts)) + "}|ctl{" + ";".join(sorted(control)) + "}"
+
+
+def _visible_and_render(translation) -> tuple:
+    """``(visible, render)`` for a translation: its visible places, the
+    relation and original-control places, whose ``restrict`` of a
+    translated marking is that marking's contents, and the renderer of
+    contents."""
+    classes = translation.place_classes
+    visible = frozenset(p for p, c in classes.items() if c in ("relation", "original-control"))
+    names = {p: r for r, p in translation.relation_places.items()}
+    return visible, partial(_flat_of_marking, classes=classes, relation_names=names)
 
 
 def _is_stable(lock: str, marking: Marking) -> bool:
@@ -161,49 +153,14 @@ def _is_stable(lock: str, marking: Marking) -> bool:
     return lock in marking.marked()
 
 
-def flatten(
-    lts: Lts,
-    classes: Optional[Mapping] = None,
-    *,
-    relation_names: Optional[Mapping] = None,
-) -> Lts:
-    """Annotate every state with its flat contents (``"flat"``, the
-    string ``_flat`` renders) and stability flag (``"stable"``).
-
-    For a source-layer LTS (``classes`` omitted) the projection is the
-    identity and every state is stable.  For a translated LTS, ``classes``
-    is the translator's place classification and ``relation_names`` maps
-    relation places back to relation names; a state is stable iff the
-    lock place is marked.  A translated state's projection is its marking
-    restricted to the relation and original-control places
-    (:meth:`Marking.restrict`), and each distinct projection is rendered
-    once: states with equal projections share one ``flat`` string.  Edge
-    labels are kept: observable labels were already produced by the
-    emitting transitions, and every other step is silent.  The result
-    shares ``states`` and ``edges`` with ``lts``.
-    """
-    annotations = {}
-    if classes is None:
-        for s in lts.states:
-            annotations[s] = {"flat": _flat_of_snapshot(s), "stable": True}
-    else:
-        if relation_names is None:
-            raise ContractError("flattening a translated LTS needs relation_names")
-        lock_places = [p for p, c in classes.items() if c == "lock"]
-        if len(lock_places) != 1:
-            raise ContractError("place classification must contain exactly one lock place")
-        lock = lock_places[0]
-        visible = frozenset(
-            p for p, c in classes.items() if c in ("relation", "original-control")
-        )
-        rendered: dict = {}  # projection -> its flat string
-        for m in lts.states:
-            view = m.restrict(visible)
-            flat = rendered.get(view)
-            if flat is None:
-                flat = rendered[view] = _flat_of_marking(view, classes, relation_names)
-            annotations[m] = {"flat": flat, "stable": _is_stable(lock, m)}
-    return Lts(lts.states, lts.edges, lts.truncated, annotations)
+def flatten(lts: Lts, *, contents: Callable, lock: Optional[str]) -> list:
+    """The checker's view of ``lts``: each state's ``(contents, stable)``
+    pair, in state order, where ``contents`` maps a state to its
+    contents.  A translated state is stable iff ``lock`` is marked; with
+    ``lock`` None every state is stable, as on the source side."""
+    if lock is None:
+        return [(contents(s), True) for s in lts.states]
+    return [(contents(m), _is_stable(lock, m)) for m in lts.states]
 
 
 # ---------------------------------------------------------------------------
@@ -211,26 +168,22 @@ def flatten(
 
 
 class _Side:
-    """One flattened LTS over its state numbers (state ``i`` is
-    ``lts.states[i]``).  Every per-state table is a list indexed by that
-    number: ``flat`` (the projection strings, shared between equal
-    projections), ``stable``, ``out_degree``, ``eps_succ`` (silent
-    successors) and ``obs_succ`` (``(label, successor)`` pairs).
-    Everything after construction works on these ints, so no state is
-    hashed again."""
+    """One LTS over its state numbers (state ``i`` is ``lts.states[i]``),
+    with ``view``, each state's ``(contents, stable)`` pair.  Contents
+    are only compared with ``==``; ``text`` renders one with ``render``
+    when a line that names it is built.  Every per-state table is a list
+    indexed by the state number: ``contents``, ``stable``,
+    ``out_degree``, ``eps_succ`` (silent successors) and ``obs_succ``
+    (``(label, successor)`` pairs).  Everything after construction works
+    on these ints, so no state is hashed again."""
 
-    def __init__(self, lts: Lts, tag: str):
+    def __init__(self, lts: Lts, tag: str, view: list, render: Callable):
         self.lts = lts
         self.tag = tag
-        self.flat = []
-        self.stable = []
-        for s in lts.states:
-            ann = lts.annotations.get(s)
-            if ann is None or "flat" not in ann or "stable" not in ann:
-                raise ContractError(f"{tag}: state not flattened; call flatten() first")
-            self.flat.append(ann["flat"])
-            self.stable.append(bool(ann["stable"]))
-        n = len(self.flat)
+        self.contents = [contents for contents, _ in view]
+        self.stable = [bool(stable) for _, stable in view]
+        self.render = render
+        n = len(view)
         self.eps_succ = [[] for _ in range(n)]
         self.obs_succ = [[] for _ in range(n)]
         self.out_degree = [0] * n
@@ -242,6 +195,9 @@ class _Side:
                 self.obs_succ[src].append((label, dst))
         self._reach = self._stable_reach()
         self._big = [None] * n
+
+    def text(self, s: int) -> str:
+        return self.render(self.contents[s])
 
     # -- convergence -------------------------------------------------------
 
@@ -399,35 +355,38 @@ def _refuse_truncated(*ltss: Lts):
             )
 
 
-def _state_failure(kind: str, what: str, tag: str, flat: str, steps: list) -> WeakBisimResult:
+def _state_failure(kind: str, what: str, tag: str, text: str, steps: list) -> WeakBisimResult:
     """A refusal that names one state of one side and a path to it."""
     return WeakBisimResult(
         NOT_BISIMILAR,
-        witness={"kind": kind, "side": tag, "state": flat},
+        witness={"kind": kind, "side": tag, "state": text},
         trace=tuple(
-            [f"{what} on the {tag} side", f"state: {flat}"] + [f"  via {step}" for step in steps]
+            [f"{what} on the {tag} side", f"state: {text}"] + [f"  via {step}" for step in steps]
         ),
     )
 
 
 def _silent_failure(kind: str, what: str, side: _Side, s: int) -> WeakBisimResult:
-    return _state_failure(kind, what, side.tag, side.flat[s], _path_to(side.lts, s, side.stable))
+    return _state_failure(kind, what, side.tag, side.text(s), _path_to(side.lts, s, side.stable))
 
 
-def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
-    """Decide flattened weak bisimilarity of two finite, flattened LTSs.
+def check_weak_bisim(l1: Lts, view1: list, l2: Lts, view2: list,
+                     render: Callable) -> WeakBisimResult:
+    """Decide weak bisimilarity of two finite LTSs, each with its view:
+    each state's ``(contents, stable)`` pair, in state order.  Contents
+    of the two sides are compared with ``==``, and ``render`` turns one
+    into the text of a witness or trace line; nothing else is rendered.
 
-    Preconditions: neither input is truncated (raises
-    :class:`TruncatedError` otherwise) and both were run through
-    :func:`flatten`.  The verdict is symmetric in the two arguments.  On
-    success the result carries the relation over stable states, on
-    failure a structured witness plus a counterexample trace from the
-    initial pair to the mismatch.  Internally a pair is two state
-    numbers (see :class:`_Side`), so pairs sort in discovery order.
+    Precondition: neither input is truncated (raises
+    :class:`TruncatedError` otherwise).  The verdict is symmetric in the
+    two sides.  On success the result carries the relation over stable
+    states, on failure a structured witness plus a counterexample trace
+    from the initial pair to the mismatch.  Internally a pair is two
+    state numbers (see :class:`_Side`), so pairs sort in discovery order.
     """
     _refuse_truncated(l1, l2)
-    s1 = _Side(l1, "left")
-    s2 = _Side(l2, "right")
+    s1 = _Side(l1, "left", view1, render)
+    s2 = _Side(l2, "right", view2, render)
 
     for side in (s1, s2):
         dead = side.silent_dead_end()
@@ -438,22 +397,15 @@ def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
             return _silent_failure("silent-divergence", "silent divergence", side, div)
 
     init = (0, 0)
-    if s1.flat[init[0]] != s2.flat[init[1]]:
+    f1, f2 = s1.contents, s2.contents
+    if f1[0] != f2[0]:
+        left, right = s1.text(0), s2.text(0)
         return WeakBisimResult(
             NOT_BISIMILAR,
-            witness={
-                "kind": "content-mismatch",
-                "left": s1.flat[init[0]],
-                "right": s2.flat[init[1]],
-            },
-            trace=(
-                "initial contents differ",
-                f"left:  {s1.flat[init[0]]}",
-                f"right: {s2.flat[init[1]]}",
-            ),
+            witness={"kind": "content-mismatch", "left": left, "right": right},
+            trace=("initial contents differ", f"left:  {left}", f"right: {right}"),
         )
 
-    f1, f2 = s1.flat, s2.flat
     # Candidate pairs: product-reachable, content-compatible stable pairs.
     rel = {init}
     queue = [init]
@@ -498,9 +450,9 @@ def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
     while True:
         _order, side, label, target, answers = removed[pair]
         trace.extend(prefix)
-        trace.append(f"pair: left={s1.flat[pair[0]]} right={s2.flat[pair[1]]}")
+        trace.append(f"pair: left={s1.text(pair[0])} right={s2.text(pair[1])}")
         trace.append(f"  {side} side moves [{format_label(label)}] but no answer survives")
-        trace.append(f"  moving to: {(s1 if side == 'left' else s2).flat[target]}")
+        trace.append(f"  moving to: {(s1 if side == 'left' else s2).text(target)}")
         dead_answers = sorted(
             (removed[a][0], a) for a in answers if a in removed
         )
@@ -513,8 +465,8 @@ def check_weak_bisim(l1: Lts, l2: Lts) -> WeakBisimResult:
         "kind": "unmatched-move",
         "side": removed[init][1],
         "label": format_label(removed[init][2]),
-        "left": s1.flat[init[0]],
-        "right": s2.flat[init[1]],
+        "left": s1.text(0),
+        "right": s2.text(0),
     }
     return WeakBisimResult(NOT_BISIMILAR, witness=witness, trace=tuple(trace))
 
@@ -526,7 +478,7 @@ def _weak_moves(s1: _Side, s2: _Side, p: int, q: int):
     the move is answered when one of them is related.  Moves come in
     blame order: labels by :func:`format_label`, then the silent move;
     per label the left targets, then the right ones, each sorted."""
-    f1, f2 = s1.flat, s2.flat
+    f1, f2 = s1.contents, s2.contents
     b1, b2 = s1.big_steps(p), s2.big_steps(q)
     moves = [
         (label, b1.get(label, frozenset()), b2.get(label, frozenset()))
@@ -540,13 +492,15 @@ def _weak_moves(s1: _Side, s2: _Side, p: int, q: int):
             yield "right", label, y, [(x, y) for x in t1 if f1[x] == f2[y]]
 
 
-def verify_relation(l1: Lts, l2: Lts, relation) -> list:
+def verify_relation(l1: Lts, view1: list, l2: Lts, view2: list, render: Callable,
+                    relation) -> list:
     """Re-check a claimed relation against the transfer conditions: related
-    states have equal flat contents, every weak move of either state is
+    states have equal contents, every weak move of either state is
     answered by a weak move of the other into a related pair, and the
-    initial pair is present.  Returns human-readable problems."""
-    s1 = _Side(l1, "left")
-    s2 = _Side(l2, "right")
+    initial pair is present.  The sides are given as to
+    :func:`check_weak_bisim`.  Returns human-readable problems."""
+    s1 = _Side(l1, "left", view1, render)
+    s2 = _Side(l2, "right", view2, render)
     number1 = {s: i for i, s in enumerate(l1.states)}
     number2 = {s: i for i, s in enumerate(l2.states)}
     pairs = [(number1[p], number2[q]) for p, q in relation]
@@ -555,14 +509,14 @@ def verify_relation(l1: Lts, l2: Lts, relation) -> list:
     if (0, 0) not in rel:
         problems.append("relation does not contain the initial pair")
     for p, q in pairs:
-        if s1.flat[p] != s2.flat[q]:
-            problems.append(f"related pair differs in content: {s1.flat[p]} vs {s2.flat[q]}")
+        if s1.contents[p] != s2.contents[q]:
+            problems.append(f"related pair differs in content: {s1.text(p)} vs {s2.text(q)}")
             continue
         for side, label, _target, answers in _weak_moves(s1, s2, p, q):
             if not any(a in rel for a in answers):
                 move = "silent move" if label == EPS else f"move {format_label(label)}"
-                flat = s1.flat[p] if side == "left" else s2.flat[q]
-                problems.append(f"unanswered {side} {move} from {flat}")
+                text = s1.text(p) if side == "left" else s2.text(q)
+                problems.append(f"unanswered {side} {move} from {text}")
     return problems
 
 
@@ -574,17 +528,18 @@ def _log_phase(phase: str, started: float, message: str, *args) -> float:
     return now
 
 
-def _explore_target(translation, policy, relation_names, known, *, max_states, max_depth):
+def _explore_target(translation, policy, known, visible, render, *, max_states, max_depth):
     """Explore the translated net as its kernel of stable states under the
     early-refusal monitor (see the module docstring).  ``known`` holds
-    the source side's flat strings.  Returns the kernel and, if the
-    monitor stopped it, the refusal with a chain of weak moves to the
-    foreign state; otherwise None.
+    the source side's contents, and a marking's contents is its
+    ``restrict`` to ``visible``.  Returns the kernel and, if the monitor
+    stopped it, the refusal with a chain of weak moves to the foreign
+    state; otherwise None.
 
-    The monitor renders a stable state's contents once, on the first
+    The monitor looks a stable state's contents up once, on the first
     weak move into it; ``cpn_build_lts`` consults it only while it
-    explores the states that weak moves reach from the initial one."""
-    classes = translation.place_classes
+    explores the states that weak moves reach from the initial one.
+    Only the foreign state is rendered."""
     found = []
     checked = 1  # states numbered below this are looked up; state 0 is the check's
 
@@ -593,20 +548,20 @@ def _explore_target(translation, policy, relation_names, known, *, max_states, m
         if dst < checked:
             return False
         checked = dst + 1
-        flat = _flat_of_marking(marking, classes, relation_names)
-        if flat in known:
+        if marking.restrict(visible) in known:
             return False
-        found.append((dst, flat))
+        found.append(dst)
         return True
 
     kernel = cpn_build_lts(translation.net, policy, max_states=max_states, max_depth=max_depth,
                            stop=stop, keep=partial(_is_stable, translation.lock_place))
     if not found:
         return kernel, None
-    state, flat = found[0]
-    _log_info(__name__, "refused at translated state %d: no source state has %s", state, flat)
+    state = found[0]
+    text = render(kernel.states[state])
+    _log_info(__name__, "refused at translated state %d: no source state has %s", state, text)
     return kernel, _state_failure(
-        "foreign-state", "foreign stable state", "right", flat, _kernel_path(kernel, state)
+        "foreign-state", "foreign stable state", "right", text, _kernel_path(kernel, state)
     )
 
 
@@ -619,7 +574,7 @@ def _kernel_path(kernel, state: int, labels: tuple = ()) -> list:
     return path + [format_label(label) for label in labels]
 
 
-def _silent_refusal(kernel, classes, relation_names) -> Optional[WeakBisimResult]:
+def _silent_refusal(kernel, render) -> Optional[WeakBisimResult]:
     """The refusal for the first silent dead end, or else the first silent
     cycle, that the kernel's local searches met; None if they met neither."""
     for kind, what, met in (("silent-dead-end", "silent dead-end", kernel.dead_end),
@@ -627,8 +582,7 @@ def _silent_refusal(kernel, classes, relation_names) -> Optional[WeakBisimResult
         if met is not None:
             root, labels, marking = met
             steps = _kernel_path(kernel, kernel.states.index(root), labels)
-            flat = _flat_of_marking(marking, classes, relation_names)
-            return _state_failure(kind, what, "right", flat, steps)
+            return _state_failure(kind, what, "right", render(marking), steps)
     return None
 
 
@@ -641,15 +595,16 @@ def certify_translation(
     translation: Optional[TranslationOutput] = None,
 ) -> WeakBisimResult:
     """Full pipeline: explore the source net and its translation under one
-    shared fresh-value regime, flatten both, and decide weak bisimilarity.
+    shared fresh-value regime, and decide weak bisimilarity of the two
+    by their states' contents (see the module docstring).
 
     The translated net is explored as its kernel of stable states under
     the early-refusal monitor (see the module docstring): at the first
     stable state that a chain of weak moves reaches and whose contents no
     source state has, the result is ``NOT_BISIMILAR`` with a
-    ``"foreign-state"`` witness, and the partial kernel is neither
-    flattened nor checked.  Otherwise a silent dead end, then a silent
-    cycle, that a local search met is refused, and the kernel goes to
+    ``"foreign-state"`` witness, and the partial kernel is not checked.
+    Otherwise a silent dead end, then a silent cycle, that a local
+    search met is refused, and the kernel goes to
     :func:`check_weak_bisim`.  ``stats`` counts the kernel's stable
     states (``translated-states``) and weak moves (``translated-edges``),
     up to the stop if there was one, and the markings of its largest
@@ -663,9 +618,9 @@ def certify_translation(
     deliberately mutated) translation of the same model.  Unless the
     monitor refused, truncation in either exploration raises
     :class:`TruncatedError`, as the verdict would be meaningless; it is
-    raised before the truncated side is flattened, and a truncated
-    source exploration stops the run before the translated net is
-    explored.
+    raised before the contents of the truncated side are built, and a
+    truncated source exploration stops the run before the translated net
+    is explored.
 
     Under ``DBNET_LOG=info`` each phase (source exploration, target
     exploration, check) logs one line with its seconds and states.
@@ -677,24 +632,23 @@ def certify_translation(
     started = time.perf_counter()
     raw1 = build_lts(model, policy, max_states=max_states, max_depth=max_depth)
     _refuse_truncated(raw1)
-    flat1 = flatten(raw1)
+    image = partial(snapshot_image, relation_places=translation.relation_places)
+    view1 = flatten(raw1, contents=image, lock=None)
     started = _log_phase("source exploration", started, "%d states", raw1.state_count)
-    relation_names = {p: r for r, p in translation.relation_places.items()}
-    kernel, result = _explore_target(
-        translation, policy, relation_names,
-        {ann["flat"] for ann in flat1.annotations.values()},
-        max_states=max_states, max_depth=max_depth,
-    )
+    visible, render = _visible_and_render(translation)
+    kernel, result = _explore_target(translation, policy, {c for c, _ in view1}, visible, render,
+                                     max_states=max_states, max_depth=max_depth)
     started = _log_phase(
         "target exploration", started, "%d stable states, %d weak moves, largest local search %d",
         kernel.state_count, kernel.edge_count, kernel.largest_search,
     )
     if result is None:
         _refuse_truncated(raw1, kernel)
-        result = _silent_refusal(kernel, translation.place_classes, relation_names)
+        result = _silent_refusal(kernel, render)
         if result is None:
-            flat2 = flatten(kernel, translation.place_classes, relation_names=relation_names)
-            result = check_weak_bisim(flat1, flat2)
+            view2 = flatten(kernel, contents=lambda m: m.restrict(visible),
+                            lock=translation.lock_place)
+            result = check_weak_bisim(raw1, view1, kernel, view2, render)
         _log_phase("check", started, "%d + %d states, %s",
                    raw1.state_count, kernel.state_count, result.verdict)
     result.stats = {

@@ -58,6 +58,7 @@ stable state).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
@@ -65,7 +66,8 @@ from typing import Callable, Mapping, Optional
 
 from .fo import Formula, TRUE
 from .freshness import FreshPolicy
-from .lts import EPS, Lts, cycle_member, explore
+from . import lts
+from .lts import EPS, Lts, _log_info, cycle_member, explore
 from .marking import Marking
 from .model import _marking_values, _walk_guard_vars, bind_transition, eval_guard
 from .relational import ContractError, Value, Variable, ground, render_value
@@ -467,7 +469,10 @@ def cpn_build_lts(
     search that visits it and per observable it is reached with, and a
     search's root counts too.  A search that would go past the budget,
     or follow more than ``max_depth`` firings, is cut, keeps the edges
-    it yielded, and marks the graph truncated."""
+    it yielded, and marks the graph truncated.  Under ``DBNET_LOG=info``
+    the kernel logs one line each time its searches have visited another
+    ``lts.PROGRESS_EVERY`` markings: the markings visited, the largest
+    search so far and the seconds since it started."""
     policy = policy or net.default_policy
     if not policy.finite_branching:
         raise ContractError(
@@ -508,16 +513,24 @@ def cpn_build_lts(
 
     kernel = Kernel()
     visited = 0  # nodes of all searches so far, roots included
+    started = time.perf_counter()
+
+    def visit(size: int):
+        """Count one more node; ``size`` is its search's so far."""
+        nonlocal visited
+        visited += 1
+        if not visited % lts.PROGRESS_EVERY:
+            _log_info(__name__, "kernel: %d markings visited, largest search %d, %.1f s",
+                      visited, max(kernel.largest_search, size), time.perf_counter() - started)
 
     def search(root: Marking):
         """The weak moves out of ``root``; ``(None, target)`` for a
         stable target reached only across two observables."""
-        nonlocal visited
-        visited += 1
         # A node is (marking, weak label so far): eps, the one observable
         # passed, or _TWO; it is numbered by its position in `queue`.
         number = {(root, EPS): 0}
         queue = [(root, EPS)]
+        visit(1)
         parent = [None]  # node -> (its parent node, the firing's label)
         depth = [0]  # node -> firings from the root
         silent = []  # node -> the interior nodes one silent firing away
@@ -550,9 +563,9 @@ def cpn_build_lts(
                                                      and visited >= max_states):
                             kernel.truncated = True
                             return
-                        visited += 1
                         j = number[node] = len(queue)
                         queue.append(node)
+                        visit(len(queue))
                         parent.append((i, label))
                         depth.append(depth[i] + 1)
                     if label == EPS:
@@ -564,8 +577,8 @@ def cpn_build_lts(
             if on_cycle is not None:
                 kernel.divergence = (root, labels(on_cycle), queue[on_cycle][0])
 
-    lts = explore(net.initial_marking, search, max_states=max_states,
-                  max_depth=max_depth, stop=stop)
-    kernel.states, kernel.edges = lts.states, lts.edges
-    kernel.truncated = kernel.truncated or lts.truncated
+    graph = explore(net.initial_marking, search, max_states=max_states,
+                    max_depth=max_depth, stop=stop)
+    kernel.states, kernel.edges = graph.states, graph.edges
+    kernel.truncated = kernel.truncated or graph.truncated
     return kernel

@@ -50,7 +50,6 @@ class Lts:
     states: list = field(default_factory=list)  # discovery order; state 0 is initial
     edges: list = field(default_factory=list)  # (src, label, dst), state numbers
     truncated: bool = False
-    annotations: dict = field(default_factory=dict)  # state -> dict
 
     @property
     def state_count(self) -> int:

@@ -35,17 +35,16 @@ summed raw, the 22,683 translated markings of shop 3x3 under
 three runs, and mixed they get none.  Equality compares the hash, then
 the place dicts, whose records match by identity without touching a
 token.  The sorted views, ``key()`` and ``places_marked()``, are built
-only when asked for: by validation, translation and printing, and by
-``flatten`` once per distinct projection.  The enabling scan walks the
-unsorted ``marked()`` view.
+only when asked for: by validation, translation and printing.  The
+enabling scan walks the unsorted ``marked()`` view.
 
 ``update(removals, additions)`` is the one update: it takes the removals,
 then the additions, into one private copy per touched place and re-sorts
 and re-hashes each touched place once; ``minus`` and ``plus`` are its two
-halves, and firing a transition is a single ``update``.  ``restrict``
-gives the marking of some places only, built from the per-place records,
-so it is a cheap hashable key for "the tokens on these places"
-(``flatten`` renders each translated projection once on it).
+halves, and firing a transition is a single ``update``.  ``restrict`` gives the marking of some places only, built
+from the per-place records, so it is a cheap hashable key for "the
+tokens on these places" (the certifier compares the contents of states
+by it).
 ``records`` is the same key as a plain tuple of those records, with no
 marking built, and it hashes each record by address; both net layers
 memoise each transition's firings on it.
@@ -236,10 +235,9 @@ class Marking:
     def update(self, removals: Iterable[Tuple[str, tuple]],
                additions: Iterable[Tuple[str, tuple]]) -> "Marking":
         """The marking after taking ``removals`` away and then adding
-        ``additions``, equal to ``minus(removals).plus(additions)`` but
-        with one copy, one re-sort and one hash per touched place.  A
-        removal of an absent token raises ``ContractError``; the receiver
-        is never changed."""
+        ``additions``, with one copy, one re-sort and one hash per touched
+        place.  A removal of an absent token raises ``ContractError``; the
+        receiver is never changed."""
         touched: dict = {}
         for place, tok in removals:
             counts = self._copy_counts(touched, place)

@@ -33,7 +33,7 @@ from .cpn import (
 )
 from .fo import And, Compare, Formula, Or, TRUE
 from .marking import Marking
-from .model import DbNet, Transition, analyze_transition, validate
+from .model import DbNet, Snapshot, Transition, analyze_transition, validate
 from .queries import UcqQuery
 from .relational import (
     Action,
@@ -55,6 +55,7 @@ __all__ = [
     "CheckStage",
     "UndoComponent",
     "translate",
+    "snapshot_image",
     "CTL_LOCK",
     "CTL_TRUE",
     "CTL_FALSE",
@@ -226,15 +227,7 @@ def translate(model: DbNet) -> TranslationOutput:
             b, model, t, relation_places, lock_place, lock_tok, tok_true, tok_false, ctl_name
         )
 
-    # Initial marking: control tokens, one token per fact, one lock.
-    tokens = []
-    for place in model.initial_marking.places_marked():
-        for tok, n in model.initial_marking.tokens(place):
-            tokens.extend((place, tok) for _ in range(n))
-    for rname, pname in relation_places.items():
-        for row in model.initial_instance.facts.get(rname, ()):
-            tokens.append((pname, row))
-    tokens.append((lock_place, lock_tok))
+    initial = snapshot_image(model.initial_snapshot(), relation_places)
 
     types = dict(model.types)
     types[ctl_name] = ctl
@@ -243,7 +236,7 @@ def translate(model: DbNet) -> TranslationOutput:
         types=types,
         places=dict(b.places),
         transitions=tuple(b.transitions),
-        initial_marking=Marking.from_tokens(tokens),
+        initial_marking=initial.update((), ((lock_place, lock_tok),)),
         samples=dict(model.samples),
         default_policy=model.default_policy,
         place_classes=dict(b.classes),
@@ -257,6 +250,20 @@ def translate(model: DbNet) -> TranslationOutput:
         gadgets=gadgets,
         ctl_type=ctl_name,
     )
+
+
+def snapshot_image(snap: Snapshot, relation_places: dict) -> Marking:
+    """The image of a source snapshot in the translated net: its control
+    tokens, on the original-control places, plus one token per fact on
+    the fact's relation place (``relation_places`` maps a relation name
+    to it).  It marks the translated net's visible places only, so a
+    translated marking has the snapshot's contents exactly when its
+    ``restrict`` to those places equals the image.  The translated
+    initial marking is the initial snapshot's image plus the lock."""
+    facts = snap.instance.facts
+    return snap.marking.update((), [
+        (relation_places[rel], row) for rel, rows in facts.items() for row in rows
+    ])
 
 
 def _plain(v: Variable) -> Variable:

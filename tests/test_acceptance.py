@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from dbnet.bisim import certify_translation, flatten
+from dbnet.bisim import _is_stable, certify_translation
 from dbnet.corpus import build_shopping_cart
 from dbnet.cpn import P_HIGH, P_LOW, P_NORMAL, cpn_build_lts, cpn_enabled
 from dbnet.lts import EPS
@@ -151,12 +151,10 @@ def test_6_silent_steps_always_converge(capsys):
     # unstable state then hits the lock again in finitely many steps.
     bad = []
     for name, out, lts in translated_corpus():
-        names = {p: r for r, p in out.relation_places.items()}
-        flat = flatten(lts, out.place_classes, relation_names=names)
-        numbers = range(len(flat.states))
-        stable = {i for i in numbers if flat.annotations[flat.states[i]]["stable"]}
-        outgoing = [0] * len(flat.states)
-        for src, label, dst in flat.edges:
+        numbers = range(len(lts.states))
+        stable = {i for i in numbers if _is_stable(out.lock_place, lts.states[i])}
+        outgoing = [0] * len(lts.states)
+        for src, label, dst in lts.edges:
             outgoing[src] += 1
             if label != EPS and dst not in stable:
                 bad.append(f"{name}: observable move lands on an unstable state")
@@ -165,7 +163,7 @@ def test_6_silent_steps_always_converge(capsys):
             bad.append(f"{name}: {len(dead)} unstable dead end(s)")
         unstable_edges = [
             (src, dst)
-            for src, label, dst in flat.edges
+            for src, label, dst in lts.edges
             if label == EPS and src not in stable and dst not in stable
         ]
         successors = {}

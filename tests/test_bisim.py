@@ -1,4 +1,4 @@
-"""Flattening and the weak equivalence check."""
+"""Contents of states and the weak equivalence check."""
 
 import hashlib
 import json
@@ -17,7 +17,6 @@ from dbnet.bisim import (
     TruncatedError,
     certify_translation,
     check_weak_bisim,
-    flatten,
     verify_relation,
 )
 from dbnet.corpus import build_shopping_cart
@@ -26,8 +25,8 @@ from dbnet.lts import EPS, Lts
 from dbnet.marking import Marking
 from dbnet.model import build_lts, render_snapshot
 from dbnet.mutations import MUTATIONS, apply_mutation
-from dbnet.relational import ContractError, DataType, instance_lines, make_value
-from dbnet.translate import translate
+from dbnet.relational import ContractError, DataType, instance_lines, make_value, render_fact
+from dbnet.translate import snapshot_image, translate
 
 from conftest import BOUNDED1, CORPUS_NAMES, RECYCLING, load_corpus, unit_net
 
@@ -36,88 +35,93 @@ OBS = ("obs", "T", (), "commit")
 OBS2 = ("obs", "T", (), "rollback")
 
 
-def hand_lts(states, edges, ann):
-    """A little LTS with explicit flat/stable annotations, as the checker
-    expects after flattening.  States are names, the first one initial;
-    edges name their ends, and are numbered here."""
+def hand_lts(states, edges, view):
+    """A little LTS and its view for the checker: ``view`` maps each state
+    to its ``(contents, stable)`` pair, with a string for contents, so
+    ``str`` renders it.  States are names, the first one initial; edges
+    name their ends, and are numbered here."""
     number = {s: i for i, s in enumerate(states)}
-    return Lts(
+    lts = Lts(
         states=list(states),
         edges=[(number[src], label, number[dst]) for src, label, dst in edges],
-        annotations={s: {"flat": f, "stable": st} for s, (f, st) in ann.items()},
     )
+    return lts, [view[s] for s in states]
+
+
+def source_view(lts: Lts, translation) -> list:
+    """Each source snapshot's ``(contents, stable)``: its image, stable."""
+    image = partial(snapshot_image, relation_places=translation.relation_places)
+    return bisim.flatten(lts, contents=image, lock=None)
+
+
+def target_view(lts: Lts, translation) -> list:
+    """Each translated marking's ``(contents, stable)``."""
+    visible, _render = bisim._visible_and_render(translation)
+    return bisim.flatten(lts, contents=lambda m: m.restrict(visible), lock=translation.lock_place)
+
+
+def checker_input(raw1: Lts, raw2: Lts, translation) -> tuple:
+    """The arguments of ``check_weak_bisim`` for a source graph and a
+    graph of the translated net."""
+    _visible, render = bisim._visible_and_render(translation)
+    return (raw1, source_view(raw1, translation), raw2, target_view(raw2, translation), render)
 
 
 # ---------------------------------------------------------------------------
-# flatten
+# contents
 
 
 def test_flatten_source_side_is_the_identity_projection(shop, shop_lts):
-    flat = flatten(shop_lts)
-    for snap in flat.states:
-        ann = flat.annotations[snap]
-        assert ann["stable"] is True
-        assert ";".join(instance_lines(snap.instance)) in ann["flat"]
-    assert flat.states == shop_lts.states
-    assert flat.edges == shop_lts.edges
+    # a snapshot's image marks visible places only, so restricting it to
+    # them is the identity
+    out = translate(shop)
+    visible, render = bisim._visible_and_render(out)
+    for snap, (contents, stable) in zip(shop_lts.states, source_view(shop_lts, out)):
+        assert stable is True
+        assert contents.restrict(visible) is contents
+        assert ";".join(instance_lines(snap.instance)) in render(contents)
 
 
 def test_flatten_translated_side_hides_the_machinery():
     for name in CORPUS_NAMES:
         model = load_corpus(name)
         out = translate(model)
-        names = {p: r for r, p in out.relation_places.items()}
-        flat = flatten(cpn_build_lts(out.net, BOUNDED1), out.place_classes, relation_names=names)
-        ann = flat.annotations[out.net.initial_marking]
-        assert ann["stable"] is True  # the lock is free initially
-        # same flat content as the source initial state
-        src = flatten(build_lts(model, BOUNDED1, max_states=1))
-        assert ann["flat"] == src.annotations[src.states[0]]["flat"], model.name
-        # the lock never shows up in any flat rendering
-        for m in flat.states:
-            assert out.lock_place not in flat.annotations[m]["flat"]
+        _visible, render = bisim._visible_and_render(out)
+        lts = cpn_build_lts(out.net, BOUNDED1)
+        view = target_view(lts, out)
+        contents, stable = view[0]
+        assert stable is True  # the lock is free initially
+        # the same contents as the source initial state
+        assert contents == snapshot_image(model.initial_snapshot(), out.relation_places), name
+        # the lock never shows up in any contents
+        for contents, _stable in view:
+            assert out.lock_place not in contents.marked()
+            assert out.lock_place not in render(contents)
 
 
-def test_flatten_is_idempotent(shop_lts):
-    once = flatten(shop_lts)
-    twice = flatten(once)
-    assert twice.annotations == once.annotations
-    assert twice.edges == once.edges
-
-
-def test_flatten_translated_needs_relation_names(shop_translation, shop_cpn_lts):
-    with pytest.raises(ContractError, match="relation_names"):
-        flatten(shop_cpn_lts, shop_translation.place_classes)
-
-
-@pytest.mark.parametrize("mutation", [None, "swap-add-priorities"])
-def test_memoised_flat_equals_a_direct_rendering(mutation):
-    model = build_shopping_cart(1, 2)
-    out = translate(model)
-    if mutation is not None:
-        out = apply_mutation(out, mutation)
-    raw = cpn_build_lts(out.net, BOUNDED1, max_states=3000)
-    names = {p: r for r, p in out.relation_places.items()}
-    flat = flatten(raw, out.place_classes, relation_names=names)
-    shared = {}
-    for m in flat.states:
-        text = flat.annotations[m]["flat"]
-        assert text == bisim._flat_of_marking(m, out.place_classes, names)
-        assert shared.setdefault(text, text) is text  # equal projections share one string
-    if mutation is not None:  # the runaway mutant duplicates facts
-        assert any(
-            n >= 2 for m in flat.states for p in names for _tok, n in m.tokens(p)
-        )
+def flat_of_snapshot(snap) -> str:
+    """A snapshot's text as written out from its facts and control tokens."""
+    m = snap.marking
+    control = sorted(
+        render_fact(place, token) for place in m.places_marked()
+        for token, n in m.tokens(place) for _ in range(n)
+    )
+    return f"facts{{{';'.join(instance_lines(snap.instance))}}}|ctl{{{';'.join(control)}}}"
 
 
 def test_flat_state_render_is_sorted():
     one, two = make_value(INT, 1), make_value(INT, 2)
-    facts = [("S", (one,), 1), ("R", (two,), 2), ("R", (one,), 1)]
-    control = [("q", (), 1), ("p", (one, two), 3)]
-    assert bisim._flat(facts, control) == (
+    contents = Marking({
+        "rel.S": {(one,): 1}, "rel.R": {(two,): 2, (one,): 1},
+        "q": {(): 1}, "p": {(one, two): 3}, "lock": {(): 1}, "at": {(): 1},
+    })
+    classes = {"rel.R": "relation", "rel.S": "relation", "p": "original-control",
+               "q": "original-control", "lock": "lock", "at": "intermediate"}
+    names = {"rel.R": "R", "rel.S": "S"}
+    assert bisim._flat_of_marking(contents, classes, names) == (
         "facts{R(1);R(2);R(2);S(1)}|ctl{p(1,2);p(1,2);p(1,2);q()}"
     )
-    assert bisim._flat([], []) == "facts{}|ctl{}"
+    assert bisim._flat_of_marking(Marking.EMPTY, classes, names) == "facts{}|ctl{}"
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +135,7 @@ def test_stutter_steps_do_not_separate():
         [("p", EPS, "q"), ("q", OBS, "r")],
         {"p": ("F0", True), "q": ("F0", False), "r": ("F1", True)},
     )
-    res = check_weak_bisim(l1, l2)
+    res = check_weak_bisim(*l1, *l2, str)
     assert res.verdict == BISIMILAR
     assert ("a", "p") in res.relation
 
@@ -139,7 +143,7 @@ def test_stutter_steps_do_not_separate():
 def test_differing_outcome_is_an_unmatched_move():
     l1 = hand_lts(["a", "b"], [("a", OBS, "b")], {"a": ("F0", True), "b": ("F1", True)})
     l2 = hand_lts(["p", "r"], [("p", OBS2, "r")], {"p": ("F0", True), "r": ("F1", True)})
-    res = check_weak_bisim(l1, l2)
+    res = check_weak_bisim(*l1, *l2, str)
     assert res.verdict == NOT_BISIMILAR
     assert res.witness["kind"] == "unmatched-move"
     assert res.trace  # a replayable explanation comes along
@@ -150,7 +154,7 @@ def test_silent_dead_end_is_rejected():
     l2 = hand_lts(
         ["p", "q"], [("p", EPS, "q")], {"p": ("F0", True), "q": ("F0", False)}
     )
-    res = check_weak_bisim(l1, l2)
+    res = check_weak_bisim(*l1, *l2, str)
     assert res.verdict == NOT_BISIMILAR
     assert res.witness["kind"] == "silent-dead-end"
     assert res.witness["side"] == "right"
@@ -163,7 +167,7 @@ def test_silent_divergence_is_rejected():
         [("p", EPS, "q"), ("q", EPS, "q")],
         {"p": ("F0", True), "q": ("F0", False)},
     )
-    res = check_weak_bisim(l1, l2)
+    res = check_weak_bisim(*l1, *l2, str)
     assert res.verdict == NOT_BISIMILAR
     assert res.witness["kind"] == "silent-divergence"
 
@@ -179,7 +183,7 @@ def test_a_divergence_witness_lies_on_the_silent_cycle():
          ("c", EPS, "s")],
         {"s": ("F0", True), "c": ("C", False), "x": ("X", False), "b": ("B", False)},
     )
-    res = check_weak_bisim(l1, l2)
+    res = check_weak_bisim(*l1, *l2, str)
     assert res.verdict == NOT_BISIMILAR
     assert res.witness == {"kind": "silent-divergence", "side": "right", "state": "B"}
     assert res.trace == (
@@ -191,13 +195,13 @@ def test_silent_cycle_through_a_stable_state_is_fine():
     # a stable state on the cycle means the run always converges
     l1 = hand_lts(["a"], [("a", EPS, "a")], {"a": ("F0", True)})
     l2 = hand_lts(["p"], [], {"p": ("F0", True)})
-    assert check_weak_bisim(l1, l2).verdict == BISIMILAR
+    assert check_weak_bisim(*l1, *l2, str).verdict == BISIMILAR
 
 
 def test_initial_content_mismatch():
     l1 = hand_lts(["a"], [], {"a": ("F0", True)})
     l2 = hand_lts(["p"], [], {"p": ("OTHER", True)})
-    res = check_weak_bisim(l1, l2)
+    res = check_weak_bisim(*l1, *l2, str)
     assert res.verdict == NOT_BISIMILAR
     assert res.witness["kind"] == "content-mismatch"
 
@@ -211,7 +215,7 @@ def test_mismatch_two_moves_deep_is_traced():
     l2 = hand_lts(
         ["p", "q"], [("p", OBS, "q")], {"p": ("F0", True), "q": ("F1", True)}
     )
-    res = check_weak_bisim(l1, l2)
+    res = check_weak_bisim(*l1, *l2, str)
     assert res.verdict == NOT_BISIMILAR
     assert res.witness["kind"] == "unmatched-move"
     assert any("descending" in line for line in res.trace)
@@ -220,42 +224,37 @@ def test_mismatch_two_moves_deep_is_traced():
 def test_verdict_is_symmetric():
     l1 = hand_lts(["a", "b"], [("a", OBS, "b")], {"a": ("F0", True), "b": ("F1", True)})
     l2 = hand_lts(["p", "r"], [("p", OBS2, "r")], {"p": ("F0", True), "r": ("F1", True)})
-    assert check_weak_bisim(l1, l2).verdict == check_weak_bisim(l2, l1).verdict
+    assert check_weak_bisim(*l1, *l2, str).verdict == check_weak_bisim(*l2, *l1, str).verdict
     l3 = hand_lts(
         ["p", "q", "r"],
         [("p", EPS, "q"), ("q", OBS, "r")],
         {"p": ("F0", True), "q": ("F0", False), "r": ("F1", True)},
     )
-    assert check_weak_bisim(l1, l3).verdict == check_weak_bisim(l3, l1).verdict == BISIMILAR
+    assert check_weak_bisim(*l1, *l3, str).verdict == check_weak_bisim(*l3, *l1, str).verdict == BISIMILAR
 
 
 def test_silent_chain_shares_one_reach_set():
-    lts = hand_lts(
+    lts, view = hand_lts(
         ["a", "b", "c", "d"],
         [("a", EPS, "b"), ("b", EPS, "c"), ("c", OBS, "d")],
         {"a": ("F0", False), "b": ("F0", False), "c": ("F0", True), "d": ("F1", True)},
     )
-    side = bisim._Side(lts, "left")
+    side = bisim._Side(lts, "left", view, str)
     assert side.eps_targets(0) == frozenset({2})
     assert side.eps_targets(0) is side.eps_targets(1) is side.eps_targets(2)
     assert side.big_steps(0) == {OBS: frozenset({3})}
 
 
-def test_every_flattened_lts_is_bisimilar_to_itself(shop_lts):
-    flat = flatten(shop_lts)
-    assert check_weak_bisim(flat, flat).verdict == BISIMILAR
+def test_every_flattened_lts_is_bisimilar_to_itself(shop, shop_lts):
+    view = source_view(shop_lts, translate(shop))
+    assert check_weak_bisim(shop_lts, view, shop_lts, view, str).verdict == BISIMILAR
 
 
-def test_truncated_inputs_are_refused(shop_lts):
-    flat = flatten(shop_lts)
-    cut = Lts(flat.states, flat.edges, truncated=True, annotations=flat.annotations)
+def test_truncated_inputs_are_refused(shop, shop_lts):
+    view = source_view(shop_lts, translate(shop))
+    cut = Lts(shop_lts.states, shop_lts.edges, truncated=True)
     with pytest.raises(ContractError, match="truncated"):
-        check_weak_bisim(cut, flat)
-
-
-def test_unflattened_inputs_are_refused(shop_lts):
-    with pytest.raises(ContractError, match="flatten"):
-        check_weak_bisim(shop_lts, shop_lts)
+        check_weak_bisim(cut, view, shop_lts, view, str)
 
 
 # ---------------------------------------------------------------------------
@@ -264,27 +263,24 @@ def test_unflattened_inputs_are_refused(shop_lts):
 
 def relation_setup(model, policy):
     out = translate(model)
-    raw1 = build_lts(model, policy)
-    raw2 = cpn_build_lts(out.net, policy)
-    names = {p: r for r, p in out.relation_places.items()}
-    l1 = flatten(raw1)
-    l2 = flatten(raw2, out.place_classes, relation_names=names)
-    return l1, l2, check_weak_bisim(l1, l2)
+    sides = checker_input(build_lts(model, policy), cpn_build_lts(out.net, policy), out)
+    return sides, check_weak_bisim(*sides)
 
 
 def test_verify_relation_confirms_a_real_certificate(guarded):
-    l1, l2, res = relation_setup(guarded, RECYCLING)
+    sides, res = relation_setup(guarded, RECYCLING)
     assert res.verdict == BISIMILAR
-    assert verify_relation(l1, l2, res.relation) == []
+    assert verify_relation(*sides, res.relation) == []
 
 
 def test_verify_relation_rejects_tampering(guarded):
-    l1, l2, res = relation_setup(guarded, RECYCLING)
+    sides, res = relation_setup(guarded, RECYCLING)
+    l1, view1, l2, view2, _render = sides
     dropped = tuple(res.relation[1:])
-    assert verify_relation(l1, l2, dropped)
+    assert verify_relation(*sides, dropped)
     mismatched = res.relation + ((l1.states[0], l2.states[-1]),)
-    if l1.annotations[l1.states[0]]["flat"] != l2.annotations[l2.states[-1]]["flat"]:
-        assert verify_relation(l1, l2, mismatched)
+    if view1[0][0] != view2[-1][0]:
+        assert verify_relation(*sides, mismatched)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +321,11 @@ def test_truncation_is_refused_before_flattening(shop, monkeypatch):
     flattened = []
     real_flatten = bisim.flatten
 
-    def checked_flatten(lts, *args, **kwargs):
-        assert not lts.truncated, "flatten called on a truncated exploration"
-        flattened.append(lts)
-        return real_flatten(lts, *args, **kwargs)
+    def watched_flatten(lts, **kwargs):
+        flattened.append(lts.states)
+        return real_flatten(lts, **kwargs)
 
-    monkeypatch.setattr(bisim, "flatten", checked_flatten)
+    monkeypatch.setattr(bisim, "flatten", watched_flatten)
     with pytest.raises(TruncatedError) as both_cut:
         certify_translation(shop, policy=BOUNDED1, max_states=10)
     assert str(both_cut.value) == (
@@ -345,7 +340,8 @@ def test_truncation_is_refused_before_flattening(shop, monkeypatch):
     assert str(right_cut.value) == (
         "right LTS is truncated; the check needs the complete state space"
     )
-    assert len(flattened) == 1  # the complete source side only
+    # the contents of the complete source side only
+    assert flattened == [build_lts(shop, BOUNDED1).states]
 
 
 def test_a_truncated_source_stops_before_the_target_is_explored(shop22, monkeypatch):
@@ -462,7 +458,7 @@ def test_a_foreign_state_is_refused_along_a_legal_path(caplog):
 
 
 def test_shortest_and_legal_paths_differ():
-    lts = hand_lts(
+    lts, _view = hand_lts(
         ["p", "z", "w", "y"],
         [("p", OBS2, "z"), ("p", EPS, "w"), ("z", OBS, "y"), ("w", OBS, "y")],
         {"p": ("F0", True), "z": ("F0", False), "w": ("F0", False), "y": ("F1", True)},
@@ -565,14 +561,11 @@ def test_the_kernel_has_one_state_per_source_state(name, policy):
 
 
 def oracle_certify(model, policy, *, max_states, translation):
-    """Certification without early refusal: both sides explored in full,
-    flattened and checked, with ``certify_translation``'s stats."""
+    """Certification without early refusal: both sides explored in full
+    and checked, with ``certify_translation``'s stats."""
     raw1 = build_lts(model, policy, max_states=max_states)
     raw2 = cpn_build_lts(translation.net, policy, max_states=max_states)
-    names = {p: r for r, p in translation.relation_places.items()}
-    res = check_weak_bisim(
-        flatten(raw1), flatten(raw2, translation.place_classes, relation_names=names)
-    )
+    res = check_weak_bisim(*checker_input(raw1, raw2, translation))
     res.stats = {
         "source-states": raw1.state_count,
         "source-edges": raw1.edge_count,
@@ -749,12 +742,17 @@ def test_certify_gives_the_oracles_verdict(golden, refusal_golden, case):
         assert got.get(key) == want.get(key)
 
 
+def target_side(lts: Lts, translation):
+    """The checker's right side over a graph of the translated net."""
+    _visible, render = bisim._visible_and_render(translation)
+    return bisim._Side(lts, "right", target_view(lts, translation), render)
+
+
 def checker_view(lts: Lts, translation) -> tuple:
     """What the checker reads of a translated graph, by marking: each
     stable marking's ``eps_targets`` and ``big_steps`` (label -> set of
     stable markings)."""
-    names = {p: r for r, p in translation.relation_places.items()}
-    side = bisim._Side(flatten(lts, translation.place_classes, relation_names=names), "right")
+    side = target_side(lts, translation)
     marks = lambda targets: frozenset(lts.states[t] for t in targets)
     return {
         lts.states[s]: (
@@ -783,8 +781,7 @@ def test_the_compressed_graph_keeps_what_the_checker_reads(golden, case):
     assert all(map(keep, kernel.states))
     view = checker_view(kernel, translation)
     assert view == checker_view(full, translation)
-    names = {p: r for r, p in translation.relation_places.items()}
-    side = bisim._Side(flatten(full, translation.place_classes, relation_names=names), "right")
+    side = target_side(full, translation)
     assert (kernel.dead_end is not None) == (side.silent_dead_end() is not None)
     assert (kernel.divergence is not None) == (side.silent_divergence() is not None)
     for met in (kernel.dead_end, kernel.divergence):
@@ -793,6 +790,79 @@ def test_the_compressed_graph_keeps_what_the_checker_reads(golden, case):
             assert keep(root) and not keep(marking)
             assert marking in full.states
 
+
+
+# ---------------------------------------------------------------------------
+# contents are compared as markings and rendered only to be printed
+
+
+def contents_case(case: str):
+    """The model and translation of a golden case, or of shop 2x2."""
+    if case == "shop-2x2/none":
+        model = build_shopping_cart(2, 2)
+        return model, translate(model)
+    return golden_translation(case)
+
+
+@pytest.mark.parametrize("case", [*GOLDEN_CASES, "shop-2x2/none"])
+def test_contents_are_equal_exactly_when_their_texts_are(case):
+    # over the source graph, the full translated graph and the kernel
+    # together: equal contents render alike, and distinct ones differently
+    try:
+        model, translation = contents_case(case)
+    except ContractError:
+        return
+    _visible, render = bisim._visible_and_render(translation)
+    source = build_lts(model, BOUNDED1, max_states=GOLDEN_CAP)
+    keep = partial(bisim._is_stable, translation.lock_place)
+    views = [source_view(source, translation)] + [
+        target_view(cpn_build_lts(translation.net, BOUNDED1, max_states=GOLDEN_CAP, keep=k),
+                    translation)
+        for k in (None, keep)
+    ]
+    for snap, (contents, _stable) in zip(source.states, views[0]):
+        assert render(contents) == flat_of_snapshot(snap)
+    text = {}
+    for view in views:
+        for contents, _stable in view:
+            rendered = render(contents)
+            assert text.setdefault(contents, rendered) == rendered
+    assert len(set(text.values())) == len(text)
+
+
+def watch_renders(monkeypatch) -> list:
+    """The texts rendered from now on, in order."""
+    rendered = []
+    real_render = bisim._flat_of_marking
+
+    def watched(contents, classes, relation_names):
+        rendered.append(real_render(contents, classes, relation_names))
+        return rendered[-1]
+
+    monkeypatch.setattr(bisim, "_flat_of_marking", watched)
+    return rendered
+
+
+def test_a_bisimilar_run_renders_nothing(shop22, monkeypatch):
+    rendered = watch_renders(monkeypatch)
+    assert certify_translation(shop22, policy=BOUNDED1).bisimilar
+    assert rendered == []
+
+
+@pytest.mark.parametrize("case", [
+    "shop-1x2/reorder-del-add", "shop-1x2/swap-add-priorities", "shop-1x2/forget-lock-on-cancel",
+])
+def test_a_refusal_renders_only_the_states_it_prints(case, monkeypatch):
+    # an unmatched move, a foreign state and a silent dead end
+    model, translation = golden_translation(case)
+    rendered = watch_renders(monkeypatch)
+    res = certify_translation(model, policy=BOUNDED1, max_states=GOLDEN_CAP,
+                              translation=translation)
+    assert res.verdict == NOT_BISIMILAR
+    printed = [*res.trace, *res.witness.values()]
+    assert rendered
+    assert all(any(text in line for line in printed) for text in rendered)
+    assert len(rendered) <= sum(line.count("facts{") for line in printed)
 
 if __name__ == "__main__":
     # Rewrite a golden file from the oracle, or certify_translation's

@@ -1,7 +1,11 @@
 """Prioritized coloured nets with read arcs and name creation."""
 
+import logging
+import re
+
 import pytest
 
+import dbnet.lts
 from dbnet import cpn
 from dbnet.cpn import (
     EPS,
@@ -138,7 +142,7 @@ def test_read_arc_requires_presence():
     t = CpnTransition("r", inputs=(("a", (x(),)),), reads=(("b", (x("y"),)),))
     net = small_net([t], [("a", (iv(1),))])
     assert cpn_enabled(net, net.initial_marking, RECYCLING) == []
-    with_b = net.initial_marking.plus([("b", (iv(7),))])
+    with_b = net.initial_marking.update((), [("b", (iv(7),))])
     assert names(cpn_enabled(net, with_b, RECYCLING)) == ["r"]
 
 
@@ -170,7 +174,7 @@ def test_consuming_twice_needs_two_copies():
     t = CpnTransition("two", inputs=(("a", (iv(1),)), ("a", (iv(1),))))
     net = small_net([t], [("a", (iv(1),))])
     assert cpn_enabled(net, net.initial_marking, RECYCLING) == []
-    doubled = net.initial_marking.plus([("a", (iv(1),))])
+    doubled = net.initial_marking.update((), [("a", (iv(1),))])
     assert names(cpn_enabled(net, doubled, RECYCLING)) == ["two"]
 
 
@@ -504,6 +508,29 @@ def test_the_searches_share_one_budget_of_markings(monkeypatch):
     assert edges_by_marking(kernel) == {(units("lock"), tick, units("lock", "s"))}
     assert kernel.largest_search == 100
     assert len(scans) == 101  # the first search, and the second one's root
+
+
+def test_the_kernel_logs_progress_every_so_many_markings(monkeypatch, caplog):
+    # three stable markings: the first search visits its root, a and b,
+    # the second its root and c, the third its root only
+    monkeypatch.setattr(dbnet.lts, "PROGRESS_EVERY", 2)
+    caplog.set_level(logging.INFO, logger="dbnet.cpn")
+    net = unit_net({
+        "enter": (["lock", "p0"], ["a"]),
+        "ab": (["a"], ["b"]),
+        "LEAVE": (["b"], ["lock", "p1"]),
+        "again": (["lock", "p1"], ["c"]),
+        "BACK": (["c"], ["lock", "p2"]),
+    }, marked=("lock", "p0"))
+    kernel = cpn_build_lts(net, RECYCLING, keep=locked)
+    assert kernel.state_count == 3
+    assert kernel.largest_search == 3
+    lines = [re.sub(r"[\d.]+ s$", "T s", r.getMessage()) for r in caplog.records]
+    assert lines == [
+        "kernel: 2 markings visited, largest search 2, T s",
+        "kernel: 4 markings visited, largest search 3, T s",
+        "kernel: 6 markings visited, largest search 3, T s",
+    ]
 
 
 # ---------------------------------------------------------------------------

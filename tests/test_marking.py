@@ -49,7 +49,7 @@ def test_covers_is_multiset_inclusion():
 def test_minus_absent_token_raises():
     m = Marking.from_tokens([("p", tok(1))])
     with pytest.raises(ContractError):
-        m.minus([("p", tok(2))])
+        m.update([("p", tok(2))], ())
 
 
 def test_negative_multiplicity_rejected():
@@ -71,22 +71,23 @@ def test_render_is_sorted_and_stable():
 @given(tokens, tokens)
 def test_plus_then_minus_is_identity(base, extra):
     m = Marking.from_tokens(base)
-    assert m.plus(extra).minus(extra) == m
+    assert m.update((), extra).update(extra, ()) == m
 
 
 @given(tokens, tokens)
 def test_covers_iff_minus_succeeds(base, want):
     m = Marking.from_tokens(base)
     if m.covers(want):
-        m.minus(want)  # must not raise
+        m.update(want, ())  # must not raise
     else:
         with pytest.raises(ContractError):
-            m.minus(want)
+            m.update(want, ())
 
 
 @given(tokens, tokens)
 def test_plus_is_commutative_in_content(a, b):
-    assert Marking.from_tokens([]).plus(a).plus(b) == Marking.from_tokens([]).plus(b).plus(a)
+    empty = Marking.from_tokens([])
+    assert empty.update((), a).update((), b) == empty.update((), b).update((), a)
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +129,16 @@ def test_update_sequences_match_a_marking_built_from_scratch(start, steps):
         counts[(place, token)] = counts.get((place, token), 0) + 1
     for kind, batch in steps:
         if kind == "plus":
-            m = m.plus(batch)
+            m = m.update((), batch)
             for key in batch:
                 counts[key] = counts.get(key, 0) + 1
         elif m.covers(batch):
-            m = m.minus(batch)
+            m = m.update(batch, ())
             for key in batch:
                 counts[key] -= 1
         else:
             with pytest.raises(ContractError):
-                m.minus(batch)
+                m.update(batch, ())
         assert_same_marking(m, from_counts(counts))
 
 
@@ -146,8 +147,12 @@ def test_deriving_a_child_leaves_the_parent_alone(start, batch):
     parent = Marking.from_tokens(start)
     before = {place: parent.tokens(place) for place in PLACES}
     key, text = parent.key(), parent.render()
-    children = [parent.plus(batch), parent.minus(start[:1]), parent.plus(batch).minus(batch)]
-    children.append(children[0].plus(start))
+    children = [
+        parent.update((), batch),
+        parent.update(start[:1], ()),
+        parent.update((), batch).update(batch, ()),
+    ]
+    children.append(children[0].update((), start))
     assert {place: parent.tokens(place) for place in PLACES} == before
     assert parent.key() == key and parent.render() == text
     assert_same_marking(parent, Marking.from_tokens(start))
@@ -155,19 +160,19 @@ def test_deriving_a_child_leaves_the_parent_alone(start, batch):
 
 def test_removing_the_last_token_drops_the_place():
     m = Marking.from_tokens([("p", tok(1)), ("p", tok(1)), ("q", tok(2))])
-    once = m.minus([("p", tok(1))])
+    once = m.update([("p", tok(1))], ())
     assert once.places_marked() == ["p", "q"]
-    gone = once.minus([("p", tok(1))])
+    gone = once.update([("p", tok(1))], ())
     assert gone.places_marked() == ["q"]
     assert gone.tokens("p") == ()
     assert gone.total("p") == 0
     assert_same_marking(gone, Marking.from_tokens([("q", tok(2))]))
-    assert_same_marking(gone.plus([("p", tok(1))]).minus([("p", tok(1))]), gone)
+    assert_same_marking(gone.update((), [("p", tok(1))]).update([("p", tok(1))], ()), gone)
 
 
 def test_tokens_is_in_canonical_order():
     m = Marking.from_tokens([("p", tok(3, 0)), ("p", tok(1, 2)), ("p", tok(1, 1))])
-    m = m.plus([("p", tok(2, 0)), ("p", tok(1, 1))])
+    m = m.update((), [("p", tok(2, 0)), ("p", tok(1, 1))])
     assert m.tokens("p") == ((tok(1, 1), 2), (tok(1, 2), 1), (tok(2, 0), 1), (tok(3, 0), 1))
 
 
@@ -176,9 +181,9 @@ def test_failed_minus_leaves_the_receiver_unchanged():
     before = (m.key(), m.render(), m.tokens("p"), m.count("p", tok(1)), hash(m))
     with pytest.raises(ContractError):
         # the first two removals succeed before the third one fails
-        m.minus([("p", tok(1)), ("p", tok(1)), ("p", tok(1))])
+        m.update([("p", tok(1)), ("p", tok(1)), ("p", tok(1))], ())
     with pytest.raises(ContractError):
-        m.minus([("q", tok(2)), ("r", tok(0))])
+        m.update([("q", tok(2)), ("r", tok(0))], ())
     assert (m.key(), m.render(), m.tokens("p"), m.count("p", tok(1)), hash(m)) == before
     assert_same_marking(m, Marking.from_tokens([("p", tok(1)), ("p", tok(1)), ("q", tok(2))]))
 
@@ -189,7 +194,7 @@ def test_restrict_equals_a_marking_of_the_kept_tokens(start, steps, keep):
     m = Marking.from_tokens(start)
     for kind, batch in steps:  # exercise shared records from incremental updates
         if kind == "plus" or m.covers(batch):
-            m = m.plus(batch) if kind == "plus" else m.minus(batch)
+            m = m.update((), batch) if kind == "plus" else m.update(batch, ())
     want = Marking(
         {place: dict(m.tokens(place)) for place in m.places_marked() if place in keep}
     )
@@ -244,9 +249,9 @@ def walk(m, steps):
     not cover is skipped."""
     for kind, batch in steps:
         if kind == "plus":
-            m = m.plus(batch)
+            m = m.update((), batch)
         elif m.covers(batch):
-            m = m.minus(batch)
+            m = m.update(batch, ())
     return m
 
 
@@ -354,7 +359,9 @@ def test_equal_contents_share_one_record_whatever_builds_them():
         Marking({"p": {b: 1, a: 2}, "q": {a: 1}}),
         Marking.from_tokens([("q", a), ("p", b), ("p", a), ("p", a)]),
         Marking.from_tokens([("p", a)]).update([("p", a)], [("p", b), ("p", a), ("p", a), ("q", a)]),
-        Marking.from_tokens([("p", a), ("q", a), ("q", b)]).plus([("p", a), ("p", b)]).minus([("q", b)]),
+        Marking.from_tokens([("p", a), ("q", a), ("q", b)])
+        .update((), [("p", a), ("p", b)])
+        .update([("q", b)], ()),
         Marking({"p": {a: 2, b: 1}, "q": {a: 1}, "r": {b: 1}}).restrict({"p", "q"}),
     ]
     for m in ways:
