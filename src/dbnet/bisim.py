@@ -64,11 +64,48 @@ source state of equal contents.  So the foreign state would need a
 related source state with its contents, and there is none.  A state
 reached only across two observables is no target of a weak move (such
 a state may even sit in bisimilar nets), and the monitor never refuses
-on one.  A run that meets no such state goes through the full check
+on one.  A run that meets no such state goes on to the local test
 below; a refusal wins over a hit state cap.  A trace's ``via`` lines
 name the weak moves of the chain, each by its observable or ``eps``,
 and after them, for a silent dead end or cycle, the firings of the
 local search that met it.
+
+Certify by correspondence (``certify_translation``): the monitor keeps
+what it looks up as σ, the source partner of each kernel state: the
+number of the source state whose contents equal the state's, for
+state 0 and each state that weak moves reach from it.  The premise is
+that no two source states have the same contents, so that a kernel
+state can be related to σ(k) only: a snapshot is its instance and its
+control marking, and its image lays these out on disjoint places
+(:meth:`Marking.join` refuses to do otherwise).  Once the kernel is
+complete and no local search met a silent dead end or cycle, the local
+test checks σ one state at a time, as a refinement mapping (Abadi &
+Lamport, TCS 1991) checked on the fly:
+
+* σ(0) = 0, and σ is defined on every state that weak moves reach;
+* for each such state ``k``, the set of ``(label, σ(k'))`` over ``k``'s
+  weak moves ``k -label-> k'``, leaving out each silent move with
+  σ(k') = σ(k), equals the set of ``(label, target)`` over σ(k)'s
+  edges in the source graph.
+
+A pass is a proof: the graph of σ is then a weak bisimulation that
+relates the initial states, as each of ``k``'s weak moves is answered
+by σ(k)'s edge to σ(k'), or, when left out, by σ(k) staying put, and
+each edge of σ(k) by a weak move of ``k`` (the source graph has
+observable edges only, so its weak moves are its edges).  A failure is
+a refusal as well, but for one corner.  The only state that can be
+related to a kernel state ``k'`` is σ(k'), so a relation that holds
+the initial pair holds ``(σ(k), k)`` too, for each move along the
+chain of weak moves to ``k`` must be answered in it.  If a move of
+``k`` has no match, no relation holds that pair.  If an edge of σ(k)
+has no match, ``k`` could still answer it by a silent move to another
+state with the same partner and a move on from there; a kernel without
+such silent moves, as every correct translation's is, has no other
+answer.  Either way a failure only hands the verdict on: the test logs
+what failed first, and ``check_weak_bisim`` runs on the whole kernel,
+which decides and explains the refusal with the witness and trace it
+always gave.  On a pass the result is ``BISIMILAR`` with the graph of
+σ as the relation, in the order :func:`check_weak_bisim` would give it.
 """
 
 from __future__ import annotations
@@ -84,7 +121,7 @@ from .marking import Marking
 from .model import DbNet, build_lts
 from .freshness import FreshPolicy
 from .relational import ContractError, render_fact
-from .translate import TranslationOutput, snapshot_image, translate
+from .translate import TranslationOutput, facts_image, translate
 
 __all__ = [
     "BISIMILAR",
@@ -169,18 +206,21 @@ def flatten(lts: Lts, *, contents: Callable, lock: Optional[str]) -> list:
 
 class _Side:
     """One LTS over its state numbers (state ``i`` is ``lts.states[i]``),
-    with ``view``, each state's ``(contents, stable)`` pair.  Contents
-    are only compared with ``==``; ``text`` renders one with ``render``
+    with ``view``, each state's ``(contents, stable)`` pair.  ``ids``
+    numbers distinct contents, and the two sides of one check share it,
+    so that two states have equal contents exactly when their ``key``s
+    are equal ints; ``text`` renders a state's contents with ``render``
     when a line that names it is built.  Every per-state table is a list
-    indexed by the state number: ``contents``, ``stable``,
+    indexed by the state number: ``contents``, ``key``, ``stable``,
     ``out_degree``, ``eps_succ`` (silent successors) and ``obs_succ``
     (``(label, successor)`` pairs).  Everything after construction works
-    on these ints, so no state is hashed again."""
+    on these ints, so no state is hashed or compared again."""
 
-    def __init__(self, lts: Lts, tag: str, view: list, render: Callable):
+    def __init__(self, lts: Lts, tag: str, view: list, render: Callable, ids: dict):
         self.lts = lts
         self.tag = tag
         self.contents = [contents for contents, _ in view]
+        self.key = [ids.setdefault(contents, len(ids)) for contents in self.contents]
         self.stable = [bool(stable) for _, stable in view]
         self.render = render
         n = len(view)
@@ -310,6 +350,13 @@ class _Side:
         return frozen
 
 
+def _sides(l1: Lts, view1: list, l2: Lts, view2: list, render: Callable) -> tuple:
+    """The left and the right :class:`_Side` of one check, with their
+    contents numbered once for both."""
+    ids: dict = {}
+    return _Side(l1, "left", view1, render, ids), _Side(l2, "right", view2, render, ids)
+
+
 def _path_to(lts: Lts, target: int, stable) -> list:
     """Labels of a shortest path from state 0 to state ``target`` among
     the paths that pass at most one observable between consecutive stable
@@ -374,7 +421,7 @@ def check_weak_bisim(l1: Lts, view1: list, l2: Lts, view2: list,
                      render: Callable) -> WeakBisimResult:
     """Decide weak bisimilarity of two finite LTSs, each with its view:
     each state's ``(contents, stable)`` pair, in state order.  Contents
-    of the two sides are compared with ``==``, and ``render`` turns one
+    of the two sides are numbered once, by ``==``, and ``render`` turns one
     into the text of a witness or trace line; nothing else is rendered.
 
     Precondition: neither input is truncated (raises
@@ -385,8 +432,7 @@ def check_weak_bisim(l1: Lts, view1: list, l2: Lts, view2: list,
     state numbers (see :class:`_Side`), so pairs sort in discovery order.
     """
     _refuse_truncated(l1, l2)
-    s1 = _Side(l1, "left", view1, render)
-    s2 = _Side(l2, "right", view2, render)
+    s1, s2 = _sides(l1, view1, l2, view2, render)
 
     for side in (s1, s2):
         dead = side.silent_dead_end()
@@ -397,8 +443,8 @@ def check_weak_bisim(l1: Lts, view1: list, l2: Lts, view2: list,
             return _silent_failure("silent-divergence", "silent divergence", side, div)
 
     init = (0, 0)
-    f1, f2 = s1.contents, s2.contents
-    if f1[0] != f2[0]:
+    k1, k2 = s1.key, s2.key
+    if k1[0] != k2[0]:
         left, right = s1.text(0), s2.text(0)
         return WeakBisimResult(
             NOT_BISIMILAR,
@@ -419,7 +465,7 @@ def check_weak_bisim(l1: Lts, view1: list, l2: Lts, view2: list,
         for t1, t2 in moves:
             for x in t1:
                 for y in t2:
-                    if f1[x] == f2[y] and (x, y) not in rel:
+                    if k1[x] == k2[y] and (x, y) not in rel:
                         rel.add((x, y))
                         queue.append((x, y))
 
@@ -478,7 +524,7 @@ def _weak_moves(s1: _Side, s2: _Side, p: int, q: int):
     the move is answered when one of them is related.  Moves come in
     blame order: labels by :func:`format_label`, then the silent move;
     per label the left targets, then the right ones, each sorted."""
-    f1, f2 = s1.contents, s2.contents
+    k1, k2 = s1.key, s2.key
     b1, b2 = s1.big_steps(p), s2.big_steps(q)
     moves = [
         (label, b1.get(label, frozenset()), b2.get(label, frozenset()))
@@ -487,9 +533,9 @@ def _weak_moves(s1: _Side, s2: _Side, p: int, q: int):
     moves.append((EPS, s1.eps_targets(p), s2.eps_targets(q)))
     for label, t1, t2 in moves:
         for x in sorted(t1):
-            yield "left", label, x, [(x, y) for y in t2 if f1[x] == f2[y]]
+            yield "left", label, x, [(x, y) for y in t2 if k1[x] == k2[y]]
         for y in sorted(t2):
-            yield "right", label, y, [(x, y) for x in t1 if f1[x] == f2[y]]
+            yield "right", label, y, [(x, y) for x in t1 if k1[x] == k2[y]]
 
 
 def verify_relation(l1: Lts, view1: list, l2: Lts, view2: list, render: Callable,
@@ -499,8 +545,7 @@ def verify_relation(l1: Lts, view1: list, l2: Lts, view2: list, render: Callable
     answered by a weak move of the other into a related pair, and the
     initial pair is present.  The sides are given as to
     :func:`check_weak_bisim`.  Returns human-readable problems."""
-    s1 = _Side(l1, "left", view1, render)
-    s2 = _Side(l2, "right", view2, render)
+    s1, s2 = _sides(l1, view1, l2, view2, render)
     number1 = {s: i for i, s in enumerate(l1.states)}
     number2 = {s: i for i, s in enumerate(l2.states)}
     pairs = [(number1[p], number2[q]) for p, q in relation]
@@ -509,7 +554,7 @@ def verify_relation(l1: Lts, view1: list, l2: Lts, view2: list, render: Callable
     if (0, 0) not in rel:
         problems.append("relation does not contain the initial pair")
     for p, q in pairs:
-        if s1.contents[p] != s2.contents[q]:
+        if s1.key[p] != s2.key[q]:
             problems.append(f"related pair differs in content: {s1.text(p)} vs {s2.text(q)}")
             continue
         for side, label, _target, answers in _weak_moves(s1, s2, p, q):
@@ -530,39 +575,110 @@ def _log_phase(phase: str, started: float, message: str, *args) -> float:
 
 def _explore_target(translation, policy, known, visible, render, *, max_states, max_depth):
     """Explore the translated net as its kernel of stable states under the
-    early-refusal monitor (see the module docstring).  ``known`` holds
-    the source side's contents, and a marking's contents is its
-    ``restrict`` to ``visible``.  Returns the kernel and, if the monitor
-    stopped it, the refusal with a chain of weak moves to the foreign
-    state; otherwise None.
+    early-refusal monitor (see the module docstring).  ``known`` maps the
+    contents of each source state to its number, and a marking's contents
+    is its ``restrict`` to ``visible``.  Returns the kernel, σ and, if
+    the monitor stopped it, the refusal with a chain of weak moves to the
+    foreign state; otherwise None.  σ is a list indexed by kernel state:
+    the source state with the same contents, or None if there is none,
+    for state 0 and each state that weak moves reach from it.
 
     The monitor looks a stable state's contents up once, on the first
     weak move into it; ``cpn_build_lts`` consults it only while it
     explores the states that weak moves reach from the initial one.
     Only the foreign state is rendered."""
+    net = translation.net
+    sigma = [known.get(net.initial_marking.restrict(visible))]
     found = []
-    checked = 1  # states numbered below this are looked up; state 0 is the check's
 
     def stop(src, label, dst, marking):
-        nonlocal checked
-        if dst < checked:
+        if dst < len(sigma):  # states are numbered in the order they are met
             return False
-        checked = dst + 1
-        if marking.restrict(visible) in known:
+        partner = known.get(marking.restrict(visible))
+        sigma.append(partner)
+        if partner is not None:
             return False
         found.append(dst)
         return True
 
-    kernel = cpn_build_lts(translation.net, policy, max_states=max_states, max_depth=max_depth,
+    kernel = cpn_build_lts(net, policy, max_states=max_states, max_depth=max_depth,
                            stop=stop, keep=partial(_is_stable, translation.lock_place))
     if not found:
-        return kernel, None
+        return kernel, sigma, None
     state = found[0]
     text = render(kernel.states[state])
     _log_info(__name__, "refused at translated state %d: no source state has %s", state, text)
-    return kernel, _state_failure(
+    return kernel, sigma, _state_failure(
         "foreign-state", "foreign stable state", "right", text, _kernel_path(kernel, state)
     )
+
+
+def _unmatched(source: Lts, kernel: Lts, sigma: list) -> Optional[tuple]:
+    """The local test (see the module docstring) over the kernel states
+    that σ covers: None if it holds, so that the graph of σ is a weak
+    bisimulation, else what fails first as ``(k, σ(k), side, label,
+    target)``.  That is the first state ``k`` whose weak moves do not
+    correspond to its partner's edges, and its first unmatched move:
+    one of ``k``'s, in edge order, to a state whose partner is
+    ``target`` (``side`` is "translated"), or else one of σ(k)'s edges,
+    to ``target`` ("source").  A failing σ(0) = 0 comes as ``(0, σ(0),
+    None, None, None)``.
+
+    :func:`dbnet.lts.explore` appends each state's edges when it expands
+    that state, and expands states in number order, so both edge lists
+    are grouped by state in order: the test walks the kernel's once and
+    finds each source state's by one start offset."""
+    if sigma[0] != 0:
+        return 0, sigma[0], None, None, None
+    edges, out = source.edges, kernel.edges
+    start = [0] * (source.state_count + 1)
+    for src, _label, _dst in edges:
+        start[src + 1] += 1
+    for s in range(source.state_count):
+        start[s + 1] += start[s]
+    at = 0  # the kernel's first edge of the state under test
+    for k, partner in enumerate(sigma):
+        moves = []
+        while at < len(out) and out[at][0] == k:
+            _k, label, dst = out[at]
+            at += 1
+            target = sigma[dst] if dst < len(sigma) else None
+            if target is None:
+                return k, partner, "translated", label, None
+            if label != EPS or target != partner:  # else the source answers by staying
+                moves.append((label, target))
+        answers = [(label, dst) for _s, label, dst in edges[start[partner]:start[partner + 1]]]
+        if set(moves) != set(answers):
+            for side, mine, other in (("translated", moves, set(answers)),
+                                      ("source", answers, set(moves))):
+                for label, target in mine:
+                    if (label, target) not in other:
+                        return k, partner, side, label, target
+    return None
+
+
+def _by_correspondence(source: Lts, kernel: Lts, sigma: list) -> Optional[WeakBisimResult]:
+    """``BISIMILAR`` with the graph of σ as the relation if the local test
+    holds; otherwise None, after one log line on what failed first.  The
+    relation pairs ``source.states[σ(k)]`` with ``kernel.states[k]``,
+    sorted by ``(σ(k), k)`` as :func:`check_weak_bisim` sorts its pairs."""
+    failed = _unmatched(source, kernel, sigma)
+    if failed is not None:
+        k, partner, side, label, target = failed
+        if side is None:
+            what = "the initial states are no partners"
+        elif side == "translated":
+            what = (f"it moves [{format_label(label)}] to a state with source partner {target}, "
+                    f"and source state {partner} has no such edge")
+        else:
+            what = (f"source state {partner} moves [{format_label(label)}] to source state "
+                    f"{target}, and it has no such weak move")
+        _log_info(__name__, "local test fails at translated state %d, source partner %s: %s",
+                  k, partner, what)
+        return None
+    states1, states2 = source.states, kernel.states
+    pairs = sorted(zip(sigma, range(len(sigma))))
+    return WeakBisimResult(BISIMILAR, relation=tuple((states1[s], states2[k]) for s, k in pairs))
 
 
 def _kernel_path(kernel, state: int, labels: tuple = ()) -> list:
@@ -586,6 +702,21 @@ def _silent_refusal(kernel, render) -> Optional[WeakBisimResult]:
     return None
 
 
+def _source_image(relation_places: dict) -> Callable:
+    """:func:`dbnet.translate.snapshot_image` for the snapshots of one
+    exploration: the facts image of each distinct instance is built
+    once, and joined with each snapshot's control marking."""
+    parts: dict = {}
+
+    def image(snap) -> Marking:
+        part = parts.get(snap.instance)
+        if part is None:
+            part = parts[snap.instance] = facts_image(snap.instance, relation_places)
+        return snap.marking.join(part)
+
+    return image
+
+
 def certify_translation(
     model: DbNet,
     policy: Optional[FreshPolicy] = None,
@@ -604,11 +735,14 @@ def certify_translation(
     source state has, the result is ``NOT_BISIMILAR`` with a
     ``"foreign-state"`` witness, and the partial kernel is not checked.
     Otherwise a silent dead end, then a silent cycle, that a local
-    search met is refused, and the kernel goes to
-    :func:`check_weak_bisim`.  ``stats`` counts the kernel's stable
-    states (``translated-states``) and weak moves (``translated-edges``),
-    up to the stop if there was one, and the markings of its largest
-    local search (``largest-local-search``).  ``max_states`` caps the
+    search met is refused, and the kernel goes to the local test of σ
+    (see the module docstring).  If it passes, the result is
+    ``BISIMILAR`` with the graph of σ as the relation, and no other
+    check runs; if it fails, :func:`check_weak_bisim` decides on the
+    whole kernel and explains its verdict.  ``stats`` counts the
+    kernel's stable states (``translated-states``) and weak moves
+    (``translated-edges``), up to the stop if there was one, and the
+    markings of its largest local search (``largest-local-search``).  ``max_states`` caps the
     stable states and ``max_depth`` the weak moves from the initial
     one; once the local searches have visited ``max_states`` markings in
     all, or one would follow more than ``max_depth`` firings, the
@@ -623,7 +757,9 @@ def certify_translation(
     is explored.
 
     Under ``DBNET_LOG=info`` each phase (source exploration, target
-    exploration, check) logs one line with its seconds and states.
+    exploration, check) logs one line with its seconds and states, and
+    a failing local test logs one line before the full check: the
+    translated state, its source partner and the first unmatched move.
     """
     policy = policy or model.default_policy
     if translation is None:
@@ -632,19 +768,21 @@ def certify_translation(
     started = time.perf_counter()
     raw1 = build_lts(model, policy, max_states=max_states, max_depth=max_depth)
     _refuse_truncated(raw1)
-    image = partial(snapshot_image, relation_places=translation.relation_places)
-    view1 = flatten(raw1, contents=image, lock=None)
+    view1 = flatten(raw1, contents=_source_image(translation.relation_places), lock=None)
+    known: dict = {}
+    for number, (contents, _stable) in enumerate(view1):
+        known.setdefault(contents, number)
     started = _log_phase("source exploration", started, "%d states", raw1.state_count)
     visible, render = _visible_and_render(translation)
-    kernel, result = _explore_target(translation, policy, {c for c, _ in view1}, visible, render,
-                                     max_states=max_states, max_depth=max_depth)
+    kernel, sigma, result = _explore_target(translation, policy, known, visible, render,
+                                            max_states=max_states, max_depth=max_depth)
     started = _log_phase(
         "target exploration", started, "%d stable states, %d weak moves, largest local search %d",
         kernel.state_count, kernel.edge_count, kernel.largest_search,
     )
     if result is None:
         _refuse_truncated(raw1, kernel)
-        result = _silent_refusal(kernel, render)
+        result = _silent_refusal(kernel, render) or _by_correspondence(raw1, kernel, sigma)
         if result is None:
             view2 = flatten(kernel, contents=lambda m: m.restrict(visible),
                             lock=translation.lock_place)

@@ -38,7 +38,12 @@ is built and the key hashes by address), the transition's firings: the
 tokens each binding removes, the tokens it adds and its label, so that
 firing is a single ``Marking.update``.  A transition with fresh
 variables is never memoised, as its fresh values avoid every value in
-the marking.  The priority rule is applied after the memo.
+the marking.  The priority rule is applied after the memo.  Equal
+firings of different transitions or place contents would hold equal
+tokens as separate tuples (at shop 3x3 under ``bounded:2``, 9,330 of
+them with 147 distinct values), so each firing's tokens and ``(place,
+token)`` arcs are taken from two tables that last as long as the memo:
+each holds the first equal one the exploration built.
 
 Given a ``keep`` predicate, :func:`cpn_build_lts` explores the
 *kernel* instead: the graph over the markings ``keep`` accepts, whose
@@ -484,6 +489,17 @@ def cpn_build_lts(
     # (entry rank, records of the entry's own places) -> its
     # (transition, firing) pairs, for this exploration only
     memo: dict = {}
+    # each ground token, and each (place, token) arc, -> the first equal
+    # one this exploration built, so that equal firings share them
+    tokens: dict = {}
+    arcs: dict = {}
+
+    def shared(pairs: tuple) -> tuple:
+        out = []
+        for place, token in pairs:
+            arc = (place, tokens.setdefault(token, token))
+            out.append(arcs.setdefault(arc, arc))
+        return tuple(out)
 
     def firings(marking: Marking, entry: _Entry):
         key = None
@@ -493,9 +509,10 @@ def cpn_build_lts(
             if found is not None:
                 return found
         t = entry.transition
-        found = [
-            (t, _firing(t, theta)) for theta in _transition_bindings(net, marking, entry, policy)
-        ]
+        found = []
+        for theta in _transition_bindings(net, marking, entry, policy):
+            removals, additions, label = _firing(t, theta)
+            found.append((t, (shared(removals), shared(additions), label)))
         if key is not None:
             memo[key] = found
         return found

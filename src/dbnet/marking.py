@@ -44,7 +44,9 @@ and re-hashes each touched place once; ``minus`` and ``plus`` are its two
 halves, and firing a transition is a single ``update``.  ``restrict`` gives the marking of some places only, built
 from the per-place records, so it is a cheap hashable key for "the
 tokens on these places" (the certifier compares the contents of states
-by it).
+by it), and ``join`` is the disjoint union of two markings, built from
+both sets of records (the certifier lays a source snapshot's facts
+beside its control tokens with it).
 ``records`` is the same key as a plain tuple of those records, with no
 marking built, and it hashes each record by address; both net layers
 memoise each transition's firings on it.
@@ -221,6 +223,24 @@ class Marking:
         out = Marking.__new__(Marking)
         out._places = kept
         out._hash = _sum_hash(kept.values())
+        return out
+
+    def join(self, other: "Marking") -> "Marking":
+        """The disjoint union of this marking and ``other``, which must
+        mark no place that this one marks (``ContractError`` otherwise).
+        The result shares both markings' records, so building and hashing
+        it touches no token."""
+        own, theirs = self._places, other._places
+        if not theirs:
+            return self
+        if not own:
+            return other
+        shared = own.keys() & theirs.keys()
+        if shared:
+            raise ContractError(f"cannot join markings that both mark {sorted(shared)!r}")
+        out = Marking.__new__(Marking)
+        out._places = {**own, **theirs}
+        out._hash = (self._hash + other._hash) & sys.maxsize
         return out
 
     def records(self, places: tuple) -> tuple:

@@ -41,6 +41,7 @@ from .relational import (
     DataType,
     DomainConstraint,
     ForeignKey,
+    Instance,
     PrimaryKey,
     Value,
     ValidationError,
@@ -56,6 +57,7 @@ __all__ = [
     "UndoComponent",
     "translate",
     "snapshot_image",
+    "facts_image",
     "CTL_LOCK",
     "CTL_TRUE",
     "CTL_FALSE",
@@ -254,15 +256,20 @@ def translate(model: DbNet) -> TranslationOutput:
 
 def snapshot_image(snap: Snapshot, relation_places: dict) -> Marking:
     """The image of a source snapshot in the translated net: its control
-    tokens, on the original-control places, plus one token per fact on
-    the fact's relation place (``relation_places`` maps a relation name
-    to it).  It marks the translated net's visible places only, so a
-    translated marking has the snapshot's contents exactly when its
-    ``restrict`` to those places equals the image.  The translated
-    initial marking is the initial snapshot's image plus the lock."""
-    facts = snap.instance.facts
-    return snap.marking.update((), [
-        (relation_places[rel], row) for rel, rows in facts.items() for row in rows
+    tokens, on the original-control places, joined with the
+    :func:`facts_image` of its instance.  It marks the translated net's
+    visible places only, so a translated marking has the snapshot's
+    contents exactly when its ``restrict`` to those places equals the
+    image.  The translated initial marking is the initial snapshot's
+    image plus the lock."""
+    return snap.marking.join(facts_image(snap.instance, relation_places))
+
+
+def facts_image(instance: Instance, relation_places: dict) -> Marking:
+    """One token per fact of ``instance`` on the fact's relation place
+    (``relation_places`` maps a relation name to it)."""
+    return Marking.EMPTY.update((), [
+        (relation_places[rel], row) for rel, rows in instance.facts.items() for row in rows
     ])
 
 

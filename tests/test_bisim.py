@@ -4,11 +4,14 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from random import Random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dbnet import bisim
 from dbnet.bisim import (
@@ -23,11 +26,13 @@ from dbnet.corpus import build_shopping_cart
 from dbnet.cpn import CpnPlace, CpnTransition, Emit, NuCpn, cpn_build_lts
 from dbnet.lts import EPS, Lts
 from dbnet.marking import Marking
-from dbnet.model import build_lts, render_snapshot
+from dbnet.freshness import FreshPolicy
+from dbnet.model import Snapshot, build_lts, render_snapshot
 from dbnet.mutations import MUTATIONS, apply_mutation
 from dbnet.relational import ContractError, DataType, instance_lines, make_value, render_fact
 from dbnet.translate import snapshot_image, translate
 
+import gen
 from conftest import BOUNDED1, CORPUS_NAMES, RECYCLING, load_corpus, unit_net
 
 INT = DataType("int", "int")
@@ -239,7 +244,7 @@ def test_silent_chain_shares_one_reach_set():
         [("a", EPS, "b"), ("b", EPS, "c"), ("c", OBS, "d")],
         {"a": ("F0", False), "b": ("F0", False), "c": ("F0", True), "d": ("F1", True)},
     )
-    side = bisim._Side(lts, "left", view, str)
+    side = bisim._Side(lts, "left", view, str, {})
     assert side.eps_targets(0) == frozenset({2})
     assert side.eps_targets(0) is side.eps_targets(1) is side.eps_targets(2)
     assert side.big_steps(0) == {OBS: frozenset({3})}
@@ -397,8 +402,8 @@ def test_two_observables_between_stable_states_are_no_weak_move(monkeypatch):
     # y is foreign, but the only route to it passes two observables with no
     # stable state between them: no weak move reaches y, so refusing there
     # would be unsound.  The kernel explores y without an edge to it, and
-    # the full check finds the nets bisimilar, as no weak move of p is
-    # left unanswered.
+    # the local test finds the nets bisimilar, as p has no weak move and
+    # neither has its source partner; the full check is never run.
     target = hand_target(
         {"p": [(OBS2, "z")], "z": [(OBS, "y")]},
         foreign={"y"},
@@ -411,7 +416,7 @@ def test_two_observables_between_stable_states_are_no_weak_move(monkeypatch):
     )
     res = certify_hand(target)
     assert res.verdict == BISIMILAR
-    assert checked == [1]
+    assert checked == []
     assert res.stats["translated-states"] == 2
     assert res.stats["translated-edges"] == 0
 
@@ -545,19 +550,26 @@ def test_a_correct_translation_never_triggers_the_monitor(shop22, policy, monkey
     )
     res = certify_translation(shop22, policy=policy)
     assert res.bisimilar
-    assert checked == [1]
+    assert checked == []
     # one line per phase, and no refusal
     phases = [r.getMessage().split(":")[0] for r in caplog.records]
     assert phases == ["source exploration", "target exploration", "check"]
 
 
+def no_full_check(*_args):
+    raise AssertionError("check_weak_bisim ran")
+
+
 @pytest.mark.parametrize("policy", [BOUNDED1, RECYCLING], ids=["bounded1", "recycling"])
 @pytest.mark.parametrize("name", [*CORPUS_NAMES, "shop-2x2"])
-def test_the_kernel_has_one_state_per_source_state(name, policy):
+def test_the_kernel_has_one_state_per_source_state(name, policy, monkeypatch):
+    # and the local test pairs them: a bisimilar certify never runs the
+    # full check
     model = build_shopping_cart(2, 2) if name == "shop-2x2" else load_corpus(name)
+    monkeypatch.setattr(bisim, "check_weak_bisim", no_full_check)
     res = certify_translation(model, policy=policy)
     assert res.bisimilar
-    assert res.stats["translated-states"] == res.stats["source-states"]
+    assert res.stats["translated-states"] == res.stats["source-states"] == len(res.relation)
 
 
 def oracle_certify(model, policy, *, max_states, translation):
@@ -580,11 +592,12 @@ def test_early_refusal_agrees_with_the_oracle_on_shop22(shop22, mutation):
     translation = apply_mutation(translate(shop22), mutation)
     got = certify_translation(shop22, policy=BOUNDED1, max_states=3000, translation=translation)
     try:
-        want = oracle_certify(
-            shop22, policy=BOUNDED1, max_states=3000, translation=translation
-        ).verdict
+        oracle = oracle_certify(shop22, policy=BOUNDED1, max_states=3000, translation=translation)
+        want = oracle.verdict
     except TruncatedError:
         want = "truncated"
+    if got.bisimilar:  # the local test's relation is the full check's
+        assert got.relation == oracle.relation
     if mutation in ("drop-revert", "swap-add-priorities"):
         # the oracle runs into the cap; early refusal decides
         assert want == "truncated"
@@ -745,7 +758,7 @@ def test_certify_gives_the_oracles_verdict(golden, refusal_golden, case):
 def target_side(lts: Lts, translation):
     """The checker's right side over a graph of the translated net."""
     _visible, render = bisim._visible_and_render(translation)
-    return bisim._Side(lts, "right", target_view(lts, translation), render)
+    return bisim._Side(lts, "right", target_view(lts, translation), render, {})
 
 
 def checker_view(lts: Lts, translation) -> tuple:
@@ -863,6 +876,118 @@ def test_a_refusal_renders_only_the_states_it_prints(case, monkeypatch):
     assert rendered
     assert all(any(text in line for line in printed) for text in rendered)
     assert len(rendered) <= sum(line.count("facts{") for line in printed)
+
+
+# ---------------------------------------------------------------------------
+# certify by correspondence: the premise, the local test and its fallback
+
+
+def update_built_image(snap, relation_places: dict) -> Marking:
+    """A snapshot's image built token by token: its control marking with
+    one token per fact added on the fact's relation place."""
+    return snap.marking.update((), [
+        (relation_places[rel], row) for rel, rows in snap.instance.facts.items() for row in rows
+    ])
+
+
+PREMISE_GRAPHS = [(net, "bounded:1") for net in GOLDEN_NETS] + [
+    ("shop-3x3", "recycling"), ("shop-3x3", "bounded:2"),
+]
+
+
+@pytest.mark.parametrize("net, policy", PREMISE_GRAPHS)
+def test_no_two_source_states_share_an_image(net, policy):
+    # the premise of the local test: a translated state has at most one
+    # source partner
+    model = build_shopping_cart(3, 3) if net == "shop-3x3" else GOLDEN_NETS[net]()
+    places = translate(model).relation_places
+    source = build_lts(model, FreshPolicy.parse(policy), max_states=GOLDEN_CAP)
+    assert not source.truncated
+    images = [snapshot_image(snap, places) for snap in source.states]
+    assert len(set(images)) == len(images)
+    built_once = bisim._source_image(places)  # one facts image per distinct instance
+    for snap, image in zip(source.states, images):
+        assert image == update_built_image(snap, places)
+        assert built_once(snap) == image
+
+
+control_tokens = st.lists(
+    st.tuples(st.sampled_from(["p", "q"]), st.sampled_from(gen._INTS).map(lambda v: (v,))),
+    max_size=4,
+)
+
+
+@given(st.integers(0, 3), control_tokens, st.integers(0, 3), control_tokens)
+def test_snapshot_images_are_injective_on_generated_instances(seed1, ctl1, seed2, ctl2):
+    places = {name: f"rel.{name}" for name in gen.GEN_SCHEMA.relations}
+    snaps = [Snapshot(gen.random_instance(Random(seed)), Marking.from_tokens(ctl))
+             for seed, ctl in ((seed1, ctl1), (seed2, ctl2))]
+    images = [snapshot_image(snap, places) for snap in snaps]
+    for snap, image in zip(snaps, images):
+        assert image == update_built_image(snap, places)
+    assert (images[0] == images[1]) == (snaps[0] == snaps[1])
+
+
+def fallback_record(model, translation, monkeypatch) -> tuple:
+    """``certify_translation``'s verdict, witness and trace on a target
+    with no foreign state, the number of times it ran the full check,
+    and the oracle's verdict, witness and trace."""
+    checked = []
+    real_check = bisim.check_weak_bisim
+    monkeypatch.setattr(
+        bisim, "check_weak_bisim", lambda *a: checked.append(1) or real_check(*a)
+    )
+    got = certify_translation(model, policy=BOUNDED1, translation=translation)
+    want = oracle_certify(model, BOUNDED1, max_states=None, translation=translation)
+    return (
+        canonical([got.verdict, got.witness, list(got.trace)]),
+        checked,
+        canonical([want.verdict, want.witness, list(want.trace)]),
+    )
+
+
+def test_a_wrong_label_is_explained_by_the_full_check(touch, monkeypatch, caplog):
+    # Refresh's commit is reported as a rollback.  Every stable state still
+    # has a source partner, so the monitor lets the kernel through; the
+    # local test fails at translated state 1, whose one weak move has the
+    # wrong label, and the full check explains the refusal as the oracle
+    # does.
+    caplog.set_level(logging.INFO, logger="dbnet.bisim")
+    out = translate(touch)
+    relabelled = tuple(
+        replace(t, emit=replace(t.emit, outcome="rollback"))
+        if t.emit is not None and t.emit.transition == "Refresh" and t.emit.outcome == "commit"
+        else t
+        for t in out.net.transitions
+    )
+    assert relabelled != out.net.transitions
+    target = replace(out, net=replace(out.net, transitions=relabelled))
+    got, checked, want = fallback_record(touch, target, monkeypatch)
+    assert checked == [1]
+    assert got == want
+    assert json.loads(got)[1]["kind"] == "unmatched-move"
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[2] == (
+        "local test fails at translated state 1, source partner 1: it moves "
+        "[Refresh[x=1]:rollback] to a state with source partner 1, "
+        "and source state 1 has no such edge"
+    )
+    assert messages[3].startswith("check: ")
+
+
+def test_a_target_that_starts_at_another_source_state_is_refused(touch, monkeypatch):
+    # The translated net starts with its token on d: its initial state has
+    # the contents of source state 1, and it moves as source state 1 does,
+    # so only the test of σ(0) = 0 tells it apart.
+    out = translate(touch)
+    (token, _n), = out.net.initial_marking.tokens("p")
+    initial = out.net.initial_marking.update([("p", token)], [("d", token)])
+    target = replace(out, net=replace(out.net, initial_marking=initial))
+    got, checked, want = fallback_record(touch, target, monkeypatch)
+    assert checked == [1]
+    assert got == want
+    assert json.loads(got)[1]["kind"] == "content-mismatch"
+
 
 if __name__ == "__main__":
     # Rewrite a golden file from the oracle, or certify_translation's

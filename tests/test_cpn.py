@@ -629,6 +629,27 @@ def test_explored_edges_match_the_token_game_on_mutants(mutation):
     assert_edges_match_the_token_game(net, cpn_build_lts(net, BOUNDED1, max_states=1500))
 
 
+@pytest.mark.parametrize("stable_only", [False, True], ids=["full", "kernel"])
+def test_equal_tokens_of_one_exploration_are_one_object(monkeypatch, stable_only):
+    # every firing the exploration applies takes its tokens and its
+    # (place, token) arcs from one table per exploration
+    out = translate(build_shopping_cart(1, 2))
+    keep = (lambda m: out.lock_place in m.marked()) if stable_only else None
+    tokens, arcs, fired = {}, {}, []
+    real = Marking.update
+
+    def watched(marking, removals, additions):
+        for arc in (*removals, *additions):
+            assert arcs.setdefault(arc, arc) is arc
+            assert tokens.setdefault(arc[1], arc[1]) is arc[1]
+            fired.append(arc)
+        return real(marking, removals, additions)
+
+    monkeypatch.setattr(Marking, "update", watched)
+    cpn_build_lts(out.net, BOUNDED1, keep=keep)
+    assert len(fired) > 10 * len(arcs)
+
+
 def test_fresh_values_are_never_memoised():
     # ``mint`` sees the same token on ``a`` in every state while ``b``
     # fills up: each fresh value avoids the values of its own state.

@@ -288,6 +288,28 @@ def test_equality_is_key_equality(start, left, right):
         assert_queries_match_tokens(m)
 
 
+@given(starts, updates, st.sets(st.sampled_from(PLACES)))
+def test_join_is_the_union_of_markings_on_disjoint_places(start, steps, left):
+    whole = walk(Marking.from_tokens(start), steps)
+    a, b = whole.restrict(left), whole.restrict(set(PLACES) - left)
+    joined = a.join(b)
+    assert_same_marking(joined, whole)
+    assert_same_marking(b.join(a), whole)
+    for place in PLACES:  # the records are shared, not rebuilt
+        assert joined.tokens(place) is whole.tokens(place)
+    assert a.join(Marking.EMPTY) is a
+    assert Marking.EMPTY.join(b) is (b if b.marked() else Marking.EMPTY)
+
+
+def test_join_refuses_markings_that_share_a_place():
+    a = Marking.from_tokens([("p", tok(1)), ("q", tok(1))])
+    b = Marking.from_tokens([("q", tok(2)), ("r", tok(2))])
+    with pytest.raises(ContractError, match=r"both mark \['q'\]"):
+        a.join(b)
+    with pytest.raises(ContractError, match="both mark"):
+        a.join(a)
+
+
 @given(starts, st.integers(0, 3), moves)
 def test_an_update_shares_every_place_it_does_not_touch(start, taken, additions):
     parent = Marking.from_tokens(start)
