@@ -10,9 +10,10 @@ no source state has, such as a fact stored twice.  The certifier stops
 exploring at the first such state that its weak moves reach and prints
 a ``foreign-state`` witness with the path there.  A runaway mutant that
 would pile up tokens forever is refused the same way, long before any
-state cap.  The other slips are caught by the full check: a weak move
-with no answer (``unmatched-move``) or a firing that never gives the
-lock back (``silent-dead-end``).
+state cap.  The other slips are caught once the translated net is
+explored: a move of one net that the other cannot answer
+(``unmatched-move``), or a firing that never gives the lock back
+(``silent-dead-end``).
 """
 
 from pathlib import Path

@@ -59,7 +59,6 @@ from .bisim import (
     WeakBisimResult,
     certify_translation,
     check_weak_bisim,
-    verify_relation,
 )
 from .mutations import MUTATIONS, apply_mutation
 from .dsl import DslError, ModelFile, parse_model, print_model
@@ -126,6 +125,5 @@ __all__ = [
     "translate",
     "ucq_to_fo",
     "validate",
-    "verify_relation",
     "__version__",
 ]

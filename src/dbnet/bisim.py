@@ -42,12 +42,12 @@ only its stable states become states, and each edge is a weak move of
 the checker's: ``eps*`` ending on a stable state, or ``eps* ; label ;
 eps*`` (see :mod:`dbnet.cpn`).  The weak moves of the full graph are
 chains of these, so on the kernel ``eps_targets`` and ``big_steps`` are
-the full graph's, and the check there is the same check.  What the
-kernel lacks are the interior states that the convergence conditions
-look at; the local searches report the silent dead ends and silent
-cycles there instead, and a stable state reached only across two
-observables is searched too, though no weak move leads to it.  Shop 3x3
-under ``bounded:2`` keeps 1,213 translated states, one per source state.
+the full graph's.  What the kernel lacks are the interior states that
+the convergence conditions look at; the local searches report the
+silent dead ends and silent cycles there instead, and a stable state
+reached only across two observables is searched too, though no weak
+move leads to it.  Shop 3x3 under ``bounded:2`` keeps 1,213 translated
+states, one per source state.
 
 Early refusal (``certify_translation``): the source side is explored
 first, and the contents of its states are collected.  The kernel is then
@@ -83,36 +83,40 @@ test checks σ one state at a time, as a refinement mapping (Abadi &
 Lamport, TCS 1991) checked on the fly:
 
 * σ(0) = 0, and σ is defined on every state that weak moves reach;
-* for each such state ``k``, the set of ``(label, σ(k'))`` over ``k``'s
-  weak moves ``k -label-> k'``, leaving out each silent move with
-  σ(k') = σ(k), equals the set of ``(label, target)`` over σ(k)'s
-  edges in the source graph.
+* each weak move ``k -label-> k'`` is matched: ``label`` is ``eps`` and
+  σ(k') = σ(k), or σ(k) has the source edge ``(label, σ(k'))``;
+* each source edge ``(label, s')`` of σ(k) is answered by a weak move
+  ``label`` to a state with partner ``s'`` out of ``k``'s silent
+  closure: the states that silent moves to states with partner σ(k)
+  reach from ``k``.
 
-A pass is a proof: the graph of σ is then a weak bisimulation that
-relates the initial states, as each of ``k``'s weak moves is answered
-by σ(k)'s edge to σ(k'), or, when left out, by σ(k) staying put, and
-each edge of σ(k) by a weak move of ``k`` (the source graph has
-observable edges only, so its weak moves are its edges).  A failure is
-a refusal as well, but for one corner.  The only state that can be
-related to a kernel state ``k'`` is σ(k'), so a relation that holds
-the initial pair holds ``(σ(k), k)`` too, for each move along the
-chain of weak moves to ``k`` must be answered in it.  If a move of
-``k`` has no match, no relation holds that pair.  If an edge of σ(k)
-has no match, ``k`` could still answer it by a silent move to another
-state with the same partner and a move on from there; a kernel without
-such silent moves, as every correct translation's is, has no other
-answer.  Either way a failure only hands the verdict on: the test logs
-what failed first, and ``check_weak_bisim`` runs on the whole kernel,
-which decides and explains the refusal with the witness and trace it
-always gave.  On a pass the result is ``BISIMILAR`` with the graph of
-σ as the relation, in the order :func:`check_weak_bisim` would give it.
+The test is exact both ways.  A pass is a proof: the graph of σ is then
+a weak bisimulation that relates the initial states, as σ(k) answers
+the silent moves of a weak step of ``k`` by staying put and its
+observable by the matching edge, and ``k`` answers each edge of σ(k)
+through its closure (the source graph has observable edges only).  A
+failure is a refusal: only σ(k') can be related to a kernel state
+``k'``, so a relation that holds the initial pair holds ``(σ(k), k)``,
+as each move on the chain of weak moves to ``k`` must be answered in
+it.  An unmatched move of ``k`` has no answer there, and a weak step of
+``k`` that answers an edge of σ(k) outside the closure passes a silent
+move to another partner, which fails the test where it starts.  A pass
+gives ``BISIMILAR`` with the graph of σ as the relation, in the order
+of :func:`check_weak_bisim`.  A failing σ(0) = 0 is the refusal that
+:func:`check_weak_bisim` gives; any other failure is an
+``unmatched-move`` at the first failing ``k``, traced as the pair
+``(σ(k), k)``, the chain of weak moves to ``k`` and the move.
+``check_weak_bisim`` never runs in certification: it is the reference
+that the tests compare with.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Mapping, Optional
 
 from .cpn import cpn_build_lts
@@ -129,7 +133,6 @@ __all__ = [
     "WeakBisimResult",
     "TruncatedError",
     "check_weak_bisim",
-    "verify_relation",
     "certify_translation",
 ]
 
@@ -350,13 +353,6 @@ class _Side:
         return frozen
 
 
-def _sides(l1: Lts, view1: list, l2: Lts, view2: list, render: Callable) -> tuple:
-    """The left and the right :class:`_Side` of one check, with their
-    contents numbered once for both."""
-    ids: dict = {}
-    return _Side(l1, "left", view1, render, ids), _Side(l2, "right", view2, render, ids)
-
-
 def _path_to(lts: Lts, target: int, stable) -> list:
     """Labels of a shortest path from state 0 to state ``target`` among
     the paths that pass at most one observable between consecutive stable
@@ -413,6 +409,16 @@ def _state_failure(kind: str, what: str, tag: str, text: str, steps: list) -> We
     )
 
 
+def _content_mismatch(left: str, right: str) -> WeakBisimResult:
+    """The refusal for initial states whose contents' texts are ``left``
+    and ``right``."""
+    return WeakBisimResult(
+        NOT_BISIMILAR,
+        witness={"kind": "content-mismatch", "left": left, "right": right},
+        trace=("initial contents differ", f"left:  {left}", f"right: {right}"),
+    )
+
+
 def _silent_failure(kind: str, what: str, side: _Side, s: int) -> WeakBisimResult:
     return _state_failure(kind, what, side.tag, side.text(s), _path_to(side.lts, s, side.stable))
 
@@ -432,7 +438,8 @@ def check_weak_bisim(l1: Lts, view1: list, l2: Lts, view2: list,
     state numbers (see :class:`_Side`), so pairs sort in discovery order.
     """
     _refuse_truncated(l1, l2)
-    s1, s2 = _sides(l1, view1, l2, view2, render)
+    ids: dict = {}  # contents are numbered once for both sides
+    s1, s2 = _Side(l1, "left", view1, render, ids), _Side(l2, "right", view2, render, ids)
 
     for side in (s1, s2):
         dead = side.silent_dead_end()
@@ -445,12 +452,7 @@ def check_weak_bisim(l1: Lts, view1: list, l2: Lts, view2: list,
     init = (0, 0)
     k1, k2 = s1.key, s2.key
     if k1[0] != k2[0]:
-        left, right = s1.text(0), s2.text(0)
-        return WeakBisimResult(
-            NOT_BISIMILAR,
-            witness={"kind": "content-mismatch", "left": left, "right": right},
-            trace=("initial contents differ", f"left:  {left}", f"right: {right}"),
-        )
+        return _content_mismatch(s1.text(0), s2.text(0))
 
     # Candidate pairs: product-reachable, content-compatible stable pairs.
     rel = {init}
@@ -538,33 +540,6 @@ def _weak_moves(s1: _Side, s2: _Side, p: int, q: int):
             yield "right", label, y, [(x, y) for x in t1 if k1[x] == k2[y]]
 
 
-def verify_relation(l1: Lts, view1: list, l2: Lts, view2: list, render: Callable,
-                    relation) -> list:
-    """Re-check a claimed relation against the transfer conditions: related
-    states have equal contents, every weak move of either state is
-    answered by a weak move of the other into a related pair, and the
-    initial pair is present.  The sides are given as to
-    :func:`check_weak_bisim`.  Returns human-readable problems."""
-    s1, s2 = _sides(l1, view1, l2, view2, render)
-    number1 = {s: i for i, s in enumerate(l1.states)}
-    number2 = {s: i for i, s in enumerate(l2.states)}
-    pairs = [(number1[p], number2[q]) for p, q in relation]
-    rel = set(pairs)
-    problems = []
-    if (0, 0) not in rel:
-        problems.append("relation does not contain the initial pair")
-    for p, q in pairs:
-        if s1.key[p] != s2.key[q]:
-            problems.append(f"related pair differs in content: {s1.text(p)} vs {s2.text(q)}")
-            continue
-        for side, label, _target, answers in _weak_moves(s1, s2, p, q):
-            if not any(a in rel for a in answers):
-                move = "silent move" if label == EPS else f"move {format_label(label)}"
-                text = s1.text(p) if side == "left" else s2.text(q)
-                problems.append(f"unanswered {side} {move} from {text}")
-    return problems
-
-
 def _log_phase(phase: str, started: float, message: str, *args) -> float:
     """Log one phase's seconds since ``started`` and ``message``; returns
     the time now, where the next phase starts."""
@@ -613,72 +588,100 @@ def _explore_target(translation, policy, known, visible, render, *, max_states, 
     )
 
 
+def _edges_of(lts: Lts, state: int) -> list:
+    """The edges out of ``state``, found by bisection: :func:`dbnet.lts.explore`
+    expands states in number order and appends each one's edges as it
+    expands it, so an edge list is sorted by source."""
+    edges, source = lts.edges, itemgetter(0)
+    return edges[bisect_left(edges, state, key=source):bisect_right(edges, state, key=source)]
+
+
 def _unmatched(source: Lts, kernel: Lts, sigma: list) -> Optional[tuple]:
     """The local test (see the module docstring) over the kernel states
-    that σ covers: None if it holds, so that the graph of σ is a weak
-    bisimulation, else what fails first as ``(k, σ(k), side, label,
-    target)``.  That is the first state ``k`` whose weak moves do not
-    correspond to its partner's edges, and its first unmatched move:
-    one of ``k``'s, in edge order, to a state whose partner is
-    ``target`` (``side`` is "translated"), or else one of σ(k)'s edges,
-    to ``target`` ("source").  A failing σ(0) = 0 comes as ``(0, σ(0),
-    None, None, None)``.
+    that σ covers: None if it holds, else what fails first as ``(k,
+    side, label, target)``: the first failing state ``k`` and its first
+    unmatched move, one of ``k``'s to kernel state ``target`` ("right"),
+    or else one of σ(k)'s edges to source state ``target`` ("left"),
+    each in edge order.  A failing σ(0) = 0 is ``(0, None, None, None)``.
 
-    :func:`dbnet.lts.explore` appends each state's edges when it expands
-    that state, and expands states in number order, so both edge lists
-    are grouped by state in order: the test walks the kernel's once and
-    finds each source state's by one start offset."""
+    The test walks the kernel's edges once, as they are sorted by source
+    (:func:`_edges_of`).  The monitor looked up the target of each edge
+    of a state that σ covers, so σ covers it too."""
     if sigma[0] != 0:
-        return 0, sigma[0], None, None, None
-    edges, out = source.edges, kernel.edges
-    start = [0] * (source.state_count + 1)
-    for src, _label, _dst in edges:
-        start[src + 1] += 1
-    for s in range(source.state_count):
-        start[s + 1] += start[s]
+        return 0, None, None, None
+    out = kernel.edges
     at = 0  # the kernel's first edge of the state under test
     for k, partner in enumerate(sigma):
-        moves = []
+        answers = _edges_of(source, partner)
+        expected = {(label, dst) for _s, label, dst in answers}
+        moves, silent = set(), []
         while at < len(out) and out[at][0] == k:
             _k, label, dst = out[at]
             at += 1
-            target = sigma[dst] if dst < len(sigma) else None
-            if target is None:
-                return k, partner, "translated", label, None
-            if label != EPS or target != partner:  # else the source answers by staying
-                moves.append((label, target))
-        answers = [(label, dst) for _s, label, dst in edges[start[partner]:start[partner + 1]]]
-        if set(moves) != set(answers):
-            for side, mine, other in (("translated", moves, set(answers)),
-                                      ("source", answers, set(moves))):
-                for label, target in mine:
-                    if (label, target) not in other:
-                        return k, partner, side, label, target
+            move = (label, sigma[dst])
+            if move == (EPS, partner):  # the source answers by staying
+                silent.append(dst)
+            elif move in expected:
+                moves.add(move)
+            else:
+                return k, "right", label, dst
+        if silent:
+            moves |= _closure_moves(kernel, sigma, k, silent)
+        if moves != expected:
+            for _s, label, dst in answers:
+                if (label, dst) not in moves:
+                    return k, "left", label, dst
     return None
 
 
-def _by_correspondence(source: Lts, kernel: Lts, sigma: list) -> Optional[WeakBisimResult]:
-    """``BISIMILAR`` with the graph of σ as the relation if the local test
-    holds; otherwise None, after one log line on what failed first.  The
-    relation pairs ``source.states[σ(k)]`` with ``kernel.states[k]``,
-    sorted by ``(σ(k), k)`` as :func:`check_weak_bisim` sorts its pairs."""
-    failed = _unmatched(source, kernel, sigma)
-    if failed is not None:
-        k, partner, side, label, target = failed
-        if side is None:
-            what = "the initial states are no partners"
-        elif side == "translated":
-            what = (f"it moves [{format_label(label)}] to a state with source partner {target}, "
-                    f"and source state {partner} has no such edge")
-        else:
-            what = (f"source state {partner} moves [{format_label(label)}] to source state "
-                    f"{target}, and it has no such weak move")
-        _log_info(__name__, "local test fails at translated state %d, source partner %s: %s",
-                  k, partner, what)
-        return None
-    states1, states2 = source.states, kernel.states
+def _closure_moves(kernel: Lts, sigma: list, k: int, todo: list) -> set:
+    """The ``(label, σ(k'))`` of each move ``x -label-> k'`` but the silent
+    ones to ``k``'s partner, over the states ``x`` of ``k``'s silent
+    closure that ``todo`` leads to."""
+    partner = sigma[k]
+    seen, moves = {k, *todo}, set()
+    while todo:
+        for _x, label, dst in _edges_of(kernel, todo.pop()):
+            move = (label, sigma[dst])
+            if move != (EPS, partner):
+                moves.add(move)
+            elif dst not in seen:
+                seen.add(dst)
+                todo.append(dst)
+    return moves
+
+
+def _graph_of_sigma(source: Lts, kernel: Lts, sigma: list) -> WeakBisimResult:
+    """``BISIMILAR`` with the pairs ``(source.states[σ(k)], kernel.states[k])``
+    as the relation, sorted by ``(σ(k), k)`` as :func:`check_weak_bisim` sorts."""
     pairs = sorted(zip(sigma, range(len(sigma))))
-    return WeakBisimResult(BISIMILAR, relation=tuple((states1[s], states2[k]) for s, k in pairs))
+    return WeakBisimResult(BISIMILAR, relation=tuple((source.states[s], kernel.states[k])
+                                                      for s, k in pairs))
+
+
+def _refusal(source: Lts, kernel: Lts, sigma: list, failed: tuple, image: Callable,
+             render: Callable) -> WeakBisimResult:
+    """The refusal for what :func:`_unmatched` found first, ``failed``,
+    after one log line on it.  Only the states it prints are rendered."""
+    k, side, label, target = failed
+    partner = sigma[k]
+    if side is None:
+        _log_info(__name__, "refused at translated state 0, source partner %s: "
+                  "initial contents differ", partner)
+        return _content_mismatch(render(image(source.states[0])), render(kernel.states[0]))
+    move = format_label(label)
+    text = render(kernel.states[target] if side == "right" else image(source.states[target]))
+    unmatched = f"{side} side moves [{move}] to {text}, with no answer"
+    _log_info(__name__, "refused at translated state %d, source partner %d: %s",
+              k, partner, unmatched)
+    left, right = render(image(source.states[partner])), render(kernel.states[k])
+    return WeakBisimResult(
+        NOT_BISIMILAR,
+        witness={"kind": "unmatched-move", "side": side, "label": move,
+                 "left": left, "right": right},
+        trace=(f"pair: left={left} right={right}",
+               *(f"  via {step}" for step in _kernel_path(kernel, k)), f"  {unmatched}"),
+    )
 
 
 def _kernel_path(kernel, state: int, labels: tuple = ()) -> list:
@@ -735,18 +738,14 @@ def certify_translation(
     source state has, the result is ``NOT_BISIMILAR`` with a
     ``"foreign-state"`` witness, and the partial kernel is not checked.
     Otherwise a silent dead end, then a silent cycle, that a local
-    search met is refused, and the kernel goes to the local test of σ
-    (see the module docstring).  If it passes, the result is
-    ``BISIMILAR`` with the graph of σ as the relation, and no other
-    check runs; if it fails, :func:`check_weak_bisim` decides on the
-    whole kernel and explains its verdict.  ``stats`` counts the
-    kernel's stable states (``translated-states``) and weak moves
-    (``translated-edges``), up to the stop if there was one, and the
-    markings of its largest local search (``largest-local-search``).  ``max_states`` caps the
-    stable states and ``max_depth`` the weak moves from the initial
-    one; once the local searches have visited ``max_states`` markings in
-    all, or one would follow more than ``max_depth`` firings, the
-    search is cut.
+    search met is refused, and the local test of σ decides (see the
+    module docstring).  ``stats`` counts the kernel's stable states
+    (``translated-states``) and weak moves (``translated-edges``), up to
+    the stop if there was one, and the markings of its largest local
+    search (``largest-local-search``).  ``max_states`` caps the stable
+    states and ``max_depth`` the weak moves from the initial one; once
+    the local searches have visited ``max_states`` markings in all, or
+    one would follow more than ``max_depth`` firings, the search is cut.
 
     ``translation`` may be supplied to certify a pre-built (for instance
     deliberately mutated) translation of the same model.  Unless the
@@ -757,9 +756,9 @@ def certify_translation(
     is explored.
 
     Under ``DBNET_LOG=info`` each phase (source exploration, target
-    exploration, check) logs one line with its seconds and states, and
-    a failing local test logs one line before the full check: the
-    translated state, its source partner and the first unmatched move.
+    exploration, check) logs one line with its seconds and states; a
+    refusal by the local test logs the state, its source partner and
+    the unmatched move instead of the check's line.
     """
     policy = policy or model.default_policy
     if translation is None:
@@ -768,10 +767,10 @@ def certify_translation(
     started = time.perf_counter()
     raw1 = build_lts(model, policy, max_states=max_states, max_depth=max_depth)
     _refuse_truncated(raw1)
-    view1 = flatten(raw1, contents=_source_image(translation.relation_places), lock=None)
+    image = _source_image(translation.relation_places)
     known: dict = {}
-    for number, (contents, _stable) in enumerate(view1):
-        known.setdefault(contents, number)
+    for number, snap in enumerate(raw1.states):
+        known.setdefault(image(snap), number)
     started = _log_phase("source exploration", started, "%d states", raw1.state_count)
     visible, render = _visible_and_render(translation)
     kernel, sigma, result = _explore_target(translation, policy, known, visible, render,
@@ -782,13 +781,14 @@ def certify_translation(
     )
     if result is None:
         _refuse_truncated(raw1, kernel)
-        result = _silent_refusal(kernel, render) or _by_correspondence(raw1, kernel, sigma)
-        if result is None:
-            view2 = flatten(kernel, contents=lambda m: m.restrict(visible),
-                            lock=translation.lock_place)
-            result = check_weak_bisim(raw1, view1, kernel, view2, render)
-        _log_phase("check", started, "%d + %d states, %s",
-                   raw1.state_count, kernel.state_count, result.verdict)
+        result = _silent_refusal(kernel, render)
+        failed = None if result else _unmatched(raw1, kernel, sigma)
+        if failed is None:
+            result = result or _graph_of_sigma(raw1, kernel, sigma)
+            _log_phase("check", started, "%d + %d states, %s",
+                       raw1.state_count, kernel.state_count, result.verdict)
+        else:
+            result = _refusal(raw1, kernel, sigma, failed, image, render)
     result.stats = {
         "source-states": raw1.state_count,
         "source-edges": raw1.edge_count,

@@ -20,10 +20,10 @@ from dbnet.bisim import (
     TruncatedError,
     certify_translation,
     check_weak_bisim,
-    verify_relation,
 )
 from dbnet.corpus import build_shopping_cart
 from dbnet.cpn import CpnPlace, CpnTransition, Emit, NuCpn, cpn_build_lts
+from dbnet.dsl import parse_model
 from dbnet.lts import EPS, Lts
 from dbnet.marking import Marking
 from dbnet.freshness import FreshPolicy
@@ -263,33 +263,18 @@ def test_truncated_inputs_are_refused(shop, shop_lts):
 
 
 # ---------------------------------------------------------------------------
-# verify_relation
-
-
-def relation_setup(model, policy):
-    out = translate(model)
-    sides = checker_input(build_lts(model, policy), cpn_build_lts(out.net, policy), out)
-    return sides, check_weak_bisim(*sides)
-
-
-def test_verify_relation_confirms_a_real_certificate(guarded):
-    sides, res = relation_setup(guarded, RECYCLING)
-    assert res.verdict == BISIMILAR
-    assert verify_relation(*sides, res.relation) == []
-
-
-def test_verify_relation_rejects_tampering(guarded):
-    sides, res = relation_setup(guarded, RECYCLING)
-    l1, view1, l2, view2, _render = sides
-    dropped = tuple(res.relation[1:])
-    assert verify_relation(*sides, dropped)
-    mismatched = res.relation + ((l1.states[0], l2.states[-1]),)
-    if view1[0][0] != view2[-1][0]:
-        assert verify_relation(*sides, mismatched)
-
-
-# ---------------------------------------------------------------------------
 # the full pipeline
+
+
+def no_full_check(*_args, **_kwargs):
+    raise AssertionError("the generic weak-bisimulation check ran")
+
+
+def forbid_full_check(patch):
+    """Make ``flatten`` and ``check_weak_bisim`` raise, through the
+    monkeypatch ``patch``: ``certify_translation`` needs neither."""
+    for name in ("flatten", "check_weak_bisim"):
+        patch.setattr(bisim, name, no_full_check)
 
 
 def test_certify_the_shop(shop):
@@ -323,20 +308,23 @@ def test_certify_honours_truncation_refusal(shop):
 
 
 def test_truncation_is_refused_before_flattening(shop, monkeypatch):
-    flattened = []
-    real_flatten = bisim.flatten
+    # nothing is flattened: the source side's contents are the images of
+    # its snapshots, and none is built before its truncation is refused
+    imaged = []
+    real_source_image = bisim._source_image
 
-    def watched_flatten(lts, **kwargs):
-        flattened.append(lts.states)
-        return real_flatten(lts, **kwargs)
+    def watched_source_image(relation_places):
+        image = real_source_image(relation_places)
+        return lambda snap: imaged.append(snap) or image(snap)
 
-    monkeypatch.setattr(bisim, "flatten", watched_flatten)
+    monkeypatch.setattr(bisim, "_source_image", watched_source_image)
+    forbid_full_check(monkeypatch)
     with pytest.raises(TruncatedError) as both_cut:
         certify_translation(shop, policy=BOUNDED1, max_states=10)
     assert str(both_cut.value) == (
         "left LTS is truncated; the check needs the complete state space"
     )
-    assert flattened == []
+    assert imaged == []
     # The source side and the kernel both have 29 states, but the local
     # searches visit 535 markings in all, so a cap of 60 cuts the right
     # side only; the correct translation has no foreign state to refuse.
@@ -345,8 +333,8 @@ def test_truncation_is_refused_before_flattening(shop, monkeypatch):
     assert str(right_cut.value) == (
         "right LTS is truncated; the check needs the complete state space"
     )
-    # the contents of the complete source side only
-    assert flattened == [build_lts(shop, BOUNDED1).states]
+    # the contents of the complete source side only, each once
+    assert imaged == build_lts(shop, BOUNDED1).states
 
 
 def test_a_truncated_source_stops_before_the_target_is_explored(shop22, monkeypatch):
@@ -403,20 +391,15 @@ def test_two_observables_between_stable_states_are_no_weak_move(monkeypatch):
     # stable state between them: no weak move reaches y, so refusing there
     # would be unsound.  The kernel explores y without an edge to it, and
     # the local test finds the nets bisimilar, as p has no weak move and
-    # neither has its source partner; the full check is never run.
+    # neither has its source partner.
     target = hand_target(
         {"p": [(OBS2, "z")], "z": [(OBS, "y")]},
         foreign={"y"},
         interior={"z"},
     )
-    checked = []
-    real_check = bisim.check_weak_bisim
-    monkeypatch.setattr(
-        bisim, "check_weak_bisim", lambda *a: checked.append(1) or real_check(*a)
-    )
+    forbid_full_check(monkeypatch)
     res = certify_hand(target)
     assert res.verdict == BISIMILAR
-    assert checked == []
     assert res.stats["translated-states"] == 2
     assert res.stats["translated-edges"] == 0
 
@@ -543,30 +526,20 @@ def test_a_runaway_search_is_cut_unless_a_refusal_comes_first():
 @pytest.mark.parametrize("policy", [BOUNDED1, RECYCLING], ids=["bounded1", "recycling"])
 def test_a_correct_translation_never_triggers_the_monitor(shop22, policy, monkeypatch, caplog):
     caplog.set_level(logging.INFO, logger="dbnet.bisim")
-    checked = []
-    real_check = bisim.check_weak_bisim
-    monkeypatch.setattr(
-        bisim, "check_weak_bisim", lambda *a: checked.append(1) or real_check(*a)
-    )
+    forbid_full_check(monkeypatch)
     res = certify_translation(shop22, policy=policy)
     assert res.bisimilar
-    assert checked == []
     # one line per phase, and no refusal
     phases = [r.getMessage().split(":")[0] for r in caplog.records]
     assert phases == ["source exploration", "target exploration", "check"]
 
 
-def no_full_check(*_args):
-    raise AssertionError("check_weak_bisim ran")
-
-
 @pytest.mark.parametrize("policy", [BOUNDED1, RECYCLING], ids=["bounded1", "recycling"])
 @pytest.mark.parametrize("name", [*CORPUS_NAMES, "shop-2x2"])
 def test_the_kernel_has_one_state_per_source_state(name, policy, monkeypatch):
-    # and the local test pairs them: a bisimilar certify never runs the
-    # full check
+    # and the local test pairs them
     model = build_shopping_cart(2, 2) if name == "shop-2x2" else load_corpus(name)
-    monkeypatch.setattr(bisim, "check_weak_bisim", no_full_check)
+    forbid_full_check(monkeypatch)
     res = certify_translation(model, policy=policy)
     assert res.bisimilar
     assert res.stats["translated-states"] == res.stats["source-states"] == len(res.relation)
@@ -588,9 +561,12 @@ def oracle_certify(model, policy, *, max_states, translation):
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-def test_early_refusal_agrees_with_the_oracle_on_shop22(shop22, mutation):
+def test_early_refusal_agrees_with_the_oracle_on_shop22(shop22, mutation, monkeypatch):
     translation = apply_mutation(translate(shop22), mutation)
-    got = certify_translation(shop22, policy=BOUNDED1, max_states=3000, translation=translation)
+    with monkeypatch.context() as patch:
+        forbid_full_check(patch)
+        got = certify_translation(shop22, policy=BOUNDED1, max_states=3000,
+                                  translation=translation)
     try:
         oracle = oracle_certify(shop22, policy=BOUNDED1, max_states=3000, translation=translation)
         want = oracle.verdict
@@ -730,8 +706,11 @@ def test_early_refusals_are_the_decided_foreign_states_and_every_runaway(
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES)
-def test_certify_matches_the_oracle_unless_it_refuses_early(golden, refusal_golden, case):
-    # the pinned record is the oracle's unless certify_translation's differs
+def test_certify_matches_the_oracle_unless_it_refuses_early(golden, refusal_golden, case,
+                                                           monkeypatch):
+    # the pinned record is the oracle's unless certify_translation's
+    # differs; certify_translation decides without the generic check
+    forbid_full_check(monkeypatch)
     got = canonical(certify_record(case, certify_translation))
     assert got == canonical(refusal_golden.get(case, golden[case]))
 
@@ -879,7 +858,7 @@ def test_a_refusal_renders_only_the_states_it_prints(case, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# certify by correspondence: the premise, the local test and its fallback
+# certify by correspondence: the premise and the local test
 
 
 def update_built_image(snap, relation_places: dict) -> Marking:
@@ -928,30 +907,20 @@ def test_snapshot_images_are_injective_on_generated_instances(seed1, ctl1, seed2
     assert (images[0] == images[1]) == (snaps[0] == snaps[1])
 
 
-def fallback_record(model, translation, monkeypatch) -> tuple:
-    """``certify_translation``'s verdict, witness and trace on a target
-    with no foreign state, the number of times it ran the full check,
-    and the oracle's verdict, witness and trace."""
-    checked = []
-    real_check = bisim.check_weak_bisim
-    monkeypatch.setattr(
-        bisim, "check_weak_bisim", lambda *a: checked.append(1) or real_check(*a)
-    )
-    got = certify_translation(model, policy=BOUNDED1, translation=translation)
-    want = oracle_certify(model, BOUNDED1, max_states=None, translation=translation)
-    return (
-        canonical([got.verdict, got.witness, list(got.trace)]),
-        checked,
-        canonical([want.verdict, want.witness, list(want.trace)]),
-    )
+def local_and_oracle(model, translation, monkeypatch) -> tuple:
+    """``certify_translation``'s result on a target with no foreign
+    state, decided without the generic check, and the oracle's."""
+    with monkeypatch.context() as patch:
+        forbid_full_check(patch)
+        got = certify_translation(model, policy=BOUNDED1, translation=translation)
+    return got, oracle_certify(model, BOUNDED1, max_states=None, translation=translation)
 
 
-def test_a_wrong_label_is_explained_by_the_full_check(touch, monkeypatch, caplog):
+def test_a_wrong_label_is_refused_by_the_local_test(touch, monkeypatch, caplog):
     # Refresh's commit is reported as a rollback.  Every stable state still
     # has a source partner, so the monitor lets the kernel through; the
     # local test fails at translated state 1, whose one weak move has the
-    # wrong label, and the full check explains the refusal as the oracle
-    # does.
+    # wrong label.  The oracle refuses it too, at the initial pair.
     caplog.set_level(logging.INFO, logger="dbnet.bisim")
     out = translate(touch)
     relabelled = tuple(
@@ -962,17 +931,19 @@ def test_a_wrong_label_is_explained_by_the_full_check(touch, monkeypatch, caplog
     )
     assert relabelled != out.net.transitions
     target = replace(out, net=replace(out.net, transitions=relabelled))
-    got, checked, want = fallback_record(touch, target, monkeypatch)
-    assert checked == [1]
-    assert got == want
-    assert json.loads(got)[1]["kind"] == "unmatched-move"
-    messages = [r.getMessage() for r in caplog.records]
-    assert messages[2] == (
-        "local test fails at translated state 1, source partner 1: it moves "
-        "[Refresh[x=1]:rollback] to a state with source partner 1, "
-        "and source state 1 has no such edge"
+    got, want = local_and_oracle(touch, target, monkeypatch)
+    assert got.verdict == want.verdict == NOT_BISIMILAR
+    assert got.witness["kind"] == want.witness["kind"] == "unmatched-move"
+    at_d = 'facts{T("c")}|ctl{d(1)}'
+    assert got.witness == {"kind": "unmatched-move", "side": "right",
+                           "label": "Refresh[x=1]:rollback", "left": at_d, "right": at_d}
+    unmatched = f"right side moves [Refresh[x=1]:rollback] to {at_d}, with no answer"
+    assert got.trace == (
+        f"pair: left={at_d} right={at_d}", "  via Touch[x=1]:commit", f"  {unmatched}",
     )
-    assert messages[3].startswith("check: ")
+    # the refusal's line replaces the check's
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[2:] == [f"refused at translated state 1, source partner 1: {unmatched}"]
 
 
 def test_a_target_that_starts_at_another_source_state_is_refused(touch, monkeypatch):
@@ -983,10 +954,70 @@ def test_a_target_that_starts_at_another_source_state_is_refused(touch, monkeypa
     (token, _n), = out.net.initial_marking.tokens("p")
     initial = out.net.initial_marking.update([("p", token)], [("d", token)])
     target = replace(out, net=replace(out.net, initial_marking=initial))
-    got, checked, want = fallback_record(touch, target, monkeypatch)
-    assert checked == [1]
-    assert got == want
-    assert json.loads(got)[1]["kind"] == "content-mismatch"
+    got, want = local_and_oracle(touch, target, monkeypatch)
+    got, want = ([r.verdict, r.witness, list(r.trace)] for r in (got, want))
+    assert canonical(got) == canonical(want)
+    assert got[1]["kind"] == "content-mismatch"
+
+
+# One step, GO, from p to q.
+HOP = parse_model("""dbnet "hop";
+place p();
+place q();
+transition GO { in p(); out q(); }
+init { token p(); }
+policy { fresh recycling; }
+""").model
+
+
+def hop_target(moves: dict, marked=("lock", "p")):
+    """A translation of HOP whose translated net is the unit net of
+    ``moves`` (see ``unit_net``): p and q are its control places, g and
+    x gadget-interior ones."""
+    classes = {"lock": "lock", "p": "original-control", "q": "original-control",
+               "g": "intermediate", "x": "intermediate"}
+    return SimpleNamespace(net=unit_net(moves, marked=marked), place_classes=classes,
+                           relation_places={}, lock_place="lock")
+
+
+# The stable markings A = {lock, p, g} and B = {lock, p, x} both have
+# the contents of HOP's state at p, and the silent ``hop`` moves A to B.
+HOP_THROUGH_B = {"hop": (["g"], ["x"]), "GO": (["lock", "p", "x"], ["lock", "q"])}
+
+
+def test_a_source_edge_is_answered_through_a_silent_move(monkeypatch):
+    # only B fires GO: A's answer to the source's GO is a weak move through B
+    got, want = local_and_oracle(HOP, hop_target(HOP_THROUGH_B, ("lock", "p", "g")), monkeypatch)
+    assert got.verdict == want.verdict == BISIMILAR
+    assert got.relation == want.relation
+    # A and B share source state 0; C = {lock, q} is source state 1
+    assert (got.stats["translated-states"], got.stats["translated-edges"]) == (3, 2)
+    assert got.relation[0][0] == got.relation[1][0] == HOP.initial_snapshot()
+
+
+def test_a_source_edge_with_no_answer_behind_a_silent_move_is_refused(monkeypatch):
+    # without GO neither A nor B answers the source's GO
+    target = hop_target({"hop": HOP_THROUGH_B["hop"]}, ("lock", "p", "g"))
+    got, want = local_and_oracle(HOP, target, monkeypatch)
+    assert got.verdict == want.verdict == NOT_BISIMILAR
+    assert got.witness == {"kind": "unmatched-move", "side": "left", "label": "GO[]:commit",
+                           "left": "facts{}|ctl{p()}", "right": "facts{}|ctl{p()}"}
+    assert got.trace == (
+        "pair: left=facts{}|ctl{p()} right=facts{}|ctl{p()}",
+        "  left side moves [GO[]:commit] to facts{}|ctl{q()}, with no answer",
+    )
+
+
+def test_a_silent_move_to_another_partner_is_refused(monkeypatch):
+    # ``slip`` moves the token from p to q as GO does, but silently: the
+    # source has no silent answer, though A answers each of its edges
+    target = hop_target({"GO": (["lock", "p"], ["lock", "q"]),
+                         "slip": (["lock", "p"], ["lock", "q"])})
+    got, want = local_and_oracle(HOP, target, monkeypatch)
+    assert got.verdict == want.verdict == NOT_BISIMILAR
+    assert got.witness == {"kind": "unmatched-move", "side": "right", "label": "eps",
+                           "left": "facts{}|ctl{p()}", "right": "facts{}|ctl{p()}"}
+    assert got.trace[1:] == ("  right side moves [eps] to facts{}|ctl{q()}, with no answer",)
 
 
 if __name__ == "__main__":
