@@ -34,16 +34,17 @@ is replaced.
 the tokens of its own input and read places.  For the length of one
 exploration it memoises, per transition and content of those places
 (``Marking.records``: the interned record of each place, so no marking
-is built and the key hashes by address), the transition's firings: the
-tokens each binding removes, the tokens it adds and its label, so that
-firing is a single ``Marking.update``.  A transition with fresh
+is built and the key hashes by address), the transition's firings: each
+binding's label and its per-place deltas ``(place, removed tokens, added
+tokens)`` (:func:`dbnet.marking.place_deltas`).  A transition with fresh
 variables is never memoised, as its fresh values avoid every value in
-the marking.  The priority rule is applied after the memo.  Equal
-firings of different transitions or place contents would hold equal
-tokens as separate tuples (at shop 3x3 under ``bounded:2``, 9,330 of
-them with 147 distinct values), so each firing's tokens and ``(place,
-token)`` arcs are taken from two tables that last as long as the memo:
-each holds the first equal one the exploration built.
+the marking.  The priority rule is applied after the memo.  A place's
+next record depends only on its record and its delta, so firings step
+through a table kept as long as the memo (``Marking.apply``): at shop
+3x3 under ``bounded:2`` the kernel's 65,454 place updates are 2,659
+distinct ``(record, delta)`` pairs, each computed once.  Equal deltas,
+and the equal tokens in them, are one object each (2,509 deltas, whose
+2,749 tokens have 147 distinct values).
 
 Given a ``keep`` predicate, :func:`cpn_build_lts` explores the
 *kernel* instead: the graph over the markings ``keep`` accepts, whose
@@ -73,7 +74,7 @@ from .fo import Formula, TRUE
 from .freshness import FreshPolicy
 from . import lts
 from .lts import EPS, Lts, _log_info, cycle_member, explore
-from .marking import Marking
+from .marking import Marking, place_deltas
 from .model import _marking_values, _walk_guard_vars, bind_transition, eval_guard
 from .relational import ContractError, Value, Variable, ground, render_value
 
@@ -323,9 +324,9 @@ def _transition_bindings(net: NuCpn, marking: Marking, entry: _Entry, policy: Fr
 
 
 def _prioritised(table: _NetTable, marking: Marking, pairs) -> list:
-    """The ``(transition, b)`` pairs in ``pairs(entry)`` over the candidate
-    entries that the priority rule allows: those of the highest priority
-    level that has any, in enabling order."""
+    """The items of ``pairs(entry)``, each led by its transition, over the
+    candidate entries that the priority rule allows: those of the highest
+    priority level that has any, in enabling order."""
     out: list = []
     level = None
     for entry in table.candidates(marking):
@@ -463,21 +464,22 @@ def cpn_build_lts(
     only across two observables gets no edge, but is explored all the
     same, after every state that weak moves reach
     (:func:`dbnet.lts.explore`).  The search's visited set is dropped
-    when it ends, so no interior marking outlives it; the locality memo
-    outlives it.  The search also reports a silent dead end (an interior
-    marking without firings) and a silent cycle (interior markings that
-    silent firings lead around), which are the states the full graph's
-    convergence conditions look at.  ``max_states`` caps the stable
-    states and ``max_depth`` the weak moves from the initial one.  The
-    searches share one budget of ``max_states`` markings, so the work of
-    the whole exploration stays within it: a marking counts once per
-    search that visits it and per observable it is reached with, and a
-    search's root counts too.  A search that would go past the budget,
-    or follow more than ``max_depth`` firings, is cut, keeps the edges
-    it yielded, and marks the graph truncated.  Under ``DBNET_LOG=info``
-    the kernel logs one line each time its searches have visited another
-    ``lts.PROGRESS_EVERY`` markings: the markings visited, the largest
-    search so far and the seconds since it started."""
+    when it ends, so no interior marking outlives it; the locality memo,
+    and the one table of next records that both graphs fire through,
+    outlive it until this call returns.  The search also reports a silent
+    dead end (an interior marking without firings) and a silent cycle
+    (interior markings that silent firings lead around), which are the
+    states the full graph's convergence conditions look at.
+    ``max_states`` caps the stable states and ``max_depth`` the weak moves
+    from the initial one.  The searches share one budget of ``max_states``
+    markings, so the work of the whole exploration stays within it: a
+    marking counts once per search that visits it and per observable it
+    is reached with, and a search's root counts too.  A search that would
+    go past the budget, or follow more than ``max_depth`` firings, is cut,
+    keeps the edges it yielded, and marks the graph truncated.  Under
+    ``DBNET_LOG=info`` the kernel logs one line each time its searches
+    have visited another ``lts.PROGRESS_EVERY`` markings: the markings
+    visited, the largest search so far and the seconds since it started."""
     policy = policy or net.default_policy
     if not policy.finite_branching:
         raise ContractError(
@@ -486,20 +488,16 @@ def cpn_build_lts(
         )
 
     table = _transition_table(net)
-    # (entry rank, records of the entry's own places) -> its
-    # (transition, firing) pairs, for this exploration only
+    # For this exploration only: (entry rank, its places' records) -> its
+    # (transition, deltas, label) firings; each token and delta -> the
+    # first equal one built; (record or None, delta) -> next record or None.
     memo: dict = {}
-    # each ground token, and each (place, token) arc, -> the first equal
-    # one this exploration built, so that equal firings share them
     tokens: dict = {}
-    arcs: dict = {}
+    deltas: dict = {}
+    nexts: dict = {}
 
-    def shared(pairs: tuple) -> tuple:
-        out = []
-        for place, token in pairs:
-            arc = (place, tokens.setdefault(token, token))
-            out.append(arcs.setdefault(arc, arc))
-        return tuple(out)
+    def shared(arcs: tuple) -> list:
+        return [(place, tokens.setdefault(token, token)) for place, token in arcs]
 
     def firings(marking: Marking, entry: _Entry):
         key = None
@@ -512,7 +510,8 @@ def cpn_build_lts(
         found = []
         for theta in _transition_bindings(net, marking, entry, policy):
             removals, additions, label = _firing(t, theta)
-            found.append((t, (shared(removals), shared(additions), label)))
+            firing = place_deltas(shared(removals), shared(additions))
+            found.append((t, tuple(deltas.setdefault(d, d) for d in firing), label))
         if key is not None:
             memo[key] = found
         return found
@@ -522,8 +521,8 @@ def cpn_build_lts(
 
     if keep is None:
         def step(marking: Marking):
-            return [(label, marking.update(removals, additions))
-                    for _, (removals, additions, label) in enabled(marking)]
+            return [(label, marking.apply(firing, nexts))
+                    for _, firing, label in enabled(marking)]
 
         return explore(net.initial_marking, step, max_states=max_states,
                        max_depth=max_depth, stop=stop)
@@ -566,8 +565,8 @@ def cpn_build_lts(
                     kernel.dead_end = (root, labels(i), marking)
                 succ = []
                 silent.append(succ)
-                for _, (removals, additions, label) in here:
-                    after = marking.update(removals, additions)
+                for _, firing, label in here:
+                    after = marking.apply(firing, nexts)
                     now = weak if label == EPS else label if weak == EPS else _TWO
                     if keep(after):
                         if now != EPS or after != root:  # eps_targets holds the root already

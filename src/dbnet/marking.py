@@ -38,10 +38,15 @@ token.  The sorted views, ``key()`` and ``places_marked()``, are built
 only when asked for: by validation, translation and printing.  The
 enabling scan walks the unsorted ``marked()`` view.
 
-``update(removals, additions)`` is the one update: it takes the removals,
-then the additions, into one private copy per touched place and re-sorts
-and re-hashes each touched place once; ``minus`` and ``plus`` are its two
-halves, and firing a transition is a single ``update``.  ``restrict`` gives the marking of some places only, built
+An update is a tuple of per-place deltas (:func:`place_deltas`), and
+``_next_record`` is the one place where tokens are counted: one private
+copy of a place's counts, re-sorted only if a token new to it came in.
+``apply(deltas, table)`` copies the place dict once and looks each
+``(old record or None, delta)`` up in ``table`` first, so a caller that
+keeps one table (one per exploration of the translated net) computes
+each pair's next record once.  ``update(removals, additions)`` applies
+one update with no table; ``minus`` and ``plus`` are its two halves.
+``restrict`` gives the marking of some places only, built
 from the per-place records, so it is a cheap hashable key for "the
 tokens on these places" (the certifier compares the contents of states
 by it), and ``join`` is the disjoint union of two markings, built from
@@ -57,11 +62,11 @@ from __future__ import annotations
 import sys
 import threading
 import weakref
-from typing import Iterable, Mapping, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 from .relational import ContractError, render_value
 
-__all__ = ["Marking", "render_token"]
+__all__ = ["Marking", "place_deltas", "render_token"]
 
 _M64 = (1 << 64) - 1
 
@@ -133,14 +138,54 @@ _RECORDS = weakref.WeakValueDictionary()
 _RECORDS_LOCK = threading.Lock()
 
 
-def _place_record(place: str, counts: dict) -> PlaceRecord:
+def _place_record(place: str, counts: dict, in_order: bool = False) -> PlaceRecord:
     """The record of ``place`` holding the non-empty bag ``counts``
-    (token -> positive multiplicity)."""
-    if len(counts) == 1:
-        pairs = tuple(counts.items())
-    else:
-        pairs = tuple(sorted(counts.items(), key=_pair_sort_key))
+    (token -> positive multiplicity), sorted unless ``in_order``."""
+    pairs = tuple(counts.items())
+    if not in_order and len(pairs) > 1:
+        pairs = tuple(sorted(pairs, key=_pair_sort_key))
     return PlaceRecord(place, pairs)
+
+
+def place_deltas(removals: Iterable[Tuple[str, tuple]],
+                 additions: Iterable[Tuple[str, tuple]]) -> tuple:
+    """An update as deltas ``(place, removed tokens, added tokens)``, one
+    per touched place in the order first touched, tokens in update order."""
+    moves: dict = {}
+    for place, tok in removals:
+        if place in moves:
+            moves[place][0].append(tok)
+        else:
+            moves[place] = ([tok], [])
+    for place, tok in additions:
+        if place in moves:
+            moves[place][1].append(tok)
+        else:
+            moves[place] = ([], [tok])
+    return tuple([(place, tuple(removed), tuple(added))
+                  for place, (removed, added) in moves.items()])
+
+
+def _next_record(old: Optional[PlaceRecord], delta: tuple) -> Optional[PlaceRecord]:
+    """The record (None: empty) of ``delta``'s place, whose record was
+    ``old``, after the delta.  Removing an absent token raises
+    ``ContractError``."""
+    place, removed, added = delta
+    counts = dict(old.pairs) if old is not None else {}
+    for tok in removed:
+        have = counts.get(tok, 0)
+        if have < 1:
+            raise ContractError(f"cannot remove {render_token(tok)} from {place!r}: absent")
+        if have == 1:
+            del counts[tok]
+        else:
+            counts[tok] = have - 1
+    in_order = True  # removals, and more copies of held tokens, keep the token order
+    for tok in added:
+        have = counts.get(tok, 0)
+        counts[tok] = have + 1
+        in_order = in_order and have > 0
+    return _place_record(place, counts, in_order) if counts else None
 
 
 def _sum_hash(records) -> int:
@@ -166,11 +211,7 @@ class Marking:
 
     @staticmethod
     def from_tokens(tokens: Iterable[Tuple[str, tuple]]) -> "Marking":
-        acc: dict = {}
-        for place, tok in tokens:
-            acc.setdefault(place, {})
-            acc[place][tok] = acc[place].get(tok, 0) + 1
-        return Marking(acc)
+        return Marking.EMPTY.apply(place_deltas((), tokens), None)
 
     # -- queries ----------------------------------------------------------
     def count(self, place: str, token: tuple) -> int:
@@ -255,23 +296,9 @@ class Marking:
     def update(self, removals: Iterable[Tuple[str, tuple]],
                additions: Iterable[Tuple[str, tuple]]) -> "Marking":
         """The marking after taking ``removals`` away and then adding
-        ``additions``, with one copy, one re-sort and one hash per touched
-        place.  A removal of an absent token raises ``ContractError``; the
-        receiver is never changed."""
-        touched: dict = {}
-        for place, tok in removals:
-            counts = self._copy_counts(touched, place)
-            have = counts.get(tok, 0)
-            if have < 1:
-                raise ContractError(f"cannot remove {render_token(tok)} from {place!r}: absent")
-            if have == 1:
-                del counts[tok]
-            else:
-                counts[tok] = have - 1
-        for place, tok in additions:
-            counts = self._copy_counts(touched, place)
-            counts[tok] = counts.get(tok, 0) + 1
-        return self._derive(touched)
+        ``additions``.  A removal of an absent token raises
+        ``ContractError``; the receiver is never changed."""
+        return self.apply(place_deltas(removals, additions), None)
 
     def minus(self, removals: Iterable[Tuple[str, tuple]]) -> "Marking":
         return self.update(removals, ())
@@ -279,27 +306,31 @@ class Marking:
     def plus(self, additions: Iterable[Tuple[str, tuple]]) -> "Marking":
         return self.update((), additions)
 
-    def _copy_counts(self, touched: dict, place: str) -> dict:
-        """The private counts of ``place`` that this update edits."""
-        counts = touched.get(place)
-        if counts is None:
-            rec = self._places.get(place)
-            counts = touched[place] = dict(rec.pairs) if rec is not None else {}
-        return counts
-
-    def _derive(self, touched: dict) -> "Marking":
-        """A new marking that shares every untouched place with ``self``."""
-        if not touched:
+    def apply(self, deltas: tuple, table: Optional[dict]) -> "Marking":
+        """The marking after the per-place ``deltas``, which name each
+        place at most once.  ``table``, if any, maps ``(old record or None,
+        delta)`` to the place's next record or None, and a miss stores it.
+        A removal of an absent token raises ``ContractError``, and its pair
+        is not stored; the receiver is never changed."""
+        if not deltas:
             return self
         places = dict(self._places)
         h = self._hash
-        for place, counts in touched.items():
+        for delta in deltas:
+            place = delta[0]
             old = places.get(place)
+            if table is None:
+                new = _next_record(old, delta)
+            else:
+                try:
+                    new = table[old, delta]
+                except KeyError:
+                    new = table[old, delta] = _next_record(old, delta)
             if old is not None:
                 h -= old.hash
-            if counts:
-                rec = places[place] = _place_record(place, counts)
-                h += rec.hash
+            if new is not None:
+                places[place] = new
+                h += new.hash
             elif old is not None:
                 del places[place]
         out = Marking.__new__(Marking)

@@ -1,11 +1,15 @@
 """Prioritized coloured nets with read arcs and name creation."""
 
+import gc
 import logging
 import re
+import weakref
+from collections import Counter
 
 import pytest
 
 import dbnet.lts
+import dbnet.marking
 from dbnet import cpn
 from dbnet.cpn import (
     EPS,
@@ -629,25 +633,122 @@ def test_explored_edges_match_the_token_game_on_mutants(mutation):
     assert_edges_match_the_token_game(net, cpn_build_lts(net, BOUNDED1, max_states=1500))
 
 
+def lock_is_home(out):
+    return lambda marking: out.lock_place in marking.marked()
+
+
+def weak_moves_by_the_token_game(net, root, keep):
+    """The weak moves out of the stable marking ``root`` as a plain search
+    with ``cpn_enabled`` and ``cpn_fire`` finds them: ``(label, target)``
+    for each stable target reached across at most one observable, bar a
+    silent move back to ``root``; and every stable marking reached."""
+    moves, reached = set(), set()
+    seen = {(root, EPS)}
+    queue = [(root, EPS)]
+    for marking, weak in queue:
+        for t, theta in cpn_enabled(net, marking, BOUNDED1):
+            after, label = cpn_fire(net, marking, t, theta, BOUNDED1)
+            now = weak if label == EPS else label if weak == EPS else "two"
+            if keep(after):
+                reached.add(after)
+                if now != "two" and (now != EPS or after != root):
+                    moves.add((now, after))
+            elif (after, now) not in seen:
+                seen.add((after, now))
+                queue.append((after, now))
+    return moves, reached
+
+
+@pytest.mark.parametrize(
+    "name", ["shop", "touch", "guarded", "domviol", "fk_net", "selfref", "empty_net"]
+)
+def test_kernel_edges_match_the_token_game_on_the_corpus(request, name):
+    out = translate(request.getfixturevalue(name))
+    keep = lock_is_home(out)
+    kernel = cpn_build_lts(out.net, BOUNDED1, keep=keep)
+    assert not kernel.truncated
+    outgoing = {}
+    for src, label, dst in kernel.edges:
+        outgoing.setdefault(kernel.states[src], set()).add((label, kernel.states[dst]))
+    stable = {out.net.initial_marking}
+    for state in kernel.states:
+        moves, reached = weak_moves_by_the_token_game(out.net, state, keep)
+        assert outgoing.get(state, set()) == moves
+        stable |= reached
+    assert set(kernel.states) == stable
+
+
 @pytest.mark.parametrize("stable_only", [False, True], ids=["full", "kernel"])
-def test_equal_tokens_of_one_exploration_are_one_object(monkeypatch, stable_only):
-    # every firing the exploration applies takes its tokens and its
-    # (place, token) arcs from one table per exploration
+def test_equal_deltas_of_one_exploration_are_one_object_and_stepped_once(monkeypatch, stable_only):
+    # every firing the exploration applies is a tuple of per-place deltas
+    # taken from one table per exploration, whose tokens come from one
+    # table too; all of them step through one (record, delta) -> next
+    # record table, which computes each pair's next record once
     out = translate(build_shopping_cart(1, 2))
-    keep = (lambda m: out.lock_place in m.marked()) if stable_only else None
-    tokens, arcs, fired = {}, {}, []
-    real = Marking.update
+    keep = lock_is_home(out) if stable_only else None
+    tokens, deltas, tables, computed = {}, {}, set(), Counter()
+    updates = 0
+    real_apply, real_next = Marking.apply, dbnet.marking._next_record
 
-    def watched(marking, removals, additions):
-        for arc in (*removals, *additions):
-            assert arcs.setdefault(arc, arc) is arc
-            assert tokens.setdefault(arc[1], arc[1]) is arc[1]
-            fired.append(arc)
-        return real(marking, removals, additions)
+    def watched_apply(m, firing, table):
+        nonlocal updates
+        tables.add(id(table))
+        for delta in firing:
+            assert deltas.setdefault(delta, delta) is delta
+            for token in (*delta[1], *delta[2]):
+                assert tokens.setdefault(token, token) is token
+        updates += len(firing)
+        return real_apply(m, firing, table)
 
-    monkeypatch.setattr(Marking, "update", watched)
+    def counted_next(old, delta):
+        computed[(old, delta)] += 1
+        return real_next(old, delta)
+
+    monkeypatch.setattr(Marking, "apply", watched_apply)
+    monkeypatch.setattr(dbnet.marking, "_next_record", counted_next)
     cpn_build_lts(out.net, BOUNDED1, keep=keep)
-    assert len(fired) > 10 * len(arcs)
+    assert len(tables) == 1
+    assert set(computed.values()) == {1}
+    assert updates > 8 * len(computed) >= 8 * len(deltas)
+
+
+def test_the_next_record_table_dies_with_its_exploration(monkeypatch):
+    # the records that the exploration built and only interior markings
+    # held are gone when the kernel is built: nothing keeps a table past
+    # its exploration.  Earlier garbage is collected first; then, with
+    # the cycle collector off and forbidden, only reference counting
+    # frees them.  Records that were alive before (other tests' graphs
+    # may hold equal ones) are left out.
+    out = translate(build_shopping_cart(1, 2))
+    gc.collect()
+    existing = list(dbnet.marking._RECORDS.values())
+    old = {id(rec) for rec in existing}
+    built = []
+    real_next = dbnet.marking._next_record
+
+    def remembered(before, delta):
+        new = real_next(before, delta)
+        if new is not None and id(new) not in old:
+            built.append(weakref.ref(new))
+        return new
+
+    def forbidden():
+        raise AssertionError("exploration must not call gc.collect")
+
+    monkeypatch.setattr(dbnet.marking, "_next_record", remembered)
+    monkeypatch.setattr(gc, "collect", forbidden)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kernel = cpn_build_lts(out.net, BOUNDED1, keep=lock_is_home(out))
+        places = tuple(out.net.places)
+        held = {id(rec) for m in kernel.states for rec in m.records(places)}
+        alive = [ref() for ref in built]
+        assert None in alive
+        assert all(id(rec) in held for rec in alive if rec is not None)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_fresh_values_are_never_memoised():

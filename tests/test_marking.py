@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from dbnet.corpus import build_shopping_cart
 from dbnet.cpn import cpn_build_lts
 from dbnet.freshness import FreshPolicy
-from dbnet.marking import Marking, render_token
+from dbnet.marking import Marking, place_deltas, render_token
 from dbnet.model import build_lts
 from dbnet.relational import ContractError, DataType, make_value
 from dbnet.translate import translate
@@ -398,6 +398,32 @@ def test_a_walked_marking_shares_the_records_of_one_built_from_scratch(start, st
     rebuilt = Marking({place: dict(m.tokens(place)) for place in m.places_marked()})
     for place in PLACES:
         assert record(m, place) is record(rebuilt, place)
+
+
+@given(starts, updates, moves, moves)
+def test_applying_place_deltas_through_a_table_equals_update(start, steps, removals, additions):
+    m = walk(Marking.from_tokens(start), steps)
+    before = (m.key(), m.render(), m.places_marked(), hash(m))
+    deltas = place_deltas(removals, additions)
+    assert sorted({place for place, _ in removals + additions}) == sorted(d[0] for d in deltas)
+    # the table has already stepped these deltas from a marking holding every removed token
+    table = {}
+    Marking.from_tokens(removals).apply(deltas, table)
+    if m.covers(removals):
+        want = m.update(removals, additions)
+        for _ in range(2):  # a miss or a hit, then a hit
+            got = m.apply(deltas, table)
+            assert_same_marking(got, want)
+            assert all(a is b for a, b in zip(got.records(PLACES), want.records(PLACES)))
+        assert table[(record(m, deltas[0][0]), deltas[0])] is record(want, deltas[0][0])
+    else:
+        failing = [d for d in deltas if not m.covers((d[0], t) for t in d[1])]
+        for _ in range(2):  # the error is never stored, so it is raised again
+            with pytest.raises(ContractError, match="absent"):
+                m.apply(deltas, table)
+            assert not any((record(m, d[0]), d) in table for d in failing)
+    assert_unchanged(m, before)
+    assert_same_marking(m, walk(Marking.from_tokens(start), steps))
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
