@@ -24,7 +24,8 @@ transitions that start there.
 :func:`cpn_enabled` looks up only the places a marking actually holds
 tokens on, so a transition with an empty input place is never visited;
 :func:`cpn_fire` finds the fired transition's entry by name.  Bindings
-come from :func:`dbnet.model.bind_transition`.  The table is built
+come from :func:`dbnet.model.bind_transition`, and :func:`cpn_fire`
+checks one with :func:`dbnet.model.binding_problem`.  The table is built
 lazily, never in the constructor, so validation of a broken net reports
 what it always did; it is rebuilt when the net's ``transitions`` tuple
 is replaced.
@@ -40,11 +41,12 @@ tokens)`` (:func:`dbnet.marking.place_deltas`).  A transition with fresh
 variables is never memoised, as its fresh values avoid every value in
 the marking.  The priority rule is applied after the memo.  A place's
 next record depends only on its record and its delta, so firings step
-through a table kept as long as the memo (``Marking.apply``): at shop
-3x3 under ``bounded:2`` the kernel's 65,454 place updates are 2,659
-distinct ``(record, delta)`` pairs, each computed once.  Equal deltas,
-and the equal tokens in them, are one object each (2,509 deltas, whose
-2,749 tokens have 147 distinct values).
+through a table kept as long as the memo (``Marking.apply``), as source
+firings do in :func:`dbnet.model.build_lts`: at shop 3x3 under
+``bounded:2`` the kernel's 65,454 place updates are 2,659 distinct
+``(record, delta)`` pairs, each computed once.  Equal deltas, and the
+equal tokens in them, are one object each (2,509 deltas, whose 2,749
+tokens have 147 distinct values).
 
 Given a ``keep`` predicate, :func:`cpn_build_lts` explores the
 *kernel* instead: the graph over the markings ``keep`` accepts, whose
@@ -75,7 +77,7 @@ from .freshness import FreshPolicy
 from . import lts
 from .lts import EPS, Lts, _log_info, cycle_member, explore
 from .marking import Marking, place_deltas
-from .model import _marking_values, _walk_guard_vars, bind_transition, eval_guard
+from .model import _marking_values, _walk_guard_vars, bind_transition, binding_problem
 from .relational import ContractError, Value, Variable, ground, render_value
 
 __all__ = [
@@ -371,41 +373,24 @@ def _firing(t: CpnTransition, theta: Mapping[str, Value]) -> tuple:
     return removals, additions, label
 
 
-def _locally_enabled(net: NuCpn, marking: Marking, entry: _Entry, theta) -> bool:
-    t = entry.transition
-    demands = [(place, ground(terms, theta)) for place, terms in t.inputs]
-    if not marking.covers(demands):
-        return False
-    for place, terms in t.reads:
-        if marking.count(place, ground(terms, theta)) < 1:
-            return False
-    if entry.problem is not None:
-        raise ContractError(entry.problem)
-    for var in entry.external:
-        if theta[var.name] not in net.samples.get(var.dtype, ()):
-            return False
-    picked: set = set()
-    for var in entry.fresh:
-        v = theta[var.name]
-        if any(u == v for u in marking.all_values()) or v in picked:
-            return False
-        picked.add(v)
-    return eval_guard(t.guard, theta)
-
-
 def cpn_fire(net: NuCpn, marking: Marking, t: CpnTransition, theta: Mapping[str, Value],
              policy: Optional[FreshPolicy] = None):
     """Fire one binding; returns ``(marking', label)`` where the label is
     the silent ``EPS`` or the transition's observable emission.  The
     binding must come from :func:`cpn_enabled`: local enabledness *and*
-    priority dominance are both rechecked here."""
+    priority dominance are both rechecked here, and a refusal says why."""
     policy = policy or net.default_policy
     table = _transition_table(net)
     entry = table.by_name.get(t.name)
     if entry is None or entry.transition is not t:
         raise ContractError(f"transition {t.name}: not a transition of net {net.name}")
-    if not _locally_enabled(net, marking, entry, theta):
-        raise ContractError(f"transition {t.name}: binding not enabled")
+    if entry.problem is not None:
+        raise ContractError(entry.problem)
+    problem = binding_problem(net, marking, t, t.reads,
+                              lambda place, row: marking.count(place, row) > 0, entry.external,
+                              entry.fresh, partial(_marking_values, marking), theta)
+    if problem is not None:
+        raise ContractError(f"transition {t.name}: {problem}")
     higher = [
         e for e in table.candidates(marking)
         if e.level > t.priority and e.level in _PRIORITY_NAMES  # unknown levels never fire

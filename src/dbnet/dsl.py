@@ -199,8 +199,7 @@ class _Parser:
     def next(self) -> _Tok:
         t = self.peek()
         if t is None:
-            last = self.toks[-1]
-            raise DslError("unexpected end of file", last.line, last.col)
+            raise self.end_of_file("")
         self.pos += 1
         return t
 
@@ -227,6 +226,10 @@ class _Parser:
 
     def err(self, message: str, tok: _Tok) -> DslError:
         return DslError(message, tok.line, tok.col)
+
+    def end_of_file(self, where: str) -> DslError:
+        """The text ends too early: located at its last token."""
+        return self.err(f"unexpected end of file{where}", self.toks[-1])
 
     # -- shared small pieces ----------------------------------------------
 
@@ -418,7 +421,7 @@ class _Parser:
         while True:
             t = self.peek()
             if t is None:
-                raise DslError("unexpected end of file in query body", 0, 0)
+                raise self.end_of_file(" in query body")
             if t.kind == "ident" and self.peek(1) and self.peek(1).kind == "(":
                 atoms.append(self.query_atom(vartab))
             else:
@@ -711,7 +714,7 @@ class _Parser:
     def formula_unary(self, vartab: dict) -> Formula:
         t = self.peek()
         if t is None:
-            raise DslError("unexpected end of file in guard", 0, 0)
+            raise self.end_of_file(" in guard")
         if t.kind == "!":
             self.next()
             return Not(self.formula_unary(vartab))

@@ -43,7 +43,7 @@ An update is a tuple of per-place deltas (:func:`place_deltas`), and
 copy of a place's counts, re-sorted only if a token new to it came in.
 ``apply(deltas, table)`` copies the place dict once and looks each
 ``(old record or None, delta)`` up in ``table`` first, so a caller that
-keeps one table (one per exploration of the translated net) computes
+keeps one table (one per exploration, on either net layer) computes
 each pair's next record once.  ``update(removals, additions)`` applies
 one update with no table; ``minus`` and ``plus`` are its two halves.
 ``restrict`` gives the marking of some places only, built

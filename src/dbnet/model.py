@@ -10,27 +10,28 @@ are atomic at this layer: query evaluation, the update, the constraint
 check and the token moves all happen in one step.  The translated form in
 :mod:`dbnet.translate` stretches the same step over many small ones.
 
-:func:`fire` checks that a binding is enabled and then applies it;
-:func:`build_lts` applies only bindings it found itself, with no second
-check.  Both apply a firing the same way (:func:`_firing`,
-:func:`_apply`): one :func:`~dbnet.relational.apply_action`, which checks
-only the constraints the update can break, and one ``Marking.update``.
-:func:`build_lts` also memoises, for one exploration, each transition's
-firings per content of its input places and answers of its view
-queries, the way :func:`dbnet.cpn.cpn_build_lts` does on the translated
-side; a transition with a fresh variable is bound afresh at every state,
-since its fresh values depend on the whole snapshot.  It memoises the two
-halves of applying a firing as well: the transaction per ``(instance,
-action, arguments)`` and the token move per ``(marking, removals,
-additions)``, and it keeps one object per distinct instance and per
-distinct marking (hash-consing, as in Filliâtre & Conchon, ML 2006,
-applied to whole state components, which SPIN's collapse compression
-stores once each; Holzmann, SPIN 1997).  On shop 5x5 under
-``bounded:2`` (16,181 states) that takes ``bind_transition`` from
-145,629 calls to 721, ``check_constraint`` from 70,020 to 4,167,
-``apply_action`` from 10,460 to 2,800 and ``Marking.update`` from
-31,510 to 8,570; its states hold 352 ``Instance`` and 5,501 ``Marking``
-objects, one per distinct value, where they held 951 and 16,181.
+:func:`fire` checks that a binding is enabled (:func:`binding_problem`,
+as :func:`dbnet.cpn.cpn_fire` does) and then applies it; :func:`build_lts`
+applies only bindings it found itself, with no second check.  Both apply
+a firing the same way (:func:`_firing`, :func:`_apply`): one
+:func:`~dbnet.relational.apply_action`, which checks only the
+constraints the update can break, and one ``Marking.apply`` of the
+outcome's per-place deltas.  :func:`build_lts` also memoises, for one
+exploration, each transition's firings per content of its input places
+and answers of its view queries, the way :func:`dbnet.cpn.cpn_build_lts`
+does on the translated side; a transition with a fresh variable is bound
+afresh at every state, since its fresh values depend on the whole
+snapshot.  It memoises each transaction, steps each place through a
+``(record, delta)`` table as the translated side does, and keeps one
+object per distinct instance and marking (hash-consing, as in Filliâtre
+& Conchon, ML 2006, applied to whole state components, which SPIN's
+collapse compression stores once each; Holzmann, SPIN 1997).  On shop
+5x5 under ``bounded:2`` (16,181 states) that takes ``bind_transition``
+from 145,629 calls to 721, ``check_constraint`` from 70,020 to 4,167
+and ``apply_action`` from 10,460 to 2,800; its 31,510 token moves step
+through 571 distinct ``(record, delta)`` pairs, and its states hold 352
+``Instance`` and 5,501 ``Marking`` objects, one per distinct value,
+where they held 951 and 16,181.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Callable, Mapping, Optional
 
 from .fo import And, Compare, Formula, Not, Or, Truth, TRUE, _compare
 from .freshness import FreshPolicy
-from .marking import Marking
+from .marking import Marking, place_deltas, render_token
 from .queries import eval_ucq, join, validate_view_query
 from .relational import (
     COMMITTED,
@@ -71,6 +72,7 @@ __all__ = [
     "eval_guard",
     "validate",
     "bind_transition",
+    "binding_problem",
     "enabled_bindings",
     "fire",
     "build_lts",
@@ -454,6 +456,39 @@ def bind_transition(net, marking: Marking, t, reads: tuple, rows: Callable, exte
     return [theta for theta in thetas if eval_guard(t.guard, theta)]
 
 
+def binding_problem(net, marking: Marking, t, reads: tuple, has_row: Callable,
+                    external_vars: tuple, fresh_vars: tuple, used: Callable,
+                    theta: Mapping[str, Value]) -> Optional[str]:
+    """Why the binding ``theta`` of ``t`` is not enabled, or None: the
+    check that both net layers fire with.  The arguments are
+    :func:`bind_transition`'s, with ``has_row(place, row)`` in place of
+    ``rows`` and no policy: a fresh value may be any value outside
+    ``used`` and the other picks."""
+    names = {term.name for _, terms in (*t.inputs, *reads) for term in terms
+             if isinstance(term, Variable)}
+    missing = sorted(names.union(v.name for v in (*external_vars, *fresh_vars)) - theta.keys())
+    if missing:
+        return f"binding misses {missing}"
+    if not marking.covers([(place, ground(terms, theta)) for place, terms in t.inputs]):
+        return "input tokens not available"
+    for place, terms in reads:
+        row = ground(terms, theta)
+        if not has_row(place, row):
+            return f"{place} does not contain {render_token(row)}"
+    for var in external_vars:
+        if theta[var.name] not in net.samples.get(var.dtype, ()):
+            return f"{var.name} outside its sample domain"
+    picked: set = set()
+    for var in fresh_vars:
+        v = theta[var.name]
+        if v in picked or v in used(var.dtype):
+            return f"value for {var.name} is not fresh"
+        picked.add(v)
+    if not eval_guard(t.guard, theta):
+        return "guard rejects the binding"
+    return None
+
+
 def _marking_values(marking: Marking, dtype: str) -> set:
     return {v for v in marking.all_values() if v.dtype == dtype}
 
@@ -491,71 +526,56 @@ def transition_bindings(model: DbNet, snap: Snapshot, t: Transition, scope: Tran
 
 def fire(model: DbNet, snap: Snapshot, t: Transition, theta: Mapping[str, Value]):
     """One atomic firing.  Returns ``(successor, outcome)`` where outcome
-    is ``"commit"`` or ``"rollback"``.  Raises ``ContractError`` if the
-    binding is not enabled in ``snap``."""
+    is ``"commit"`` or ``"rollback"``.  Raises ``ContractError``, naming
+    the reason, if the binding is not enabled in ``snap``."""
+    def has_row(place, row):
+        return row in eval_ucq(snap.instance, model.queries[model.view_places[place].query])
+
     scope = analyze_transition(t)
-    missing = [v.name for v in scope.order if v.name not in theta]
-    if missing:
-        raise ContractError(f"transition {t.name}: binding misses {missing}")
-
-    demands = [(place, ground(vars_, theta)) for place, vars_ in t.inputs]
-    if not snap.marking.covers(demands):
-        raise ContractError(f"transition {t.name}: input tokens not available")
-    for place, vars_ in t.views:
-        query = model.queries[model.view_places[place].query]
-        row = ground(vars_, theta)
-        if row not in eval_ucq(snap.instance, query):
-            raise ContractError(f"transition {t.name}: view {place} does not contain {row}")
-    for var in scope.external_vars:
-        if theta[var.name] not in model.samples.get(var.dtype, ()):
-            raise ContractError(f"transition {t.name}: {var.name} outside its sample domain")
-    picked: set = set()
-    for var in scope.fresh_vars:
-        v = theta[var.name]
-        if v in _used_values(snap.instance, snap.marking, var.dtype) or v in picked:
-            raise ContractError(f"transition {t.name}: value for {var.name} is not fresh")
-        picked.add(v)
-    if not eval_guard(t.guard, theta):
-        raise ContractError(f"transition {t.name}: guard rejects the binding")
-
-    succ, label = _apply(snap, _firing(model, t, scope, theta), apply_action, Marking.update)
+    problem = binding_problem(model, snap.marking, t, t.views, has_row, scope.external_vars,
+                              scope.fresh_vars, partial(_used_values, snap.instance, snap.marking),
+                              theta)
+    if problem is not None:
+        raise ContractError(f"transition {t.name}: {problem}")
+    succ, label = _apply(snap, _firing(model, t, scope, theta), apply_action,
+                         partial(Marking.apply, table=None))
     return succ, label[3]
 
 
 def _firing(model: DbNet, t: Transition, scope: TransitionScope, theta: Mapping[str, Value]):
     """The firing of one enabled binding, apart from the database:
-    ``(removals, action, call, commit, rollback)``.  ``removals`` are the
-    consumed tokens; ``action`` and ``call`` are the action and its
-    arguments, or None and None; ``commit`` and ``rollback`` are the
-    ``(additions, label)`` of each outcome (``rollback`` is None without
-    an action)."""
-    def emit(arcs, outcome):
-        additions = tuple((place, ground(terms, theta)) for place, terms in arcs)
-        return additions, binding_label(t.name, scope, theta, outcome)
-
+    ``(action, call, commit, rollback)``.  ``action`` and ``call`` are the
+    action and its arguments, or None and None; ``commit`` and
+    ``rollback`` are the ``(deltas, label)`` of each outcome, its token
+    move as per-place deltas (``rollback`` is None without an action)."""
     removals = tuple((place, ground(vars_, theta)) for place, vars_ in t.inputs)
+
+    def emit(arcs, outcome):
+        additions = [(place, ground(terms, theta)) for place, terms in arcs]
+        return place_deltas(removals, additions), binding_label(t.name, scope, theta, outcome)
+
     if t.action is None:
-        return removals, None, None, emit(t.outputs, "commit"), None
+        return None, None, emit(t.outputs, "commit"), None
     aname, args = t.action
     action = model.actions[aname]
     call = dict(zip((p.name for p in action.params), ground(args, theta)))
-    return removals, action, call, emit(t.outputs, "commit"), emit(t.rollbacks, "rollback")
+    return action, call, emit(t.outputs, "commit"), emit(t.rollbacks, "rollback")
 
 
 def _apply(snap: Snapshot, firing: tuple, run: Callable, move: Callable):
     """``(successor, label)``: run the firing's action on the instance by
     ``run(instance, action, call)``, which returns ``(instance', status)``
     as :func:`~dbnet.relational.apply_action` does, and move the tokens of
-    the outcome by ``move(marking, removals, additions)``, which returns
-    the marking as ``Marking.update`` does."""
-    removals, action, call, commit, rollback = firing
+    the outcome by ``move(marking, deltas)``, which returns the marking
+    as ``Marking.apply`` does."""
+    action, call, commit, rollback = firing
     instance = snap.instance
-    additions, label = commit
+    deltas, label = commit
     if action is not None:
         instance, status = run(instance, action, call)
         if status != COMMITTED:
-            additions, label = rollback
-    return Snapshot(instance, move(snap.marking, removals, additions)), label
+            deltas, label = rollback
+    return Snapshot(instance, move(snap.marking, deltas)), label
 
 
 def binding_label(t_name: str, scope: TransitionScope, theta: Mapping[str, Value], outcome: str):
@@ -584,26 +604,28 @@ def build_lts(
     length of this call, each transition's firings (see :func:`_firing`)
     are memoised per content of its input places (``Marking.records``)
     and answer set of each view arc; a successor is then one
-    :func:`apply_action` and one ``Marking.update``, with no second check
+    :func:`apply_action` and one ``Marking.apply``, with no second check
     of enabledness.  A transition with an unmarked input place is skipped
     before its views are evaluated.  A transition with a fresh variable is
     never memoised: its fresh values avoid the whole active domain and
     every token, which no key of its own places and views captures.
 
-    Applying a firing is memoised too, in its two halves, each a pure
-    function of its key: the transaction maps ``(instance, action name,
-    argument values in parameter order)`` to :func:`apply_action`'s
-    ``(instance', status)``, and the token move maps ``(marking,
-    removals, additions)`` to ``Marking.update``'s result.  Each result is
-    first replaced by the one object kept for its value, starting with the
-    initial snapshot's instance and marking; so every state holds the one
-    object of its instance and of its marking, and states with equal
-    instances share its view answers and its known consistency.  This is
-    exact: equal instances have equal facts, so an action has equal
-    outcomes on them (the delta rule of :func:`apply_action` decides only
-    which constraints it checks, and it is sound).  On shop 5x5 under
-    ``bounded:2`` it takes ``apply_action`` from 10,460 calls to 2,800 and
-    ``Marking.update`` from 31,510 to 8,570."""
+    A successor's instance is memoised per ``(instance, action name,
+    argument values in parameter order)``, the pure function
+    :func:`apply_action` of that key, and its marking steps through one
+    table of next place records, ``(record or None, delta) -> next record
+    or None`` (``Marking.apply``), as :func:`dbnet.cpn.cpn_build_lts`
+    steps the translated net.  Each new instance and marking is first
+    replaced by the one object kept for its value, starting with the
+    initial snapshot's; so every state holds the one object of its
+    instance and of its marking, and states with equal instances share
+    its view answers and its known consistency.  This is exact: equal
+    instances have equal facts, so an action has equal outcomes on them
+    (the delta rule of :func:`apply_action` decides only which
+    constraints it checks, and it is sound).  On shop 5x5 under
+    ``bounded:2`` it takes ``apply_action`` from 10,460 calls to 2,800,
+    and the 31,510 token moves step through 571 distinct ``(record,
+    delta)`` pairs."""
     policy = policy or model.default_policy
     if not policy.finite_branching:
         raise ContractError(
@@ -619,13 +641,13 @@ def build_lts(
     # (position, input place records, view answers) -> the transition's
     # firings, for this exploration only
     memo: dict = {}
-    # the two halves of applying a firing, and one object per distinct
-    # instance and marking, for this exploration only
+    # the transactions, the next place records, and one object per
+    # distinct instance and marking, for this exploration only
     initial = model.initial_snapshot()
     instances = {initial.instance: initial.instance}
     markings = {initial.marking: initial.marking}
     transactions: dict = {}  # (instance, action name, arguments) -> (instance', status)
-    moves: dict = {}  # (marking, removals, additions) -> marking'
+    nexts: dict = {}  # (record or None, delta) -> next record or None
 
     def run(instance, action, call):
         key = (instance, action.name, tuple(call.values()))
@@ -635,13 +657,9 @@ def build_lts(
             found = transactions[key] = (instances.setdefault(after, after), status)
         return found
 
-    def move(marking, removals, additions):
-        key = (marking, removals, additions)
-        found = moves.get(key)
-        if found is None:
-            after = marking.update(removals, additions)
-            found = moves[key] = markings.setdefault(after, after)
-        return found
+    def move(marking, deltas):
+        after = marking.apply(deltas, nexts)
+        return markings.setdefault(after, after)
 
     def firings(snap: Snapshot, position, t, scope, inputs, queries) -> list:
         key = None

@@ -119,9 +119,6 @@ class GadgetInfo:
     guard_ok: str
     updated: str
     constr_ok: str
-    constr_viol: str
-    do_commit: str
-    do_rollback: str
     enter: str
     cond: str
     cancels: tuple  # every cancel transition, the Bound-level one last
@@ -129,10 +126,8 @@ class GadgetInfo:
     update_components: tuple
     check_stages: tuple
     undo_components: tuple
-    empty_noop: str
     commit: str
     rollback: str
-    chain_vars: tuple  # full chain variable names, in chain-token order
 
 
 @dataclass
@@ -536,7 +531,7 @@ def _build_gadget(
         (comp.done_place, (Variable(f"{T}.b{idx}", ctl_name),))
         for idx, comp in enumerate(update_components)
     )
-    empty_noop = b.transition(
+    b.transition(
         CpnTransition(
             name=f"{T}.emptyNoOp",
             inputs=((constr_ok, tuple(chain)),) + done_arcs,
@@ -544,7 +539,7 @@ def _build_gadget(
             priority=P_NORMAL,
         ),
         T, "finish",
-    ).name
+    )
     emit_names = tuple(v.name for v in scope.order)
     # Name creation happened back at the enter step; the exits only copy
     # the chain, so their inscriptions carry the plain variables.
@@ -581,9 +576,6 @@ def _build_gadget(
         guard_ok=guard_ok,
         updated=updated,
         constr_ok=constr_ok,
-        constr_viol=constr_viol,
-        do_commit=do_commit,
-        do_rollback=do_rollback,
         enter=f"{T}.enter",
         cond=cond,
         cancels=tuple(cancels),
@@ -591,10 +583,8 @@ def _build_gadget(
         update_components=tuple(update_components),
         check_stages=tuple(check_stages),
         undo_components=tuple(undo_components),
-        empty_noop=empty_noop,
         commit=commit,
         rollback=rollback,
-        chain_vars=tuple(v.name for v in chain),
     )
 
 

@@ -15,6 +15,11 @@ Besides the corpus nets, ``twins`` has a transition with two inputs on
 one place (multiset inclusion) and one with two fresh variables of one
 type (a pick avoids the earlier picks), and ``echo`` lists a sample
 value twice, which must still give each binding once.
+
+Both firings check a binding with one procedure
+(``model.binding_problem``): the last tests take one enabled binding,
+change it once per reason a binding can be refused, and check on both
+layers that the refusal names that reason.
 """
 
 import dataclasses
@@ -22,14 +27,23 @@ import itertools
 
 import pytest
 
-from dbnet.cpn import _cpn_scope, cpn_build_lts, cpn_enabled, cpn_fire
+from dbnet.cpn import CpnPlace, CpnTransition, NuCpn, _cpn_scope, cpn_build_lts, cpn_enabled, cpn_fire
 from dbnet.dsl import parse_model
+from dbnet.fo import Compare
+from dbnet.marking import Marking
 from dbnet.model import analyze_transition, build_lts, enabled_bindings, fire
 from dbnet.queries import eval_ucq
-from dbnet.relational import ContractError, Variable, active_domain
+from dbnet.relational import ContractError, DataType, Variable, active_domain, make_value
 from dbnet.translate import translate
 
 from conftest import BOUNDED1
+
+INT = DataType("int", "int")
+
+
+def iv(n):
+    return make_value(INT, n)
+
 
 NETS = ["shop", "touch", "guarded", "domviol", "fk_net", "selfref", "empty_net", "twins", "echo"]
 
@@ -220,3 +234,100 @@ def test_a_repeated_sample_value_gives_each_binding_once(echo):
         keys = [(t.name, binding_key(theta)) for t, theta in cpn_enabled(net, marking, BOUNDED1)]
         assert len(keys) == len(set(keys))
     assert any("v" in theta for m in lts.states for _, theta in cpn_enabled(net, m, BOUNDED1))
+
+
+# ---------------------------------------------------------------------------
+# refusals: both layers check a binding with one procedure
+# (``model.binding_problem``) and name the first reason it is not enabled
+
+REASONS = """dbnet "reasons";
+
+type int = int;
+
+relation R(a: int);
+
+query Q(y: int) := R(y);
+
+place p(int);
+place q(int, int, int, int);
+view V := Q;
+
+transition T {
+  in p(x);
+  read V(y);
+  guard x != y;
+  out q(y, e, ~f, ~g);
+}
+
+init {
+  fact R(1);
+  fact R(2);
+  token p(1);
+}
+
+policy {
+  fresh recycling;
+  sample int {7};
+}
+"""
+
+
+def reasons_cpn() -> NuCpn:
+    """The target-layer twin of ``REASONS``: ``V`` is a place that holds
+    the rows of the view."""
+    def var(name, fresh=False):
+        return Variable(name, "int", fresh)
+
+    t = CpnTransition(
+        "T",
+        inputs=(("p", (var("x"),)),),
+        reads=(("V", (var("y"),)),),
+        guard=Compare("!=", var("x"), var("y")),
+        outputs=(("q", (var("y"), var("e"), var("f", True), var("g", True))),),
+    )
+    return NuCpn(
+        name="reasons",
+        types={"int": INT},
+        places={"p": CpnPlace("p", ("int",)), "V": CpnPlace("V", ("int",)),
+                "q": CpnPlace("q", ("int",) * 4)},
+        transitions=(t,),
+        initial_marking=Marking.from_tokens([("p", (iv(1),)), ("V", (iv(1),)), ("V", (iv(2),))]),
+        samples={"int": (iv(7),)},
+    )
+
+
+def fire_reasons(layer: str, theta: dict):
+    """Fire ``T`` with ``theta`` in the initial state of ``layer``."""
+    if layer == "source":
+        model = parse_model(REASONS).model
+        return fire(model, model.initial_snapshot(), model.transition("T"), theta)
+    net = reasons_cpn()
+    return cpn_fire(net, net.initial_marking, net.transition("T"), theta, BOUNDED1)
+
+
+ENABLED = {"x": 1, "y": 2, "e": 7, "f": 3, "g": 4}
+
+REFUSALS = [
+    ("unbound", {"x": None}, r"binding misses \['x'\]"),  # the target raised KeyError
+    ("input-not-covered", {"x": 5}, "input tokens not available"),
+    ("row-absent", {"y": 3}, r"V does not contain \(3\)"),
+    ("outside-samples", {"e": 8}, "e outside its sample domain"),
+    ("fresh-in-use", {"f": 2}, "value for f is not fresh"),
+    ("equal-fresh-picks", {"g": 3}, "value for g is not fresh"),
+    ("guard-false", {"y": 1}, "guard rejects the binding"),
+]
+
+
+@pytest.mark.parametrize("layer", ["source", "target"])
+def test_the_unchanged_binding_fires_on_both_layers(layer):
+    fire_reasons(layer, {name: iv(n) for name, n in ENABLED.items()})
+
+
+@pytest.mark.parametrize("change, reason", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+@pytest.mark.parametrize("layer", ["source", "target"])
+def test_a_refusal_names_its_reason_on_both_layers(layer, change, reason):
+    theta = {name: iv(n) for name, n in {**ENABLED, **change}.items() if n is not None}
+    with pytest.raises(ContractError, match=f"^transition T: {reason}$"):
+        fire_reasons(layer, theta)
+

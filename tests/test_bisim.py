@@ -890,6 +890,30 @@ def test_no_two_source_states_share_an_image(net, policy):
         assert built_once(snap) == image
 
 
+@pytest.mark.parametrize("net, policy", PREMISE_GRAPHS)
+def test_every_kernel_state_is_its_partners_image_beside_the_lock(net, policy):
+    # the premise of the local test, state by state: a stable marking is
+    # its contents plus the lock token and nothing else, and its contents
+    # is the image of exactly one source state, its partner σ(k), one
+    # kernel state per source state
+    model = build_shopping_cart(3, 3) if net == "shop-3x3" else GOLDEN_NETS[net]()
+    translation = translate(model)
+    places, fresh = translation.relation_places, FreshPolicy.parse(policy)
+    source = build_lts(model, fresh, max_states=GOLDEN_CAP)
+    # the local searches of shop 3x3 under bounded:2 visit 22,779 markings
+    kernel = cpn_build_lts(translation.net, fresh, max_states=50_000,
+                           keep=partial(bisim._is_stable, translation.lock_place))
+    assert not source.truncated and not kernel.truncated
+    visible, _render = bisim._visible_and_render(translation)
+    lock = translation.net.initial_marking.restrict({translation.lock_place})
+    assert lock.total(translation.lock_place) == 1
+    partner = {snapshot_image(snap, places): number for number, snap in enumerate(source.states)}
+    sigma = [partner[k.restrict(visible)] for k in kernel.states]
+    for k, s in zip(kernel.states, sigma):
+        assert k == snapshot_image(source.states[s], places).join(lock)
+    assert sorted(sigma) == list(range(source.state_count))
+
+
 control_tokens = st.lists(
     st.tuples(st.sampled_from(["p", "q"]), st.sampled_from(gen._INTS).map(lambda v: (v,))),
     max_size=4,

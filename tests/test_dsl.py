@@ -183,6 +183,17 @@ def test_zero_width_bounded_freshness_is_located():
     assert "positive width" in e.message
 
 
+@pytest.mark.parametrize("text, where", [
+    ('dbnet "m";\ntype int = int;\nquery Q(x: int) :=', (3, 17)),
+    ('dbnet "m";\ntype int = int;\nplace p(int);\ntransition T {\n  in p(x);\n  guard', (6, 3)),
+    ('dbnet "m";\ntype int = int;\nplace p(int);\ntransition T {\n  in p(x)', (5, 9)),
+], ids=["query-body", "guard", "transition"])
+def test_an_early_end_of_file_is_located_at_the_last_token(text, where):
+    e = err_of(text)
+    assert "unexpected end of file" in e.message
+    assert (e.line, e.col) == where
+
+
 def test_garbage_after_the_model():
     e = err_of('dbnet "m";\ntype int = int;\nwibble;')
     assert e.line == 3

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+import dbnet.marking
 import dbnet.model
 import dbnet.relational
 from dbnet.corpus import build_shopping_cart
@@ -280,7 +281,7 @@ def test_fire_rejects_disabled_binding(shop):
     (theta,) = find(enabled_bindings(shop, snap, RECYCLING), "LogIn")
     bad = dict(theta)
     bad["cid"] = iv(1)  # 1 is user 1's id, not fresh
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="LogIn: value for cid is not fresh"):
         fire(shop, snap, shop.transition("LogIn"), bad)
 
 
@@ -506,15 +507,22 @@ def test_source_graph_holds_one_object_per_distinct_component(model, policy, sta
 
 
 def test_source_exploration_applies_each_half_of_a_firing_once(monkeypatch):
-    # 1,020 apply_action and 2,238 Marking.update calls without the memos,
-    # one per edge that runs an action and one per edge
+    # 1,020 apply_action calls without the memo, one per edge that runs an
+    # action; the 2,238 token moves step through one (record, delta) ->
+    # next record table, which computes each pair's next record once
+    model = build_shopping_cart(3, 3)
     actions = counting(monkeypatch, dbnet.model, "apply_action")
-    moves = counting(monkeypatch, Marking, "update")
-    lts = build_lts(build_shopping_cart(3, 3), FreshPolicy.parse("bounded:2"), max_states=CAP)
-    assert lts.state_count == 1213
+    updates = counting(monkeypatch, Marking, "update")
+    steps = counting(monkeypatch, Marking, "apply")
+    computed = counting(monkeypatch, dbnet.marking, "_next_record")
+    lts = build_lts(model, FreshPolicy.parse("bounded:2"), max_states=CAP)
+    assert lts.state_count == 1213 and lts.edge_count == 2238
     transactions = {(instance, action.name, tuple(call.values())) for instance, action, call in actions}
     assert len(actions) == len(transactions) == 372
-    assert len(moves) == len({(m, tuple(r), tuple(a)) for m, r, a in moves}) == 594
+    assert updates == []
+    assert len(steps) == lts.edge_count
+    assert len({id(table) for _, _, table in steps}) == 1 and steps[0][2] is not None
+    assert len(computed) == len(set(computed)) == 127
 
 
 @pytest.mark.parametrize("model, policy", [
