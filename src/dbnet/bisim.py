@@ -107,7 +107,9 @@ of :func:`check_weak_bisim`.  A failing σ(0) = 0 is the refusal that
 ``unmatched-move`` at the first failing ``k``, traced as the pair
 ``(σ(k), k)``, the chain of weak moves to ``k`` and the move.
 ``check_weak_bisim`` never runs in certification: it is the reference
-that the tests compare with.
+that the tests compare with.  As a reference it is kept plain: it
+finds each silent closure and weak step by a search when it is asked,
+keeps no table between questions, and compares contents with ``==``.
 """
 
 from __future__ import annotations
@@ -204,40 +206,32 @@ def flatten(lts: Lts, *, contents: Callable, lock: Optional[str]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Silent-run analysis: convergence and weak steps over the stable kernel
+# The reference check: convergence and weak steps by plain searches
 
 
 class _Side:
     """One LTS over its state numbers (state ``i`` is ``lts.states[i]``),
-    with ``view``, each state's ``(contents, stable)`` pair.  ``ids``
-    numbers distinct contents, and the two sides of one check share it,
-    so that two states have equal contents exactly when their ``key``s
-    are equal ints; ``text`` renders a state's contents with ``render``
-    when a line that names it is built.  Every per-state table is a list
-    indexed by the state number: ``contents``, ``key``, ``stable``,
-    ``out_degree``, ``eps_succ`` (silent successors) and ``obs_succ``
-    (``(label, successor)`` pairs).  Everything after construction works
-    on these ints, so no state is hashed or compared again."""
+    with ``view``, each state's ``(contents, stable)`` pair.  Every
+    per-state table is a list indexed by the state number: ``contents``,
+    ``stable``, ``eps_succ`` (silent successors) and ``obs_succ``
+    (``(label, successor)`` pairs); ``text`` renders a state's contents
+    with ``render`` when a line that names it is built.  As the
+    reference, it answers each question by a plain search when it is
+    asked, and keeps no answer."""
 
-    def __init__(self, lts: Lts, tag: str, view: list, render: Callable, ids: dict):
+    def __init__(self, lts: Lts, tag: str, view: list, render: Callable):
         self.lts = lts
         self.tag = tag
         self.contents = [contents for contents, _ in view]
-        self.key = [ids.setdefault(contents, len(ids)) for contents in self.contents]
         self.stable = [bool(stable) for _, stable in view]
         self.render = render
-        n = len(view)
-        self.eps_succ = [[] for _ in range(n)]
-        self.obs_succ = [[] for _ in range(n)]
-        self.out_degree = [0] * n
+        self.eps_succ = [[] for _ in view]
+        self.obs_succ = [[] for _ in view]
         for src, label, dst in lts.edges:
-            self.out_degree[src] += 1
             if label == EPS:
                 self.eps_succ[src].append(dst)
             else:
                 self.obs_succ[src].append((label, dst))
-        self._reach = self._stable_reach()
-        self._big = [None] * n
 
     def text(self, s: int) -> str:
         return self.render(self.contents[s])
@@ -246,7 +240,7 @@ class _Side:
 
     def silent_dead_end(self):
         for s, stable in enumerate(self.stable):
-            if not stable and self.out_degree[s] == 0:
+            if not (stable or self.eps_succ[s] or self.obs_succ[s]):
                 return s
         return None
 
@@ -260,97 +254,27 @@ class _Side:
 
     # -- weak steps --------------------------------------------------------
 
-    def _stable_reach(self) -> list:
-        """state -> frozenset of stable states reachable via silent steps
-        (including itself when stable).  Iterative Tarjan over the silent
-        edges; each strongly connected component shares one reach set, and
-        a component with no stable member whose silent edges lead into a
-        single other component shares that component's set."""
-        eps_succ, stable = self.eps_succ, self.stable
-        n = len(eps_succ)
-        index = [-1] * n
-        low = [0] * n
-        comp = [-1] * n
-        on_stack = [False] * n
-        stack = []
-        reach_of_comp: list = []
-        counter = 0
-
-        for root in range(n):
-            if index[root] >= 0:
-                continue
-            index[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack[root] = True
-            work = [(root, iter(eps_succ[root]))]
-            while work:
-                node, succs = work[-1]
-                for nxt in succs:
-                    if index[nxt] < 0:
-                        index[nxt] = low[nxt] = counter
-                        counter += 1
-                        stack.append(nxt)
-                        on_stack[nxt] = True
-                        work.append((nxt, iter(eps_succ[nxt])))
-                        break
-                    if on_stack[nxt] and index[nxt] < low[node]:
-                        low[node] = index[nxt]
-                else:
-                    work.pop()
-                    if work:
-                        parent = work[-1][0]
-                        if low[node] < low[parent]:
-                            low[parent] = low[node]
-                    if low[node] == index[node]:
-                        # Tarjan emits components in reverse topological
-                        # order: every silent successor's is finished.
-                        cid = len(reach_of_comp)
-                        members = []
-                        while True:
-                            x = stack.pop()
-                            on_stack[x] = False
-                            comp[x] = cid
-                            members.append(x)
-                            if x == node:
-                                break
-                        own = [x for x in members if stable[x]]
-                        succ_comps = {comp[d] for x in members for d in eps_succ[x]}
-                        succ_comps.discard(cid)
-                        if not own and len(succ_comps) == 1:
-                            reach = reach_of_comp[succ_comps.pop()]
-                        else:
-                            reach = frozenset(own).union(*[reach_of_comp[c] for c in succ_comps])
-                        reach_of_comp.append(reach)
-        return [reach_of_comp[c] for c in comp]
+    def _closure(self, s: int) -> set:
+        """The states that silent moves reach from ``s``, ``s`` included."""
+        seen, todo = {s}, [s]
+        while todo:
+            for d in self.eps_succ[todo.pop()]:
+                if d not in seen:
+                    seen.add(d)
+                    todo.append(d)
+        return seen
 
     def eps_targets(self, s: int) -> frozenset:
-        return self._reach[s]
+        """The stable states of ``s``'s silent closure."""
+        return frozenset(x for x in self._closure(s) if self.stable[x])
 
     def big_steps(self, s: int) -> dict:
-        """label -> frozenset of stable states reachable as eps*;label;eps*."""
-        hit = self._big[s]
-        if hit is not None:
-            return hit
-        closure = set()
-        queue = [s]
-        while queue:
-            x = queue.pop()
-            if x in closure:
-                continue
-            closure.add(x)
-            queue.extend(self.eps_succ[x])
-        parts: dict = {}
-        for x in closure:
+        """label -> set of stable states reachable as eps*;label;eps*."""
+        steps: dict = {}
+        for x in self._closure(s):
             for label, y in self.obs_succ[x]:
-                # _reach[y] already contains y itself when y is stable
-                parts.setdefault(label, []).append(self._reach[y])
-        frozen = {
-            label: sets[0] if len(sets) == 1 else frozenset().union(*sets)
-            for label, sets in parts.items()
-        }
-        self._big[s] = frozen
-        return frozen
+                steps.setdefault(label, set()).update(self.eps_targets(y))
+        return steps
 
 
 def _path_to(lts: Lts, target: int, stable) -> list:
@@ -427,8 +351,10 @@ def check_weak_bisim(l1: Lts, view1: list, l2: Lts, view2: list,
                      render: Callable) -> WeakBisimResult:
     """Decide weak bisimilarity of two finite LTSs, each with its view:
     each state's ``(contents, stable)`` pair, in state order.  Contents
-    of the two sides are numbered once, by ``==``, and ``render`` turns one
-    into the text of a witness or trace line; nothing else is rendered.
+    compare with ``==``, and ``render`` turns one into the text of a
+    witness or trace line; nothing else is rendered.  This is the
+    reference that ``certify_translation``'s local test is compared
+    with: each weak step is found by a plain search when it is asked.
 
     Precondition: neither input is truncated (raises
     :class:`TruncatedError` otherwise).  The verdict is symmetric in the
@@ -438,8 +364,7 @@ def check_weak_bisim(l1: Lts, view1: list, l2: Lts, view2: list,
     state numbers (see :class:`_Side`), so pairs sort in discovery order.
     """
     _refuse_truncated(l1, l2)
-    ids: dict = {}  # contents are numbered once for both sides
-    s1, s2 = _Side(l1, "left", view1, render, ids), _Side(l2, "right", view2, render, ids)
+    s1, s2 = _Side(l1, "left", view1, render), _Side(l2, "right", view2, render)
 
     for side in (s1, s2):
         dead = side.silent_dead_end()
@@ -450,26 +375,19 @@ def check_weak_bisim(l1: Lts, view1: list, l2: Lts, view2: list,
             return _silent_failure("silent-divergence", "silent divergence", side, div)
 
     init = (0, 0)
-    k1, k2 = s1.key, s2.key
-    if k1[0] != k2[0]:
+    if s1.contents[0] != s2.contents[0]:
         return _content_mismatch(s1.text(0), s2.text(0))
 
-    # Candidate pairs: product-reachable, content-compatible stable pairs.
+    # Candidate pairs: the answers of the weak moves of the pairs that
+    # answers reach from the initial one.
     rel = {init}
     queue = [init]
-    head = 0
-    while head < len(queue):
-        p, q = queue[head]
-        head += 1
-        b1, b2 = s1.big_steps(p), s2.big_steps(q)
-        moves = [(t1, b2[label]) for label, t1 in b1.items() if label in b2]
-        moves.append((s1.eps_targets(p), s2.eps_targets(q)))
-        for t1, t2 in moves:
-            for x in t1:
-                for y in t2:
-                    if k1[x] == k2[y] and (x, y) not in rel:
-                        rel.add((x, y))
-                        queue.append((x, y))
+    for pair in queue:  # the queue grows while it is read
+        for _side, _label, _target, answers in _weak_moves(s1, s2, *pair):
+            for answer in answers:
+                if answer not in rel:
+                    rel.add(answer)
+                    queue.append(answer)
 
     # Drop each pair with a weak move that no related pair answers.
     removed: dict = {}
@@ -526,18 +444,18 @@ def _weak_moves(s1: _Side, s2: _Side, p: int, q: int):
     the move is answered when one of them is related.  Moves come in
     blame order: labels by :func:`format_label`, then the silent move;
     per label the left targets, then the right ones, each sorted."""
-    k1, k2 = s1.key, s2.key
+    c1, c2 = s1.contents, s2.contents
     b1, b2 = s1.big_steps(p), s2.big_steps(q)
     moves = [
-        (label, b1.get(label, frozenset()), b2.get(label, frozenset()))
+        (label, b1.get(label, ()), b2.get(label, ()))
         for label in sorted(set(b1) | set(b2), key=format_label)
     ]
     moves.append((EPS, s1.eps_targets(p), s2.eps_targets(q)))
     for label, t1, t2 in moves:
         for x in sorted(t1):
-            yield "left", label, x, [(x, y) for y in t2 if k1[x] == k2[y]]
+            yield "left", label, x, [(x, y) for y in t2 if c1[x] == c2[y]]
         for y in sorted(t2):
-            yield "right", label, y, [(x, y) for x in t1 if k1[x] == k2[y]]
+            yield "right", label, y, [(x, y) for x in t1 if c1[x] == c2[y]]
 
 
 def _log_phase(phase: str, started: float, message: str, *args) -> float:

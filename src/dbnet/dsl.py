@@ -86,6 +86,7 @@ _PUNCT2 = (":=", "!=", "<=", ">=", "->")
 _PUNCT1 = "(){},;:=<>&|!~@"
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_DIGITS = "0123456789"  # INT and REAL are ASCII: int("²") fails
 
 
 def _lex(text: str) -> list:
@@ -129,13 +130,13 @@ def _lex(text: str) -> list:
                 col += 1
             toks.append(_Tok("string", "".join(buf), start_line, start_col))
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
                 toks.append(_Tok("real", Decimal(text[i:j]), start_line, start_col))
             else:

@@ -84,8 +84,9 @@ class FreshPolicy:
             return FreshPolicy(UNBOUNDED)
         if text.startswith("bounded"):
             sep = text[len("bounded"):]
-            if sep[:1] in (":", " ") and sep[1:].strip().isdigit():
-                return FreshPolicy(BOUNDED, int(sep[1:].strip()))
+            width = sep[1:].strip()
+            if sep[:1] in (":", " ") and width.isascii() and width.isdigit():
+                return FreshPolicy(BOUNDED, int(width))
         raise ValidationError(
             f"cannot parse freshness policy {text!r}; expected "
             f"'recycling', 'unbounded' or 'bounded:<k>'"

@@ -21,16 +21,7 @@ __all__ = ["MUTATIONS", "apply_mutation"]
 
 
 def _rebuild(out: TranslationOutput, transitions) -> TranslationOutput:
-    net = replace(out.net, transitions=tuple(transitions))
-    return TranslationOutput(
-        net=net,
-        place_classes=dict(out.place_classes),
-        provenance=dict(out.provenance),
-        lock_place=out.lock_place,
-        relation_places=dict(out.relation_places),
-        gadgets=dict(out.gadgets),
-        ctl_type=out.ctl_type,
-    )
+    return replace(out, net=replace(out.net, transitions=tuple(transitions)))
 
 
 def _by_name(out: TranslationOutput) -> dict:

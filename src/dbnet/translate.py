@@ -91,19 +91,14 @@ class UpdateComponent:
 @dataclass(frozen=True)
 class CheckStage:
     kind: str  # "key" | "ref" | "domain"
-    index: int  # 1-based over all constraints
     entry: str
     exit: str
     names: tuple  # ((role, transition name), ...)
-    places: tuple = ()  # ((role, place name), ...) for scan bookkeeping
 
 
 @dataclass(frozen=True)
 class UndoComponent:
     kind: str  # "add" | "del"
-    index: int
-    relation: str
-    terms: tuple
     entry: str
     exit: str
     done_place: str
@@ -508,10 +503,7 @@ def _build_gadget(
             b.transition(do, T, "undo")
             b.transition(skip, T, "undo")
             undo_components.append(
-                UndoComponent(
-                    comp.kind, comp.index, comp.relation, comp.terms,
-                    entry, exit_, comp.done_place, do.name, skip.name,
-                )
+                UndoComponent(comp.kind, entry, exit_, comp.done_place, do.name, skip.name)
             )
     else:
         # Unreachable without an action, but kept for structural uniformity.
@@ -673,7 +665,7 @@ def _build_check_stage(
             ),
             T, "check",
         )
-        return CheckStage("key", k, entry, exit_, (("violation", viol.name), ("pass", ok.name)))
+        return CheckStage("key", entry, exit_, (("violation", viol.name), ("pass", ok.name)))
 
     if isinstance(c, ForeignKey):
         src = model.schema.relation(c.source)
@@ -779,7 +771,7 @@ def _build_check_stage(
             T, "check",
         )
         return CheckStage(
-            "ref", k, entry, exit_,
+            "ref", entry, exit_,
             tuple(scan_names) + (
                 ("violation", viol.name),
                 ("pass", ok.name),
@@ -788,7 +780,6 @@ def _build_check_stage(
                 ("emit-violation", emit_v.name),
                 ("emit-pass", emit_p.name),
             ),
-            (("seen", seen), ("viol-pending", violp), ("pass-pending", passp)),
         )
 
     if isinstance(c, DomainConstraint):
@@ -816,6 +807,6 @@ def _build_check_stage(
             ),
             T, "check",
         )
-        return CheckStage("domain", k, entry, exit_, (("violation", viol.name), ("pass", ok.name)))
+        return CheckStage("domain", entry, exit_, (("violation", viol.name), ("pass", ok.name)))
 
     raise ContractError(f"unsupported constraint kind {type(c).__name__}")

@@ -11,7 +11,7 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dbnet import bisim
 from dbnet.bisim import (
@@ -238,16 +238,93 @@ def test_verdict_is_symmetric():
     assert check_weak_bisim(*l1, *l3, str).verdict == check_weak_bisim(*l3, *l1, str).verdict == BISIMILAR
 
 
-def test_silent_chain_shares_one_reach_set():
+def test_a_silent_chain_reaches_its_stable_end():
     lts, view = hand_lts(
         ["a", "b", "c", "d"],
         [("a", EPS, "b"), ("b", EPS, "c"), ("c", OBS, "d")],
         {"a": ("F0", False), "b": ("F0", False), "c": ("F0", True), "d": ("F1", True)},
     )
-    side = bisim._Side(lts, "left", view, str, {})
+    side = bisim._Side(lts, "left", view, str)
     assert side.eps_targets(0) == frozenset({2})
-    assert side.eps_targets(0) is side.eps_targets(1) is side.eps_targets(2)
+    assert side.eps_targets(0) == side.eps_targets(1) == side.eps_targets(2)
     assert side.big_steps(0) == {OBS: frozenset({3})}
+
+
+@st.composite
+def small_lts(draw) -> tuple:
+    """An LTS of 1-5 states and its view: contents F or G, random
+    stability, up to three edges per state labelled ``OBS``, ``eps`` or
+    ``OBS2``.  Hypothesis leans to the first choice of a ``sampled_from``,
+    so an unstable state mostly gets an edge and ``eps`` is not the most
+    frequent label: about half of the pairs then pass both convergence
+    conditions and reach the fixpoint."""
+    n = draw(st.integers(1, 5))
+    view = draw(st.lists(st.tuples(st.sampled_from("FG"), st.booleans()), min_size=n, max_size=n))
+    moves = st.tuples(st.sampled_from([OBS, EPS, OBS2]), st.integers(0, n - 1))
+    edges = []
+    for s, (_contents, stable) in enumerate(view):
+        least = 0 if stable else draw(st.sampled_from([1, 0]))
+        edges += [(s, label, d) for label, d in draw(st.lists(moves, min_size=least, max_size=3))]
+    return Lts(states=[f"s{i}" for i in range(n)], edges=edges), view
+
+
+def brute_force_bisimilar(l1: Lts, view1: list, l2: Lts, view2: list) -> bool:
+    """Weak bisimilarity from scratch: both sides converge, and the
+    initial pair survives the greatest fixpoint over content-equal pairs
+    of stable states, weak moves found by a naive closure."""
+
+    def closure(lts, s, allowed=lambda d: True):
+        reach = {s}
+        while True:
+            more = {d for x, label, d in lts.edges if x in reach and label == EPS and allowed(d)}
+            if more <= reach:
+                return reach
+            reach |= more
+
+    def converges(lts, view):
+        unstable = {s for s, (_c, stable) in enumerate(view) if not stable}
+        for s in unstable:
+            if not any(x == s for x, _label, _d in lts.edges):
+                return False  # a silent dead end
+            steps = {d for x, label, d in lts.edges if x == s and label == EPS and d in unstable}
+            if any(s in closure(lts, d, unstable.__contains__) for d in steps):
+                return False  # a silent cycle that never passes a stable state
+        return True
+
+    def weak(lts, view, s):
+        stable = lambda states: frozenset(x for x in states if view[x][1])
+        moves = {EPS: stable(closure(lts, s))}
+        for x in closure(lts, s):
+            for src, label, d in lts.edges:
+                if src == x and label != EPS:
+                    moves[label] = moves.get(label, frozenset()) | stable(closure(lts, d))
+        return moves
+
+    if not (converges(l1, view1) and converges(l2, view2)):
+        return False
+    rel = {(p, q) for p in range(len(view1)) for q in range(len(view2))
+           if view1[p][0] == view2[q][0] and (view1[p][1] and view2[q][1] or p == q == 0)}
+    weak1 = [weak(l1, view1, p) for p in range(len(view1))]
+    weak2 = [weak(l2, view2, q) for q in range(len(view2))]
+
+    def answered(moves, answers, related):
+        return all(any(related(x, y) for y in answers.get(label, ())) for label, targets in
+                   moves.items() for x in targets)
+
+    while True:
+        keep = {(p, q) for p, q in rel
+                if answered(weak1[p], weak2[q], lambda x, y: (x, y) in rel)
+                and answered(weak2[q], weak1[p], lambda y, x: (x, y) in rel)}
+        if keep == rel:
+            return (0, 0) in rel
+        rel = keep
+
+
+@settings(max_examples=800, deadline=None)
+@given(small_lts(), small_lts())
+def test_the_reference_check_agrees_with_a_brute_force_fixpoint(left, right):
+    got = check_weak_bisim(*left, *right, str)
+    assert got.bisimilar == brute_force_bisimilar(*left, *right)
 
 
 def test_every_flattened_lts_is_bisimilar_to_itself(shop, shop_lts):
@@ -737,7 +814,7 @@ def test_certify_gives_the_oracles_verdict(golden, refusal_golden, case):
 def target_side(lts: Lts, translation):
     """The checker's right side over a graph of the translated net."""
     _visible, render = bisim._visible_and_render(translation)
-    return bisim._Side(lts, "right", target_view(lts, translation), render, {})
+    return bisim._Side(lts, "right", target_view(lts, translation), render)
 
 
 def checker_view(lts: Lts, translation) -> tuple:

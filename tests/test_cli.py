@@ -98,6 +98,24 @@ def test_parse_diagnostics_carry_the_path(capsys, tmp_path):
     assert "3:" in err  # line of the offending token
 
 
+def test_a_non_ascii_digit_is_a_located_parse_error(capsys, tmp_path):
+    # str.isdigit accepts "²", which int() rejects
+    odd = tmp_path / "odd.dbn"
+    odd.write_text(TOUCH.read_text(encoding="utf-8").replace("token p(1);", "token p(²);"),
+                   encoding="utf-8")
+    code, out, err = run(capsys, "validate", odd)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {odd}: 28:11: unexpected character '²'\n"
+
+
+def test_a_non_ascii_width_is_an_unparsable_policy(capsys):
+    code, out, err = run(capsys, "certify", TOUCH, "--fresh", "bounded:²")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot parse freshness policy 'bounded:²'")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbnet.corpus import build_shopping_cart, shop_text
 from dbnet.cpn import cpn_build_lts
@@ -134,6 +135,41 @@ def test_empty_file_is_a_clean_diagnostic():
     assert (e.line, e.col) == (1, 1)
     assert "empty" in e.message
     assert str(e).startswith("1:1:")
+
+
+@pytest.mark.parametrize("literal, col", [("²", 11), ("1²", 12), ("٣", 11)])
+def test_a_non_ascii_digit_is_an_unexpected_character(literal, col):
+    # INT and REAL are ASCII digits; str.isdigit also accepts "²", which
+    # int() rejects, and "٣", which it reads as 3
+    text = (CORPUS_DIR / "touch.dbn").read_text(encoding="utf-8")
+    e = err_of(text.replace("token p(1);", f"token p({literal});"))
+    assert (e.line, e.col, e.message) == (28, col, f"unexpected character {literal[-1]!r}")
+
+
+CORPUS_TEXTS = [(CORPUS_DIR / f"{name}.dbn").read_text(encoding="utf-8") for name in CORPUS_NAMES]
+# characters that reach the lexer's branches, with non-ASCII digits among them
+LEXER_CHARS = st.one_of(st.characters(), st.sampled_from('0123456789²٣-."\\#(){},;:=<>!~@_ \n'))
+
+
+@st.composite
+def mutated_texts(draw) -> str:
+    """A corpus text with one span replaced by arbitrary characters, or
+    arbitrary text."""
+    if draw(st.booleans()):
+        return draw(st.text(LEXER_CHARS, max_size=40))
+    text = draw(st.sampled_from(CORPUS_TEXTS))
+    start = draw(st.integers(0, len(text)))
+    end = draw(st.integers(start, min(len(text), start + 6)))
+    return text[:start] + draw(st.text(LEXER_CHARS, max_size=4)) + text[end:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_texts())
+def test_parsing_any_text_raises_only_dsl_error(text):
+    try:
+        parse_model(text)
+    except DslError:
+        pass
 
 
 def test_unknown_type_is_located():

@@ -28,7 +28,9 @@ def test_parse_and_describe():
     assert (p.mode, p.width) == (BOUNDED, 3)
     assert p.describe() == "bounded:3"
     assert FreshPolicy().describe() == "recycling"
-    for bad in ("bounded", "bounded:x", "fresh", "bounded:-1"):
+    # the width is ASCII digits: int() rejects "²", and reads "٣" as 3
+    for bad in ("bounded", "bounded:x", "fresh", "bounded:-1", "bounded:²", "bounded:1²",
+                "bounded:٣"):
         with pytest.raises(ValidationError):
             FreshPolicy.parse(bad)
 

@@ -6,8 +6,9 @@ No linter ships with the project, so this reads each module's syntax
 tree: a name bound by a module-level ``import`` or ``from ... import``
 must be read somewhere in that module or be listed in its ``__all__``,
 every import sits at module level, every private module-level
-function or class, and every private method of a module-level class, is
-referenced somewhere in the package outside its own definition, and
+function, class or assigned name, and every private method of a
+module-level class, is referenced somewhere in the package outside its
+own definition, and
 every name in a module's ``__all__`` is defined or imported at the
 module's top level.
 """
@@ -107,27 +108,46 @@ def _mentions(tree) -> Counter:
     return found
 
 
+def _private_name(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _private(node) -> bool:
     return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__"))
+            and _private_name(node.name))
+
+
+def _private_assigned(node) -> list:
+    """The private names that a module-level assignment ``node`` binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name) and _private_name(n.id)]
 
 
 def unreferenced_private_definitions(sources: dict) -> list:
-    """``(module, name)`` of every module-level ``def _name`` or ``class
-    _name``, and ``(module, "Class._name")`` of every ``def _name`` in the
-    body of a module-level class, in ``sources`` (module -> source text)
-    that no code of any module mentions outside the definition itself."""
+    """``(module, name)`` of every module-level ``def _name``, ``class
+    _name`` or ``_name = ...``, and ``(module, "Class._name")`` of every
+    ``def _name`` in the body of a module-level class, in ``sources``
+    (module -> source text) that no code of any module mentions outside
+    the definition itself."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     everywhere = sum((_mentions(tree) for tree in trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
         found = [(node, node.name) for node in tree.body if _private(node)]
+        found.extend((node, name) for node in tree.body for name in _private_assigned(node))
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef):
                 found.extend((node, f"{cls.name}.{node.name}") for node in cls.body
                              if _private(node) and not isinstance(node, ast.ClassDef))
         for node, name in found:
-            if everywhere[node.name] == _mentions(node)[node.name]:
+            short = name.rpartition(".")[2]
+            if everywhere[short] == _mentions(node)[short]:
                 unused.append((module, name))
     return sorted(unused)
 
@@ -137,11 +157,12 @@ def test_the_check_finds_an_unreferenced_private_definition():
         "a": ("def _used(): return 1\ndef _loop(): return _loop()\nclass _Gone: pass\n"
               "class C:\n    def _called(self): return self._rec()\n"
               "    def _rec(self): return self._rec()\n    def _idle(self): pass\n"
-              "    def __len__(self): return 0\n"),
-        "b": "from a import _used, C\n_used()\nC()._called()\n",
+              "    def __len__(self): return 0\n"
+              "_KEPT = 1\n_SPARE, (_PAIR, __dunder__) = 2, (3, 4)\n_NOTE: int = _KEPT\n"),
+        "b": "from a import _used, C, _PAIR\n_used()\nC()._called()\n",
     }
     assert unreferenced_private_definitions(sources) == [
-        ("a", "C._idle"), ("a", "_Gone"), ("a", "_loop"),
+        ("a", "C._idle"), ("a", "_Gone"), ("a", "_NOTE"), ("a", "_SPARE"), ("a", "_loop"),
     ]
 
 
