@@ -190,9 +190,22 @@ def _net_dot(mf: ModelFile) -> str:
 # Subcommands
 
 
+def _problems(mf: ModelFile) -> list:
+    return validate(mf.model) if mf.kind == "dbnet" else cpn_validate(mf.model)
+
+
+def _load_valid(args) -> ModelFile:
+    """The model, refused like ``certify`` refuses it if it does not validate."""
+    mf = _load(args)
+    problems = _problems(mf)
+    if problems:
+        raise _Fail("model does not validate: " + "; ".join(problems))
+    return mf
+
+
 def _cmd_validate(args) -> int:
     mf = _load(args)
-    problems = validate(mf.model) if mf.kind == "dbnet" else cpn_validate(mf.model)
+    problems = _problems(mf)
     for p in problems:
         print(p)
     print(f"{mf.model.name}: " + ("ok" if not problems else f"{len(problems)} problem(s)"))
@@ -200,7 +213,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    mf = _load(args)
+    mf = _load_valid(args)
     policy = _policy(args, mf.model)
     rng = random.Random(args.seed)
     if mf.kind == "dbnet":
@@ -258,7 +271,7 @@ def _make_lts(mf: ModelFile, policy, args):
 
 
 def _cmd_statespace(args) -> int:
-    mf = _load(args)
+    mf = _load_valid(args)
     policy = _policy(args, mf.model)
     try:
         lts, render = _make_lts(mf, policy, args)

@@ -18,6 +18,7 @@ model equal to the one printed, so ``parse . print . parse = parse``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import NamedTuple, Optional
@@ -82,98 +83,77 @@ class _Tok(NamedTuple):
     col: int
 
 
-_PUNCT2 = (":=", "!=", "<=", ">=", "->")
-_PUNCT1 = "(){},;:=<>&|!~@"
-
+# One match per token, blanks before it included.  The alternatives are
+# tried in order; IDENT, INT and REAL are the lexical rules of
+# docs/dsl.md, so identifiers and numbers are ASCII.  A string that never
+# closes matches only ``open``; a character no rule takes matches ``bad``.
+_TOKEN_RE = re.compile(
+    r"""[ \t\r]*(?:
+      (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
+    | (?P<punct>:=|!=|<=|>=|->|[(){},;:=<>&|!~@])
+    | (?P<newline>\n)
+    | (?P<skip>\#[^\n]*|\Z)
+    | (?P<real>-?[0-9]+\.[0-9]+)
+    | (?P<int>-?[0-9]+)
+    | (?P<string>"(?:[^"\\\n]|\\["\\nt])*")
+    | (?P<open>"(?:[^"\\\n]|\\["\\nt])*)
+    | (?P<bad>.)
+    )""",
+    re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-_DIGITS = "0123456789"  # INT and REAL are ASCII: int("²") fails
+
+
+def _string_value(quoted: str) -> str:
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES[m.group(1)], quoted[1:-1])
+
+
+_VALUES = {"int": int, "real": Decimal, "string": _string_value}
 
 
 def _lex(text: str) -> list:
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c == '"':
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise DslError("unterminated string literal", start_line, start_col)
-                ch = text[i]
-                if ch == '"':
-                    i += 1
-                    col += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n or text[i + 1] not in _ESCAPES:
-                        raise DslError("bad string escape", line, col)
-                    buf.append(_ESCAPES[text[i + 1]])
-                    i += 2
-                    col += 2
-                    continue
-                buf.append(ch)
-                i += 1
-                col += 1
-            toks.append(_Tok("string", "".join(buf), start_line, start_col))
-            continue
-        if c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-                toks.append(_Tok("real", Decimal(text[i:j]), start_line, start_col))
-            else:
-                toks.append(_Tok("int", int(text[i:j]), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            toks.append(_Tok(two, two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT1:
-            toks.append(_Tok(c, c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise DslError(f"unexpected character {c!r}", line, col)
+        value = m.group(kind)
+        col = m.start(kind) - line_start + 1
+        if kind == "punct":
+            kind = value
+        elif kind in _VALUES:
+            value = _VALUES[kind](value)
+        elif kind == "open":
+            # the string stops short at a bad escape, a newline or the end
+            if text.startswith("\\", m.end()):
+                raise DslError("bad string escape", line, col + len(value))
+            raise DslError("unterminated string literal", line, col)
+        elif kind == "bad":
+            raise DslError(f"unexpected character {value!r}", line, col)
+        toks.append(_Tok(kind, value, line, col))
     return toks
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
+_DBNET_ITEMS = ("type", "relation", "constraint", "query", "action",
+                "place", "view", "transition", "init", "policy")
+_CPN_ITEMS = ("type", "place", "transition", "init", "policy")
+_DBNET_LINES = ("in", "read", "guard", "act", "out", "rollback")
+_CPN_LINES = ("in", "read", "guard", "out", "priority", "emit")
+
 
 class _Parser:
     def __init__(self, toks: list):
-        self.toks = toks
+        # A closing "end" token at the last real one's location spares
+        # every lookahead a bounds check.
+        self.toks = toks + [_Tok("end", None, toks[-1].line, toks[-1].col)]
         self.pos = 0
         # Symbol tables, filled strictly in declaration order.
         self.types: dict = {}
@@ -189,17 +169,19 @@ class _Parser:
         self.facts: dict = {}
         self.tokens: list = []
         self.samples: dict = {}
-        self.policy = FreshPolicy()
+        self.policy: Optional[FreshPolicy] = None  # set by the `fresh` line
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Optional[_Tok]:
-        k = self.pos + ahead
-        return self.toks[k] if k < len(self.toks) else None
+    def peek(self, ahead: int = 0) -> _Tok:
+        return self.toks[self.pos + ahead]
+
+    def at(self, kind: str) -> bool:
+        return self.toks[self.pos].kind == kind
 
     def next(self) -> _Tok:
-        t = self.peek()
-        if t is None:
+        t = self.toks[self.pos]
+        if t.kind == "end":
             raise self.end_of_file("")
         self.pos += 1
         return t
@@ -212,18 +194,15 @@ class _Parser:
         return t
 
     def keyword(self, *words: str) -> str:
-        t = self.expect("ident", " or ".join(repr(w) for w in words))
-        if t.value not in words:
-            raise DslError(
-                f"expected {' or '.join(repr(w) for w in words)}, found {t.value!r}",
-                t.line,
-                t.col,
-            )
+        t = self.next()
+        if t.kind != "ident" or t.value not in words:
+            want = " or ".join(repr(w) for w in words)
+            raise self.err(f"expected {want}, found {t.value!r}", t)
         return t.value
 
     def at_keyword(self, word: str) -> bool:
         t = self.peek()
-        return t is not None and t.kind == "ident" and t.value == word
+        return t.kind == "ident" and t.value == word
 
     def err(self, message: str, tok: _Tok) -> DslError:
         return DslError(message, tok.line, tok.col)
@@ -234,125 +213,133 @@ class _Parser:
 
     # -- shared small pieces ----------------------------------------------
 
-    def fresh_name(self, table: dict, tok: _Tok, what: str) -> str:
+    def fresh_name(self, table, tok: _Tok, what: str) -> str:
         if tok.value in table:
             raise self.err(f"duplicate {what} {tok.value!r}", tok)
         return tok.value
 
-    def lookup_type(self, tok: _Tok) -> DataType:
-        dt = self.types.get(tok.value)
-        if dt is None:
-            raise self.err(f"unknown type {tok.value!r}", tok)
-        return dt
+    def lookup(self, table: dict, tok: _Tok, what: str):
+        """The declaration ``tok`` names in ``table``."""
+        found = table.get(tok.value)
+        if found is None:
+            raise self.err(f"unknown {what} {tok.value!r}", tok)
+        return found
+
+    def named(self, table: dict, what: str):
+        """The declaration the next token names in ``table``."""
+        return self.lookup(table, self.expect("ident", f"{what} name"), what)
+
+    def listed(self, item, brackets: str = "()", *, empty: bool = True) -> tuple:
+        """``open item (',' item)* close``; with ``empty`` the items are
+        optional."""
+        self.expect(brackets[0])
+        out = []
+        if not (empty and self.at(brackets[1])):
+            out.append(item())
+            while self.at(","):
+                self.next()
+                out.append(item())
+        self.expect(brackets[1])
+        return tuple(out)
+
+    def row(self, col_types: tuple, term) -> tuple:
+        """``( term, ... )`` with one ``term(type)`` per column."""
+        self.expect("(")
+        out = []
+        for ct in col_types:
+            if out:
+                self.expect(",")
+            out.append(term(self.types[ct]))
+        self.expect(")")
+        return tuple(out)
+
+    def variable(self) -> Optional[_Tok]:
+        """The next token, consumed, if it names a variable: an
+        identifier other than ``null``."""
+        t = self.toks[self.pos]
+        if t.kind == "ident" and t.value != "null":
+            self.pos += 1
+            return t
+        return None
 
     def literal(self, dtype: DataType) -> Value:
         """A literal in a position of known type."""
         t = self.next()
-        if t.kind == "ident" and t.value == "null":
-            return Value(dtype.name, None)
-        try:
-            if t.kind == "int":
-                if dtype.kind == "real":
-                    return make_value(dtype, Decimal(t.value))
-                return make_value(dtype, t.value)
-            if t.kind in ("real", "string"):
-                return make_value(dtype, t.value)
-        except ValidationError as exc:
-            raise self.err(str(exc), t) from exc
+        if t.kind in ("int", "real", "string") or (t.kind == "ident" and t.value == "null"):
+            return self.value_of(t, dtype)
         raise self.err(f"expected a literal, found {t.value!r}", t)
 
-    def literal_list(self, dtype: DataType, closer: str) -> tuple:
-        out = []
-        if not (self.peek() and self.peek().kind == closer):
-            out.append(self.literal(dtype))
-            while self.peek() and self.peek().kind == ",":
-                self.next()
-                out.append(self.literal(dtype))
-        self.expect(closer)
-        return tuple(out)
+    def value_of(self, t: _Tok, dtype: DataType) -> Value:
+        """The literal token ``t`` read at ``dtype``."""
+        if t.kind == "ident":  # null
+            return Value(dtype.name, None)
+        if t.kind == "string" and dtype.kind == "real":  # make_value would read it
+            raise self.err(f"type {dtype.name}: expected real payload, got {t.value!r}", t)
+        try:
+            if t.kind == "int" and dtype.kind == "real":
+                return make_value(dtype, Decimal(t.value))
+            return make_value(dtype, t.value)
+        except ValidationError as exc:
+            raise self.err(str(exc), t) from exc
 
     # -- top level ---------------------------------------------------------
 
     def parse(self) -> ModelFile:
-        if not self.toks:
-            raise DslError("empty model: no declarations", 1, 1)
         kind = self.keyword("dbnet", "cpn")
         name = self.expect("string", "model name string").value
         self.expect(";")
-        while self.peek() is not None:
-            t = self.peek()
+        allowed = _DBNET_ITEMS if kind == "dbnet" else _CPN_ITEMS
+        while not self.at("end"):
+            t = self.next()
             if t.kind != "ident":
                 raise self.err(f"expected a declaration, found {t.value!r}", t)
-            handler = getattr(self, f"item_{t.value}", None)
-            allowed = (
-                ("type", "relation", "constraint", "query", "action",
-                 "place", "view", "transition", "init", "policy")
-                if kind == "dbnet"
-                else ("type", "place", "transition", "init", "policy")
-            )
-            if t.value not in allowed or handler is None:
+            if t.value not in allowed:
                 raise self.err(f"unknown declaration {t.value!r}", t)
-            self.next()
-            handler(kind)
+            getattr(self, f"item_{t.value}")(kind)
         model = self.build_dbnet(name) if kind == "dbnet" else self.build_cpn(name)
         return ModelFile(kind=kind, model=model, column_names=dict(self.column_names))
 
     # -- declarations ------------------------------------------------------
 
     def item_type(self, kind: str):
-        tok = self.expect("ident", "type name")
-        name = self.fresh_name(self.types, tok, "type")
+        name = self.fresh_name(self.types, self.expect("ident", "type name"), "type")
         self.expect("=")
         k = self.keyword(*_KINDS)
         self.expect(";")
         self.types[name] = DataType(name, k)
 
     def item_relation(self, kind: str):
-        tok = self.expect("ident", "relation name")
-        name = self.fresh_name(self.relations, tok, "relation")
-        self.expect("(")
-        cols, names, keycols = [], [], []
-        while True:
+        name = self.fresh_name(self.relations, self.expect("ident", "relation name"), "relation")
+        names, keycols = [], []
+
+        def col() -> str:
             cn = self.expect("ident", "column name")
-            if cn.value in names:
-                raise self.err(f"duplicate column {cn.value!r}", cn)
+            names.append(self.fresh_name(names, cn, "column"))
             self.expect(":")
-            dt = self.lookup_type(self.expect("ident", "type name"))
+            dt = self.named(self.types, "type")
             if self.at_keyword("key"):
                 self.next()
-                keycols.append(len(cols))
-            names.append(cn.value)
-            cols.append(dt.name)
-            if self.peek() and self.peek().kind == ",":
-                self.next()
-                continue
-            break
-        self.expect(")")
+                keycols.append(len(names) - 1)
+            return dt.name
+
+        cols = self.listed(col, empty=False)
         self.expect(";")
-        self.relations[name] = RelationSchema(name, tuple(cols))
+        self.relations[name] = RelationSchema(name, cols)
         self.column_names[name] = tuple(names)
         if keycols:
             self.constraints.append(PrimaryKey(name, tuple(keycols)))
 
     def rel_and_cols(self) -> tuple:
-        tok = self.expect("ident", "relation name")
-        rel = self.relations.get(tok.value)
-        if rel is None:
-            raise self.err(f"unknown relation {tok.value!r}", tok)
-        self.expect("(")
-        idxs = []
-        while True:
+        rel = self.named(self.relations, "relation")
+        names = self.column_names[rel.name]
+
+        def col() -> int:
             cn = self.expect("ident", "column name")
-            try:
-                idxs.append(self.column_names[rel.name].index(cn.value))
-            except ValueError:
-                raise self.err(f"{rel.name!r} has no column {cn.value!r}", cn) from None
-            if self.peek() and self.peek().kind == ",":
-                self.next()
-                continue
-            break
-        self.expect(")")
-        return rel, tuple(idxs)
+            if cn.value not in names:
+                raise self.err(f"{rel.name!r} has no column {cn.value!r}", cn)
+            return names.index(cn.value)
+
+        return rel, self.listed(col, empty=False)
 
     def item_constraint(self, kind: str):
         what = self.keyword("key", "foreign", "domain")
@@ -368,9 +355,8 @@ class _Parser:
             tok = self.expect("ident", "relation.column")
             rel, col = self.split_qualified(tok)
             self.keyword("in")
-            self.expect("{")
             dt = self.types[rel.column_types[col]]
-            allowed = self.literal_list(dt, "}")
+            allowed = self.listed(lambda: self.literal(dt), "{}")
             self.constraints.append(DomainConstraint(rel.name, col, allowed))
         self.expect(";")
 
@@ -388,29 +374,22 @@ class _Parser:
 
     def typed_params(self) -> tuple:
         """`(name: type, ...)` — shared by query heads and action headers."""
-        self.expect("(")
-        out = []
         seen = set()
-        while self.peek() and self.peek().kind != ")":
+
+        def param() -> Variable:
             pn = self.expect("ident", "parameter name")
-            if pn.value in seen:
-                raise self.err(f"duplicate parameter {pn.value!r}", pn)
-            seen.add(pn.value)
+            seen.add(self.fresh_name(seen, pn, "parameter"))
             self.expect(":")
-            dt = self.lookup_type(self.expect("ident", "type name"))
-            out.append(Variable(pn.value, dt.name))
-            if self.peek() and self.peek().kind == ",":
-                self.next()
-        self.expect(")")
-        return tuple(out)
+            return Variable(pn.value, self.named(self.types, "type").name)
+
+        return self.listed(param)
 
     def item_query(self, kind: str):
-        tok = self.expect("ident", "query name")
-        name = self.fresh_name(self.queries, tok, "query")
+        name = self.fresh_name(self.queries, self.expect("ident", "query name"), "query")
         head = self.typed_params()
         self.expect(":=")
         disjuncts = [self.disjunct(head)]
-        while self.peek() and self.peek().kind == "|":
+        while self.at("|"):
             self.next()
             disjuncts.append(self.disjunct(head))
         self.expect(";")
@@ -421,42 +400,30 @@ class _Parser:
         atoms, raw_filters = [], []
         while True:
             t = self.peek()
-            if t is None:
+            if t.kind == "end":
                 raise self.end_of_file(" in query body")
-            if t.kind == "ident" and self.peek(1) and self.peek(1).kind == "(":
+            if t.kind == "ident" and self.peek(1).kind == "(":
                 atoms.append(self.query_atom(vartab))
             else:
                 raw_filters.append(self.raw_compare())
-            if self.peek() and self.peek().kind == "&":
-                self.next()
-                continue
-            break
+            if not self.at("&"):
+                break
+            self.next()
         filters = tuple(self.resolve_compare(rc, vartab) for rc in raw_filters)
         return Conjunct(tuple(atoms), filters)
 
     def query_atom(self, vartab: dict) -> Atom:
-        tok = self.expect("ident", "relation name")
-        rel = self.relations.get(tok.value)
-        if rel is None:
-            raise self.err(f"unknown relation {tok.value!r}", tok)
-        self.expect("(")
-        terms = []
-        for col_type in rel.column_types:
-            if terms:
-                self.expect(",")
-            dt = self.types[col_type]
-            t = self.peek()
-            if t.kind == "ident" and t.value != "null":
-                self.next()
-                var = vartab.get(t.value)
-                if var is None:
-                    var = Variable(t.value, dt.name)
-                    vartab[t.value] = var
-                terms.append(var)
-            else:
-                terms.append(self.literal(dt))
-        self.expect(")")
-        return Atom(rel.name, tuple(terms))
+        rel = self.named(self.relations, "relation")
+
+        def qterm(dt: DataType):
+            t = self.variable()
+            if t is None:
+                return self.literal(dt)
+            if t.value not in vartab:
+                vartab[t.value] = Variable(t.value, dt.name)
+            return vartab[t.value]
+
+        return Atom(rel.name, self.row(rel.column_types, qterm))
 
     # Comparisons are collected raw and typed once the atoms of the same
     # scope have bound the variables.
@@ -493,47 +460,31 @@ class _Parser:
                 if var is None:
                     raise self.err(f"unbound variable {tok.value!r}", tok)
                 return var
-            if tok.kind == "ident":  # null
-                return Value(dt.name, None)
-            if tok.kind == "int" and dt.kind == "real":
-                return make_value(dt, Decimal(tok.value))
-            try:
-                return make_value(dt, tok.value)
-            except ValidationError as exc:
-                raise self.err(str(exc), tok) from exc
+            return self.value_of(tok, dt)
 
         return Compare(op_tok.value, resolve(left_tok), resolve(right_tok))
 
     def item_action(self, kind: str):
-        tok = self.expect("ident", "action name")
-        name = self.fresh_name(self.actions, tok, "action")
+        name = self.fresh_name(self.actions, self.expect("ident", "action name"), "action")
         params = self.typed_params()
         vartab = {p.name: p for p in params}
+
+        def aterm(dt: DataType):
+            t = self.variable()
+            if t is None:
+                return self.literal(dt)
+            if t.value not in vartab:
+                raise self.err(f"{t.value!r} is not a parameter of {name!r}", t)
+            return vartab[t.value]
+
         self.expect("{")
         adds, dels = [], []
-        while not (self.peek() and self.peek().kind == "}"):
+        while not self.at("}"):
             which = self.keyword("add", "del")
-            rtok = self.expect("ident", "relation name")
-            rel = self.relations.get(rtok.value)
-            if rel is None:
-                raise self.err(f"unknown relation {rtok.value!r}", rtok)
-            self.expect("(")
-            terms = []
-            for col_type in rel.column_types:
-                if terms:
-                    self.expect(",")
-                dt = self.types[col_type]
-                t = self.peek()
-                if t.kind == "ident" and t.value != "null":
-                    self.next()
-                    if t.value not in vartab:
-                        raise self.err(f"{t.value!r} is not a parameter of {name!r}", t)
-                    terms.append(vartab[t.value])
-                else:
-                    terms.append(self.literal(dt))
-            self.expect(")")
+            rel = self.named(self.relations, "relation")
+            terms = self.row(rel.column_types, aterm)
             self.expect(";")
-            (adds if which == "add" else dels).append((rel.name, tuple(terms)))
+            (adds if which == "add" else dels).append((rel.name, terms))
         self.expect("}")
         self.actions[name] = Action(name, params, tuple(adds), tuple(dels))
 
@@ -542,31 +493,22 @@ class _Parser:
         if tok.value in self.places or tok.value in self.views:
             raise self.err(f"duplicate place {tok.value!r}", tok)
         name = tok.value
-        self.expect("(")
-        cols = []
-        while self.peek() and self.peek().kind != ")":
-            cols.append(self.lookup_type(self.expect("ident", "type name")).name)
-            if self.peek() and self.peek().kind == ",":
-                self.next()
-        self.expect(")")
-        if self.peek() and self.peek().kind == "@":
+        cols = self.listed(lambda: self.named(self.types, "type").name)
+        if self.at("@"):
             self.next()
-            cls = self.expect("string", "place class string").value
-            self.place_classes[name] = cls
+            self.place_classes[name] = self.expect("string", "place class string").value
         self.expect(";")
         ctor = ControlPlace if kind == "dbnet" else CpnPlace
-        self.places[name] = ctor(name, tuple(cols))
+        self.places[name] = ctor(name, cols)
 
     def item_view(self, kind: str):
         tok = self.expect("ident", "view place name")
         if tok.value in self.places or tok.value in self.views:
             raise self.err(f"duplicate place {tok.value!r}", tok)
         self.expect(":=")
-        qtok = self.expect("ident", "query name")
-        if qtok.value not in self.queries:
-            raise self.err(f"unknown query {qtok.value!r}", qtok)
+        query = self.named(self.queries, "query")
         self.expect(";")
-        self.views[tok.value] = ViewPlace(tok.value, qtok.value)
+        self.views[tok.value] = ViewPlace(tok.value, query.name)
 
     # -- transitions -------------------------------------------------------
 
@@ -580,141 +522,89 @@ class _Parser:
 
     def inscription(self, col_types: tuple, vartab: dict, *, vars_only: bool) -> tuple:
         """A parenthesized term list typed against ``col_types``."""
-        self.expect("(")
-        terms: list = []
-        for ct in col_types:
-            if terms:
-                self.expect(",")
-            dt = self.types[ct]
-            t = self.peek()
-            fresh = False
-            if t is not None and t.kind == "~":
+
+        def term(dt: DataType):
+            fresh = self.at("~")
+            if fresh:
                 self.next()
-                fresh = True
-                t = self.peek()
-            if t is not None and t.kind == "ident" and t.value != "null":
-                self.next()
-                var = vartab.get(t.value)
-                if var is None:
-                    var = Variable(t.value, dt.name, fresh=fresh)
-                    vartab[t.value] = var
-                elif var.fresh != fresh:
-                    raise self.err(
-                        f"variable {t.value!r} is used both with and without '~'", t
-                    )
-                terms.append(var)
-            elif fresh:
-                raise self.err("'~' must be followed by a variable name", t or self.toks[-1])
-            elif vars_only:
-                raise self.err("this inscription takes variables only", t or self.toks[-1])
-            else:
-                terms.append(self.literal(dt))
-        close = self.peek()
-        if close is not None and close.kind == ",":
-            raise self.err("too many terms for this place", close)
-        self.expect(")")
-        return tuple(terms)
+            t = self.variable()
+            if t is None:
+                if not (fresh or vars_only):
+                    return self.literal(dt)
+                t = self.next()
+                if fresh:
+                    raise self.err("'~' must be followed by a variable name", t)
+                raise self.err("this inscription takes variables only", t)
+            var = vartab.get(t.value)
+            if var is None:
+                var = vartab[t.value] = Variable(t.value, dt.name, fresh=fresh)
+            elif var.fresh != fresh:
+                raise self.err(f"variable {t.value!r} is used both with and without '~'", t)
+            return var
+
+        return self.row(col_types, term)
 
     def item_transition(self, kind: str):
         tok = self.expect("ident", "transition name")
         if any(t.name == tok.value for t in self.transitions):
             raise self.err(f"duplicate transition {tok.value!r}", tok)
-        name = tok.value
         self.expect("{")
-        vartab: dict = {}
-        inputs, readsv, outputs, rollbacks = [], [], [], []
-        guard: Formula = TRUE
-        action = None
-        priority = P_NORMAL
-        emit = None
         dbn = kind == "dbnet"
-        while not (self.peek() and self.peek().kind == "}"):
-            what = self.keyword(
-                *(("in", "read", "guard", "act", "out", "rollback")
-                  if dbn
-                  else ("in", "read", "guard", "out", "priority", "emit"))
-            )
-            if what == "in":
+        vartab: dict = {}
+        arcs: dict = {"in": [], "read": [], "out": [], "rollback": []}
+        guard: Formula = TRUE
+        action, priority, emit = None, P_NORMAL, None
+        while not self.at("}"):
+            what = self.keyword(*(_DBNET_LINES if dbn else _CPN_LINES))
+            if what in arcs:
                 p = self.expect("ident", "place name")
-                if dbn and p.value not in self.places:
-                    raise self.err(f"unknown place {p.value!r}", p)
-                cols = self.place_columns(p, views_ok=not dbn)
-                inputs.append((p.value, self.inscription(cols, vartab, vars_only=dbn)))
-                self.expect(";")
-            elif what == "read":
-                p = self.expect("ident", "place name")
-                if dbn and p.value not in self.views:
+                if dbn and what == "read" and p.value not in self.views:
                     raise self.err(f"{p.value!r} is not a view place", p)
-                cols = self.place_columns(p, views_ok=True)
-                readsv.append((p.value, self.inscription(cols, vartab, vars_only=dbn)))
-                self.expect(";")
+                cols = self.place_columns(p, views_ok=what == "read")
+                vars_only = dbn and what in ("in", "read")
+                arcs[what].append((p.value, self.inscription(cols, vartab, vars_only=vars_only)))
             elif what == "guard":
                 guard = self.formula(vartab)
-                self.expect(";")
             elif what == "act":
-                a = self.expect("ident", "action name")
-                act = self.actions.get(a.value)
-                if act is None:
-                    raise self.err(f"unknown action {a.value!r}", a)
-                args = self.inscription(
-                    tuple(p.dtype for p in act.params), vartab, vars_only=False
-                )
-                action = (act.name, args)
-                self.expect(";")
-            elif what in ("out", "rollback"):
-                p = self.expect("ident", "place name")
-                if p.value not in self.places:
-                    raise self.err(f"unknown place {p.value!r}", p)
-                cols = tuple(self.places[p.value].column_types)
-                arc = (p.value, self.inscription(cols, vartab, vars_only=False))
-                (outputs if what == "out" else rollbacks).append(arc)
-                self.expect(";")
+                act = self.named(self.actions, "action")
+                param_types = tuple(p.dtype for p in act.params)
+                action = (act.name, self.inscription(param_types, vartab, vars_only=False))
             elif what == "priority":
                 priority = _PRIORITY_WORDS[self.keyword(*_PRIORITY_WORDS)]
-                self.expect(";")
             else:  # emit
                 tname = self.expect("ident", "transition name").value
                 outcome = self.keyword("commit", "rollback")
-                self.expect("(")
-                names = []
-                while self.peek() and self.peek().kind != ")":
-                    names.append(self.expect("ident", "variable name").value)
-                    if self.peek() and self.peek().kind == ",":
-                        self.next()
-                self.expect(")")
-                self.expect(";")
-                emit = Emit(tname, outcome, tuple(names))
+                names = self.listed(lambda: self.expect("ident", "variable name").value)
+                emit = Emit(tname, outcome, names)
+            self.expect(";")
         self.expect("}")
+        inputs, reads, outputs = (tuple(arcs[k]) for k in ("in", "read", "out"))
         if dbn:
-            self.transitions.append(
-                Transition(name, tuple(inputs), tuple(readsv), guard, action,
-                           tuple(outputs), tuple(rollbacks))
-            )
+            t = Transition(tok.value, inputs, reads, guard, action, outputs,
+                           tuple(arcs["rollback"]))
         else:
-            self.transitions.append(
-                CpnTransition(name, tuple(inputs), tuple(readsv), guard,
-                              tuple(outputs), priority, emit)
-            )
+            t = CpnTransition(tok.value, inputs, reads, guard, outputs, priority, emit)
+        self.transitions.append(t)
 
     # -- guard formulas ----------------------------------------------------
 
     def formula(self, vartab: dict) -> Formula:
         parts = [self.formula_and(vartab)]
-        while self.peek() and self.peek().kind == "|":
+        while self.at("|"):
             self.next()
             parts.append(self.formula_and(vartab))
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def formula_and(self, vartab: dict) -> Formula:
         parts = [self.formula_unary(vartab)]
-        while self.peek() and self.peek().kind == "&":
+        while self.at("&"):
             self.next()
             parts.append(self.formula_unary(vartab))
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def formula_unary(self, vartab: dict) -> Formula:
         t = self.peek()
-        if t is None:
+        if t.kind == "end":
             raise self.end_of_file(" in guard")
         if t.kind == "!":
             self.next()
@@ -736,41 +626,28 @@ class _Parser:
 
     def item_init(self, kind: str):
         self.expect("{")
-        while not (self.peek() and self.peek().kind == "}"):
+        while not self.at("}"):
             what = self.keyword(*(("fact", "token") if kind == "dbnet" else ("token",)))
             tok = self.expect("ident", "name")
             if what == "fact":
-                rel = self.relations.get(tok.value)
-                if rel is None:
-                    raise self.err(f"unknown relation {tok.value!r}", tok)
-                self.expect("(")
-                row = self.typed_row(tuple(rel.column_types))
+                rel = self.lookup(self.relations, tok, "relation")
+                row = self.row(rel.column_types, self.literal)
                 self.facts.setdefault(rel.name, []).append(row)
             else:
                 if tok.value in self.views:
                     raise self.err("view places cannot hold initial tokens", tok)
-                if tok.value not in self.places:
-                    raise self.err(f"unknown place {tok.value!r}", tok)
-                self.expect("(")
-                row = self.typed_row(tuple(self.places[tok.value].column_types))
-                self.tokens.append((tok.value, row))
+                place = self.lookup(self.places, tok, "place")
+                self.tokens.append((tok.value, self.row(place.column_types, self.literal)))
             self.expect(";")
         self.expect("}")
 
-    def typed_row(self, col_types: tuple) -> tuple:
-        row = []
-        for ct in col_types:
-            if row:
-                self.expect(",")
-            row.append(self.literal(self.types[ct]))
-        self.expect(")")
-        return tuple(row)
-
     def item_policy(self, kind: str):
         self.expect("{")
-        while not (self.peek() and self.peek().kind == "}"):
-            what = self.keyword("fresh", "sample")
-            if what == "fresh":
+        while not self.at("}"):
+            t = self.peek()
+            if self.keyword("fresh", "sample") == "fresh":
+                if self.policy is not None:
+                    raise self.err("duplicate fresh line", t)
                 mode = self.keyword("recycling", "unbounded", "bounded")
                 if mode == "bounded":
                     self.expect(":")
@@ -781,10 +658,10 @@ class _Parser:
                 else:
                     self.policy = FreshPolicy(mode)
             else:
-                dt = self.lookup_type(self.expect("ident", "type name"))
-                self.expect("{")
-                vals = self.literal_list(dt, "}")
-                self.samples[dt.name] = vals
+                tok = self.expect("ident", "type name")
+                dt = self.lookup(self.types, tok, "type")
+                self.fresh_name(self.samples, tok, "sample for type")
+                self.samples[dt.name] = self.listed(lambda: self.literal(dt), "{}")
             self.expect(";")
         self.expect("}")
 
@@ -804,7 +681,7 @@ class _Parser:
             initial_instance=Instance(schema, self.facts),
             initial_marking=Marking.from_tokens(self.tokens),
             samples=dict(self.samples),
-            default_policy=self.policy,
+            default_policy=self.policy or FreshPolicy(),
         )
 
     def build_cpn(self, name: str) -> NuCpn:
@@ -815,7 +692,7 @@ class _Parser:
             transitions=tuple(self.transitions),
             initial_marking=Marking.from_tokens(self.tokens),
             samples=dict(self.samples),
-            default_policy=self.policy,
+            default_policy=self.policy or FreshPolicy(),
             place_classes=dict(self.place_classes),
         )
 
@@ -823,7 +700,10 @@ class _Parser:
 def parse_model(text: str) -> ModelFile:
     """Parse a ``.dbn`` or ``.cpn`` file.  Raises :class:`DslError` with a
     1-based line/column on the first problem found."""
-    return _Parser(_lex(text)).parse()
+    toks = _lex(text)
+    if not toks:
+        raise DslError("empty model: no declarations", 1, 1)
+    return _Parser(toks).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,17 @@ def test_a_non_ascii_digit_is_a_located_parse_error(capsys, tmp_path):
     assert err == f"error: {odd}: 28:11: unexpected character '²'\n"
 
 
+def test_a_non_ascii_letter_is_a_located_parse_error(capsys, tmp_path):
+    # IDENT is ASCII; str.isalnum would take "é" into the place name
+    odd = tmp_path / "odd.dbn"
+    odd.write_text(TOUCH.read_text(encoding="utf-8").replace("place d(", "place dé("),
+                   encoding="utf-8")
+    code, out, err = run(capsys, "validate", odd)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {odd}: 12:8: unexpected character 'é'\n"
+
+
 def test_a_non_ascii_width_is_an_unparsable_policy(capsys):
     code, out, err = run(capsys, "certify", TOUCH, "--fresh", "bounded:²")
     assert code == 1
@@ -310,6 +321,30 @@ def test_bad_fresh_spec_is_reported(capsys, tmp_path):
     )
     assert code == 1
     assert err.startswith("error: ")
+
+
+# a model body, after its header line, where `y` is bound nowhere and its
+# type has no sample domain
+UNSAMPLED = (
+    "type id = int;\nplace p(id);\nplace q(id);\n"
+    "transition T {\n  in p(x);\n  out q(y);\n}\ninit { token p(1); }\n"
+)
+
+
+@pytest.mark.parametrize("command", ["simulate", "statespace"])
+@pytest.mark.parametrize("kind, suffix", [("dbnet", ".dbn"), ("cpn", ".cpn")])
+def test_a_model_that_does_not_validate_is_not_run(capsys, tmp_path, command, kind, suffix):
+    model = tmp_path / f"m{suffix}"
+    model.write_text(f'{kind} "m";\n' + UNSAMPLED)
+    output = ["-o", tmp_path / "m"] if command == "statespace" else []
+    code, out, err = run(capsys, command, model, *output)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: model does not validate: "
+        "transition T: variable y is bound nowhere and type id has no sample domain\n"
+    )
+    assert not (tmp_path / "m.lts").exists()
 
 
 # ---------------------------------------------------------------------------

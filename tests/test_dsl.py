@@ -146,9 +146,27 @@ def test_a_non_ascii_digit_is_an_unexpected_character(literal, col):
     assert (e.line, e.col, e.message) == (28, col, f"unexpected character {literal[-1]!r}")
 
 
+def test_a_non_ascii_letter_ends_an_identifier():
+    # IDENT is ASCII; str.isalnum would take "é" and "²" into the name
+    e = err_of('dbnet "m";\ntype id = int;\nplace pé²(id);\n')
+    assert (e.line, e.col, e.message) == (3, 8, "unexpected character 'é'")
+
+
+@pytest.mark.parametrize("literal", ['"x"', '"1.5"'])
+def test_a_string_in_a_real_position_is_located(literal):
+    # make_value reads a Python string at a real type as a decimal, so
+    # the parser refuses the STRING token itself
+    e = err_of(f'dbnet "m";\ntype r = real;\nplace p(r);\ninit {{ token p({literal}); }}\n')
+    assert (e.line, e.col) == (4, 16)
+    assert e.message == f"type r: expected real payload, got {literal[1:-1]!r}"
+
+
 CORPUS_TEXTS = [(CORPUS_DIR / f"{name}.dbn").read_text(encoding="utf-8") for name in CORPUS_NAMES]
-# characters that reach the lexer's branches, with non-ASCII digits among them
-LEXER_CHARS = st.one_of(st.characters(), st.sampled_from('0123456789²٣-."\\#(){},;:=<>!~@_ \n'))
+# characters that reach the lexer's branches, with non-ASCII digits and
+# letters among them
+LEXER_CHARS = st.one_of(
+    st.characters(), st.sampled_from('0123456789²٣éßﬁ-."\\#(){},;:=<>!~@_ \n')
+)
 
 
 @st.composite
@@ -228,6 +246,115 @@ def test_an_early_end_of_file_is_located_at_the_last_token(text, where):
     e = err_of(text)
     assert "unexpected end of file" in e.message
     assert (e.line, e.col) == where
+
+
+@pytest.mark.parametrize("text", [
+    'dbnet "m";\ntype int = int;\nrelation R(a: int);\nquery Q(x: int) := R(',
+    'dbnet "m";\ntype int = int;\nrelation R(a: int);\naction A(x: int) { add R(',
+    'dbnet "m";\ntype int = int;\nplace p(int);\ntransition T {\n  in p(',
+], ids=["query-atom", "action-term", "inscription"])
+def test_an_end_of_file_inside_a_term_list_is_located(text):
+    e = err_of(text)
+    assert e.message == "unexpected end of file"
+    assert (e.line, e.col) == (text.count("\n") + 1, len(text.rpartition("\n")[2]))
+
+
+@pytest.mark.parametrize("lines, where, message", [
+    ("sample id {1};\n  sample id {2};", (5, 10), "duplicate sample for type 'id'"),
+    ("fresh recycling;\n  fresh bounded:2;", (5, 3), "duplicate fresh line"),
+    ("fresh recycling;\n}\npolicy {\n  fresh bounded:2;", (7, 3), "duplicate fresh line"),
+], ids=["sample", "fresh", "fresh-in-a-second-block"])
+def test_a_second_policy_line_of_one_kind_is_rejected(lines, where, message):
+    e = err_of(f'dbnet "m";\ntype id = int;\npolicy {{\n  {lines}\n}}\n')
+    assert ((e.line, e.col), e.message) == (where, message)
+
+
+def test_empty_domain_and_sample_lists_round_trip():
+    mf = parse_model(
+        'dbnet "m";\ntype id = int;\nrelation R(a: id);\n'
+        "constraint domain R.a in {};\npolicy {\n  sample id {};\n}\n"
+    )
+    assert mf.model.samples == {"id": ()}
+    assert parse_model(print_model(mf)).model == mf.model
+
+
+LISTS_DBN = """dbnet "m";
+type id = int;
+type s = string;
+relation R(a: id key, b: s);
+relation S(c: id, d: s);
+constraint key S(c, d);
+constraint foreign S(c, d) -> R(a, b);
+constraint domain R.b in {"x", "y"};
+query Q(x: id, y: s) := R(x, y);
+action A(x: id, y: s) { add R(x, y); }
+place p(id, s);
+view v := Q;
+transition T {
+  in p(x, y);
+  read v(x, y);
+  act A(x, y);
+  out p(x, y);
+}
+init { fact R(1, "x"); token p(1, "x"); }
+policy { fresh recycling; sample id {1, 2}; }
+"""
+LISTS_CPN = """cpn "m";
+type id = int;
+place p(id);
+transition T {
+  in p(x);
+  out p(x);
+  emit U commit (x, y);
+}
+"""
+
+
+# Each case rewrites one comma list; "$" marks the offending token.
+@pytest.mark.parametrize("text, old, new, message", [
+    (LISTS_DBN, "A(x: id, y: s)", "A(x: id $y: s)", "expected ')', found 'y'"),
+    (LISTS_DBN, "A(x: id, y: s)", "A(x: id, y: s,$)", "expected parameter name, found ')'"),
+    (LISTS_DBN, "Q(x: id, y: s)", "Q(x: id $y: s)", "expected ')', found 'y'"),
+    (LISTS_DBN, "Q(x: id, y: s)", "Q(x: id, y: s,$)", "expected parameter name, found ')'"),
+    (LISTS_DBN, "place p(id, s)", "place p(id $s)", "expected ')', found 's'"),
+    (LISTS_DBN, "place p(id, s)", "place p(id, s,$)", "expected type name, found ')'"),
+    (LISTS_CPN, "(x, y)", "(x $y)", "expected ')', found 'y'"),
+    (LISTS_CPN, "(x, y)", "(x, y,$)", "expected variable name, found ')'"),
+    (LISTS_DBN, "R(a: id key, b: s)", "R(a: id key $b: s)", "expected ')', found 'b'"),
+    (LISTS_DBN, "R(a: id key, b: s)", "R(a: id key, b: s,$)", "expected column name, found ')'"),
+    (LISTS_DBN, "key S(c, d)", "key S(c $d)", "expected ')', found 'd'"),
+    (LISTS_DBN, "key S(c, d)", "key S(c, d,$)", "expected column name, found ')'"),
+    (LISTS_DBN, "-> R(a, b)", "-> R(a $b)", "expected ')', found 'b'"),
+    (LISTS_DBN, "-> R(a, b)", "-> R(a, b,$)", "expected column name, found ')'"),
+    (LISTS_DBN, '{"x", "y"}', '{"x" $"y"}', "expected '}', found 'y'"),
+    (LISTS_DBN, '{"x", "y"}', '{"x", "y",$}', "expected a literal, found '}'"),
+    (LISTS_DBN, "{1, 2}", "{1 $2}", "expected '}', found 2"),
+    (LISTS_DBN, "{1, 2}", "{1, 2,$}", "expected a literal, found '}'"),
+    (LISTS_DBN, ":= R(x, y)", ":= R(x $y)", "expected ',', found 'y'"),
+    (LISTS_DBN, ":= R(x, y)", ":= R(x, y$,)", "expected ')', found ','"),
+    (LISTS_DBN, "add R(x, y)", "add R(x $y)", "expected ',', found 'y'"),
+    (LISTS_DBN, "add R(x, y)", "add R(x, y$,)", "expected ')', found ','"),
+    (LISTS_DBN, "in p(x, y)", "in p(x $y)", "expected ',', found 'y'"),
+    (LISTS_DBN, "in p(x, y)", "in p(x, y$,)", "expected ')', found ','"),
+    (LISTS_DBN, "act A(x, y)", "act A(x $y)", "expected ',', found 'y'"),
+    (LISTS_DBN, "act A(x, y)", "act A(x, y$,)", "expected ')', found ','"),
+    (LISTS_DBN, 'fact R(1, "x")', 'fact R(1 $"x")', "expected ',', found 'x'"),
+    (LISTS_DBN, 'fact R(1, "x")', 'fact R(1, "x"$,)', "expected ')', found ','"),
+    (LISTS_DBN, 'token p(1, "x")', 'token p(1 $"x")', "expected ',', found 'x'"),
+    (LISTS_DBN, 'token p(1, "x")', 'token p(1, "x"$,)', "expected ')', found ','"),
+], ids=[f"{site}-{how}" for site in (
+    "action-params", "query-head", "place-columns", "emit-names", "relation-columns",
+    "key-columns", "foreign-columns", "domain-literals", "sample-literals", "query-atom",
+    "action-terms", "inscription", "action-arguments", "fact-row", "token-row",
+) for how in ("missing-comma", "trailing-comma")])
+def test_comma_lists_follow_the_grammar(text, old, new, message):
+    assert parse_model(text)
+    assert text.count(old) == 1
+    marked = text.replace(old, new)
+    at = marked.index("$")
+    where = (marked.count("\n", 0, at) + 1, at - marked.rfind("\n", 0, at))
+    e = err_of(marked.replace("$", ""))
+    assert ((e.line, e.col), e.message) == (where, message)
 
 
 def test_garbage_after_the_model():
