@@ -5,15 +5,14 @@ Each mutation models a classic implementation slip (forgetting to undo
 an insert, consuming where you should only read, ...).  All of them
 must produce a not-bisimilar verdict with a concrete witness trace.
 
-Most slips leave the translated net with a stable state whose contents
-no source state has, such as a fact stored twice.  The certifier stops
-exploring at the first such state that its weak moves reach and prints
-a ``foreign-state`` witness with the path there.  A runaway mutant that
-would pile up tokens forever is refused the same way, long before any
-state cap.  The other slips are caught once the translated net is
-explored: a move of one net that the other cannot answer
-(``unmatched-move``), or a firing that never gives the lock back
-(``silent-dead-end``).
+The certifier tests each stable state of the translated net as soon as
+it has searched it, and stops at the first one that fails.  Most slips
+leave a stable state whose contents no source state has, such as a fact
+stored twice: a ``foreign-state`` witness with the path there.  A
+runaway mutant that would pile up tokens forever is refused the same
+way, long before any state cap.  The other slips show as a move of one
+net that the other cannot answer (``unmatched-move``), or a firing that
+never gives the lock back (``silent-dead-end``).
 """
 
 from pathlib import Path

@@ -50,37 +50,48 @@ move leads to it.  Shop 3x3 under ``bounded:2`` keeps 1,213 translated
 states, one per source state.
 
 Early refusal (``certify_translation``): the source side is explored
-first, and the contents of its states are collected.  The kernel is then
-explored under a monitor, in the manner of on-the-fly equivalence
-checking (Fernandez & Mounier, CAV 1991).  The monitor looks up the
-contents of each new target of a weak move among the source contents,
-and stops exploration at the first stable state that no source state
-matches.  ``cpn_build_lts`` explores the states that chains of weak
-moves reach from state 0 before any state reached only across two
-observables, and consults the monitor only until then.  This is sound
-by induction over the chain: the initial pair is related, and each weak
-move must be answered, by any relation the checker accepts, with a
-source state of equal contents.  So the foreign state would need a
-related source state with its contents, and there is none.  A state
-reached only across two observables is no target of a weak move (such
-a state may even sit in bisimilar nets), and the monitor never refuses
-on one.  A run that meets no such state goes on to the local test
-below; a refusal wins over a hit state cap.  A trace's ``via`` lines
-name the weak moves of the chain, each by its observable or ``eps``,
-and after them, for a silent dead end or cycle, the firings of the
-local search that met it.
+first, and the contents of its states are collected.  The kernel is
+then explored with a test of each stable state, run as soon as that
+state's local search has ended, in the manner of on-the-fly
+equivalence checking (Fernandez & Mounier, CAV 1991).  The first
+failing stable state in exploration order ends the exploration and is
+refused.  A state ``k`` is tested in this order: σ(0) = 0 if ``k`` is
+0 (below); then the contents of each new target of ``k``'s weak moves
+is looked up among the source contents, in edge order, and a stable
+state that no source state matches is foreign; then the silent dead
+end, and then the silent cycle, that ``k``'s search met; then the
+local test of ``k`` (below), its right side before its left.  A
+foreign state is a refusal by induction over the chain of weak moves
+to it: the initial pair is related, and each weak move must be
+answered, by any relation the checker accepts, with a source state of
+equal contents, so the foreign state would need a related source state
+with its contents, and there is none.  A state reached only across two
+observables is no target of a weak move (such a state may even sit in
+bisimilar nets): ``cpn_build_lts`` explores it after every state that
+chains of weak moves reach from state 0, and it is tested for a silent
+dead end and cycle only.
 
-Certify by correspondence (``certify_translation``): the monitor keeps
-what it looks up as σ, the source partner of each kernel state: the
-number of the source state whose contents equal the state's, for
-state 0 and each state that weak moves reach from it.  The premise is
-that no two source states have the same contents, so that a kernel
-state can be related to σ(k) only: a snapshot is its instance and its
-control marking, and its image lays these out on disjoint places
-(:meth:`Marking.join` refuses to do otherwise).  Once the kernel is
-complete and no local search met a silent dead end or cycle, the local
-test checks σ one state at a time, as a refinement mapping (Abadi &
-Lamport, TCS 1991) checked on the fly:
+A state is fully searched when no cut came before its search ended,
+its own included.  Dead ends, cycles and unmatched moves are tested on
+fully searched states only, so a refusal there is the one the uncapped
+run gives, even when the cap is hit later.  A foreign target is refused
+even past a cut, as its weak move is proof enough; a state that the cut
+left untested might then have failed first, with another witness.  A
+run that refuses nothing and was cut gives no verdict.  A trace's
+``via`` lines name the weak moves of the chain, each by its observable
+or ``eps``, and after them, for a silent dead end or cycle, the firings
+of the local search that met it.
+
+Certify by correspondence (``certify_translation``): the lookups give
+σ, the source partner of each kernel state: the number of the source
+state whose contents equal the state's, for state 0 and each state
+that weak moves reach from it.  The premise is that no two source
+states have the same contents, so that a kernel state can be related
+to σ(k) only: a snapshot is its instance and its control marking, and
+its image lays these out on disjoint places (:meth:`Marking.join`
+refuses to do otherwise).  The local test checks σ one state at a
+time, as a refinement mapping (Abadi & Lamport, TCS 1991) checked on
+the fly:
 
 * σ(0) = 0, and σ is defined on every state that weak moves reach;
 * each weak move ``k -label-> k'`` is matched: ``label`` is ``eps`` and
@@ -89,6 +100,12 @@ Lamport, TCS 1991) checked on the fly:
   ``label`` to a state with partner ``s'`` out of ``k``'s silent
   closure: the states that silent moves to states with partner σ(k)
   reach from ``k``.
+
+The test of ``k`` reads the edges of its whole silent closure.  If
+``k`` has silent moves to other states with partner σ(k), it waits
+until every state of the closure has been expanded, and runs after the
+dead end and cycle test of the last of them, in number order with any
+other state that this expansion completes.
 
 The test is exact both ways.  A pass is a proof: the graph of σ is then
 a weak bisimulation that relates the initial states, as σ(k) answers
@@ -104,8 +121,8 @@ move to another partner, which fails the test where it starts.  A pass
 gives ``BISIMILAR`` with the graph of σ as the relation, in the order
 of :func:`check_weak_bisim`.  A failing σ(0) = 0 is the refusal that
 :func:`check_weak_bisim` gives; any other failure is an
-``unmatched-move`` at the first failing ``k``, traced as the pair
-``(σ(k), k)``, the chain of weak moves to ``k`` and the move.
+``unmatched-move`` at ``k``, traced as the pair ``(σ(k), k)``, the
+chain of weak moves to ``k`` and the move.
 ``check_weak_bisim`` never runs in certification: it is the reference
 that the tests compare with.  As a reference it is kept plain: it
 finds each silent closure and weak step by a search when it is asked,
@@ -466,44 +483,68 @@ def _log_phase(phase: str, started: float, message: str, *args) -> float:
     return now
 
 
-def _explore_target(translation, policy, known, visible, render, *, max_states, max_depth):
-    """Explore the translated net as its kernel of stable states under the
-    early-refusal monitor (see the module docstring).  ``known`` maps the
-    contents of each source state to its number, and a marking's contents
-    is its ``restrict`` to ``visible``.  Returns the kernel, σ and, if
-    the monitor stopped it, the refusal with a chain of weak moves to the
-    foreign state; otherwise None.  σ is a list indexed by kernel state:
-    the source state with the same contents, or None if there is none,
-    for state 0 and each state that weak moves reach from it.
-
-    The monitor looks a stable state's contents up once, on the first
-    weak move into it; ``cpn_build_lts`` consults it only while it
-    explores the states that weak moves reach from the initial one.
-    Only the foreign state is rendered."""
+def _explore_target(translation, policy, source, known, image, *, max_states, max_depth):
+    """Explore the translated net as its kernel of stable states, and test
+    each state as soon as its local search has ended (see the module
+    docstring).  ``source`` is the source graph, ``image`` gives a
+    snapshot's contents and ``known`` maps the contents of each source
+    state to its number.  Returns the kernel, σ and the refusal at the
+    first failing state, or None if none failed.  σ is a list indexed by
+    kernel state: the source state with the same contents, or None if
+    there is none, for state 0 and each state that weak moves reach from
+    it.  Only the states a refusal prints are rendered."""
     net = translation.net
+    visible, render = _visible_and_render(translation)
     sigma = [known.get(net.initial_marking.restrict(visible))]
-    found = []
+    waiting: dict = {}  # a state -> the states whose test waits for its expansion
+    refusal = []
 
-    def stop(src, label, dst, marking):
-        if dst < len(sigma):  # states are numbered in the order they are met
-            return False
-        partner = known.get(marking.restrict(visible))
-        sigma.append(partner)
-        if partner is not None:
-            return False
-        found.append(dst)
-        return True
+    def failure(kernel, k: int) -> Optional[WeakBisimResult]:
+        """The refusal at state ``k``, whose search has just ended, or else
+        at a state whose test waited for it; None if none fails."""
+        covered = k < len(sigma)  # weak moves reach k from state 0
+        if k == 0 and sigma[0] != 0:
+            return _refused(kernel, 0, f"initial contents differ (source partner {sigma[0]})",
+                            _content_mismatch(render(image(source.states[0])),
+                                              render(kernel.states[0])))
+        edges = _edges_of(kernel, k)
+        for _k, _label, dst in edges if covered else ():
+            if dst == len(sigma):  # states are numbered in the order they are met
+                sigma.append(known.get(kernel.states[dst].restrict(visible)))
+                if sigma[dst] is None:
+                    text = render(kernel.states[dst])
+                    return _refused(kernel, dst, f"no source state has {text}", _state_failure(
+                        "foreign-state", "foreign stable state", "right", text,
+                        _kernel_path(kernel, dst)))
+        if kernel.truncated:  # k, or a state before it, is not fully searched
+            return None
+        root = kernel.states[k]
+        for kind, what, met in (("silent-dead-end", "silent dead-end", kernel.dead_ends),
+                                ("silent-divergence", "silent divergence", kernel.divergences)):
+            if root in met:
+                labels, marking = met[root]
+                text = render(marking)
+                return _refused(kernel, k, f"{what} at {text}", _state_failure(
+                    kind, what, "right", text, _kernel_path(kernel, k, labels)))
+        for c in sorted(waiting.pop(k, []) + ([k] if covered else [])):
+            closure = _silent_closure(kernel, sigma, c, edges if c == k else None)
+            if max(closure) > k:  # states after k are not expanded yet
+                waiting.setdefault(max(closure), []).append(c)
+                continue
+            failed = _unmatched(source, sigma, c, closure)
+            if failed is not None:
+                return _unmatched_refusal(source, kernel, sigma, c, failed, image, render)
+        return None
+
+    def stop(kernel, k: int) -> bool:
+        result = failure(kernel, k)
+        if result is not None:
+            refusal.append(result)
+        return result is not None
 
     kernel = cpn_build_lts(net, policy, max_states=max_states, max_depth=max_depth,
                            stop=stop, keep=partial(_is_stable, translation.lock_place))
-    if not found:
-        return kernel, sigma, None
-    state = found[0]
-    text = render(kernel.states[state])
-    _log_info(__name__, "refused at translated state %d: no source state has %s", state, text)
-    return kernel, sigma, _state_failure(
-        "foreign-state", "foreign stable state", "right", text, _kernel_path(kernel, state)
-    )
+    return kernel, sigma, (refusal[0] if refusal else None)
 
 
 def _edges_of(lts: Lts, state: int) -> list:
@@ -514,59 +555,46 @@ def _edges_of(lts: Lts, state: int) -> list:
     return edges[bisect_left(edges, state, key=source):bisect_right(edges, state, key=source)]
 
 
-def _unmatched(source: Lts, kernel: Lts, sigma: list) -> Optional[tuple]:
-    """The local test (see the module docstring) over the kernel states
-    that σ covers: None if it holds, else what fails first as ``(k,
-    side, label, target)``: the first failing state ``k`` and its first
-    unmatched move, one of ``k``'s to kernel state ``target`` ("right"),
-    or else one of σ(k)'s edges to source state ``target`` ("left"),
-    each in edge order.  A failing σ(0) = 0 is ``(0, None, None, None)``.
-
-    The test walks the kernel's edges once, as they are sorted by source
-    (:func:`_edges_of`).  The monitor looked up the target of each edge
-    of a state that σ covers, so σ covers it too."""
-    if sigma[0] != 0:
-        return 0, None, None, None
-    out = kernel.edges
-    at = 0  # the kernel's first edge of the state under test
-    for k, partner in enumerate(sigma):
-        answers = _edges_of(source, partner)
-        expected = {(label, dst) for _s, label, dst in answers}
-        moves, silent = set(), []
-        while at < len(out) and out[at][0] == k:
-            _k, label, dst = out[at]
-            at += 1
-            move = (label, sigma[dst])
-            if move == (EPS, partner):  # the source answers by staying
-                silent.append(dst)
-            elif move in expected:
-                moves.add(move)
-            else:
-                return k, "right", label, dst
-        if silent:
-            moves |= _closure_moves(kernel, sigma, k, silent)
-        if moves != expected:
-            for _s, label, dst in answers:
-                if (label, dst) not in moves:
-                    return k, "left", label, dst
-    return None
-
-
-def _closure_moves(kernel: Lts, sigma: list, k: int, todo: list) -> set:
-    """The ``(label, σ(k'))`` of each move ``x -label-> k'`` but the silent
-    ones to ``k``'s partner, over the states ``x`` of ``k``'s silent
-    closure that ``todo`` leads to."""
-    partner = sigma[k]
-    seen, moves = {k, *todo}, set()
+def _silent_closure(kernel: Lts, sigma: list, k: int, edges: Optional[list]) -> dict:
+    """``k``'s silent closure, each state with its edges: ``k`` and the
+    states that silent moves to states with partner σ(k) reach from it.
+    ``edges`` are ``k``'s if the caller has them.  A state not yet
+    expanded has no edges yet, so the closure is complete once its
+    largest state is expanded."""
+    if edges is None:
+        edges = _edges_of(kernel, k)
+    partner, closure, todo = sigma[k], {k: edges}, [k]
     while todo:
-        for _x, label, dst in _edges_of(kernel, todo.pop()):
-            move = (label, sigma[dst])
-            if move != (EPS, partner):
-                moves.add(move)
-            elif dst not in seen:
-                seen.add(dst)
+        for _x, label, dst in closure[todo.pop()]:
+            if label == EPS and sigma[dst] == partner and dst not in closure:
+                closure[dst] = _edges_of(kernel, dst)
                 todo.append(dst)
-    return moves
+    return closure
+
+
+def _unmatched(source: Lts, sigma: list, k: int, closure: dict) -> Optional[tuple]:
+    """The local test of kernel state ``k`` (see the module docstring),
+    whose silent closure ``closure`` is expanded: None if it holds, else
+    its first unmatched move as ``(side, label, target)``: one of ``k``'s
+    to kernel state ``target`` ("right"), or else one of σ(k)'s edges to
+    source state ``target`` ("left"), each in edge order.  The targets of
+    the closure's edges have partners, as the closure is covered by σ."""
+    partner = sigma[k]
+    answers = _edges_of(source, partner)
+    expected = {(label, dst) for _s, label, dst in answers}
+    moves = set()
+    for x, edges in closure.items():  # k's edges first
+        for _x, label, dst in edges:
+            move = (label, sigma[dst])
+            if move in expected:
+                moves.add(move)
+            elif x == k and move != (EPS, partner):
+                return "right", label, dst
+    if len(moves) < len(expected):
+        for _s, label, dst in answers:
+            if (label, dst) not in moves:
+                return "left", label, dst
+    return None
 
 
 def _graph_of_sigma(source: Lts, kernel: Lts, sigma: list) -> WeakBisimResult:
@@ -577,29 +605,30 @@ def _graph_of_sigma(source: Lts, kernel: Lts, sigma: list) -> WeakBisimResult:
                                                       for s, k in pairs))
 
 
-def _refusal(source: Lts, kernel: Lts, sigma: list, failed: tuple, image: Callable,
-             render: Callable) -> WeakBisimResult:
-    """The refusal for what :func:`_unmatched` found first, ``failed``,
-    after one log line on it.  Only the states it prints are rendered."""
-    k, side, label, target = failed
-    partner = sigma[k]
-    if side is None:
-        _log_info(__name__, "refused at translated state 0, source partner %s: "
-                  "initial contents differ", partner)
-        return _content_mismatch(render(image(source.states[0])), render(kernel.states[0]))
+def _refused(kernel, state: int, why: str, result: WeakBisimResult) -> WeakBisimResult:
+    """``result``, after one log line on the refusal at kernel state
+    ``state``: the markings searched so far and ``why``."""
+    _log_info(__name__, "refused at translated state %d, %d markings searched: %s",
+              state, kernel.searched, why)
+    return result
+
+
+def _unmatched_refusal(source: Lts, kernel: Lts, sigma: list, k: int, failed: tuple,
+                       image: Callable, render: Callable) -> WeakBisimResult:
+    """The refusal for the unmatched move ``failed`` of state ``k`` that
+    :func:`_unmatched` found.  Only the states it prints are rendered."""
+    side, label, target = failed
     move = format_label(label)
     text = render(kernel.states[target] if side == "right" else image(source.states[target]))
     unmatched = f"{side} side moves [{move}] to {text}, with no answer"
-    _log_info(__name__, "refused at translated state %d, source partner %d: %s",
-              k, partner, unmatched)
-    left, right = render(image(source.states[partner])), render(kernel.states[k])
-    return WeakBisimResult(
+    left, right = render(image(source.states[sigma[k]])), render(kernel.states[k])
+    return _refused(kernel, k, f"{unmatched} (source partner {sigma[k]})", WeakBisimResult(
         NOT_BISIMILAR,
         witness={"kind": "unmatched-move", "side": side, "label": move,
                  "left": left, "right": right},
         trace=(f"pair: left={left} right={right}",
                *(f"  via {step}" for step in _kernel_path(kernel, k)), f"  {unmatched}"),
-    )
+    ))
 
 
 def _kernel_path(kernel, state: int, labels: tuple = ()) -> list:
@@ -609,18 +638,6 @@ def _kernel_path(kernel, state: int, labels: tuple = ()) -> list:
     if state and not path:
         return []
     return path + [format_label(label) for label in labels]
-
-
-def _silent_refusal(kernel, render) -> Optional[WeakBisimResult]:
-    """The refusal for the first silent dead end, or else the first silent
-    cycle, that the kernel's local searches met; None if they met neither."""
-    for kind, what, met in (("silent-dead-end", "silent dead-end", kernel.dead_end),
-                            ("silent-divergence", "silent divergence", kernel.divergence)):
-        if met is not None:
-            root, labels, marking = met
-            steps = _kernel_path(kernel, kernel.states.index(root), labels)
-            return _state_failure(kind, what, "right", render(marking), steps)
-    return None
 
 
 def _source_image(relation_places: dict) -> Callable:
@@ -650,33 +667,34 @@ def certify_translation(
     shared fresh-value regime, and decide weak bisimilarity of the two
     by their states' contents (see the module docstring).
 
-    The translated net is explored as its kernel of stable states under
-    the early-refusal monitor (see the module docstring): at the first
-    stable state that a chain of weak moves reaches and whose contents no
-    source state has, the result is ``NOT_BISIMILAR`` with a
-    ``"foreign-state"`` witness, and the partial kernel is not checked.
-    Otherwise a silent dead end, then a silent cycle, that a local
-    search met is refused, and the local test of σ decides (see the
-    module docstring).  ``stats`` counts the kernel's stable states
-    (``translated-states``) and weak moves (``translated-edges``), up to
-    the stop if there was one, and the markings of its largest local
-    search (``largest-local-search``).  ``max_states`` caps the stable
-    states and ``max_depth`` the weak moves from the initial one; once
-    the local searches have visited ``max_states`` markings in all, or
-    one would follow more than ``max_depth`` firings, the search is cut.
+    The translated net is explored as its kernel of stable states, and
+    each stable state is tested as soon as its local search has ended
+    (see the module docstring): the first failing stable state in
+    exploration order, even past the cap, ends the exploration and gives
+    ``NOT_BISIMILAR``, with a ``"foreign-state"``, ``"silent-dead-end"``,
+    ``"silent-divergence"``, ``"unmatched-move"`` or, for the initial
+    state, ``"content-mismatch"`` witness.  ``stats`` counts the kernel's
+    stable states (``translated-states``) and weak moves
+    (``translated-edges``), up to the stop if there was one, and the
+    markings of its largest local search (``largest-local-search``).
+    ``max_states`` caps the stable states and ``max_depth`` the weak
+    moves from the initial one; once the local searches have visited
+    ``max_states`` markings in all, or one would follow more than
+    ``max_depth`` firings, the search is cut.
 
     ``translation`` may be supplied to certify a pre-built (for instance
-    deliberately mutated) translation of the same model.  Unless the
-    monitor refused, truncation in either exploration raises
+    deliberately mutated) translation of the same model.  Unless a state
+    was refused, truncation in either exploration raises
     :class:`TruncatedError`, as the verdict would be meaningless; it is
     raised before the contents of the truncated side are built, and a
     truncated source exploration stops the run before the translated net
     is explored.
 
     Under ``DBNET_LOG=info`` each phase (source exploration, target
-    exploration, check) logs one line with its seconds and states; a
-    refusal by the local test logs the state, its source partner and
-    the unmatched move instead of the check's line.
+    exploration, check) logs one line with its seconds and states.  A
+    refusal logs one line instead of the check's, as the refused state's
+    search ends: the state, the markings searched so far, and what
+    failed.
     """
     policy = policy or model.default_policy
     if translation is None:
@@ -690,8 +708,7 @@ def certify_translation(
     for number, snap in enumerate(raw1.states):
         known.setdefault(image(snap), number)
     started = _log_phase("source exploration", started, "%d states", raw1.state_count)
-    visible, render = _visible_and_render(translation)
-    kernel, sigma, result = _explore_target(translation, policy, known, visible, render,
+    kernel, sigma, result = _explore_target(translation, policy, raw1, known, image,
                                             max_states=max_states, max_depth=max_depth)
     started = _log_phase(
         "target exploration", started, "%d stable states, %d weak moves, largest local search %d",
@@ -699,14 +716,9 @@ def certify_translation(
     )
     if result is None:
         _refuse_truncated(raw1, kernel)
-        result = _silent_refusal(kernel, render)
-        failed = None if result else _unmatched(raw1, kernel, sigma)
-        if failed is None:
-            result = result or _graph_of_sigma(raw1, kernel, sigma)
-            _log_phase("check", started, "%d + %d states, %s",
-                       raw1.state_count, kernel.state_count, result.verdict)
-        else:
-            result = _refusal(raw1, kernel, sigma, failed, image, render)
+        result = _graph_of_sigma(raw1, kernel, sigma)
+        _log_phase("check", started, "%d + %d states, %s",
+                   raw1.state_count, kernel.state_count, result.verdict)
     result.stats = {
         "source-states": raw1.state_count,
         "source-edges": raw1.edge_count,

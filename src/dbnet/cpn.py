@@ -407,17 +407,19 @@ def cpn_fire(net: NuCpn, marking: Marking, t: CpnTransition, theta: Mapping[str,
 @dataclass
 class Kernel(Lts):
     """The graph of stable markings that :func:`cpn_build_lts` explores
-    under ``keep``: its edges are weak moves, and it reports what the
-    local searches met in the interior.  ``dead_end`` and ``divergence``
-    are the first silent dead end and the first marking on a silent
-    cycle, each as ``(root, labels, marking)``: the stable marking whose
-    search met it, the labels of the firings from there, and the marking
-    itself.  ``largest_search`` counts the markings of the largest
-    search, its root included."""
+    under ``keep``: its edges are weak moves, and it reports what each
+    local search met in the interior.  ``dead_ends`` and ``divergences``
+    map the stable marking a search started from to its first silent
+    dead end and to a marking on its silent cycle, each as ``(labels,
+    marking)``: the labels of the firings from the root, and the marking
+    itself; a search that met neither has no entry.  ``largest_search``
+    counts the markings of the largest search and ``searched`` those of
+    all searches so far, roots included."""
 
-    dead_end: Optional[tuple] = None
-    divergence: Optional[tuple] = None
+    dead_ends: dict = field(default_factory=dict)
+    divergences: dict = field(default_factory=dict)
     largest_search: int = 0
+    searched: int = 0
 
 
 _TWO = ("two observables",)  # a route that is no weak move
@@ -435,7 +437,8 @@ def cpn_build_lts(
     """Reachability graph over markings.  Silent transitions produce
     ``eps`` edges; emitting transitions produce observable edges.  Refuses
     unbounded freshness for the same reason the source layer does.
-    ``stop`` is handed to :func:`dbnet.lts.explore`.
+    ``stop`` is handed to :func:`dbnet.lts.explore`; given ``keep``, it
+    is called with the kernel so far instead of the graph.
 
     Given ``keep``, the result is the :class:`Kernel` instead: the graph
     over the markings ``keep`` accepts, the stable ones, explored
@@ -451,10 +454,13 @@ def cpn_build_lts(
     (:func:`dbnet.lts.explore`).  The search's visited set is dropped
     when it ends, so no interior marking outlives it; the locality memo,
     and the one table of next records that both graphs fire through,
-    outlive it until this call returns.  The search also reports a silent
-    dead end (an interior marking without firings) and a silent cycle
-    (interior markings that silent firings lead around), which are the
-    states the full graph's convergence conditions look at.
+    outlive it until this call returns.  Each search also reports, for
+    its root, its first silent dead end (an interior marking without
+    firings) and a silent cycle (interior markings that silent firings
+    lead around), which are the states the full graph's convergence
+    conditions look at; a search that is cut reports no cycle.  As
+    ``stop`` is called once a stable marking's search has ended, it can
+    test that marking at once, with its weak moves and its report.
     ``max_states`` caps the stable states and ``max_depth`` the weak moves
     from the initial one.  The searches share one budget of ``max_states``
     markings, so the work of the whole exploration stays within it: a
@@ -513,16 +519,15 @@ def cpn_build_lts(
                        max_depth=max_depth, stop=stop)
 
     kernel = Kernel()
-    visited = 0  # nodes of all searches so far, roots included
     started = time.perf_counter()
 
     def visit(size: int):
         """Count one more node; ``size`` is its search's so far."""
-        nonlocal visited
-        visited += 1
-        if not visited % lts.PROGRESS_EVERY:
+        kernel.searched += 1
+        if not kernel.searched % lts.PROGRESS_EVERY:
             _log_info(__name__, "kernel: %d markings visited, largest search %d, %.1f s",
-                      visited, max(kernel.largest_search, size), time.perf_counter() - started)
+                      kernel.searched, max(kernel.largest_search, size),
+                      time.perf_counter() - started)
 
     def search(root: Marking):
         """The weak moves out of ``root``; ``(None, target)`` for a
@@ -546,8 +551,8 @@ def cpn_build_lts(
         try:
             for i, (marking, weak) in enumerate(queue):  # the queue grows while it is read
                 here = enabled(marking)
-                if not here and i and kernel.dead_end is None:
-                    kernel.dead_end = (root, labels(i), marking)
+                if not here and i and root not in kernel.dead_ends:
+                    kernel.dead_ends[root] = (labels(i), marking)
                 succ = []
                 silent.append(succ)
                 for _, firing, label in here:
@@ -561,7 +566,7 @@ def cpn_build_lts(
                     j = number.get(node)
                     if j is None:
                         if depth[i] == max_depth or (max_states is not None
-                                                     and visited >= max_states):
+                                                     and kernel.searched >= max_states):
                             kernel.truncated = True
                             return
                         j = number[node] = len(queue)
@@ -571,15 +576,20 @@ def cpn_build_lts(
                         depth.append(depth[i] + 1)
                     if label == EPS:
                         succ.append(j)
-        finally:  # also when the search is cut, or `stop` ends the exploration
+        finally:  # also when the search is cut
             kernel.largest_search = max(kernel.largest_search, len(queue))
-        if kernel.divergence is None:
-            on_cycle = cycle_member(silent)
-            if on_cycle is not None:
-                kernel.divergence = (root, labels(on_cycle), queue[on_cycle][0])
+        on_cycle = cycle_member(silent)
+        if on_cycle is not None:
+            kernel.divergences[root] = (labels(on_cycle), queue[on_cycle][0])
+
+    def search_ended(graph: Lts, k: int) -> bool:
+        """``stop`` on the kernel so far, once the search of state ``k`` has ended."""
+        kernel.states, kernel.edges = graph.states, graph.edges
+        kernel.truncated = kernel.truncated or graph.truncated
+        return stop(kernel, k)
 
     graph = explore(net.initial_marking, search, max_states=max_states,
-                    max_depth=max_depth, stop=stop)
+                    max_depth=max_depth, stop=None if stop is None else search_ended)
     kernel.states, kernel.edges = graph.states, graph.edges
     kernel.truncated = kernel.truncated or graph.truncated
     return kernel

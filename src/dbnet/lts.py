@@ -66,7 +66,7 @@ def explore(
     *,
     max_states: Optional[int] = None,
     max_depth: Optional[int] = None,
-    stop: Optional[Callable[[int, tuple, int, object], bool]] = None,
+    stop: Optional[Callable[[Lts, int], bool]] = None,
 ) -> Lts:
     """Breadth-first closure of ``initial`` under ``step_fn``.
 
@@ -84,12 +84,13 @@ def explore(
     numbered and expanded only once every state that edges reach from
     ``initial`` has been.
 
-    ``stop`` is called as ``stop(src, label, dst, states[dst])`` after
-    each edge is recorded, up to the first expansion of a state that only
-    edge-less steps reach; once it returns true, exploration ends there
-    and the graph built so far is returned.  Such a graph is partial
-    whether or not ``truncated`` is set, so only the caller that asked
-    to stop may read it.
+    ``stop`` is called as ``stop(lts, src)`` once the expansion of state
+    ``src`` is complete, ``lts`` being the graph so far: its edges out
+    of ``src`` are all recorded, and ``truncated`` says whether a cut
+    came before, this expansion included.  Once it returns true,
+    exploration ends there and the graph built so far is returned.  Such
+    a graph is partial whether or not ``truncated`` is set, so only the
+    caller that asked to stop may read it.
 
     Under ``DBNET_LOG=info`` it logs one line each time it has numbered
     another ``PROGRESS_EVERY`` states: the states so far, the depth, the
@@ -138,10 +139,9 @@ def explore(
                     continue
                 emitted.add((label, d))
                 lts.edges.append((src, label, d))
-                if stop is not None and stop(src, label, d, states[d]):
-                    return lts
-        if not next_frontier and apart:
-            stop = None  # every state that edges reach is expanded
+            if stop is not None and stop(lts, src):
+                return lts
+        if not next_frontier and apart:  # every state that edges reach is expanded
             for dst in apart:
                 if dst not in seen:
                     number(dst)

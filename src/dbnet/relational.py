@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from typing import Iterable, Mapping, Optional, Union
 
 __all__ = [
@@ -190,7 +190,13 @@ def make_value(dtype: DataType, payload) -> Value:
             raise ValidationError(f"type {dtype.name}: expected integer payload, got {payload!r}")
         return Value(dtype.name, payload)
     if dtype.kind == KIND_REAL:
-        return Value(dtype.name, canon_decimal(payload))
+        try:
+            number = canon_decimal(payload)
+        except InvalidOperation:
+            number = None
+        if number is None or not number.is_finite():
+            raise ValidationError(f"type {dtype.name}: expected a finite number, got {payload!r}")
+        return Value(dtype.name, number)
     if not isinstance(payload, str):
         raise ValidationError(f"type {dtype.name}: expected text payload, got {payload!r}")
     return Value(dtype.name, payload)

@@ -516,7 +516,9 @@ def test_a_foreign_state_is_refused_along_a_legal_path(caplog):
     }
     messages = [r.getMessage() for r in caplog.records]
     assert messages[0].startswith("source exploration: ")
-    assert messages[1] == f"refused at translated state 1: no source state has {FOREIGN}"
+    assert messages[1] == (
+        f"refused at translated state 1, 4 markings searched: no source state has {FOREIGN}"
+    )
     assert messages[2].startswith("target exploration: ")
     assert messages[2].endswith(" s, 2 stable states, 1 weak moves, largest local search 4")
     assert len(messages) == 3
@@ -571,14 +573,15 @@ def test_a_dead_end_behind_two_observables_is_still_found():
 
 def test_a_dead_end_in_a_search_is_traced_from_the_initial_state():
     # the via lines are the weak move into q, then the firings of q's
-    # search up to the dead end
+    # search up to the dead end.  The move into q is silent, as q has
+    # p's contents: the empty net answers no observable move of p.
     target = hand_target(
-        {"p": [(OBS, "q")], "q": [(EPS, "a"), (OBS2, "p")], "a": [(EPS, "d")]},
+        {"p": [(EPS, "q")], "q": [(EPS, "a"), (OBS2, "p")], "a": [(EPS, "d")]},
         interior={"a", "d"},
     )
     res = certify_hand(target)
     assert res.witness["kind"] == "silent-dead-end"
-    assert res.trace[2:] == ("  via T[]:commit", "  via eps", "  via eps")
+    assert res.trace[2:] == ("  via eps", "  via eps", "  via eps")
 
 
 def test_a_runaway_search_is_cut_unless_a_refusal_comes_first():
@@ -598,6 +601,80 @@ def test_a_runaway_search_is_cut_unless_a_refusal_comes_first():
     # before the search runs away
     res = certify_units(dict(moves, LEAVE=(["lock"], ["lock", "p"])))
     assert res.witness == {"kind": "foreign-state", "side": "right", "state": FOREIGN}
+
+
+# ---------------------------------------------------------------------------
+# each stable state is tested as soon as its search ends
+
+
+# Against the empty net, whose one state has no moves: p's silent moves
+# lead to the stable states a and b, which have p's contents.  a's search
+# meets the dead end d; b has a foreign target or an observable move,
+# which the empty net cannot answer.
+EARLY_DEAD_END = {"p": [(EPS, "a"), (EPS, "b")], "a": [(EPS, "d")]}
+
+
+@pytest.mark.parametrize("later", [[(OBS, "y")], [(OBS, "c")]], ids=["foreign", "unmatched"])
+def test_a_dead_end_at_an_earlier_state_is_refused_first(later):
+    res = certify_hand(hand_target(dict(EARLY_DEAD_END, b=later), foreign={"y"},
+                                   interior={"d"}))
+    assert res.witness == {"kind": "silent-dead-end", "side": "right", "state": "facts{}|ctl{}"}
+    assert res.trace[2:] == ("  via eps", "  via eps")  # to a, then to d
+    # the exploration stops at a, state 1, before b is expanded
+    assert res.stats["translated-states"] == 3
+    assert res.stats["translated-edges"] == 2
+
+
+def test_an_unmatched_move_at_an_earlier_state_is_refused_first():
+    # the same kernel, with the failures the other way round: b's
+    # observable move is refused before c's search meets its dead end
+    graph = {"p": [(EPS, "b"), (EPS, "c")], "b": [(OBS, "p")], "c": [(EPS, "d")]}
+    res = certify_hand(hand_target(graph, interior={"d"}))
+    assert res.witness["kind"] == "unmatched-move"
+    assert res.trace == (
+        "pair: left=facts{}|ctl{} right=facts{}|ctl{}",
+        "  via eps",
+        "  right side moves [T[]:commit] to facts{}|ctl{}, with no answer",
+    )
+
+
+# Four failures at one state, p: an observable move to c, which the
+# empty net cannot answer; a silent cycle through x1 and x2; a dead end
+# at w; and two foreign targets, y1 and y2, in that edge order.
+ONE_STATE = {
+    "p": [(OBS, "c"), (EPS, "x1"), (EPS, "w"), (OBS2, "y1"), (OBS, "y2")],
+    "x1": [(EPS, "x2")],
+    "x2": [(EPS, "x1")],
+}
+UNMATCHED = "right side moves [T[]:commit] to facts{}|ctl{}, with no answer"
+ONE_STATE_ORDER = [  # the states dropped, the refusal, its last trace lines and its log line
+    (set(), "foreign-state", ["  via T[]:rollback"],  # c is state 1, y1 state 2
+     "refused at translated state 2, 4 markings searched: no source state has facts{}|ctl{p()}"),
+    ({"y1", "y2"}, "silent-dead-end", ["  via eps"],
+     "refused at translated state 0, 4 markings searched: silent dead-end at facts{}|ctl{}"),
+    ({"y1", "y2", "w"}, "silent-divergence", ["  via eps"],
+     "refused at translated state 0, 3 markings searched: silent divergence at facts{}|ctl{}"),
+    ({"y1", "y2", "w", "x1", "x2"}, "unmatched-move", [f"  {UNMATCHED}"],
+     f"refused at translated state 0, 1 markings searched: {UNMATCHED} (source partner 0)"),
+]
+
+
+@pytest.mark.parametrize("dropped, kind, lines, logged", ONE_STATE_ORDER,
+                         ids=[case[1] for case in ONE_STATE_ORDER])
+def test_the_checks_of_one_state_come_in_their_documented_order(dropped, kind, lines, logged,
+                                                               caplog):
+    # Foreign targets in edge order, then the dead end, then the silent
+    # cycle, then an unmatched move; each case drops the failures that
+    # come before its own.  Each refusal logs one line, with the markings
+    # that the searches have visited.
+    caplog.set_level(logging.INFO, logger="dbnet.bisim")
+    graph = {name: [(label, d) for label, d in succ if d not in dropped]
+             for name, succ in ONE_STATE.items() if name not in dropped}
+    res = certify_hand(hand_target(graph, foreign={"y1", "y2"}, interior={"w", "x1", "x2"}))
+    assert res.witness["kind"] == kind
+    assert list(res.trace[-len(lines):]) == lines  # the trace ends with them
+    messages = [r.getMessage() for r in caplog.records]
+    assert [m for m in messages if m.startswith("refused")] == [logged]
 
 
 @pytest.mark.parametrize("policy", [BOUNDED1, RECYCLING], ids=["bounded1", "recycling"])
@@ -773,7 +850,9 @@ def test_early_refusals_are_the_decided_foreign_states_and_every_runaway(
         for case, record in refusal_golden.items()
         if witness_kind(record) == "foreign-state"
     }
-    assert sum(o == NOT_BISIMILAR for o in was.values()) == 12
+    # 11 decided cases: selfref/consume-on-read fails at an unmatched move
+    # of a state before the first foreign one
+    assert sum(o == NOT_BISIMILAR for o in was.values()) == 11
     truncated = sorted(case for case in GOLDEN_CASES if golden[case]["outcome"] == "truncated")
     assert sorted(case for case, o in was.items() if o == "truncated") == truncated
     assert len(truncated) == 5
@@ -796,7 +875,7 @@ def test_certify_matches_the_oracle_unless_it_refuses_early(golden, refusal_gold
 def test_certify_gives_the_oracles_verdict(golden, refusal_golden, case):
     # certify_translation's record (pinned by the test above) against the
     # oracle's verdict, witness kind and relation; an early refusal
-    # names a foreign state where the oracle finds an unmatched move (12
+    # names a foreign state where the oracle finds an unmatched move (11
     # decided cases) or runs into the cap
     got = refusal_golden.get(case, golden[case])
     want = golden[case]
@@ -809,6 +888,45 @@ def test_certify_gives_the_oracles_verdict(golden, refusal_golden, case):
     assert witness_kind(got) == witness_kind(want)
     for key in ("relation_pairs", "relation_sha256"):
         assert got.get(key) == want.get(key)
+
+
+CAPS = [3, 10, 30, 100, 300, 1000]
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_a_cap_never_changes_a_verdict(golden, refusal_golden, case):
+    # Under each cap, certify_translation either gives no verdict or the
+    # pinned one, with the same witness and trace.
+    want = refusal_golden.get(case, golden[case])
+    if want["outcome"] == "not-applicable":
+        return
+    model, translation = golden_translation(case)
+    for cap in CAPS:
+        try:
+            res = certify_translation(model, policy=BOUNDED1, max_states=cap,
+                                      translation=translation)
+        except TruncatedError:
+            continue
+        got = [res.verdict, res.witness, list(res.trace)]
+        assert got == [want["outcome"], want["witness"], want["trace"]], cap
+
+
+@pytest.mark.parametrize("mutation", ["forget-lock-on-cancel", "consume-on-read",
+                                      "reorder-del-add"])
+def test_a_refusal_that_comes_before_the_cap_is_given(refusal_golden, mutation):
+    # At 1,000 markings the local searches of shop 1x2 are cut before
+    # the kernel is complete: the unmutated translation gets no verdict.
+    # These mutants fail at kernel states 2, 5 and 16 of its 75, before
+    # the cut, so each is refused with its uncapped witness.
+    case = f"shop-1x2/{mutation}"
+    model, translation = golden_translation(case)
+    res = certify_translation(model, policy=BOUNDED1, max_states=1000, translation=translation)
+    want = refusal_golden[case]
+    assert [res.verdict, res.witness, list(res.trace)] == [
+        NOT_BISIMILAR, want["witness"], want["trace"]]
+    model, translation = golden_translation("shop-1x2/none")
+    with pytest.raises(TruncatedError, match="right LTS is truncated"):
+        certify_translation(model, policy=BOUNDED1, max_states=1000, translation=translation)
 
 
 def target_side(lts: Lts, translation):
@@ -850,14 +968,17 @@ def test_the_compressed_graph_keeps_what_the_checker_reads(golden, case):
     assert all(map(keep, kernel.states))
     view = checker_view(kernel, translation)
     assert view == checker_view(full, translation)
+    # Each search reports its own, by its root.
     side = target_side(full, translation)
-    assert (kernel.dead_end is not None) == (side.silent_dead_end() is not None)
-    assert (kernel.divergence is not None) == (side.silent_divergence() is not None)
-    for met in (kernel.dead_end, kernel.divergence):
-        if met is not None:
-            root, labels, marking = met
-            assert keep(root) and not keep(marking)
-            assert marking in full.states
+    assert bool(kernel.dead_ends) == (side.silent_dead_end() is not None)
+    assert bool(kernel.divergences) == (side.silent_divergence() is not None)
+    number = {marking: i for i, marking in enumerate(full.states)}
+    for met in (kernel.dead_ends, kernel.divergences):
+        for root, (_labels, marking) in met.items():
+            assert root in kernel.states and not keep(marking)
+            assert marking in number
+    for _labels, marking in kernel.dead_ends.values():
+        assert not (side.eps_succ[number[marking]] or side.obs_succ[number[marking]])
 
 
 
@@ -1019,9 +1140,9 @@ def local_and_oracle(model, translation, monkeypatch) -> tuple:
 
 def test_a_wrong_label_is_refused_by_the_local_test(touch, monkeypatch, caplog):
     # Refresh's commit is reported as a rollback.  Every stable state still
-    # has a source partner, so the monitor lets the kernel through; the
-    # local test fails at translated state 1, whose one weak move has the
-    # wrong label.  The oracle refuses it too, at the initial pair.
+    # has a source partner, so no state is foreign; the local test fails
+    # at translated state 1, whose one weak move has the wrong label.  The
+    # oracle refuses it too, at the initial pair.
     caplog.set_level(logging.INFO, logger="dbnet.bisim")
     out = translate(touch)
     relabelled = tuple(
@@ -1042,9 +1163,14 @@ def test_a_wrong_label_is_refused_by_the_local_test(touch, monkeypatch, caplog):
     assert got.trace == (
         f"pair: left={at_d} right={at_d}", "  via Touch[x=1]:commit", f"  {unmatched}",
     )
-    # the refusal's line replaces the check's
+    # the refusal's line comes as state 1's search ends, and replaces the check's
     messages = [r.getMessage() for r in caplog.records]
-    assert messages[2:] == [f"refused at translated state 1, source partner 1: {unmatched}"]
+    assert messages[1] == (
+        f"refused at translated state 1, 11 markings searched: {unmatched} (source partner 1)"
+    )
+    assert [m.split(":")[0] for m in messages] == [
+        "source exploration", "refused at translated state 1, 11 markings searched",
+        "target exploration"]
 
 
 def test_a_target_that_starts_at_another_source_state_is_refused(touch, monkeypatch):

@@ -388,7 +388,7 @@ def test_a_silent_chain_folds_into_the_step_that_entered_it():
     assert kernel.states == [units("lock")]
     assert edges_by_marking(kernel) == {(units("lock"), LEAVE, units("lock"))}
     assert kernel.largest_search == 4  # the lock's marking, a, b and c
-    assert kernel.dead_end is kernel.divergence is None
+    assert kernel.dead_ends == kernel.divergences == {}
     assert not kernel.truncated
 
 
@@ -405,9 +405,9 @@ def test_a_search_reports_its_first_dead_end():
     # left rolls back to the root: a silent move that eps_targets holds
     # already, so it gets no edge
     assert kernel.edges == []
-    # the root, the firings from it, and the dead marking
-    assert kernel.dead_end == (units("lock"), (EPS, EPS, EPS, EPS), units("e"))
-    assert kernel.divergence is None
+    # by its root: the firings from it, and the dead marking
+    assert kernel.dead_ends == {units("lock"): ((EPS, EPS, EPS, EPS), units("e"))}
+    assert kernel.divergences == {}
 
 
 def test_a_silent_cycle_stays_a_cycle():
@@ -421,11 +421,11 @@ def test_a_silent_cycle_stays_a_cycle():
     kernel = cpn_build_lts(net, RECYCLING, keep=locked)
     assert kernel.states == [units("lock")]
     assert kernel.edges == []
-    root, labels, marking = kernel.divergence
+    (root, (labels, marking)), = kernel.divergences.items()
     assert root == units("lock")
     assert marking in (units("b"), units("c"))
     assert len(labels) == (2 if marking == units("b") else 3)
-    assert kernel.dead_end is None
+    assert kernel.dead_ends == {}
 
 
 def test_a_stable_marking_behind_two_observables_is_explored_without_an_edge():
@@ -439,7 +439,25 @@ def test_a_stable_marking_behind_two_observables_is_explored_without_an_edge():
     kernel = cpn_build_lts(net, RECYCLING, keep=locked)
     assert kernel.states == [units("lock", "t"), units("lock", "s")]
     assert kernel.edges == []
-    assert kernel.dead_end == (units("lock", "s"), (EPS,), units("d"))
+    assert kernel.dead_ends == {units("lock", "s"): ((EPS,), units("d"))}
+
+
+def test_each_search_reports_its_own_dead_end():
+    # TICK leads from the first stable marking to the second; each one's
+    # search meets a dead end of its own, and reports the first it meets
+    net = unit_net({
+        "enter": (["lock"], ["a"]),
+        "stuck": (["a"], ["d"]),
+        "TICK": (["lock", "t"], ["lock", "s"]),
+        "sink": (["s", "lock"], ["e"]),
+    }, marked=("lock", "t"))
+    kernel = cpn_build_lts(net, RECYCLING, keep=locked)
+    assert kernel.states == [units("lock", "t"), units("lock", "s")]
+    assert kernel.dead_ends == {
+        units("lock", "t"): ((EPS, EPS), units("d", "t")),
+        units("lock", "s"): ((EPS,), units("e")),  # before a, s and then d, s
+    }
+    assert kernel.divergences == {}
 
 
 def test_bindings_with_one_effect_are_one_step_of_a_chain():

@@ -75,3 +75,18 @@ def test_explore_logs_progress_every_so_many_states(monkeypatch, caplog):
         "explore: 6 states, depth 1, frontier 3, T s",
         "explore: 9 states, depth 2, frontier 5, T s",
     ]
+
+
+def test_stop_is_called_once_per_state_as_its_expansion_ends():
+    # the binary tree again: the hook sees each state's edges all
+    # recorded, and its true answer after state 2 ends the exploration
+    obs = ("obs", "T", (), "commit")
+    calls = []
+
+    def stop(lts, src):
+        calls.append((src, [dst for s, _label, dst in lts.edges if s == src]))
+        return src == 2
+
+    lts = explore(0, lambda n: [(obs, m) for m in (2 * n + 1, 2 * n + 2) if m < 10], stop=stop)
+    assert calls == [(0, [1, 2]), (1, [3, 4]), (2, [5, 6])]
+    assert lts.states == list(range(7))

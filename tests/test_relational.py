@@ -86,6 +86,14 @@ def test_make_value_canonicalizes_reals():
     assert str(canon_decimal("1e3")) == "1000"
 
 
+@pytest.mark.parametrize("payload", ["x", True, [1], "NaN", "-Infinity", float("nan"),
+                                     float("inf")])
+def test_make_value_refuses_a_real_payload_that_is_no_finite_number(payload):
+    # a NaN value could not equal itself
+    with pytest.raises(ValidationError, match="expected a finite number"):
+        make_value(REAL, payload)
+
+
 def test_make_value_rejects_wrong_payload_kind():
     with pytest.raises(ValidationError):
         make_value(INT, "7")
