@@ -60,16 +60,19 @@ refused.  A state ``k`` is tested in this order: σ(0) = 0 if ``k`` is
 is looked up among the source contents, in edge order, and a stable
 state that no source state matches is foreign; then the silent dead
 end, and then the silent cycle, that ``k``'s search met; then the
-local test of ``k`` (below), its right side before its left.  A
-foreign state is a refusal by induction over the chain of weak moves
-to it: the initial pair is related, and each weak move must be
-answered, by any relation the checker accepts, with a source state of
-equal contents, so the foreign state would need a related source state
-with its contents, and there is none.  A state reached only across two
-observables is no target of a weak move (such a state may even sit in
-bisimilar nets): ``cpn_build_lts`` explores it after every state that
-chains of weak moves reach from state 0, and it is tested for a silent
-dead end and cycle only.
+local test of ``k`` (below), its right side before its left.  The
+lookup runs as each weak move is recorded, before the search has
+ended, so that a search that would run away is dropped at a foreign
+target; the other tests need the whole search.  A foreign state is a
+refusal by induction over the chain of weak moves to it: the initial
+pair is related, and each weak move must be answered, by any relation
+the checker accepts, with a source state of equal contents, so the
+foreign state would need a related source state with its contents, and
+there is none.  A state reached only across two observables is no
+target of a weak move (such a state may even sit in bisimilar nets):
+``cpn_build_lts`` explores it after every state that chains of weak
+moves reach from state 0, and it is tested for a silent dead end and
+cycle only.
 
 A state is fully searched when no cut came before its search ended,
 its own included.  Dead ends, cycles and unmatched moves are tested on
@@ -485,62 +488,75 @@ def _log_phase(phase: str, started: float, message: str, *args) -> float:
 
 def _explore_target(translation, policy, source, known, image, *, max_states, max_depth):
     """Explore the translated net as its kernel of stable states, and test
-    each state as soon as its local search has ended (see the module
-    docstring).  ``source`` is the source graph, ``image`` gives a
-    snapshot's contents and ``known`` maps the contents of each source
-    state to its number.  Returns the kernel, σ and the refusal at the
-    first failing state, or None if none failed.  σ is a list indexed by
-    kernel state: the source state with the same contents, or None if
-    there is none, for state 0 and each state that weak moves reach from
-    it.  Only the states a refusal prints are rendered."""
+    each state as soon as its local search has ended, and each target of
+    its weak moves as the search meets it (see the module docstring).
+    ``source`` is the source graph, ``image`` gives a snapshot's contents
+    and ``known`` maps the contents of each source state to its number.
+    Returns the kernel, σ and the refusal at the first failing state, or
+    None if none failed.  σ is a list indexed by kernel state: the source
+    state with the same contents, or None if there is none, for state 0 and
+    each state that weak moves reach from it.  Only the states a refusal
+    prints are rendered."""
     net = translation.net
     visible, render = _visible_and_render(translation)
     sigma = [known.get(net.initial_marking.restrict(visible))]
     waiting: dict = {}  # a state -> the states whose test waits for its expansion
+    first_edge = 0  # the first edge of the state under expansion
     refusal = []
 
-    def failure(kernel, k: int) -> Optional[WeakBisimResult]:
-        """The refusal at state ``k``, whose search has just ended, or else
-        at a state whose test waited for it; None if none fails."""
-        covered = k < len(sigma)  # weak moves reach k from state 0
+    def refuse(kernel, state: int, why: str, result: WeakBisimResult) -> bool:
+        """Keep ``result``, the refusal at kernel state ``state``, after one
+        log line on it: the markings searched so far and ``why``."""
+        _log_info(__name__, "refused at translated state %d, %d markings searched: %s",
+                  state, kernel.searched, why)
+        refusal.append(result)
+        return True
+
+    def stop(kernel, k: int, done: bool) -> bool:
+        """Test state ``k`` after its newest edge, or once its search has
+        ended (``done``), and then any state whose test waited for it;
+        true at the first refusal."""
+        nonlocal first_edge
         if k == 0 and sigma[0] != 0:
-            return _refused(kernel, 0, f"initial contents differ (source partner {sigma[0]})",
-                            _content_mismatch(render(image(source.states[0])),
-                                              render(kernel.states[0])))
-        edges = _edges_of(kernel, k)
-        for _k, _label, dst in edges if covered else ():
-            if dst == len(sigma):  # states are numbered in the order they are met
+            return refuse(kernel, 0, f"initial contents differ (source partner {sigma[0]})",
+                          _content_mismatch(render(image(source.states[0])),
+                                            render(kernel.states[0])))
+        covered = k < len(sigma)  # weak moves reach k from state 0
+        if not done:
+            dst = kernel.edges[-1][2]
+            if covered and dst == len(sigma):  # states are numbered in the order they are met
                 sigma.append(known.get(kernel.states[dst].restrict(visible)))
                 if sigma[dst] is None:
                     text = render(kernel.states[dst])
-                    return _refused(kernel, dst, f"no source state has {text}", _state_failure(
+                    return refuse(kernel, dst, f"no source state has {text}", _state_failure(
                         "foreign-state", "foreign stable state", "right", text,
                         _kernel_path(kernel, dst)))
+            return False
+        edges = kernel.edges[first_edge:]
+        first_edge = len(kernel.edges)
         if kernel.truncated:  # k, or a state before it, is not fully searched
-            return None
+            return False
         root = kernel.states[k]
         for kind, what, met in (("silent-dead-end", "silent dead-end", kernel.dead_ends),
                                 ("silent-divergence", "silent divergence", kernel.divergences)):
             if root in met:
                 labels, marking = met[root]
                 text = render(marking)
-                return _refused(kernel, k, f"{what} at {text}", _state_failure(
+                return refuse(kernel, k, f"{what} at {text}", _state_failure(
                     kind, what, "right", text, _kernel_path(kernel, k, labels)))
-        for c in sorted(waiting.pop(k, []) + ([k] if covered else [])):
-            closure = _silent_closure(kernel, sigma, c, edges if c == k else None)
+        tests = sorted(waiting.pop(k, ()))  # each is before k
+        if covered:
+            tests.append(k)
+        for c in tests:
+            closure = _silent_closure(kernel, sigma, c, edges if c == k else _edges_of(kernel, c))
             if max(closure) > k:  # states after k are not expanded yet
                 waiting.setdefault(max(closure), []).append(c)
                 continue
             failed = _unmatched(source, sigma, c, closure)
             if failed is not None:
-                return _unmatched_refusal(source, kernel, sigma, c, failed, image, render)
-        return None
-
-    def stop(kernel, k: int) -> bool:
-        result = failure(kernel, k)
-        if result is not None:
-            refusal.append(result)
-        return result is not None
+                return refuse(kernel, c, *_unmatched_refusal(source, kernel, sigma, c, failed,
+                                                             image, render))
+        return False
 
     kernel = cpn_build_lts(net, policy, max_states=max_states, max_depth=max_depth,
                            stop=stop, keep=partial(_is_stable, translation.lock_place))
@@ -555,14 +571,11 @@ def _edges_of(lts: Lts, state: int) -> list:
     return edges[bisect_left(edges, state, key=source):bisect_right(edges, state, key=source)]
 
 
-def _silent_closure(kernel: Lts, sigma: list, k: int, edges: Optional[list]) -> dict:
-    """``k``'s silent closure, each state with its edges: ``k`` and the
-    states that silent moves to states with partner σ(k) reach from it.
-    ``edges`` are ``k``'s if the caller has them.  A state not yet
-    expanded has no edges yet, so the closure is complete once its
-    largest state is expanded."""
-    if edges is None:
-        edges = _edges_of(kernel, k)
+def _silent_closure(kernel: Lts, sigma: list, k: int, edges: list) -> dict:
+    """``k``'s silent closure, each state with its edges: ``k``, whose
+    edges are ``edges``, and the states that silent moves to states with
+    partner σ(k) reach from it.  A state not yet expanded has no edges
+    yet, so the closure is complete once its largest state is expanded."""
     partner, closure, todo = sigma[k], {k: edges}, [k]
     while todo:
         for _x, label, dst in closure[todo.pop()]:
@@ -605,30 +618,23 @@ def _graph_of_sigma(source: Lts, kernel: Lts, sigma: list) -> WeakBisimResult:
                                                       for s, k in pairs))
 
 
-def _refused(kernel, state: int, why: str, result: WeakBisimResult) -> WeakBisimResult:
-    """``result``, after one log line on the refusal at kernel state
-    ``state``: the markings searched so far and ``why``."""
-    _log_info(__name__, "refused at translated state %d, %d markings searched: %s",
-              state, kernel.searched, why)
-    return result
-
-
 def _unmatched_refusal(source: Lts, kernel: Lts, sigma: list, k: int, failed: tuple,
-                       image: Callable, render: Callable) -> WeakBisimResult:
-    """The refusal for the unmatched move ``failed`` of state ``k`` that
-    :func:`_unmatched` found.  Only the states it prints are rendered."""
+                       image: Callable, render: Callable) -> tuple:
+    """What to log on the refusal for the unmatched move ``failed`` of
+    state ``k`` that :func:`_unmatched` found, and that refusal.  Only
+    the states it prints are rendered."""
     side, label, target = failed
     move = format_label(label)
     text = render(kernel.states[target] if side == "right" else image(source.states[target]))
     unmatched = f"{side} side moves [{move}] to {text}, with no answer"
     left, right = render(image(source.states[sigma[k]])), render(kernel.states[k])
-    return _refused(kernel, k, f"{unmatched} (source partner {sigma[k]})", WeakBisimResult(
+    return f"{unmatched} (source partner {sigma[k]})", WeakBisimResult(
         NOT_BISIMILAR,
         witness={"kind": "unmatched-move", "side": side, "label": move,
                  "left": left, "right": right},
         trace=(f"pair: left={left} right={right}",
                *(f"  via {step}" for step in _kernel_path(kernel, k)), f"  {unmatched}"),
-    ))
+    )
 
 
 def _kernel_path(kernel, state: int, labels: tuple = ()) -> list:
@@ -692,9 +698,8 @@ def certify_translation(
 
     Under ``DBNET_LOG=info`` each phase (source exploration, target
     exploration, check) logs one line with its seconds and states.  A
-    refusal logs one line instead of the check's, as the refused state's
-    search ends: the state, the markings searched so far, and what
-    failed.
+    refusal logs one line instead of the check's, as it is found: the
+    state, the markings searched so far, and what failed.
     """
     policy = policy or model.default_policy
     if translation is None:

@@ -21,12 +21,13 @@ first), 3 not-bisimilar.
 
 ``certify`` explores the translated net as its stable states, each
 expanded by a local search through the gadget interior it reaches, and
-tests each stable state as soon as its search ends: it refuses the
-first failing stable state in exploration order, even past the cap.
-``--max-states`` caps its stable states and ``--max-depth`` the weak
-moves from the initial state; its ``translated-states`` line counts
-stable states and ``translated-edges`` weak moves, up to the refused
-state's; and local searches that visit more than ``--max-states``
+tests each stable state as soon as its search ends, and each target of
+its weak moves for foreign contents as soon as the search meets it: it
+refuses the first failing stable state in exploration order, even past
+the cap.  ``--max-states`` caps its stable states and ``--max-depth``
+the weak moves from the initial state; its ``translated-states`` line
+counts stable states and ``translated-edges`` weak moves, up to the
+refusal; and local searches that visit more than ``--max-states``
 states in all, or one that would follow more than ``--max-depth``
 firings, count as truncation.  The state space ``statespace`` writes
 is the full one.

@@ -437,8 +437,6 @@ def cpn_build_lts(
     """Reachability graph over markings.  Silent transitions produce
     ``eps`` edges; emitting transitions produce observable edges.  Refuses
     unbounded freshness for the same reason the source layer does.
-    ``stop`` is handed to :func:`dbnet.lts.explore`; given ``keep``, it
-    is called with the kernel so far instead of the graph.
 
     Given ``keep``, the result is the :class:`Kernel` instead: the graph
     over the markings ``keep`` accepts, the stable ones, explored
@@ -458,9 +456,12 @@ def cpn_build_lts(
     its root, its first silent dead end (an interior marking without
     firings) and a silent cycle (interior markings that silent firings
     lead around), which are the states the full graph's convergence
-    conditions look at; a search that is cut reports no cycle.  As
-    ``stop`` is called once a stable marking's search has ended, it can
-    test that marking at once, with its weak moves and its report.
+    conditions look at; a search that is cut reports no cycle.  ``stop``
+    applies to the kernel only, as :func:`dbnet.lts.explore`'s hook on
+    the kernel so far: it is called after each weak move that the search
+    of a stable marking yields, and once that search has ended, so that
+    the caller can test the marking at once, with its weak moves and its
+    report.
     ``max_states`` caps the stable states and ``max_depth`` the weak moves
     from the initial one.  The searches share one budget of ``max_states``
     markings, so the work of the whole exploration stays within it: a
@@ -515,8 +516,7 @@ def cpn_build_lts(
             return [(label, marking.apply(firing, nexts))
                     for _, firing, label in enabled(marking)]
 
-        return explore(net.initial_marking, step, max_states=max_states,
-                       max_depth=max_depth, stop=stop)
+        return explore(net.initial_marking, step, max_states=max_states, max_depth=max_depth)
 
     kernel = Kernel()
     started = time.perf_counter()
@@ -582,14 +582,5 @@ def cpn_build_lts(
         if on_cycle is not None:
             kernel.divergences[root] = (labels(on_cycle), queue[on_cycle][0])
 
-    def search_ended(graph: Lts, k: int) -> bool:
-        """``stop`` on the kernel so far, once the search of state ``k`` has ended."""
-        kernel.states, kernel.edges = graph.states, graph.edges
-        kernel.truncated = kernel.truncated or graph.truncated
-        return stop(kernel, k)
-
-    graph = explore(net.initial_marking, search, max_states=max_states,
-                    max_depth=max_depth, stop=None if stop is None else search_ended)
-    kernel.states, kernel.edges = graph.states, graph.edges
-    kernel.truncated = kernel.truncated or graph.truncated
-    return kernel
+    return explore(net.initial_marking, search, max_states=max_states,
+                   max_depth=max_depth, stop=stop, graph=kernel)

@@ -66,7 +66,8 @@ def explore(
     *,
     max_states: Optional[int] = None,
     max_depth: Optional[int] = None,
-    stop: Optional[Callable[[Lts, int], bool]] = None,
+    stop: Optional[Callable[[Lts, int, bool], bool]] = None,
+    graph: Optional[Lts] = None,
 ) -> Lts:
     """Breadth-first closure of ``initial`` under ``step_fn``.
 
@@ -84,13 +85,17 @@ def explore(
     numbered and expanded only once every state that edges reach from
     ``initial`` has been.
 
-    ``stop`` is called as ``stop(lts, src)`` once the expansion of state
-    ``src`` is complete, ``lts`` being the graph so far: its edges out
-    of ``src`` are all recorded, and ``truncated`` says whether a cut
-    came before, this expansion included.  Once it returns true,
-    exploration ends there and the graph built so far is returned.  Such
-    a graph is partial whether or not ``truncated`` is set, so only the
-    caller that asked to stop may read it.
+    ``stop`` is called as ``stop(lts, src, False)`` after each edge out
+    of state ``src`` is recorded, the last of ``lts.edges``, and as
+    ``stop(lts, src, True)`` once the expansion of ``src`` is complete,
+    ``lts`` being the graph so far: its edges out of ``src`` are then all
+    recorded, and ``truncated`` says whether a cut came before, this
+    expansion included.  Once it returns true, exploration ends there,
+    without the rest of ``step_fn(states[src])``, and the graph built so
+    far is returned.  Such a graph is partial whether or not
+    ``truncated`` is set, so only the caller that asked to stop may read
+    it.  ``graph`` is the empty graph to build, a new :class:`Lts` by
+    default; a subclass can carry what ``step_fn`` reports.
 
     Under ``DBNET_LOG=info`` it logs one line each time it has numbered
     another ``PROGRESS_EVERY`` states: the states so far, the depth, the
@@ -98,8 +103,9 @@ def explore(
     since it started.
     """
     started = time.perf_counter()
-    lts = Lts(states=[initial])
+    lts = Lts() if graph is None else graph
     states = lts.states
+    states.append(initial)
     seen = {initial: 0}  # each state -> its number
     frontier = [0]
     apart = {}  # successors of edge-less steps, numbered once the frontier runs dry
@@ -139,7 +145,9 @@ def explore(
                     continue
                 emitted.add((label, d))
                 lts.edges.append((src, label, d))
-            if stop is not None and stop(lts, src):
+                if stop is not None and stop(lts, src, False):
+                    return lts
+            if stop is not None and stop(lts, src, True):
                 return lts
         if not next_frontier and apart:  # every state that edges reach is expanded
             for dst in apart:

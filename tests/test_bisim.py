@@ -457,10 +457,8 @@ def hand_target(graph, foreign=(), interior=()):
     return SimpleNamespace(net=net, place_classes=classes, relation_places={}, lock_place="lock")
 
 
-def certify_hand(target, max_states=None):
-    return certify_translation(
-        load_corpus("empty"), policy=RECYCLING, translation=target, max_states=max_states
-    )
+def certify_hand(target, **caps):
+    return certify_translation(load_corpus("empty"), policy=RECYCLING, translation=target, **caps)
 
 
 def test_two_observables_between_stable_states_are_no_weak_move(monkeypatch):
@@ -584,23 +582,54 @@ def test_a_dead_end_in_a_search_is_traced_from_the_initial_state():
     assert res.trace[2:] == ("  via eps", "  via eps", "  via eps")
 
 
-def test_a_runaway_search_is_cut_unless_a_refusal_comes_first():
-    # ``grow`` is a silent firing that adds a token to q forever, so the
-    # search from the lock never ends by itself
-    moves = {"enter": (["lock"], ["g"]), "grow": (["g"], ["g", "q"])}
+# ``grow`` is a silent firing that adds a token to q forever, so the
+# search from the lock never ends by itself.  LEAVE marks p: a foreign
+# stable state one weak move away.
+RUNAWAY = {"enter": (["lock"], ["g"]), "grow": (["g"], ["g", "q"])}
+LEAVE = {"LEAVE": (["lock"], ["lock", "p"])}
+
+
+def certify_units(moves, **caps):
     classes = {"lock": "lock", "g": "intermediate", "q": "intermediate", "p": "original-control"}
+    return certify_hand(SimpleNamespace(net=unit_net(moves), place_classes=classes,
+                                        relation_places={}, lock_place="lock"), **caps)
 
-    def certify_units(moves):
-        target = SimpleNamespace(net=unit_net(moves), place_classes=classes,
-                                 relation_places={}, lock_place="lock")
-        return certify_hand(target, max_states=50)
 
+def test_a_runaway_search_is_cut_unless_a_refusal_comes_first():
     with pytest.raises(TruncatedError, match="right LTS is truncated"):
-        certify_units(moves)
-    # LEAVE marks p: a foreign stable state one weak move away, found
-    # before the search runs away
-    res = certify_units(dict(moves, LEAVE=(["lock"], ["lock", "p"])))
+        certify_units(RUNAWAY, max_states=50)
+    # the foreign state is found before the search runs away
+    res = certify_units(dict(RUNAWAY, **LEAVE), max_states=50)
     assert res.witness == {"kind": "foreign-state", "side": "right", "state": FOREIGN}
+
+
+def test_a_foreign_target_ends_a_runaway_search_without_a_cap():
+    # No cap on the markings: the foreign target is refused as the search
+    # yields it, and the search is dropped there.  ``max_depth`` only
+    # keeps the test finite should the search run on.
+    res = certify_units(dict(RUNAWAY, **LEAVE), max_depth=500)
+    assert res.witness == {"kind": "foreign-state", "side": "right", "state": FOREIGN}
+    assert res.stats["largest-local-search"] <= 2  # the lock, and g at most
+
+
+def test_past_a_cut_a_foreign_target_is_refused_before_an_untested_state():
+    # p's search meets the dead end d, so the uncapped run refuses p.  At
+    # max_states=3 p's search is cut before it ends, and p is left
+    # untested; q's weak move to the foreign y is refused all the same.
+    # A cap can then change the witness, never the verdict.
+    graph = {
+        "p": [(EPS, "d"), (EPS, "q"), (EPS, "r1")],
+        "r1": [(EPS, "r2")],
+        "r2": [(EPS, "p")],
+        "q": [(OBS, "y")],
+    }
+    target = hand_target(graph, foreign={"y"}, interior={"d", "r1", "r2"})
+    res = certify_hand(target)
+    assert res.witness == {"kind": "silent-dead-end", "side": "right", "state": "facts{}|ctl{}"}
+    assert res.stats["translated-states"] == 2  # p and q; y is not met yet
+    res = certify_hand(target, max_states=3)
+    assert res.witness == {"kind": "foreign-state", "side": "right", "state": FOREIGN}
+    assert res.trace[2:] == ("  via eps", "  via T[]:commit")
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +678,7 @@ ONE_STATE = {
 UNMATCHED = "right side moves [T[]:commit] to facts{}|ctl{}, with no answer"
 ONE_STATE_ORDER = [  # the states dropped, the refusal, its last trace lines and its log line
     (set(), "foreign-state", ["  via T[]:rollback"],  # c is state 1, y1 state 2
-     "refused at translated state 2, 4 markings searched: no source state has facts{}|ctl{p()}"),
+     "refused at translated state 2, 3 markings searched: no source state has facts{}|ctl{p()}"),
     ({"y1", "y2"}, "silent-dead-end", ["  via eps"],
      "refused at translated state 0, 4 markings searched: silent dead-end at facts{}|ctl{}"),
     ({"y1", "y2", "w"}, "silent-divergence", ["  via eps"],
@@ -979,7 +1008,6 @@ def test_the_compressed_graph_keeps_what_the_checker_reads(golden, case):
             assert marking in number
     for _labels, marking in kernel.dead_ends.values():
         assert not (side.eps_succ[number[marking]] or side.obs_succ[number[marking]])
-
 
 
 # ---------------------------------------------------------------------------

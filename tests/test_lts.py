@@ -77,16 +77,21 @@ def test_explore_logs_progress_every_so_many_states(monkeypatch, caplog):
     ]
 
 
-def test_stop_is_called_once_per_state_as_its_expansion_ends():
-    # the binary tree again: the hook sees each state's edges all
-    # recorded, and its true answer after state 2 ends the exploration
+def test_stop_is_called_after_each_edge_and_as_each_expansion_ends():
+    # the binary tree again: the hook sees each edge as it is recorded,
+    # then each state's edges all recorded; its true answer at the edge
+    # 2 -> 5 ends the exploration before the edge 2 -> 6 is recorded
     obs = ("obs", "T", (), "commit")
     calls = []
 
-    def stop(lts, src):
-        calls.append((src, [dst for s, _label, dst in lts.edges if s == src]))
-        return src == 2
+    def stop(lts, src, done):
+        calls.append((src, done, [dst for s, _label, dst in lts.edges if s == src]))
+        return (src, done, lts.edges[-1][2]) == (2, False, 5)
 
     lts = explore(0, lambda n: [(obs, m) for m in (2 * n + 1, 2 * n + 2) if m < 10], stop=stop)
-    assert calls == [(0, [1, 2]), (1, [3, 4]), (2, [5, 6])]
-    assert lts.states == list(range(7))
+    assert calls == [
+        (0, False, [1]), (0, False, [1, 2]), (0, True, [1, 2]),
+        (1, False, [3]), (1, False, [3, 4]), (1, True, [3, 4]),
+        (2, False, [5]),
+    ]
+    assert lts.states == list(range(6))
