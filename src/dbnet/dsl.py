@@ -737,6 +737,8 @@ def _terms(ts) -> str:
 def _fmt_formula(f: Formula, prec: int = 0) -> str:
     if isinstance(f, Truth):
         return "true"
+    if isinstance(f, (And, Or)) and len(f.parts) == 1:
+        return _fmt_formula(f.parts[0], prec)
     if isinstance(f, Or):
         if not f.parts:
             return "false"

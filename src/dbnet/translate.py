@@ -11,6 +11,14 @@ transition gadget places carry a growing "chain" token that accumulates
 the binding.  Every gadget transition is silent except the final commit
 and rollback, which emit the source transition's label.
 
+Most gadget transitions are *steps*: a step takes the chain token from
+one stage place and puts it back unchanged on the next one (or on the
+same one), and that pair of arcs comes first among its inputs and its
+outputs, ahead of any fact or Done-token arcs.  ``_Gadget.step`` builds
+every step, so the convention holds by construction.  Only ``enter``
+(which makes the chain token), the compute stages (which widen it), the
+cancels and the two exits (which consume it) are built otherwise.
+
 Boolean bookkeeping uses an internal control colour: a ``lock`` token
 plus ``true``/``false`` tokens in the per-update Done places (the
 "no-op" places) that steer the undo net.
@@ -163,7 +171,7 @@ class _Builder:
 
     def __init__(self):
         self.places: dict = {}
-        self.transitions: list = []
+        self.transitions: dict = {}  # name -> CpnTransition, in build order
         self.classes: dict = {}
         self.provenance: dict = {}
 
@@ -177,12 +185,12 @@ class _Builder:
             self.provenance[name] = (source, phase)
         return name
 
-    def transition(self, t: CpnTransition, source: str, phase: str):
-        if any(x.name == t.name for x in self.transitions):
+    def transition(self, t: CpnTransition, source: str, phase: str) -> str:
+        if t.name in self.transitions:
             raise ContractError(f"translated transition name collision: {t.name!r}")
-        self.transitions.append(t)
+        self.transitions[t.name] = t
         self.provenance[t.name] = (source, phase)
-        return t
+        return t.name
 
 
 def translate(model: DbNet) -> TranslationOutput:
@@ -210,14 +218,10 @@ def translate(model: DbNet) -> TranslationOutput:
     lock_place = _pick_name("lock", set(b.places))
     b.place(lock_place, (ctl_name,), CLASS_LOCK)
     lock_tok = (Value(ctl_name, CTL_LOCK),)
-    tok_true = (Value(ctl_name, CTL_TRUE),)
-    tok_false = (Value(ctl_name, CTL_FALSE),)
 
     gadgets = {}
     for t in model.transitions:
-        gadgets[t.name] = _build_gadget(
-            b, model, t, relation_places, lock_place, lock_tok, tok_true, tok_false, ctl_name
-        )
+        gadgets[t.name] = _build_gadget(b, model, t, relation_places, lock_place, ctl_name)
 
     initial = snapshot_image(model.initial_snapshot(), relation_places)
 
@@ -227,7 +231,7 @@ def translate(model: DbNet) -> TranslationOutput:
         name=f"{model.name}.translated",
         types=types,
         places=dict(b.places),
-        transitions=tuple(b.transitions),
+        transitions=tuple(b.transitions.values()),
         initial_marking=initial.update((), ((lock_place, lock_tok),)),
         samples=dict(model.samples),
         default_policy=model.default_policy,
@@ -263,13 +267,51 @@ def facts_image(instance: Instance, relation_places: dict) -> Marking:
     ])
 
 
-def _plain(v: Variable) -> Variable:
-    """The non-creating twin of a variable, for arcs that only copy it."""
-    return Variable(v.name, v.dtype) if v.fresh else v
+def _plain(term):
+    """The non-creating twin of a variable, for arcs that only copy it;
+    any other term is itself."""
+    return Variable(term.name, term.dtype) if isinstance(term, Variable) and term.fresh else term
 
 
 def _colours(vars_) -> tuple:
     return tuple(v.dtype for v in vars_)
+
+
+class _Gadget:
+    """One source transition's gadget under construction.  Its elements
+    are named ``{T}.<suffix>`` and attributed to ``T``; ``chain`` is the
+    inscription of the chain token, which grows with each view stage."""
+
+    def __init__(self, b: _Builder, T: str, chain: tuple):
+        self.b, self.T, self.chain = b, T, chain
+
+    def place(self, suffix: str, colours: tuple, cls: str, phase: str) -> str:
+        return self.b.place(f"{self.T}.{suffix}", colours, cls, self.T, phase)
+
+    def stage(self, suffix: str, cls: str, phase: str) -> str:
+        """A place that holds the chain token."""
+        return self.place(suffix, _colours(self.chain), cls, phase)
+
+    def add(self, t: CpnTransition, phase: str) -> str:
+        return self.b.transition(t, self.T, phase)
+
+    def step(self, name: str, phase: str, src: str, dst: str, priority: int = P_NORMAL, *,
+             inputs: tuple = (), reads: tuple = (), outputs: tuple = (),
+             guard: Formula = TRUE) -> str:
+        """The transition ``{T}.<name>`` that moves the chain token from
+        ``src`` to ``dst``; that arc comes first among its inputs and
+        among its outputs, ahead of the extra ``inputs`` and ``outputs``."""
+        return self.add(
+            CpnTransition(
+                name=f"{self.T}.{name}",
+                inputs=((src, self.chain),) + inputs,
+                reads=reads,
+                guard=guard,
+                outputs=((dst, self.chain),) + outputs,
+                priority=priority,
+            ),
+            phase,
+        )
 
 
 def _build_gadget(
@@ -278,118 +320,85 @@ def _build_gadget(
     t: Transition,
     relation_places: dict,
     lock_place: str,
-    lock_tok: tuple,
-    tok_true: tuple,
-    tok_false: tuple,
     ctl_name: str,
 ) -> GadgetInfo:
     T = t.name
+    lock_tok, tok_true, tok_false = ((Value(ctl_name, w),) for w in (CTL_LOCK, CTL_TRUE, CTL_FALSE))
     scope = analyze_transition(t)
     base_vars = tuple(
         sorted(scope.input_vars + scope.fresh_vars + scope.external_vars, key=lambda v: v.name)
     )
-    chain = [ _plain(v) for v in base_vars ]
+    g = _Gadget(b, T, tuple(_plain(v) for v in base_vars))
 
     # --- enter ------------------------------------------------------------
-    entered = b.place(f"{T}.Entered", _colours(chain), "Entered", T, "enter")
-    b.transition(
+    taken = tuple((p, tuple(vs)) for p, vs in t.inputs) + ((lock_place, lock_tok),)
+    entered = g.stage("Entered", "Entered", "enter")
+    g.add(
         CpnTransition(
             name=f"{T}.enter",
-            inputs=tuple((p, tuple(vs)) for p, vs in t.inputs) + ((lock_place, lock_tok),),
-            outputs=((entered, tuple(base_vars)),),  # fresh markers live here
+            inputs=taken,
+            outputs=((entered, base_vars),),  # fresh markers live here
             priority=P_NORMAL,
         ),
-        T, "enter",
+        "enter",
     )
 
-    restore_outputs = tuple((p, tuple(vs)) for p, vs in t.inputs) + ((lock_place, lock_tok),)
     cancels = []
 
+    def cancel(name: str, phase: str, src: str, chain: tuple):
+        # An empty view or a false guard must not strand the chain token:
+        # a low-priority escape puts the inputs and the lock back.
+        cancels.append(g.add(
+            CpnTransition(name=f"{T}.{name}", inputs=((src, chain),), outputs=taken, priority=P_LOW),
+            phase,
+        ))
+
     # --- binding net: one sequential stage per view arc -------------------
-    m = len(t.views)
     stage_place = entered
     compute_stages = []
     for i, (vplace_name, arc_vars) in enumerate(t.views, start=1):
         query: UcqQuery = model.queries[model.view_places[vplace_name].query]
+        chain = g.chain
         chain_names = {v.name for v in chain}
-        new_vars = sorted(
+        g.chain += tuple(sorted(
             {v.name: v for v in arc_vars if v.name not in chain_names}.values(),
             key=lambda v: v.name,
-        )
-        if i == m:
-            next_place = b.place(f"{T}.Bound", _colours(chain + list(new_vars)), "Bound", T, "binding")
+        ))
+        if i == len(t.views):
+            next_place = g.stage("Bound", "Bound", "binding")
         else:
-            next_place = b.place(
-                f"{T}.V{i}Computed", _colours(chain + list(new_vars)), CLASS_INTERMEDIATE, T, "binding"
-            )
+            next_place = g.stage(f"V{i}Computed", CLASS_INTERMEDIATE, "binding")
         stage_transitions = []
         multi = len(query.disjuncts) > 1
         for j, conj in enumerate(query.disjuncts, start=1):
-            cname = f"{T}.computeV{i}" + (f".d{j}" if multi else "")
             reads, guard = _compile_conjunct(T, i, j, query, conj, arc_vars, relation_places)
-            stage_transitions.append(
-                b.transition(
-                    CpnTransition(
-                        name=cname,
-                        inputs=((stage_place, tuple(chain)),),
-                        reads=reads,
-                        guard=guard,
-                        outputs=((next_place, tuple(chain) + tuple(new_vars)),),
-                        priority=P_NORMAL,
-                    ),
-                    T, "binding",
-                ).name
-            )
-        compute_stages.append(tuple(stage_transitions))
-        # An empty view must not strand the chain token: a low-priority
-        # escape at every stage puts the inputs and the lock back.
-        cancels.append(
-            b.transition(
+            stage_transitions.append(g.add(
                 CpnTransition(
-                    name=f"{T}.cancel{i - 1}",
-                    inputs=((stage_place, tuple(chain)),),
-                    outputs=restore_outputs,
-                    priority=P_LOW,
+                    name=f"{T}.computeV{i}" + (f".d{j}" if multi else ""),
+                    inputs=((stage_place, chain),),
+                    reads=reads,
+                    guard=guard,
+                    outputs=((next_place, g.chain),),
+                    priority=P_NORMAL,
                 ),
-                T, "binding",
-            ).name
-        )
-        chain = chain + list(new_vars)
+                "binding",
+            ))
+        compute_stages.append(tuple(stage_transitions))
+        cancel(f"cancel{i - 1}", "binding", stage_place, chain)
         stage_place = next_place
 
     bound = stage_place  # equals Entered when there are no views
 
     # --- guard stage -------------------------------------------------------
-    guard_ok = b.place(f"{T}.GuardOk", _colours(chain), "GuardOk", T, "guard")
-    cond = b.transition(
-        CpnTransition(
-            name=f"{T}.cond",
-            inputs=((bound, tuple(chain)),),
-            guard=t.guard,
-            outputs=((guard_ok, tuple(chain)),),
-            priority=P_HIGH,
-        ),
-        T, "guard",
-    ).name
-    cancels.append(
-        b.transition(
-            CpnTransition(
-                name=f"{T}.cancel",
-                inputs=((bound, tuple(chain)),),
-                outputs=restore_outputs,
-                priority=P_LOW,
-            ),
-            T, "guard",
-        ).name
-    )
+    guard_ok = g.stage("GuardOk", "GuardOk", "guard")
+    cond = g.step("cond", "guard", bound, guard_ok, P_HIGH, guard=t.guard)
+    cancel("cancel", "guard", bound, g.chain)
 
     # --- update net ---------------------------------------------------------
     action: Optional[Action] = model.actions[t.action[0]] if t.action else None
     components = []
     if action is not None:
-        args = tuple(
-            _plain(a) if isinstance(a, Variable) else a for a in t.action[1]
-        )
+        args = tuple(_plain(a) for a in t.action[1])
         param_map = {p.name: a for p, a in zip(action.params, args)}
         for i, (rel, terms) in enumerate(action.dels, start=1):
             components.append(("del", i, rel, ground(terms, param_map)))
@@ -398,74 +407,54 @@ def _build_gadget(
 
     update_components = []
     if components:
-        updated = b.place(f"{T}.Updated", _colours(chain), "Updated", T, "update")
+        updated = g.stage("Updated", "Updated", "update")
         hops = [guard_ok]
         for j in range(1, len(components)):
-            hops.append(b.place(f"{T}.U{j}", _colours(chain), CLASS_INTERMEDIATE, T, "update"))
+            hops.append(g.stage(f"U{j}", CLASS_INTERMEDIATE, "update"))
         hops.append(updated)
         for (kind, i, rel, terms), entry, exit_ in zip(components, hops, hops[1:]):
-            rp = relation_places[rel]
+            fact = (relation_places[rel], terms)
             tag = "D" if kind == "del" else "A"
-            done = b.place(f"{T}.Done{tag}{i}", (ctl_name,), "Done", T, "update")
+            done = g.place(f"Done{tag}{i}", (ctl_name,), "Done", "update")
+            changed, unchanged = (done, tok_true), (done, tok_false)
             if kind == "del":
-                exists = CpnTransition(
-                    name=f"{T}.existsD{i}",
-                    inputs=((entry, tuple(chain)), (rp, terms)),
-                    outputs=((exit_, tuple(chain)), (done, tok_true)),
-                    priority=P_HIGH,
-                )
-                absent = CpnTransition(
-                    name=f"{T}.notExistsD{i}",
-                    inputs=((entry, tuple(chain)),),
-                    outputs=((exit_, tuple(chain)), (done, tok_false)),
-                    priority=P_LOW,
-                )
+                exists = g.step(f"existsD{i}", "update", entry, exit_, P_HIGH,
+                                inputs=(fact,), outputs=(changed,))
+                absent = g.step(f"notExistsD{i}", "update", entry, exit_, P_LOW,
+                                outputs=(unchanged,))
             else:
-                exists = CpnTransition(
-                    name=f"{T}.existsA{i}",
-                    inputs=((entry, tuple(chain)),),
-                    reads=((rp, terms),),
-                    outputs=((exit_, tuple(chain)), (done, tok_false)),
-                    priority=P_HIGH,
-                )
-                absent = CpnTransition(
-                    name=f"{T}.notExistsA{i}",
-                    inputs=((entry, tuple(chain)),),
-                    outputs=((exit_, tuple(chain)), (rp, terms), (done, tok_true)),
-                    priority=P_LOW,
-                )
-            b.transition(exists, T, "update")
-            b.transition(absent, T, "update")
+                exists = g.step(f"existsA{i}", "update", entry, exit_, P_HIGH,
+                                reads=(fact,), outputs=(unchanged,))
+                absent = g.step(f"notExistsA{i}", "update", entry, exit_, P_LOW,
+                                outputs=(fact, changed))
             update_components.append(
-                UpdateComponent(kind, i, rel, terms, entry, exit_, done, exists.name, absent.name)
+                UpdateComponent(kind, i, rel, terms, entry, exit_, done, exists, absent)
             )
     else:
         updated = guard_ok
 
     # --- constraint check net ----------------------------------------------
-    constr_viol = b.place(f"{T}.ConstrViol", _colours(chain), "ConstrViol", T, "check")
+    constr_viol = g.stage("ConstrViol", "ConstrViol", "check")
     check_stages = []
     constraints = tuple(model.schema.constraints) if action is not None else ()
     if constraints:
-        constr_ok = b.place(f"{T}.ConstrOk", _colours(chain), "ConstrOk", T, "check")
+        constr_ok = g.stage("ConstrOk", "ConstrOk", "check")
         entry = updated
         for k, c in enumerate(constraints, start=1):
             exit_ = (
                 constr_ok
                 if k == len(constraints)
-                else b.place(f"{T}.C{k}Ok", _colours(chain), CLASS_INTERMEDIATE, T, "check")
+                else g.stage(f"C{k}Ok", CLASS_INTERMEDIATE, "check")
             )
             check_stages.append(
-                _build_check_stage(
-                    b, model, T, k, c, entry, exit_, constr_viol, chain, relation_places
-                )
+                _build_check_stage(g, model, k, c, entry, exit_, constr_viol, relation_places)
             )
             entry = exit_
     else:
         constr_ok = updated
 
     # --- undo net ------------------------------------------------------------
-    do_rollback = b.place(f"{T}.DoRollback", _colours(chain), "DoRollback", T, "undo")
+    do_rollback = g.stage("DoRollback", "DoRollback", "undo")
     undo_components = []
     if update_components:
         # Additions are reverted first, then deletions; within each group
@@ -475,92 +464,55 @@ def _build_gadget(
         sequence = adds + dels
         hops = [constr_viol]
         for j in range(1, len(sequence)):
-            hops.append(b.place(f"{T}.R{j}", _colours(chain), CLASS_INTERMEDIATE, T, "undo"))
+            hops.append(g.stage(f"R{j}", CLASS_INTERMEDIATE, "undo"))
         hops.append(do_rollback)
         for comp, entry, exit_ in zip(sequence, hops, hops[1:]):
-            rp = relation_places[comp.relation]
-            tag = "A" if comp.kind == "add" else "D"
+            fact = (relation_places[comp.relation], comp.terms)
+            changed = (comp.done_place, tok_true)
             if comp.kind == "add":
-                do = CpnTransition(
-                    name=f"{T}.revertA{comp.index}",
-                    inputs=((entry, tuple(chain)), (comp.done_place, tok_true), (rp, comp.terms)),
-                    outputs=((exit_, tuple(chain)),),
-                    priority=P_NORMAL,
-                )
+                do = g.step(f"revertA{comp.index}", "undo", entry, exit_,
+                            inputs=(changed, fact))
+                tag = "A"
             else:
-                do = CpnTransition(
-                    name=f"{T}.revertD{comp.index}",
-                    inputs=((entry, tuple(chain)), (comp.done_place, tok_true)),
-                    outputs=((exit_, tuple(chain)), (rp, comp.terms)),
-                    priority=P_NORMAL,
-                )
-            skip = CpnTransition(
-                name=f"{T}.skipRevert{tag}{comp.index}",
-                inputs=((entry, tuple(chain)), (comp.done_place, tok_false)),
-                outputs=((exit_, tuple(chain)),),
-                priority=P_NORMAL,
-            )
-            b.transition(do, T, "undo")
-            b.transition(skip, T, "undo")
+                do = g.step(f"revertD{comp.index}", "undo", entry, exit_,
+                            inputs=(changed,), outputs=(fact,))
+                tag = "D"
+            skip = g.step(f"skipRevert{tag}{comp.index}", "undo", entry, exit_,
+                          inputs=((comp.done_place, tok_false),))
             undo_components.append(
-                UndoComponent(comp.kind, entry, exit_, comp.done_place, do.name, skip.name)
+                UndoComponent(comp.kind, entry, exit_, comp.done_place, do, skip)
             )
     else:
         # Unreachable without an action, but kept for structural uniformity.
-        b.transition(
-            CpnTransition(
-                name=f"{T}.skipUndo",
-                inputs=((constr_viol, tuple(chain)),),
-                outputs=((do_rollback, tuple(chain)),),
-                priority=P_NORMAL,
-            ),
-            T, "undo",
-        )
+        g.step("skipUndo", "undo", constr_viol, do_rollback)
 
     # --- consume net and the two observable exits ----------------------------
-    do_commit = b.place(f"{T}.DoCommit", _colours(chain), "DoCommit", T, "finish")
+    do_commit = g.stage("DoCommit", "DoCommit", "finish")
     done_arcs = tuple(
         (comp.done_place, (Variable(f"{T}.b{idx}", ctl_name),))
         for idx, comp in enumerate(update_components)
     )
-    b.transition(
-        CpnTransition(
-            name=f"{T}.emptyNoOp",
-            inputs=((constr_ok, tuple(chain)),) + done_arcs,
-            outputs=((do_commit, tuple(chain)),),
-            priority=P_NORMAL,
-        ),
-        T, "finish",
-    )
+    g.step("emptyNoOp", "finish", constr_ok, do_commit, inputs=done_arcs)
     emit_names = tuple(v.name for v in scope.order)
-    # Name creation happened back at the enter step; the exits only copy
-    # the chain, so their inscriptions carry the plain variables.
-    plain_terms = lambda terms: tuple(
-        _plain(x) if isinstance(x, Variable) else x for x in terms
-    )
-    commit = b.transition(
-        CpnTransition(
-            name=f"{T}.commit",
-            inputs=((do_commit, tuple(chain)),),
-            outputs=tuple((p, plain_terms(terms)) for p, terms in t.outputs)
-            + ((lock_place, lock_tok),),
-            priority=P_NORMAL,
-            emit=Emit(T, "commit", emit_names),
-        ),
-        T, "finish",
-    ).name
-    rollback = b.transition(
-        CpnTransition(
-            name=f"{T}.rollback",
-            inputs=((do_rollback, tuple(chain)),),
-            outputs=tuple((p, plain_terms(terms)) for p, terms in t.rollbacks)
-            + ((lock_place, lock_tok),),
-            priority=P_NORMAL,
-            emit=Emit(T, "rollback", emit_names),
-        ),
-        T, "finish",
-    ).name
 
+    def finish(place: str, arcs: tuple, outcome: str) -> str:
+        # Name creation happened back at the enter step; the exits only
+        # copy the chain, so their inscriptions carry the plain variables.
+        return g.add(
+            CpnTransition(
+                name=f"{T}.{outcome}",
+                inputs=((place, g.chain),),
+                outputs=tuple(
+                    (p, tuple(_plain(x) for x in terms)) for p, terms in arcs
+                ) + ((lock_place, lock_tok),),
+                priority=P_NORMAL,
+                emit=Emit(T, outcome, emit_names),
+            ),
+            "finish",
+        )
+
+    commit = finish(do_commit, t.outputs, "commit")
+    rollback = finish(do_rollback, t.rollbacks, "rollback")
     return GadgetInfo(
         transition=T,
         entered=entered,
@@ -619,194 +571,89 @@ def _compile_conjunct(
 
 
 def _build_check_stage(
-    b: _Builder,
+    g: _Gadget,
     model: DbNet,
-    T: str,
     k: int,
     c,
     entry: str,
     exit_: str,
     constr_viol: str,
-    chain: list,
     relation_places: dict,
 ) -> CheckStage:
-    chain_t = tuple(chain)
-    if isinstance(c, PrimaryKey):
+    """Check stage ``k``: the chain token goes on from ``entry`` to
+    ``exit_`` when the database satisfies ``c``, and to ``constr_viol``
+    when it does not."""
+
+    def step(name: str, src: str, dst: str, priority: int = P_NORMAL, **arcs) -> str:
+        return g.step(f"{name}{k}", "check", src, dst, priority, **arcs)
+
+    def columns(rel, letter: str) -> tuple:
+        # one variable {T}.c{k}.{letter}{j} per column j of rel
+        return tuple(
+            Variable(f"{g.T}.c{k}.{letter}{j}", dtype) for j, dtype in enumerate(rel.column_types)
+        )
+
+    if isinstance(c, (PrimaryKey, DomainConstraint)):
+        # A violating fact (or pair of facts) fires the violation at high
+        # priority; the pass, at low priority, fires only when none does.
         rel = model.schema.relation(c.relation)
         rp = relation_places[c.relation]
-        ys = tuple(Variable(f"{T}.c{k}.y{j}", rel.column_types[j]) for j in range(rel.arity))
-        ws = tuple(Variable(f"{T}.c{k}.w{j}", rel.column_types[j]) for j in range(rel.arity))
-        eqs = tuple(Compare("=", ys[j], ws[j]) for j in c.cols)
-        rest = [j for j in range(rel.arity) if j not in c.cols]
-        guard: Formula = And(eqs)
-        if rest:
-            guard = And(eqs + (Or(tuple(Compare("!=", ys[j], ws[j]) for j in rest)),))
-        else:
+        ys = columns(rel, "y")
+        if isinstance(c, PrimaryKey):
+            kind, viol_name, ok_name = "key", "repeatedKey", "keyOk"
+            ws = columns(rel, "w")
+            reads = ((rp, ys), (rp, ws))
+            # Two facts that agree on the key columns and differ elsewhere.
             # A key over every column can never be violated under set
-            # semantics; the violation guard is unsatisfiable.
-            guard = And(eqs + (Or(()),))
-        viol = b.transition(
-            CpnTransition(
-                name=f"{T}.repeatedKey{k}",
-                inputs=((entry, chain_t),),
-                reads=((rp, ys), (rp, ws)),
-                guard=guard,
-                outputs=((constr_viol, chain_t),),
-                priority=P_HIGH,
-            ),
-            T, "check",
-        )
-        ok = b.transition(
-            CpnTransition(
-                name=f"{T}.keyOk{k}",
-                inputs=((entry, chain_t),),
-                outputs=((exit_, chain_t),),
-                priority=P_LOW,
-            ),
-            T, "check",
-        )
-        return CheckStage("key", entry, exit_, (("violation", viol.name), ("pass", ok.name)))
+            # semantics; its empty disjunction is unsatisfiable.
+            guard = And(
+                tuple(Compare("=", ys[j], ws[j]) for j in c.cols)
+                + (Or(tuple(Compare("!=", ys[j], ws[j]) for j in range(rel.arity)
+                            if j not in c.cols)),)
+            )
+        else:
+            kind, viol_name, ok_name = "domain", "wrongValue", "valueOk"
+            reads = ((rp, ys),)
+            guard = And(tuple(Compare("!=", ys[c.col], v) for v in c.allowed))
+        viol = step(viol_name, entry, constr_viol, P_HIGH, reads=reads, guard=guard)
+        ok = step(ok_name, entry, exit_, P_LOW)
+        return CheckStage(kind, entry, exit_, (("violation", viol), ("pass", ok)))
 
     if isinstance(c, ForeignKey):
         src = model.schema.relation(c.source)
-        tgt = model.schema.relation(c.target)
         rp = relation_places[c.source]
         sp = relation_places[c.target]
-        ys = tuple(Variable(f"{T}.c{k}.y{j}", src.column_types[j]) for j in range(src.arity))
+        ys = columns(src, "y")
         # The target inscription shares the referencing variables, which
         # realizes the match condition by unification.
-        ws = []
-        for j in range(tgt.arity):
-            if j in c.target_cols:
-                ws.append(ys[c.source_cols[c.target_cols.index(j)]])
-            else:
-                ws.append(Variable(f"{T}.c{k}.w{j}", tgt.column_types[j]))
-        ws = tuple(ws)
-        seen = b.place(f"{T}.C{k}Seen", src.column_types, CLASS_INTERMEDIATE, T, "check")
-        violp = b.place(f"{T}.C{k}ViolPending", _colours(chain), CLASS_INTERMEDIATE, T, "check")
-        passp = b.place(f"{T}.C{k}PassPending", _colours(chain), CLASS_INTERMEDIATE, T, "check")
+        ws = tuple(
+            ys[c.source_cols[c.target_cols.index(j)]] if j in c.target_cols else w
+            for j, w in enumerate(columns(model.schema.relation(c.target), "w"))
+        )
+        seen = g.place(f"C{k}Seen", src.column_types, CLASS_INTERMEDIATE, "check")
+        violp = g.stage(f"C{k}ViolPending", CLASS_INTERMEDIATE, "check")
+        passp = g.stage(f"C{k}PassPending", CLASS_INTERMEDIATE, "check")
         # Exhaustive scan: matched source tokens are parked in Seen until
         # either the source place drains (pass) or only unmatched tokens
         # remain (violation); afterwards the parked tokens are restored.
-        scan = b.transition(
-            CpnTransition(
-                name=f"{T}.fkScan{k}",
-                inputs=((entry, chain_t), (rp, ys)),
-                reads=((sp, ws),),
-                outputs=((entry, chain_t), (seen, ys)),
-                priority=P_HIGH,
-            ),
-            T, "check",
-        )
-        scan_names = [("scan", scan.name)]
+        park = {"inputs": ((rp, ys),), "outputs": ((seen, ys),)}
+        names = [("scan", step("fkScan", entry, entry, P_HIGH, reads=((sp, ws),), **park))]
         if c.source == c.target:
             # The witness row may itself already be parked in Seen, so a
             # self-reference needs a second scan variant that matches there.
-            scan_self = b.transition(
-                CpnTransition(
-                    name=f"{T}.fkScanSelf{k}",
-                    inputs=((entry, chain_t), (rp, ys)),
-                    reads=((seen, ws),),
-                    outputs=((entry, chain_t), (seen, ys)),
-                    priority=P_HIGH,
-                ),
-                T, "check",
+            names.append(
+                ("scan-self", step("fkScanSelf", entry, entry, P_HIGH, reads=((seen, ws),), **park))
             )
-            scan_names.append(("scan-self", scan_self.name))
-        y2 = tuple(Variable(f"{T}.c{k}.u{j}", src.column_types[j]) for j in range(src.arity))
-        viol = b.transition(
-            CpnTransition(
-                name=f"{T}.fkViol{k}",
-                inputs=((entry, chain_t),),
-                reads=((rp, y2),),
-                outputs=((violp, chain_t),),
-                priority=P_NORMAL,
-            ),
-            T, "check",
-        )
-        ok = b.transition(
-            CpnTransition(
-                name=f"{T}.fkPass{k}",
-                inputs=((entry, chain_t),),
-                outputs=((passp, chain_t),),
-                priority=P_LOW,
-            ),
-            T, "check",
-        )
-        y3 = tuple(Variable(f"{T}.c{k}.r{j}", src.column_types[j]) for j in range(src.arity))
-        restore_v = b.transition(
-            CpnTransition(
-                name=f"{T}.fkRestoreViol{k}",
-                inputs=((violp, chain_t), (seen, y3)),
-                outputs=((violp, chain_t), (rp, y3)),
-                priority=P_HIGH,
-            ),
-            T, "check",
-        )
-        restore_p = b.transition(
-            CpnTransition(
-                name=f"{T}.fkRestorePass{k}",
-                inputs=((passp, chain_t), (seen, y3)),
-                outputs=((passp, chain_t), (rp, y3)),
-                priority=P_HIGH,
-            ),
-            T, "check",
-        )
-        emit_v = b.transition(
-            CpnTransition(
-                name=f"{T}.fkEmitViol{k}",
-                inputs=((violp, chain_t),),
-                outputs=((constr_viol, chain_t),),
-                priority=P_LOW,
-            ),
-            T, "check",
-        )
-        emit_p = b.transition(
-            CpnTransition(
-                name=f"{T}.fkEmitPass{k}",
-                inputs=((passp, chain_t),),
-                outputs=((exit_, chain_t),),
-                priority=P_LOW,
-            ),
-            T, "check",
-        )
-        return CheckStage(
-            "ref", entry, exit_,
-            tuple(scan_names) + (
-                ("violation", viol.name),
-                ("pass", ok.name),
-                ("restore-violation", restore_v.name),
-                ("restore-pass", restore_p.name),
-                ("emit-violation", emit_v.name),
-                ("emit-pass", emit_p.name),
-            ),
-        )
-
-    if isinstance(c, DomainConstraint):
-        rel = model.schema.relation(c.relation)
-        rp = relation_places[c.relation]
-        ys = tuple(Variable(f"{T}.c{k}.y{j}", rel.column_types[j]) for j in range(rel.arity))
-        guard = And(tuple(Compare("!=", ys[c.col], v) for v in c.allowed))
-        viol = b.transition(
-            CpnTransition(
-                name=f"{T}.wrongValue{k}",
-                inputs=((entry, chain_t),),
-                reads=((rp, ys),),
-                guard=guard,
-                outputs=((constr_viol, chain_t),),
-                priority=P_HIGH,
-            ),
-            T, "check",
-        )
-        ok = b.transition(
-            CpnTransition(
-                name=f"{T}.valueOk{k}",
-                inputs=((entry, chain_t),),
-                outputs=((exit_, chain_t),),
-                priority=P_LOW,
-            ),
-            T, "check",
-        )
-        return CheckStage("domain", entry, exit_, (("violation", viol.name), ("pass", ok.name)))
+        rs = columns(src, "r")
+        unpark = {"inputs": ((seen, rs),), "outputs": ((rp, rs),)}
+        names += [
+            ("violation", step("fkViol", entry, violp, reads=((rp, columns(src, "u")),))),
+            ("pass", step("fkPass", entry, passp, P_LOW)),
+            ("restore-violation", step("fkRestoreViol", violp, violp, P_HIGH, **unpark)),
+            ("restore-pass", step("fkRestorePass", passp, passp, P_HIGH, **unpark)),
+            ("emit-violation", step("fkEmitViol", violp, constr_viol, P_LOW)),
+            ("emit-pass", step("fkEmitPass", passp, exit_, P_LOW)),
+        ]
+        return CheckStage("ref", entry, exit_, tuple(names))
 
     raise ContractError(f"unsupported constraint kind {type(c).__name__}")

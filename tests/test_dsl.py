@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from dbnet.corpus import build_shopping_cart, shop_text
 from dbnet.cpn import cpn_build_lts
-from dbnet.dsl import DslError, parse_model, print_model
+from dbnet.dsl import DslError, _fmt_formula, parse_model, print_model
+from dbnet.fo import And, Compare, Or
 from dbnet.model import build_lts, validate
-from dbnet.relational import PrimaryKey
+from dbnet.relational import PrimaryKey, Variable
 from dbnet.translate import translate
 
-from conftest import CORPUS_DIR, CORPUS_NAMES, RECYCLING
+from conftest import CORPUS_DIR, CORPUS_NAMES, RECYCLING, load_corpus
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -380,6 +381,25 @@ def test_translated_net_survives_print_and_reparse(touch):
     r1 = {(l1.states[s].render(), l, l1.states[d].render()) for s, l, d in l1.edges}
     r2 = {(l2.states[s].render(), l, l2.states[d].render()) for s, l, d in l2.edges}
     assert r1 == r2
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["shop-2x2"])
+def test_a_translated_net_prints_in_printed_form(name):
+    # the translator builds one-part disjunctions (key checks on two
+    # columns); they print as their part, so the text reads back unchanged
+    model = build_shopping_cart(2, 2) if name == "shop-2x2" else load_corpus(name)
+    printed = print_model(translate(model).net)
+    assert print_model(parse_model(printed)) == printed
+
+
+def test_a_one_part_conjunction_or_disjunction_prints_as_its_part():
+    x = Compare("=", Variable("a", "int"), Variable("b", "int"))
+    y = Compare("!=", Variable("c", "int"), Variable("d", "int"))
+    assert _fmt_formula(And((x, Or((y,))))) == "a = b & c != d"
+    assert _fmt_formula(Or((And((x,)), y))) == "a = b | c != d"
+    assert _fmt_formula(And((Or((x, y)),))) == "a = b | c != d"
+    assert _fmt_formula(And((Or((And((x, y)),)), y))) == "a = b & c != d & c != d"
+    assert _fmt_formula(And((Or((Or((x, y)),)), y))) == "(a = b | c != d) & c != d"
 
 
 def test_translated_shop_reparses(shop_translation):

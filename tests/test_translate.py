@@ -1,8 +1,14 @@
 """Compilation of database-coupled nets into prioritized coloured nets."""
 
+import hashlib
+
 import pytest
 
-from dbnet.cpn import EPS, P_HIGH, P_LOW, P_NORMAL, cpn_build_lts, cpn_enabled, cpn_fire
+from dbnet.corpus import build_shopping_cart
+from dbnet.cpn import (
+    EPS, P_HIGH, P_LOW, P_NORMAL, CpnTransition, cpn_build_lts, cpn_enabled, cpn_fire,
+)
+from dbnet.dsl import print_model
 from dbnet.fo import Atom, Compare
 from dbnet.marking import Marking
 from dbnet.model import ControlPlace, DbNet, Transition, ViewPlace
@@ -18,9 +24,9 @@ from dbnet.relational import (
     Variable,
     make_value,
 )
-from dbnet.translate import translate
+from dbnet.translate import _Builder, translate
 
-from conftest import BOUNDED1, RECYCLING, load_corpus
+from conftest import BOUNDED1, CORPUS_NAMES, RECYCLING, load_corpus
 
 INT = DataType("int", "int")
 
@@ -128,6 +134,44 @@ def test_gadget_place_collision_is_reported(shop):
     )
     with pytest.raises(ContractError, match="collision"):
         translate(model)
+
+
+def test_a_duplicate_transition_name_is_refused():
+    b = _Builder()
+    b.transition(CpnTransition("T.enter"), "T", "enter")
+    with pytest.raises(ContractError, match="translated transition name collision: 'T.enter'"):
+        b.transition(CpnTransition("T.enter"), "T", "enter")
+
+
+# sha256 of the printed translated net followed by its provenance lines, for
+# every corpus net and the shop at users x products; the encoding is pinned
+TRANSLATION_DIGESTS = {
+    "domviol": "db7a79fadfdb3ed1bc49a3095c3c1b83b16e9992d474e8807144152529a7ca28",
+    "empty": "e6eb0d2b2d3d518286c0532acdb584c12f6acce47c91c648393ea51f7584b884",
+    "fk": "2474ea64f4c6ebecc3f1578791ec8fb8656e619d9a0592f497fba1bf2f298011",
+    "guarded": "42a8c3d2730730f865480ed94c83690287b800e69e28d27eab0b1609b3b64b5c",
+    "selfref": "f4b92fa884f09a13742aa873b224dd5c4b690bd6f07396e832daace771c355da",
+    "shopping-cart": "5803b403b2d709994ce9aec4367bdc2cf94f73dac50d3b0256c25c8c21706221",
+    "touch": "67e93eabba29fc893132333cb82eb6cb75d0ae47074c27291a81d494b781a238",
+    (1, 1): "5803b403b2d709994ce9aec4367bdc2cf94f73dac50d3b0256c25c8c21706221",
+    (2, 2): "5c899b9dc22a43783e25da14cbad4c9bb6045c0dcf4ad41ce95c9d8b564f7c3b",
+    (3, 3): "1732495180052aa9942a17d2b5efa18acffe1f9d2eb2995644d4aadff5b138d9",
+}
+
+
+def test_every_corpus_net_has_a_pinned_translation():
+    assert sorted(k for k in TRANSLATION_DIGESTS if isinstance(k, str)) == CORPUS_NAMES
+
+
+@pytest.mark.parametrize(
+    "key", TRANSLATION_DIGESTS,
+    ids=lambda key: key if isinstance(key, str) else "shop-%dx%d" % key,
+)
+def test_translation_prints_as_pinned(key):
+    model = load_corpus(key) if isinstance(key, str) else build_shopping_cart(*key)
+    out = translate(model)
+    text = print_model(out.net) + out.provenance_jsonl()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRANSLATION_DIGESTS[key]
 
 
 def test_translate_rejects_invalid_models(shop):
