@@ -130,6 +130,64 @@ chain of weak moves to ``k`` and the move.
 that the tests compare with.  As a reference it is kept plain: it
 finds each silent closure and weak step by a search when it is asked,
 keeps no table between questions, and compares contents with ``==``.
+
+Symmetry (``_orbit_shortcut``): before the kernel is built, a shortcut
+that can only say ``BISIMILAR`` searches the translated net from one
+source state per orbit of a group of value renamings (scalarsets: Ip &
+Dill, FMSD 9, 1996; Jensen, FMSD 9, 1996).  The group is generated by
+the block swaps of :func:`dbnet.symmetry.block_swaps`, derived from the
+initial state and verified on it, never declared; with none, the
+kernel is built directly, as for every corpus net but the shop.
+
+*Equivariance.*  Let π be a product of the swaps.  It fixes every
+constant of both net texts and every sample, moves no value of a type
+that is compared by order, and fixes the initial instance, the initial
+marking and the translated initial marking.  Both layers compare the
+values they bind for equality only, so π maps each binding, each
+firing and each label of a state to those of its image, except for
+fresh values.  A fresh value is the first, or the first k, values of
+its type's stream outside ``used``; π maps stream values to stream
+values.  Both explorations run with a :class:`~dbnet.symmetry.FreshGuard`
+policy, which checks at each question that every moved stream value of
+the type is in ``used``.  Where that holds, no candidate is a moved
+value, and the candidates at π(x) are those at x, fixed by π.  So the
+local search from ``π(image(s))`` plus the lock is the π-image of the
+one from ``image(s)`` plus the lock, and the source edges of π(s) are
+the π-images of those of s.
+
+*The strict check.*  The source states are taken in the order in
+which the kernel would meet their images: breadth-first from state 0,
+the successors of a searched state in the order of its weak moves and
+those of any other state in source edge order.  A state in the orbit of
+a searched state is skipped; any other is searched from its image plus
+the lock, and passes if every weak move is observable and ends exactly
+on some ``image(s')`` plus the lock, the set of ``(label, s')`` is the
+set of its source edges, and the search met no dead end, no cycle and
+no cut.  A search is dropped at its first stable target that is no such
+image, as the kernel drops a search at a foreign target.  After a pass,
+the orbit is closed under the swaps by renaming contents record by
+record (``Marking.rename``), and every image must be a source state.
+If every search passes, the graph of ``s -> image(s)`` plus the lock is
+the kernel that the exact path would build: by equivariance each state
+of an orbit passes the check that its representative passed, so the
+kernel's states are those images, one per source state, and its weak
+moves are the source edges.  The result is then exactly the kernel's:
+``BISIMILAR`` with the relation in source state order, as many
+translated states and edges as source ones, and the largest search of
+a representative.  This holds only if the exact run could not have been
+cut: under ``max_states`` the searches, counted once per orbit member,
+must stay below the cap; a search that ``max_depth`` would cut is cut
+in the shortcut too.
+
+*Hand-over.*  If the fresh guard trips, an image is no source state,
+the strict check fails at a state, or the cap could be reached, the
+shortcut is off, and the kernel is built as above.  Both paths share one
+:class:`~dbnet.cpn.LocalSearch`, and the kernel replays each search
+that the shortcut began, or goes on with it, instead of searching that
+root again, so refusals, witnesses, traces, caps and the markings
+searched are the exact path's.  The shortcut never says
+``NOT_BISIMILAR``; when it is off, the only work lost is its searches
+of states that the kernel does not reach before it stops.
 """
 
 from __future__ import annotations
@@ -141,12 +199,13 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
 
-from .cpn import cpn_build_lts
+from .cpn import LocalSearch, cpn_build_lts
 from .lts import EPS, Lts, _log_info, cycle_member, format_label
 from .marking import Marking
 from .model import DbNet, build_lts
 from .freshness import FreshPolicy
-from .relational import ContractError, render_fact
+from .relational import ContractError, render_fact, render_value
+from .symmetry import FreshGuard, block_swaps
 from .translate import TranslationOutput, facts_image, translate
 
 __all__ = [
@@ -486,10 +545,11 @@ def _log_phase(phase: str, started: float, message: str, *args) -> float:
     return now
 
 
-def _explore_target(translation, policy, source, known, image, *, max_states, max_depth):
-    """Explore the translated net as its kernel of stable states, and test
-    each state as soon as its local search has ended, and each target of
-    its weak moves as the search meets it (see the module docstring).
+def _explore_target(translation, searcher, source, known, image):
+    """Explore the translated net as its kernel of stable states, by the
+    local searches of ``searcher``, and test each state as soon as its
+    local search has ended, and each target of its weak moves as the
+    search meets it (see the module docstring).
     ``source`` is the source graph, ``image`` gives a snapshot's contents
     and ``known`` maps the contents of each source state to its number.
     Returns the kernel, σ and the refusal at the first failing state, or
@@ -558,8 +618,7 @@ def _explore_target(translation, policy, source, known, image, *, max_states, ma
                                                              image, render))
         return False
 
-    kernel = cpn_build_lts(net, policy, max_states=max_states, max_depth=max_depth,
-                           stop=stop, keep=partial(_is_stable, translation.lock_place))
+    kernel = cpn_build_lts(net, stop=stop, searches=searcher)
     return kernel, sigma, (refusal[0] if refusal else None)
 
 
@@ -661,6 +720,78 @@ def _source_image(relation_places: dict) -> Callable:
     return image
 
 
+def _orbit_shortcut(translation, searcher, source, contents, known, swaps, guard, max_states):
+    """Decide ``BISIMILAR`` from one source state per orbit of the group
+    that ``swaps`` generate, if it can (see the module docstring's
+    Symmetry section).  ``contents`` lists each source state's image and
+    ``known`` maps it back to the state's number.  Returns the result, or
+    None, and the note on it for the target's log line."""
+    net = translation.net
+    lock = net.initial_marking.restrict((translation.lock_place,))
+    roots = [image.join(lock) for image in contents]  # each source state's stable marking
+    stable = {root: s for s, root in enumerate(roots)}
+    off = "symmetry shortcut off: "
+    tripped = off + "fresh guard tripped on %s"
+    failed = off + "strict check failed at source state %d"
+    if guard.tripped is not None:
+        return None, tripped % render_value(guard.tripped)
+    if stable.get(net.initial_marking) != 0:
+        return None, failed % 0
+    renamed = [{} for _ in swaps]  # per swap: each record renamed so far -> its image
+    covered = [False] * len(roots)
+    order, met = [0], {0}  # the source states, in the order the kernel meets their images
+    searches = total = largest = 0
+    for s in order:  # the order grows while it is read
+        if covered[s]:  # its source edges stand in for its weak moves
+            targets = [dst for _s, _label, dst in _edges_of(source, s)]
+        else:
+            run = searcher.start(roots[s])
+            searches += 1
+            moves, targets, strict = set(), [], True
+            for move in run.steps:
+                if move is LocalSearch.CUT:
+                    return None, failed % s
+                label, target = move
+                target = stable.get(target)
+                if target is None:  # dropped here, as the kernel drops a foreign target
+                    return None, failed % s
+                strict = strict and label is not None and label != EPS
+                moves.add((label, target))
+                targets.append(target)
+            if guard.tripped is not None:
+                return None, tripped % render_value(guard.tripped)
+            if not strict or run.dead_end or run.cycle or moves != {
+                    (label, dst) for _s, label, dst in _edges_of(source, s)}:
+                return None, failed % s
+            orbit = [s]
+            covered[s] = True
+            for member in orbit:  # the orbit grows while it is read
+                for swap, memo in zip(swaps, renamed):
+                    image = known.get(contents[member].rename(swap, memo))
+                    if image is None:
+                        return None, (off + f"a generator image of source state {member} "
+                                      "is not a source state")
+                    if not covered[image]:
+                        covered[image] = True
+                        orbit.append(image)
+            total += run.size * len(orbit)
+            largest = max(largest, run.size)
+        for dst in targets:
+            if dst not in met:
+                met.add(dst)
+                order.append(dst)
+    if max_states is not None and total >= max_states:
+        return None, off + "the searches would reach the cap"
+    result = WeakBisimResult(BISIMILAR, relation=tuple(zip(source.states, roots)))
+    result.stats = {
+        "translated-states": len(roots),
+        "translated-edges": source.edge_count,
+        "largest-local-search": largest,
+    }
+    return result, (f"{searches} searches for {len(roots)} source states, "
+                    f"group generators {len(swaps)}")
+
+
 def certify_translation(
     model: DbNet,
     policy: Optional[FreshPolicy] = None,
@@ -673,20 +804,25 @@ def certify_translation(
     shared fresh-value regime, and decide weak bisimilarity of the two
     by their states' contents (see the module docstring).
 
-    The translated net is explored as its kernel of stable states, and
-    each stable state is tested as soon as its local search has ended
-    (see the module docstring): the first failing stable state in
-    exploration order, even past the cap, ends the exploration and gives
-    ``NOT_BISIMILAR``, with a ``"foreign-state"``, ``"silent-dead-end"``,
-    ``"silent-divergence"``, ``"unmatched-move"`` or, for the initial
-    state, ``"content-mismatch"`` witness.  ``stats`` counts the kernel's
-    stable states (``translated-states``) and weak moves
-    (``translated-edges``), up to the stop if there was one, and the
-    markings of its largest local search (``largest-local-search``).
-    ``max_states`` caps the stable states and ``max_depth`` the weak
-    moves from the initial one; once the local searches have visited
-    ``max_states`` markings in all, or one would follow more than
-    ``max_depth`` firings, the search is cut.
+    If the initial state has interchangeable blocks of values, the
+    translated net is first searched from one source state per orbit
+    only, a shortcut that can only say ``BISIMILAR`` (see the module
+    docstring's Symmetry section).  Otherwise, or if the shortcut cannot
+    decide, the translated net is explored as its kernel of stable
+    states, and each stable state is tested as soon as its local search
+    has ended (see the module docstring): the first failing stable state
+    in exploration order, even past the cap, ends the exploration and
+    gives ``NOT_BISIMILAR``, with a ``"foreign-state"``,
+    ``"silent-dead-end"``, ``"silent-divergence"``, ``"unmatched-move"``
+    or, for the initial state, ``"content-mismatch"`` witness.  Either
+    way the result is the kernel's: ``stats`` counts the kernel's stable
+    states (``translated-states``) and weak moves (``translated-edges``),
+    up to the stop if there was one, and the markings of its largest
+    local search (``largest-local-search``).  ``max_states`` caps the
+    stable states and ``max_depth`` the weak moves from the initial one;
+    once the local searches have visited ``max_states`` markings in all,
+    or one would follow more than ``max_depth`` firings, the search is
+    cut.
 
     ``translation`` may be supplied to certify a pre-built (for instance
     deliberately mutated) translation of the same model.  Unless a state
@@ -697,7 +833,9 @@ def certify_translation(
     is explored.
 
     Under ``DBNET_LOG=info`` each phase (source exploration, target
-    exploration, check) logs one line with its seconds and states.  A
+    exploration, check) logs one line with its seconds and states; the
+    target's line ends with the searches the shortcut made and the
+    generators of its group, or with why the shortcut was off.  A
     refusal logs one line instead of the check's, as it is found: the
     state, the markings searched so far, and what failed.
     """
@@ -706,29 +844,44 @@ def certify_translation(
         translation = translate(model)
 
     started = time.perf_counter()
+    swaps = block_swaps(model, translation)
+    if swaps:
+        policy = FreshGuard.for_swaps(policy, swaps, model.types)
     raw1 = build_lts(model, policy, max_states=max_states, max_depth=max_depth)
     _refuse_truncated(raw1)
     image = _source_image(translation.relation_places)
+    contents = [image(snap) for snap in raw1.states]
     known: dict = {}
-    for number, snap in enumerate(raw1.states):
-        known.setdefault(image(snap), number)
+    for number, snap_image in enumerate(contents):
+        known.setdefault(snap_image, number)
     started = _log_phase("source exploration", started, "%d states", raw1.state_count)
-    kernel, sigma, result = _explore_target(translation, policy, raw1, known, image,
-                                            max_states=max_states, max_depth=max_depth)
-    started = _log_phase(
-        "target exploration", started, "%d stable states, %d weak moves, largest local search %d",
-        kernel.state_count, kernel.edge_count, kernel.largest_search,
-    )
+    searcher = LocalSearch(translation.net, policy, partial(_is_stable, translation.lock_place),
+                           max_states=max_states, max_depth=max_depth)
+    result, note = None, "symmetry shortcut off: no generator"
+    if swaps:
+        result, note = _orbit_shortcut(translation, searcher, raw1, contents, known, swaps,
+                                       policy, max_states)
+    refusal = None
     if result is None:
-        _refuse_truncated(raw1, kernel)
-        result = _graph_of_sigma(raw1, kernel, sigma)
+        kernel, sigma, refusal = _explore_target(translation, searcher, raw1, known, image)
+        stats = {
+            "translated-states": kernel.state_count,
+            "translated-edges": kernel.edge_count,
+            "largest-local-search": kernel.largest_search,
+        }
+    else:
+        stats = result.stats
+    started = _log_phase(
+        "target exploration", started,
+        "%d stable states, %d weak moves, largest local search %d, %s",
+        stats["translated-states"], stats["translated-edges"], stats["largest-local-search"], note)
+    if refusal is not None:
+        result = refusal
+    else:
+        if result is None:
+            _refuse_truncated(raw1, kernel)
+            result = _graph_of_sigma(raw1, kernel, sigma)
         _log_phase("check", started, "%d + %d states, %s",
-                   raw1.state_count, kernel.state_count, result.verdict)
-    result.stats = {
-        "source-states": raw1.state_count,
-        "source-edges": raw1.edge_count,
-        "translated-states": kernel.state_count,
-        "translated-edges": kernel.edge_count,
-        "largest-local-search": kernel.largest_search,
-    }
+                   raw1.state_count, stats["translated-states"], result.verdict)
+    result.stats = {"source-states": raw1.state_count, "source-edges": raw1.edge_count, **stats}
     return result

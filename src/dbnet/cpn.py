@@ -61,7 +61,11 @@ keeps the stable markings, where the lock is home (shop 3x3 under
 graph has 22,683 states; the largest search visits 120 markings, and
 the exploration makes 22,779 enabling scans against the full graph's
 22,683, as a few interior markings are reached from more than one
-stable state).
+stable state).  The searches of one exploration belong to one
+:class:`LocalSearch`, which a caller can also run from roots of its own
+choosing before the kernel is built; the kernel then replays those
+searches, or goes on with one left half way, instead of searching
+their roots again.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ __all__ = [
     "cpn_fire",
     "cpn_build_lts",
     "Kernel",
+    "LocalSearch",
 ]
 
 P_LOW = 0
@@ -401,7 +406,53 @@ def cpn_fire(net: NuCpn, marking: Marking, t: CpnTransition, theta: Mapping[str,
                 f"transition {t.name}: blocked by higher-priority {entry.transition.name}"
             )
     removals, additions, label = _firing(t, theta)
-    return marking.update(removals, additions), label
+    return marking.apply(place_deltas(removals, additions), None), label
+
+
+def _refuse_unbounded(policy: FreshPolicy) -> None:
+    if not policy.finite_branching:
+        raise ContractError(
+            "state-space construction requires a finite freshness policy "
+            "(recycling or bounded); got unbounded"
+        )
+
+
+def _firings(net: NuCpn, policy: FreshPolicy) -> Callable:
+    """``enabled(marking)``: the firings that the priority rule allows at
+    ``marking``, each as ``(transition, deltas, label)``, memoised per
+    transition and content of its places for as long as ``enabled``
+    lives (see the module docstring)."""
+    table = _transition_table(net)
+    # (entry rank, its places' records) -> its (transition, deltas, label)
+    # firings; each token and delta -> the first equal one built
+    memo: dict = {}
+    tokens: dict = {}
+    deltas: dict = {}
+
+    def shared(arcs: tuple) -> list:
+        return [(place, tokens.setdefault(token, token)) for place, token in arcs]
+
+    def firings(marking: Marking, entry: _Entry):
+        key = None
+        if not entry.fresh:  # fresh values avoid every value in the marking
+            key = (entry.rank, marking.records(entry.inputs_and_reads))
+            found = memo.get(key)
+            if found is not None:
+                return found
+        t = entry.transition
+        found = []
+        for theta in _transition_bindings(net, marking, entry, policy):
+            removals, additions, label = _firing(t, theta)
+            firing = place_deltas(shared(removals), shared(additions))
+            found.append((t, tuple(deltas.setdefault(d, d) for d in firing), label))
+        if key is not None:
+            memo[key] = found
+        return found
+
+    def enabled(marking: Marking) -> list:
+        return _prioritised(table, marking, partial(firings, marking))
+
+    return enabled
 
 
 @dataclass
@@ -425,6 +476,173 @@ class Kernel(Lts):
 _TWO = ("two observables",)  # a route that is no weak move
 
 
+class _Run:
+    """One local search.  ``steps`` runs it, yielding its weak moves as
+    ``(label, target)``; ``moves`` keeps each one yielded so far with
+    the markings visited by then, ``size`` counts the markings visited
+    so far, the root included, and ``dead_end`` and ``cycle`` are what
+    it met (see :class:`Kernel`)."""
+
+    __slots__ = ("root", "steps", "moves", "size", "dead_end", "cycle")
+
+    def __init__(self, root: Marking):
+        self.root = root
+        self.steps = None
+        self.moves = []
+        self.size = 0
+        self.dead_end = None
+        self.cycle = None
+
+
+class LocalSearch:
+    """The local searches of one exploration of a translated net's
+    kernel, the graph over the stable markings that ``keep`` accepts (see
+    :func:`cpn_build_lts`).  All its searches fire through one locality
+    memo and one table of next records.
+
+    A search started with :meth:`start` before :meth:`kernel` runs is
+    kept by its root, whether it ended or was left half way, and
+    :meth:`kernel` takes it over instead of searching that root again:
+    it replays the weak moves the search yielded, counting the markings
+    visited by each as the search did, and then lets a search left half
+    way go on.  Before :meth:`kernel` runs, a search that would pass
+    ``max_states`` markings in all or follow more than ``max_depth``
+    firings yields ``CUT`` and waits there; :meth:`kernel` checks it
+    again against its own count.  A search is replayed only if the
+    kernel's count leaves room for the markings it visited, so a replay
+    is the search the kernel would run, up to where it was left: the
+    same weak moves, the same markings searched after each, and the same
+    dead end, cycle and size.  ``visited`` counts the markings that
+    searches really visited."""
+
+    CUT = ("cut",)  # what a search that would pass the limits yields before `kernel` runs
+
+    def __init__(self, net: NuCpn, policy: Optional[FreshPolicy], keep: Callable[[Marking], bool],
+                 *, max_states: Optional[int] = None, max_depth: Optional[int] = None):
+        self.net = net
+        policy = policy or net.default_policy
+        _refuse_unbounded(policy)
+        self.keep = keep
+        self.enabled = _firings(net, policy)
+        self.nexts: dict = {}  # (record or None, delta) -> next record or None
+        self.max_states = max_states
+        self.max_depth = max_depth
+        self.graph = Kernel()  # what the searches count into: a scratch graph until `kernel`
+        self.runs: Optional[dict] = {}  # root -> its run, until `kernel` takes them over
+        self.visited = 0
+        self.started = time.perf_counter()
+
+    def start(self, root: Marking) -> _Run:
+        """A new search from ``root``; iterate its ``steps`` to run it."""
+        run = _Run(root)
+        run.steps = self._steps(run)
+        if self.runs is not None:
+            self.runs[root] = run
+        return run
+
+    def _spent(self, depth: int) -> bool:
+        """Whether a search must not add a marking found at ``depth``
+        firings from its root to the markings searched so far."""
+        return depth == self.max_depth or (self.max_states is not None
+                                           and self.graph.searched >= self.max_states)
+
+    def _visit(self, run: _Run) -> None:
+        run.size += 1
+        self.graph.searched += 1
+        self.visited += 1
+        if not self.visited % lts.PROGRESS_EVERY:
+            _log_info(__name__, "kernel: %d markings visited, largest search %d, %.1f s",
+                      self.visited, max(self.graph.largest_search, run.size),
+                      time.perf_counter() - self.started)
+
+    def _steps(self, run: _Run):
+        """The search of ``run``: the weak moves out of its root;
+        ``(None, target)`` for a stable target reached only across two
+        observables."""
+        root, keep, enabled, nexts = run.root, self.keep, self.enabled, self.nexts
+        # A node is (marking, weak label so far): eps, the one observable
+        # passed, or _TWO; it is numbered by its position in `queue`.
+        number = {(root, EPS): 0}
+        queue = [(root, EPS)]
+        self._visit(run)
+        parent = [None]  # node -> (its parent node, the firing's label)
+        depth = [0]  # node -> firings from the root
+        silent = []  # node -> the interior nodes one silent firing away
+
+        def labels(i: int) -> tuple:
+            out = []
+            while parent[i] is not None:
+                i, label = parent[i]
+                out.append(label)
+            return tuple(reversed(out))
+
+        for i, (marking, weak) in enumerate(queue):  # the queue grows while it is read
+            here = enabled(marking)
+            if not here and i and run.dead_end is None:
+                run.dead_end = (labels(i), marking)
+            succ = []
+            silent.append(succ)
+            for _, firing, label in here:
+                after = marking.apply(firing, nexts)
+                now = weak if label == EPS else label if weak == EPS else _TWO
+                if keep(after):
+                    if now != EPS or after != root:  # eps_targets holds the root already
+                        move = (None if now is _TWO else now), after
+                        run.moves.append((*move, run.size))
+                        yield move
+                    continue
+                node = (after, now)
+                j = number.get(node)
+                if j is None:
+                    while self._spent(depth[i]):
+                        if self.runs is None:  # in the kernel: the search is cut
+                            self.graph.truncated = True
+                            return
+                        yield self.CUT
+                    j = number[node] = len(queue)
+                    queue.append(node)
+                    self._visit(run)
+                    parent.append((i, label))
+                    depth.append(depth[i] + 1)
+                if label == EPS:
+                    succ.append(j)
+        on_cycle = cycle_member(silent)
+        if on_cycle is not None:
+            run.cycle = (labels(on_cycle), queue[on_cycle][0])
+
+    def kernel(self, stop=None) -> Kernel:
+        """Explore the kernel, breadth-first, and return it (see
+        :func:`cpn_build_lts`); ``stop`` is :func:`dbnet.lts.explore`'s
+        hook on the kernel so far."""
+        kernel = self.graph = Kernel()
+        runs, self.runs = self.runs, None
+
+        def step(root: Marking):
+            base = kernel.searched
+            run = runs.pop(root, None)
+            if run is None or (self.max_states is not None and run.size > 1
+                               and base + run.size - 1 >= self.max_states):
+                run = self.start(root)  # new, or its replay would pass the budget
+            size = 0  # the markings searched so far, while a replay lasts
+            try:
+                for label, target, size in run.moves:  # nothing runs the search meanwhile
+                    kernel.searched = base + size
+                    yield label, target
+                kernel.searched = base + run.size
+                size = None
+                yield from run.steps  # the rest of a search left half way
+            finally:  # also when `stop` ends the exploration, or the search is cut
+                size = run.size if size is None else size
+                kernel.largest_search = max(kernel.largest_search, size)
+                if run.dead_end is not None:
+                    kernel.dead_ends[root] = run.dead_end
+                if run.cycle is not None:
+                    kernel.divergences[root] = run.cycle
+
+        return explore(self.net.initial_marking, step, max_states=self.max_states,
+                       max_depth=self.max_depth, stop=stop, graph=kernel)
+
+
 def cpn_build_lts(
     net: NuCpn,
     policy: Optional[FreshPolicy] = None,
@@ -433,6 +651,7 @@ def cpn_build_lts(
     max_depth: Optional[int] = None,
     stop=None,
     keep: Optional[Callable[[Marking], bool]] = None,
+    searches: Optional[LocalSearch] = None,
 ) -> Lts:
     """Reachability graph over markings.  Silent transitions produce
     ``eps`` edges; emitting transitions produce observable edges.  Refuses
@@ -440,7 +659,8 @@ def cpn_build_lts(
 
     Given ``keep``, the result is the :class:`Kernel` instead: the graph
     over the markings ``keep`` accepts, the stable ones, explored
-    breadth-first.  Expanding a stable marking runs a local search
+    breadth-first (:meth:`LocalSearch.kernel`).  Expanding a stable
+    marking runs a local search
     through the interior markings it reaches, breadth-first as well; the
     search stops at each stable marking and yields one edge per weak
     move ``(label, stable target)``, where the route passes at most one
@@ -471,116 +691,21 @@ def cpn_build_lts(
     keeps the edges it yielded, and marks the graph truncated.  Under
     ``DBNET_LOG=info`` the kernel logs one line each time its searches
     have visited another ``lts.PROGRESS_EVERY`` markings: the markings
-    visited, the largest search so far and the seconds since it started."""
+    visited, the largest search so far and the seconds since it started.
+
+    ``searches``, if given, is the :class:`LocalSearch` of ``net`` to
+    explore the kernel with, in place of ``policy``, ``keep`` and the
+    limits it was made with: it takes over the searches started on it."""
+    if keep is not None and searches is None:
+        searches = LocalSearch(net, policy, keep, max_states=max_states, max_depth=max_depth)
+    if searches is not None:
+        return searches.kernel(stop)
     policy = policy or net.default_policy
-    if not policy.finite_branching:
-        raise ContractError(
-            "state-space construction requires a finite freshness policy "
-            "(recycling or bounded); got unbounded"
-        )
+    _refuse_unbounded(policy)
+    enabled = _firings(net, policy)
+    nexts: dict = {}  # (record or None, delta) -> next record or None
 
-    table = _transition_table(net)
-    # For this exploration only: (entry rank, its places' records) -> its
-    # (transition, deltas, label) firings; each token and delta -> the
-    # first equal one built; (record or None, delta) -> next record or None.
-    memo: dict = {}
-    tokens: dict = {}
-    deltas: dict = {}
-    nexts: dict = {}
+    def step(marking: Marking):
+        return [(label, marking.apply(firing, nexts)) for _, firing, label in enabled(marking)]
 
-    def shared(arcs: tuple) -> list:
-        return [(place, tokens.setdefault(token, token)) for place, token in arcs]
-
-    def firings(marking: Marking, entry: _Entry):
-        key = None
-        if not entry.fresh:  # fresh values avoid every value in the marking
-            key = (entry.rank, marking.records(entry.inputs_and_reads))
-            found = memo.get(key)
-            if found is not None:
-                return found
-        t = entry.transition
-        found = []
-        for theta in _transition_bindings(net, marking, entry, policy):
-            removals, additions, label = _firing(t, theta)
-            firing = place_deltas(shared(removals), shared(additions))
-            found.append((t, tuple(deltas.setdefault(d, d) for d in firing), label))
-        if key is not None:
-            memo[key] = found
-        return found
-
-    def enabled(marking: Marking) -> list:
-        return _prioritised(table, marking, partial(firings, marking))
-
-    if keep is None:
-        def step(marking: Marking):
-            return [(label, marking.apply(firing, nexts))
-                    for _, firing, label in enabled(marking)]
-
-        return explore(net.initial_marking, step, max_states=max_states, max_depth=max_depth)
-
-    kernel = Kernel()
-    started = time.perf_counter()
-
-    def visit(size: int):
-        """Count one more node; ``size`` is its search's so far."""
-        kernel.searched += 1
-        if not kernel.searched % lts.PROGRESS_EVERY:
-            _log_info(__name__, "kernel: %d markings visited, largest search %d, %.1f s",
-                      kernel.searched, max(kernel.largest_search, size),
-                      time.perf_counter() - started)
-
-    def search(root: Marking):
-        """The weak moves out of ``root``; ``(None, target)`` for a
-        stable target reached only across two observables."""
-        # A node is (marking, weak label so far): eps, the one observable
-        # passed, or _TWO; it is numbered by its position in `queue`.
-        number = {(root, EPS): 0}
-        queue = [(root, EPS)]
-        visit(1)
-        parent = [None]  # node -> (its parent node, the firing's label)
-        depth = [0]  # node -> firings from the root
-        silent = []  # node -> the interior nodes one silent firing away
-
-        def labels(i: int) -> tuple:
-            out = []
-            while parent[i] is not None:
-                i, label = parent[i]
-                out.append(label)
-            return tuple(reversed(out))
-
-        try:
-            for i, (marking, weak) in enumerate(queue):  # the queue grows while it is read
-                here = enabled(marking)
-                if not here and i and root not in kernel.dead_ends:
-                    kernel.dead_ends[root] = (labels(i), marking)
-                succ = []
-                silent.append(succ)
-                for _, firing, label in here:
-                    after = marking.apply(firing, nexts)
-                    now = weak if label == EPS else label if weak == EPS else _TWO
-                    if keep(after):
-                        if now != EPS or after != root:  # eps_targets holds the root already
-                            yield (None if now is _TWO else now), after
-                        continue
-                    node = (after, now)
-                    j = number.get(node)
-                    if j is None:
-                        if depth[i] == max_depth or (max_states is not None
-                                                     and kernel.searched >= max_states):
-                            kernel.truncated = True
-                            return
-                        j = number[node] = len(queue)
-                        queue.append(node)
-                        visit(len(queue))
-                        parent.append((i, label))
-                        depth.append(depth[i] + 1)
-                    if label == EPS:
-                        succ.append(j)
-        finally:  # also when the search is cut
-            kernel.largest_search = max(kernel.largest_search, len(queue))
-        on_cycle = cycle_member(silent)
-        if on_cycle is not None:
-            kernel.divergences[root] = (labels(on_cycle), queue[on_cycle][0])
-
-    return explore(net.initial_marking, search, max_states=max_states,
-                   max_depth=max_depth, stop=stop, graph=kernel)
+    return explore(net.initial_marking, step, max_states=max_states, max_depth=max_depth)

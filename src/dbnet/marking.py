@@ -45,7 +45,8 @@ copy of a place's counts, re-sorted only if a token new to it came in.
 ``(old record or None, delta)`` up in ``table`` first, so a caller that
 keeps one table (one per exploration, on either net layer) computes
 each pair's next record once.  ``update(removals, additions)`` applies
-one update with no table; ``minus`` and ``plus`` are its two halves.
+one update with no table, for set-up and tests; ``minus`` and ``plus``
+are its two halves.
 ``restrict`` gives the marking of some places only, built
 from the per-place records, so it is a cheap hashable key for "the
 tokens on these places" (the certifier compares the contents of states
@@ -54,7 +55,10 @@ both sets of records (the certifier lays a source snapshot's facts
 beside its control tokens with it).
 ``records`` is the same key as a plain tuple of those records, with no
 marking built, and it hashes each record by address; both net layers
-memoise each transition's firings on it.
+memoise each transition's firings on it.  ``rename`` maps a marking's
+values one-to-one, record by record, through a memo that the caller
+keeps per mapping (the certifier renames interchangeable data values
+with it).
 """
 
 from __future__ import annotations
@@ -291,6 +295,25 @@ class Marking:
         equal, so it keys "the tokens on these places" without building a
         marking."""
         return tuple(map(self._places.get, places))
+
+    def rename(self, values: Mapping, memo: dict) -> "Marking":
+        """The marking with each value ``v`` of every token replaced by
+        ``values.get(v, v)``, where ``values`` is one-to-one, so each
+        place keeps as many tokens.  ``memo`` maps each record renamed
+        before by ``values`` to its image, and a miss stores it, so a
+        caller that renames many markings by one mapping renames each
+        distinct place contents once."""
+        places = {}
+        for place, rec in self._places.items():
+            new = memo.get(rec)
+            if new is None:
+                counts = {tuple(values.get(v, v) for v in tok): n for tok, n in rec.pairs}
+                new = memo[rec] = _place_record(place, counts)
+            places[place] = new
+        out = Marking.__new__(Marking)
+        out._places = places
+        out._hash = _sum_hash(places.values())
+        return out
 
     # -- updates (return new Marking) -------------------------------------
     def update(self, removals: Iterable[Tuple[str, tuple]],

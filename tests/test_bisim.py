@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbnet import bisim
+from dbnet import bisim, cpn
 from dbnet.bisim import (
     BISIMILAR,
     NOT_BISIMILAR,
@@ -21,7 +21,7 @@ from dbnet.bisim import (
     certify_translation,
     check_weak_bisim,
 )
-from dbnet.corpus import build_shopping_cart
+from dbnet.corpus import build_shopping_cart, shop_text
 from dbnet.cpn import CpnPlace, CpnTransition, Emit, NuCpn, cpn_build_lts
 from dbnet.dsl import parse_model
 from dbnet.lts import EPS, Lts
@@ -29,7 +29,9 @@ from dbnet.marking import Marking
 from dbnet.freshness import FreshPolicy
 from dbnet.model import Snapshot, build_lts, render_snapshot
 from dbnet.mutations import MUTATIONS, apply_mutation
-from dbnet.relational import ContractError, DataType, instance_lines, make_value, render_fact
+from dbnet.fo import Compare
+from dbnet.relational import (ContractError, DataType, Variable, instance_lines, make_value,
+                              render_fact)
 from dbnet.translate import snapshot_image, translate
 
 import gen
@@ -418,6 +420,7 @@ def test_a_truncated_source_stops_before_the_target_is_explored(shop22, monkeypa
     def no_target(*_args, **_kwargs):
         raise AssertionError("the translated net explored after a truncated source")
 
+    monkeypatch.setattr(bisim, "LocalSearch", no_target)
     monkeypatch.setattr(bisim, "cpn_build_lts", no_target)
     with pytest.raises(TruncatedError) as cut:
         certify_translation(shop22, policy=BOUNDED1, max_states=100)
@@ -518,7 +521,8 @@ def test_a_foreign_state_is_refused_along_a_legal_path(caplog):
         f"refused at translated state 1, 4 markings searched: no source state has {FOREIGN}"
     )
     assert messages[2].startswith("target exploration: ")
-    assert messages[2].endswith(" s, 2 stable states, 1 weak moves, largest local search 4")
+    assert messages[2].endswith(" s, 2 stable states, 1 weak moves, largest local search 4, "
+                                "symmetry shortcut off: no generator")
     assert len(messages) == 3
 
 
@@ -1273,6 +1277,203 @@ def test_a_silent_move_to_another_partner_is_refused(monkeypatch):
     assert got.witness == {"kind": "unmatched-move", "side": "right", "label": "eps",
                            "left": "facts{}|ctl{p()}", "right": "facts{}|ctl{p()}"}
     assert got.trace[1:] == ("  right side moves [eps] to facts{}|ctl{q()}, with no answer",)
+
+
+# ---------------------------------------------------------------------------
+# symmetry: one local search per orbit of interchangeable values
+
+
+def certify_outcome(model, policy, **caps):
+    """Everything ``certify_translation`` says, truncation included."""
+    try:
+        res = certify_translation(model, policy=policy, **caps)
+    except TruncatedError as exc:
+        return ("truncated", str(exc))
+    return (res.verdict, res.witness, res.trace, res.relation, res.stats)
+
+
+def exact_outcome(model, policy, monkeypatch, **caps):
+    """The same, with the shortcut off: no block swap is derived."""
+    with monkeypatch.context() as patch:
+        patch.setattr(bisim, "block_swaps", lambda *_args: [])
+        return certify_outcome(model, policy, **caps)
+
+
+def user_blind_translation():
+    """Shop 2x1 and a translation whose CheckOut gadget refuses user 2,
+    by a constant that only the translated net mentions."""
+    model = build_shopping_cart(2, 1)
+    translation = translate(model)
+    blind = Compare("!=", Variable("uid", "int"), make_value(INT, 2))
+    transitions = tuple(replace(t, guard=blind) if t.name == "CheckOut.cond" else t
+                        for t in translation.net.transitions)
+    return model, replace(translation, net=replace(translation.net, transitions=transitions))
+
+
+SHOP22_POLICIES = {"recycling": RECYCLING, "bounded:1": BOUNDED1,
+                   "bounded:2": FreshPolicy.parse("bounded:2")}
+
+
+def differential_cases():
+    """``(id, model, policy, translation, caps)``: every golden case,
+    uncapped at the golden cap and at each cap of the cap test, shop
+    2x2 under three policies and under each mutation, and shop 2x1 with
+    a translation that user 2 cannot check out in."""
+    cases = []
+    for case in GOLDEN_CASES:
+        for cap in [GOLDEN_CAP, *CAPS]:
+            cases.append((f"{case}@{cap}", case, BOUNDED1, cap))
+    for name in SHOP22_POLICIES:
+        cases.append((f"shop-2x2/none/{name}", "shop-2x2/none", SHOP22_POLICIES[name], None))
+    for mutation in sorted(MUTATIONS):
+        cases.append((f"shop-2x2/{mutation}", f"shop-2x2/{mutation}", BOUNDED1, GOLDEN_CAP))
+    cases.append(("shop-2x1/user-blind", "shop-2x1/user-blind", BOUNDED1, None))
+    return cases
+
+
+def differential_translation(case: str):
+    if case == "shop-2x1/user-blind":
+        return user_blind_translation()
+    if case.startswith("shop-2x2/"):
+        model = build_shopping_cart(2, 2)
+        mutation = case.split("/")[1]
+        translation = translate(model)
+        return model, translation if mutation == "none" else apply_mutation(translation, mutation)
+    return golden_translation(case)
+
+
+@pytest.mark.parametrize("case, policy, cap",
+                         [case[1:] for case in differential_cases()],
+                         ids=[case[0] for case in differential_cases()])
+def test_the_shortcut_gives_exactly_what_the_exact_path_gives(case, policy, cap, monkeypatch):
+    # verdict, witness, trace, relation and stats, or the same truncation
+    try:
+        model, translation = differential_translation(case)
+    except ContractError:  # the mutation does not apply
+        return
+    caps = {"max_states": cap, "translation": translation}
+    assert certify_outcome(model, policy, **caps) == exact_outcome(model, policy, monkeypatch,
+                                                                   **caps)
+
+
+@pytest.mark.parametrize("users, products", [(u, p) for u in (1, 2, 3) for p in (1, 2, 3)])
+def test_shop_has_one_block_swap_per_neighbouring_pair(users, products):
+    model = build_shopping_cart(users, products)
+    swaps = bisim.block_swaps(model, translate(model))
+    assert len(swaps) == (users - 1) + (products - 1)
+    # each swaps two neighbours: users (id and card) or products (name, id, cost)
+    assert sorted(map(len, swaps)) == [4] * (users - 1) + [6] * (products - 1)
+    for swap in swaps:
+        assert all(swap[swap[v]] is v and swap[v] is not v for v in swap)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_no_other_corpus_net_has_a_block_swap(name):
+    model = load_corpus(name)
+    assert bisim.block_swaps(model, translate(model)) == []
+
+
+DELETABLE_USERS = """dbnet "deletable";
+type int = int;
+type string = string;
+relation User(ID: int, card: string);
+query Q_users(uid: int, c: string) := User(uid, c);
+action drop(uid: int, c: string) { del User(uid, c); }
+place go(int);
+place made(int);
+view Users := Q_users;
+transition Drop {
+  in go(g);
+  read Users(uid, c);
+  act drop(uid, c);
+  out go(g);
+}
+transition Make {
+  in go(g);
+  out made(~n);
+}
+init {
+  fact User(1, "c1");
+  fact User(2, "c2");
+  token go(0);
+}
+policy {
+  fresh recycling;
+}
+"""
+
+ORDERED_USERS = DELETABLE_USERS.replace("  act drop(uid, c);\n",
+                                        "  guard uid < 5;\n  act drop(uid, c);\n")
+
+SHOP_WITHOUT_USER_2 = shop_text(2, 1).replace(
+    "transition CheckOut {\n  in logged(uid, cid);\n",
+    "transition CheckOut {\n  in logged(uid, cid);\n  guard uid != 2;\n")
+
+
+@pytest.mark.parametrize("text, swaps, why", [
+    # dropping user 1 frees the stream value 1, which Make then picks
+    (DELETABLE_USERS, 1, "fresh guard tripped on 1"),
+    # ordered ids stay put, and the cards alone are blocks of two shapes
+    (ORDERED_USERS, 0, "no generator"),
+    # the constant 2 stays put, so the users are blocks of two shapes
+    (SHOP_WITHOUT_USER_2, 0, "no generator"),
+], ids=["freed-user-id", "order-comparison", "guard-constant"])
+def test_the_shortcut_is_off_where_values_are_not_interchangeable(text, swaps, why, monkeypatch,
+                                                                   caplog):
+    model = parse_model(text).model
+    assert len(bisim.block_swaps(model, translate(model))) == swaps
+    caplog.set_level(logging.INFO, logger="dbnet.bisim")
+    got = certify_outcome(model, RECYCLING)
+    target = [r.getMessage() for r in caplog.records if r.getMessage().startswith("target")]
+    assert target[0].endswith(f", symmetry shortcut off: {why}")
+    assert got == exact_outcome(model, RECYCLING, monkeypatch)
+
+
+REFUSING_SHOP12 = ["consume-on-read", "drop-revert", "forget-lock-on-cancel", "reorder-del-add",
+                   "swap-add-priorities"]
+
+
+def searched_run(case: str, monkeypatch, caplog) -> tuple:
+    """Certify one golden case: the roots of its real local searches, in
+    order, the kernel's final count of markings searched and the refusal
+    line of the log."""
+    model, translation = golden_translation(case)
+    roots, kernels = [], []
+    real_start, real_build = cpn.LocalSearch.start, bisim.cpn_build_lts
+
+    def start(self, root):
+        roots.append(root)
+        return real_start(self, root)
+
+    def build(*args, **kwargs):
+        kernels.append(real_build(*args, **kwargs))
+        return kernels[-1]
+
+    caplog.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(cpn.LocalSearch, "start", start)
+        patch.setattr(bisim, "cpn_build_lts", build)
+        res = certify_translation(model, policy=BOUNDED1, max_states=GOLDEN_CAP,
+                                  translation=translation)
+    assert res.verdict == NOT_BISIMILAR
+    refused = [r.getMessage() for r in caplog.records if r.getMessage().startswith("refused")]
+    return roots, kernels[0].searched, refused
+
+
+@pytest.mark.parametrize("mutation", REFUSING_SHOP12)
+def test_the_kernel_takes_over_the_shortcuts_searches(mutation, monkeypatch, caplog):
+    # the shortcut fails on each of these mutants; the kernel replays or
+    # goes on with every search it began, and searches no root twice
+    caplog.set_level(logging.INFO, logger="dbnet.bisim")
+    case = f"shop-1x2/{mutation}"
+    roots, searched, refused = searched_run(case, monkeypatch, caplog)
+    assert len(roots) == len(set(roots))
+    with monkeypatch.context() as patch:
+        patch.setattr(bisim, "block_swaps", lambda *_args: [])
+        exact_roots, exact_searched, exact_refused = searched_run(case, monkeypatch, caplog)
+    assert searched == exact_searched
+    assert refused == exact_refused and len(refused) == 1
+    assert set(roots) <= set(exact_roots)
 
 
 if __name__ == "__main__":

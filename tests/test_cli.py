@@ -539,6 +539,7 @@ def test_certify_logs_one_line_per_phase_to_stderr(capsys):
     phases = [line for line in proc.stderr.splitlines() if " s, " in line]
     assert [re.sub(r"[\d.]+ s, ", "T s, ", line) for line in phases] == [
         "dbnet: source exploration: T s, 2 states",
-        "dbnet: target exploration: T s, 2 stable states, 2 weak moves, largest local search 6",
+        "dbnet: target exploration: T s, 2 stable states, 2 weak moves, largest local search 6, "
+        "symmetry shortcut off: no generator",
         "dbnet: check: T s, 2 + 2 states, bisimilar",
     ]
