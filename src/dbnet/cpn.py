@@ -540,19 +540,13 @@ class LocalSearch:
             self.runs[root] = run
         return run
 
-    def _spent(self, depth: int) -> bool:
-        """Whether a search must not add a marking found at ``depth``
-        firings from its root to the markings searched so far."""
-        return depth == self.max_depth or (self.max_states is not None
-                                           and self.graph.searched >= self.max_states)
-
-    def _visit(self, run: _Run) -> None:
-        run.size += 1
+    def _visit(self, size: int) -> None:
+        """Count one more marking; ``size`` is its search's so far."""
         self.graph.searched += 1
         self.visited += 1
         if not self.visited % lts.PROGRESS_EVERY:
             _log_info(__name__, "kernel: %d markings visited, largest search %d, %.1f s",
-                      self.visited, max(self.graph.largest_search, run.size),
+                      self.visited, max(self.graph.largest_search, size),
                       time.perf_counter() - self.started)
 
     def _steps(self, run: _Run):
@@ -560,11 +554,14 @@ class LocalSearch:
         ``(None, target)`` for a stable target reached only across two
         observables."""
         root, keep, enabled, nexts = run.root, self.keep, self.enabled, self.nexts
+        max_states, max_depth = self.max_states, self.max_depth
         # A node is (marking, weak label so far): eps, the one observable
-        # passed, or _TWO; it is numbered by its position in `queue`.
+        # passed, or _TWO; it is numbered by its position in `queue`,
+        # whose length is `run.size` whenever the search stops or waits.
         number = {(root, EPS): 0}
         queue = [(root, EPS)]
-        self._visit(run)
+        run.size = 1
+        self._visit(1)
         parent = [None]  # node -> (its parent node, the firing's label)
         depth = [0]  # node -> firings from the root
         silent = []  # node -> the interior nodes one silent firing away
@@ -588,24 +585,28 @@ class LocalSearch:
                 if keep(after):
                     if now != EPS or after != root:  # eps_targets holds the root already
                         move = (None if now is _TWO else now), after
+                        run.size = len(queue)
                         run.moves.append((*move, run.size))
                         yield move
                     continue
                 node = (after, now)
                 j = number.get(node)
                 if j is None:
-                    while self._spent(depth[i]):
+                    while depth[i] == max_depth or (max_states is not None
+                                                    and self.graph.searched >= max_states):
+                        run.size = len(queue)
                         if self.runs is None:  # in the kernel: the search is cut
                             self.graph.truncated = True
                             return
                         yield self.CUT
                     j = number[node] = len(queue)
                     queue.append(node)
-                    self._visit(run)
+                    self._visit(j + 1)
                     parent.append((i, label))
                     depth.append(depth[i] + 1)
                 if label == EPS:
                     succ.append(j)
+        run.size = len(queue)
         on_cycle = cycle_member(silent)
         if on_cycle is not None:
             run.cycle = (labels(on_cycle), queue[on_cycle][0])

@@ -73,8 +73,9 @@ def _net_constants(model, net) -> tuple:
         terms(action.adds + action.dels)
     for constraint in model.schema.constraints:
         values.update(getattr(constraint, "allowed", ()))
+    values.update([x for t in net.transitions for arcs in (t.inputs, t.reads, t.outputs)
+                   for _, row in arcs for x in row if isinstance(x, Value)])
     for t in net.transitions:
-        terms(t.inputs + t.reads + t.outputs)
         formula(t.guard)
     for samples in (*model.samples.values(), *net.samples.values()):
         values.update(samples)
