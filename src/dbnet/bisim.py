@@ -176,8 +176,9 @@ moves are the source edges.  The result is then exactly the kernel's:
 translated states and edges as source ones, and the largest search of
 a representative.  This holds only if the exact run could not have been
 cut: under ``max_states`` the searches, counted once per orbit member,
-must stay below the cap; a search that ``max_depth`` would cut is cut
-in the shortcut too.
+must stay below the cap, and a search that ``max_depth`` or the cap
+would cut fails the strict check.  The translated net must also start
+at the image of source state 0 plus the lock.
 
 *Hand-over.*  If the fresh guard trips, an image is no source state,
 the strict check fails at a state, or the cap could be reached, the
@@ -187,7 +188,10 @@ that the shortcut began, or goes on with it, instead of searching that
 root again, so refusals, witnesses, traces, caps and the markings
 searched are the exact path's.  The shortcut never says
 ``NOT_BISIMILAR``; when it is off, the only work lost is its searches
-of states that the kernel does not reach before it stops.
+of states that the kernel does not reach before it stops.  So without a
+cap, a representative whose search never ends keeps the shortcut
+searching, even where the kernel would have refused another state
+first.
 """
 
 from __future__ import annotations

@@ -509,10 +509,12 @@ class LocalSearch:
     ``max_states`` markings in all or follow more than ``max_depth``
     firings yields ``CUT`` and waits there; :meth:`kernel` checks it
     again against its own count.  A search is replayed only if the
-    kernel's count leaves room for the markings it visited, so a replay
-    is the search the kernel would run, up to where it was left: the
-    same weak moves, the same markings searched after each, and the same
-    dead end, cycle and size.  ``visited`` counts the markings that
+    kernel's count leaves room for the markings it visited (its depth
+    needs no check, as every search stops at the same ``max_depth``), so
+    a replay is the search the kernel would run, up to where it was
+    left: the same weak moves, the same markings searched after each,
+    and the same dead end, cycle and size; a search that does not fit
+    is run again from its root.  ``visited`` counts the markings that
     searches really visited."""
 
     CUT = ("cut",)  # what a search that would pass the limits yields before `kernel` runs

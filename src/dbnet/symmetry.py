@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from .fo import And, Compare, Not, Or
 from .freshness import FreshPolicy, stream_value
-from .relational import ContractError, Value, render_value
+from .relational import Value, render_value
 
 __all__ = ["FreshGuard", "block_swaps"]
 
@@ -47,7 +47,7 @@ def _net_constants(model, net) -> tuple:
     values: set = set()
     ordered: set = set()
 
-    def terms(arcs) -> None:  # arcs: (place, relation or action name, terms) pairs
+    def terms(arcs) -> None:  # arcs: (place, relation or action name, its terms)
         values.update(x for _, row in arcs for x in row if isinstance(x, Value))
 
     def formula(f) -> None:
@@ -92,10 +92,7 @@ def _in_stream(dtype, value: Value) -> bool:
         return False
     else:
         index = int(payload)
-    try:
-        return index >= 1 and stream_value(dtype, index) == value
-    except ContractError:
-        return False
+    return index >= 1 and stream_value(dtype, index) == value
 
 
 def _shape(items: list, block: set) -> tuple:
@@ -141,15 +138,17 @@ def block_swaps(model, translation) -> list:
         moved = [root(v) for v in row if v in movable]
         for v in moved[1:]:
             parent[root(v)] = root(moved[0])
-    blocks: dict = {}
+    blocks: dict = {}  # each block's root -> its values
+    for v in movable:
+        blocks.setdefault(root(v), set()).add(v)
+    items_of: dict = {}  # each block's root -> the items its values occur in
     for item in items:
         first = next((v for v in item[2] if v in movable), None)
         if first is not None:
-            blocks.setdefault(root(first), []).append(item)
+            items_of.setdefault(root(first), []).append(item)
     by_shape: dict = {}
-    for top, own in blocks.items():
-        block = {v for v in movable if root(v) is top}
-        shape, values = _shape(own, block)
+    for top, block in blocks.items():
+        shape, values = _shape(items_of[top], block)
         by_shape.setdefault(shape, []).append(values)
 
     swaps = []

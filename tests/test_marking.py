@@ -482,3 +482,18 @@ def test_the_source_graph_holds_one_record_per_distinct_place_contents():
             contents.add((place, m.tokens(place)))
     assert len(contents) == 53
     assert len(objects) == len(contents)
+
+
+@given(tokens, st.permutations(range(4)))
+def test_rename_equals_a_marking_built_from_the_renamed_tokens(start, perm):
+    values = {make_value(INT, n): make_value(INT, perm[n]) for n in range(4)}
+    memo: dict = {}
+    m = Marking.from_tokens(start)
+    renamed = m.rename(values, memo)
+    assert renamed == Marking.from_tokens(
+        [(place, tuple(values[v] for v in t)) for place, t in start])
+    # each record is renamed once, and renaming back gives the marking again
+    assert m.rename(values, memo) == renamed
+    assert len(memo) == len(m.places_marked())
+    back = {w: v for v, w in values.items()}
+    assert renamed.rename(back, {}) == m
