@@ -730,15 +730,15 @@ def _orbit_shortcut(translation, searcher, source, contents, known, swaps, guard
     Symmetry section).  ``contents`` lists each source state's image and
     ``known`` maps it back to the state's number.  Returns the result, or
     None, and the note on it for the target's log line."""
+    off = "symmetry shortcut off: "
+    tripped = off + "fresh guard tripped on %s"
+    failed = off + "strict check failed at source state %d"
+    if guard.tripped is not None:  # in the source exploration
+        return None, tripped % render_value(guard.tripped)
     net = translation.net
     lock = net.initial_marking.restrict((translation.lock_place,))
     roots = [image.join(lock) for image in contents]  # each source state's stable marking
     stable = {root: s for s, root in enumerate(roots)}
-    off = "symmetry shortcut off: "
-    tripped = off + "fresh guard tripped on %s"
-    failed = off + "strict check failed at source state %d"
-    if guard.tripped is not None:
-        return None, tripped % render_value(guard.tripped)
     if stable.get(net.initial_marking) != 0:
         return None, failed % 0
     renamed = [{} for _ in swaps]  # per swap: each record renamed so far -> its image
