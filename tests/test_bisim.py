@@ -1314,20 +1314,18 @@ SHOP22_POLICIES = {"recycling": RECYCLING, "bounded:1": BOUNDED1,
                    "bounded:2": FreshPolicy.parse("bounded:2")}
 
 
-def differential_cases():
-    """``(id, model, policy, translation, caps)``: every golden case,
-    uncapped at the golden cap and at each cap of the cap test, shop
-    2x2 under three policies and under each mutation, and shop 2x1 with
-    a translation that user 2 cannot check out in."""
-    cases = []
-    for case in GOLDEN_CASES:
-        for cap in [GOLDEN_CAP, *CAPS]:
-            cases.append((f"{case}@{cap}", case, BOUNDED1, cap))
-    for name in SHOP22_POLICIES:
-        cases.append((f"shop-2x2/none/{name}", "shop-2x2/none", SHOP22_POLICIES[name], None))
-    for mutation in sorted(MUTATIONS):
-        cases.append((f"shop-2x2/{mutation}", f"shop-2x2/{mutation}", BOUNDED1, GOLDEN_CAP))
-    cases.append(("shop-2x1/user-blind", "shop-2x1/user-blind", BOUNDED1, None))
+def differential_cases() -> list:
+    """``(case, policy, cap)``: every golden case at the golden cap and at
+    each cap of the cap test, shop 2x2 under three policies and under
+    each mutation, and shop 2x1 with a translation that user 2 cannot
+    check out in."""
+    cases = [pytest.param(case, BOUNDED1, cap, id=f"{case}@{cap}")
+             for case in GOLDEN_CASES for cap in [GOLDEN_CAP, *CAPS]]
+    cases += [pytest.param("shop-2x2/none", policy, None, id=f"shop-2x2/none/{name}")
+              for name, policy in SHOP22_POLICIES.items()]
+    cases += [pytest.param(f"shop-2x2/{mutation}", BOUNDED1, GOLDEN_CAP, id=f"shop-2x2/{mutation}")
+              for mutation in sorted(MUTATIONS)]
+    cases.append(pytest.param("shop-2x1/user-blind", BOUNDED1, None, id="shop-2x1/user-blind"))
     return cases
 
 
@@ -1342,9 +1340,7 @@ def differential_translation(case: str):
     return golden_translation(case)
 
 
-@pytest.mark.parametrize("case, policy, cap",
-                         [case[1:] for case in differential_cases()],
-                         ids=[case[0] for case in differential_cases()])
+@pytest.mark.parametrize("case, policy, cap", differential_cases())
 def test_the_shortcut_gives_exactly_what_the_exact_path_gives(case, policy, cap, monkeypatch):
     # verdict, witness, trace, relation and stats, or the same truncation
     try:
