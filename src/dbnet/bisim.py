@@ -198,7 +198,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
@@ -208,6 +207,7 @@ from .lts import EPS, Lts, _log_info, cycle_member, format_label
 from .marking import Marking
 from .model import DbNet, build_lts
 from .freshness import FreshPolicy
+from .record import Record, factory
 from .relational import ContractError, render_fact, render_value
 from .symmetry import FreshGuard, block_swaps
 from .translate import TranslationOutput, facts_image, translate
@@ -229,13 +229,12 @@ class TruncatedError(ContractError):
     """An input to the check is truncated, so no verdict can be given."""
 
 
-@dataclass
-class WeakBisimResult:
+class WeakBisimResult(Record, frozen=False):
     verdict: str
     witness: Optional[dict] = None
     relation: Optional[tuple] = None  # related (state1, state2) pairs
     trace: tuple = ()  # counterexample lines, empty on success
-    stats: dict = field(default_factory=dict)
+    stats: dict = factory(dict)
 
     @property
     def bisimilar(self) -> bool:

@@ -367,12 +367,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _check_limits(args):
-    """Reject a count, limit or template size below its least value."""
-    least = {"steps": 0, "max_states": 1, "max_depth": 0, "users": 1, "products": 1}
+    """Reject a count, limit, template size or seed outside its range (a
+    negative seed would repeat its positive twin's run)."""
+    least = {"steps": 0, "max_states": 1, "max_depth": 0, "users": 1, "products": 1, "seed": 0}
     for dest, low in least.items():
         value = getattr(args, dest, None)
         if value is not None and value < low:
             raise _Fail(f"--{dest.replace('_', '-')} must be at least {low}, got {value}")
+    if getattr(args, "seed", 0) >= 2**64:  # the README's --seed <u64>
+        raise _Fail(f"--seed must be at most {2**64 - 1}, got {args.seed}")
 
 
 def run_command(argv) -> int:

@@ -71,7 +71,6 @@ their roots again.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 from typing import Callable, Mapping, Optional
@@ -82,6 +81,7 @@ from . import lts
 from .lts import EPS, Lts, _log_info, cycle_member, explore
 from .marking import Marking, place_deltas
 from .model import _marking_values, _walk_guard_vars, bind_transition, binding_problem
+from .record import Record, factory
 from .relational import ContractError, Value, Variable, ground, render_value
 
 __all__ = [
@@ -106,14 +106,12 @@ P_HIGH = 2
 _PRIORITY_NAMES = {P_LOW: "low", P_NORMAL: "normal", P_HIGH: "high"}
 
 
-@dataclass(frozen=True)
-class CpnPlace:
+class CpnPlace(Record):
     name: str
     column_types: tuple  # tuple of type names
 
 
-@dataclass(frozen=True)
-class Emit:
+class Emit(Record):
     """Recipe for an observable label: report ``transition`` with
     ``outcome``, exposing the binding restricted to ``var_names`` (a
     canonically ordered tuple)."""
@@ -123,8 +121,7 @@ class Emit:
     var_names: tuple
 
 
-@dataclass(frozen=True)
-class CpnTransition:
+class CpnTransition(Record):
     name: str
     inputs: tuple = ()  # (place name, tuple of Term); constants permitted
     reads: tuple = ()  # (place name, tuple of Term)
@@ -134,19 +131,19 @@ class CpnTransition:
     emit: Optional[Emit] = None
 
 
-@dataclass
-class NuCpn:
+class NuCpn(Record, frozen=False):
     name: str
     types: dict  # type name -> DataType
     places: dict  # name -> CpnPlace
     transitions: tuple
     initial_marking: Marking
-    samples: dict = field(default_factory=dict)
-    default_policy: FreshPolicy = field(default_factory=FreshPolicy)
+    samples: dict = factory(dict)
+    default_policy: FreshPolicy = factory(FreshPolicy)
     # Optional bookkeeping set by the translator: place name -> role.
-    place_classes: dict = field(default_factory=dict)
-    # The transition table, built on first use by ``_transition_table``.
-    _table: Optional["_NetTable"] = field(default=None, init=False, repr=False, compare=False)
+    place_classes: dict = factory(dict)
+
+    def __post_init__(self):  # not a field: equality and repr ignore it
+        self._table = None  # the transition table, built by ``_transition_table``
 
     def transition(self, name: str) -> CpnTransition:
         for t in self.transitions:
@@ -242,8 +239,7 @@ def cpn_validate(net: NuCpn) -> list:
 # Enabling
 
 
-@dataclass(frozen=True, eq=False)
-class _Entry:
+class _Entry(Record, eq=False):
     """One transition, analysed once per net."""
 
     transition: CpnTransition
@@ -264,16 +260,16 @@ def _analyse(t: CpnTransition, position: int, rank: int) -> _Entry:
         fresh, external, problem = {}, {}, str(e)
     else:
         problem = None
-    return _Entry(
-        transition=t,
-        position=position,
-        rank=rank,
-        level=t.priority,
-        later_inputs=frozenset(place for place, _ in t.inputs[1:]),
-        inputs_and_reads=tuple(sorted({place for place, _ in tuple(t.inputs) + tuple(t.reads)})),
-        fresh=tuple(fresh[n] for n in sorted(fresh)),
-        external=tuple(external[n] for n in sorted(external)),
-        problem=problem,
+    return _Entry(  # positional, in field order: the keyword path costs twice as much
+        t,
+        position,
+        rank,
+        t.priority,
+        frozenset(place for place, _ in t.inputs[1:]),
+        tuple(sorted({place for place, _ in tuple(t.inputs) + tuple(t.reads)})),
+        tuple(fresh[n] for n in sorted(fresh)),
+        tuple(external[n] for n in sorted(external)),
+        problem,
     )
 
 
@@ -455,7 +451,6 @@ def _firings(net: NuCpn, policy: FreshPolicy) -> Callable:
     return enabled
 
 
-@dataclass
 class Kernel(Lts):
     """The graph of stable markings that :func:`cpn_build_lts` explores
     under ``keep``: its edges are weak moves, and it reports what each
@@ -467,8 +462,8 @@ class Kernel(Lts):
     counts the markings of the largest search and ``searched`` those of
     all searches so far, roots included."""
 
-    dead_ends: dict = field(default_factory=dict)
-    divergences: dict = field(default_factory=dict)
+    dead_ends: dict = factory(dict)
+    divergences: dict = factory(dict)
     largest_search: int = 0
     searched: int = 0
 

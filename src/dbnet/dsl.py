@@ -19,7 +19,6 @@ model equal to the one printed, so ``parse . print . parse = parse``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import NamedTuple, Optional
 
@@ -29,6 +28,7 @@ from .freshness import FreshPolicy
 from .marking import Marking
 from .model import ControlPlace, DbNet, Transition, ViewPlace
 from .queries import Conjunct, UcqQuery
+from .record import Record, factory
 from .relational import (
     Action,
     DataType,
@@ -62,14 +62,13 @@ class DslError(ValidationError):
         self.col = col
 
 
-@dataclass
-class ModelFile:
+class ModelFile(Record, frozen=False):
     """A parsed model plus the surface details needed to print it back
     faithfully (column names exist only in the text, not in the schema)."""
 
     kind: str  # "dbnet" | "cpn"
     model: object  # DbNet | NuCpn
-    column_names: dict = field(default_factory=dict)  # relation -> tuple of str
+    column_names: dict = factory(dict)  # relation -> tuple of str
 
 
 # ---------------------------------------------------------------------------

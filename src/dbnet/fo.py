@@ -9,9 +9,9 @@ constraint satisfaction has a second formulation as a closed formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
+from .record import Record
 from .relational import (
     Constraint,
     DomainConstraint,
@@ -41,48 +41,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     relation: str
     terms: tuple  # tuple of Term
 
 
-@dataclass(frozen=True)
-class Compare:
+class Compare(Record):
     op: str  # '=', '!=', '<', '<=', '>', '>='
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     parts: tuple
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     parts: tuple
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(Record):
     var: Variable
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(Record):
     var: Variable
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class Truth:
+class Truth(Record):
     pass
 
 

@@ -17,9 +17,9 @@ in how many candidates from the stream a single firing may branch over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 
+from .record import Record
 from .relational import ContractError, DataType, Value, ValidationError, make_value
 
 __all__ = ["FreshPolicy", "RECYCLING", "BOUNDED", "UNBOUNDED", "stream_value"]
@@ -40,8 +40,7 @@ def stream_value(dtype: DataType, index: int) -> Value:
     return make_value(dtype, f"v{index}")
 
 
-@dataclass(frozen=True)
-class FreshPolicy:
+class FreshPolicy(Record):
     mode: str = RECYCLING
     width: int = 1  # only meaningful for bounded
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 import hashlib
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
+
+from .record import Record, factory
 
 __all__ = [
     "EPS",
@@ -45,10 +46,9 @@ def format_label(label: tuple) -> str:
     raise ValueError(f"unknown label {label!r}")
 
 
-@dataclass
-class Lts:
-    states: list = field(default_factory=list)  # discovery order; state 0 is initial
-    edges: list = field(default_factory=list)  # (src, label, dst), state numbers
+class Lts(Record, frozen=False):
+    states: list = factory(list)  # discovery order; state 0 is initial
+    edges: list = factory(list)  # (src, label, dst), state numbers
     truncated: bool = False
 
     @property

@@ -68,6 +68,7 @@ import threading
 import weakref
 from typing import Iterable, Mapping, Optional, Tuple
 
+from .record import _refuse
 from .relational import ContractError, render_value
 
 __all__ = ["Marking", "place_deltas", "render_token"]
@@ -125,11 +126,7 @@ class PlaceRecord:
                     _RECORDS[key] = rec
         return rec
 
-    def __setattr__(self, name, _):
-        raise AttributeError(f"PlaceRecord is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"PlaceRecord is immutable: cannot delete {name!r}")
+    __setattr__ = __delattr__ = _refuse
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the intern table

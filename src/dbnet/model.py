@@ -36,7 +36,6 @@ where they held 951 and 16,181.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping, Optional
 
@@ -44,6 +43,7 @@ from .fo import And, Compare, Formula, Not, Or, Truth, TRUE, _compare
 from .freshness import FreshPolicy
 from .marking import Marking, place_deltas, render_token
 from .queries import eval_ucq, join, validate_view_query
+from .record import Record, _refuse, factory
 from .relational import (
     COMMITTED,
     ContractError,
@@ -80,15 +80,15 @@ __all__ = [
     "render_snapshot",
 ]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class ControlPlace:
+
+class ControlPlace(Record):
     name: str
     column_types: tuple  # tuple of type names
 
 
-@dataclass(frozen=True)
-class ViewPlace:
+class ViewPlace(Record):
     """A place whose content is not stored but assigned: it always holds
     exactly the answers of its query on the current database instance."""
 
@@ -96,8 +96,7 @@ class ViewPlace:
     query: str
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Record):
     name: str
     inputs: tuple = ()  # (control place name, tuple of Variable)
     views: tuple = ()  # (view place name, tuple of Variable)
@@ -107,14 +106,33 @@ class Transition:
     rollbacks: tuple = ()  # (control place name, tuple of Term)
 
 
-@dataclass(frozen=True, slots=True)
 class Snapshot:
-    instance: Instance
-    marking: Marking
+    """A state: database instance and control marking, with its hash computed once."""
+
+    __slots__ = ("instance", "marking", "_hash")
+
+    def __init__(self, instance: Instance, marking: Marking):
+        _set(self, "instance", instance)
+        _set(self, "marking", marking)
+        _set(self, "_hash", hash((instance, marking)))
+
+    __setattr__ = __delattr__ = _refuse
+
+    def __eq__(self, other):
+        return self is other or (other.__class__ is Snapshot and self._hash == other._hash and (
+            self.instance, self.marking) == (other.instance, other.marking))  # tuples try `is` first
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Snapshot(instance={self.instance!r}, marking={self.marking!r})"
+
+    def __reduce__(self):
+        return (Snapshot, (self.instance, self.marking))
 
 
-@dataclass
-class DbNet:
+class DbNet(Record, frozen=False):
     name: str
     types: dict  # type name -> DataType
     schema: Schema
@@ -125,8 +143,8 @@ class DbNet:
     transitions: tuple
     initial_instance: Instance
     initial_marking: Marking
-    samples: dict = field(default_factory=dict)  # type name -> tuple of Value
-    default_policy: FreshPolicy = field(default_factory=FreshPolicy)
+    samples: dict = factory(dict)  # type name -> tuple of Value
+    default_policy: FreshPolicy = factory(FreshPolicy)
 
     def initial_snapshot(self) -> Snapshot:
         return Snapshot(self.initial_instance, self.initial_marking)
@@ -142,8 +160,7 @@ class DbNet:
 # Variable scoping
 
 
-@dataclass(frozen=True)
-class TransitionScope:
+class TransitionScope(Record):
     """Where each variable of a transition gets its value from."""
 
     input_vars: tuple  # bound by consuming control tokens

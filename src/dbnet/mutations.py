@@ -11,9 +11,8 @@ defect is expressible) and raise ``ContractError`` when no site exists.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .cpn import CpnTransition, P_HIGH, P_LOW, P_NORMAL
+from .record import replace
 from .relational import ContractError, Variable
 from .translate import TranslationOutput
 

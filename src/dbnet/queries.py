@@ -17,10 +17,10 @@ reference implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .fo import And, Exists, Formula, Or, _compare
+from .record import Record
 from .relational import ContractError, Instance, Schema, Variable, ground
 
 __all__ = [
@@ -35,8 +35,7 @@ __all__ = [
 _ORDER_OPS = ("<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True)
-class Conjunct:
+class Conjunct(Record):
     atoms: tuple  # tuple of fo.Atom
     filters: tuple = ()  # tuple of fo.Compare
 
@@ -54,8 +53,7 @@ class Conjunct:
         return out
 
 
-@dataclass(frozen=True)
-class UcqQuery:
+class UcqQuery(Record):
     name: str
     head: tuple  # tuple of Variable
     disjuncts: tuple  # tuple of Conjunct

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from typing import Iterable, Mapping, Optional, Union
+
+from .record import Record, _refuse
 
 __all__ = [
     "DataType",
@@ -64,8 +65,7 @@ class ValidationError(Exception):
     """A model artifact violates a structural well-formedness rule."""
 
 
-@dataclass(frozen=True)
-class DataType:
+class DataType(Record):
     """A named value domain.  Distinct types have disjoint domains by
     construction (payload equality is always paired with the type name)."""
 
@@ -126,11 +126,7 @@ class Value:
                     _INTERNED[key] = value
         return value
 
-    def __setattr__(self, name, _):
-        raise AttributeError(f"Value is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Value is immutable: cannot delete {name!r}")
+    __setattr__ = __delattr__ = _refuse
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the intern table
@@ -156,8 +152,7 @@ _INTERNED = weakref.WeakValueDictionary()
 _INTERN_LOCK = threading.Lock()
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(Record):
     """A typed variable; ``fresh`` marks name-creation variables that may
     only occur on output inscriptions and bind to unused values."""
 
@@ -218,8 +213,7 @@ def render_value(v: Value) -> str:
     return str(v.payload)
 
 
-@dataclass(frozen=True)
-class RelationSchema:
+class RelationSchema(Record):
     name: str
     column_types: tuple  # tuple of DataType names
 
@@ -232,8 +226,7 @@ class RelationSchema:
         return len(self.column_types)
 
 
-@dataclass(frozen=True)
-class PrimaryKey:
+class PrimaryKey(Record):
     """No two distinct facts of ``relation`` agree on all ``cols``.
     Column indices are 0-based and kept sorted."""
 
@@ -244,8 +237,7 @@ class PrimaryKey:
         object.__setattr__(self, "cols", tuple(sorted(set(self.cols))))
 
 
-@dataclass(frozen=True)
-class ForeignKey:
+class ForeignKey(Record):
     """Every projection of ``source`` on ``source_cols`` occurs as the
     projection of some ``target`` fact on ``target_cols`` (which must be a
     declared key of the target)."""
@@ -260,8 +252,7 @@ class ForeignKey:
         object.__setattr__(self, "target_cols", tuple(self.target_cols))
 
 
-@dataclass(frozen=True)
-class DomainConstraint:
+class DomainConstraint(Record):
     """The value in column ``col`` of ``relation`` lies in ``allowed``."""
 
     relation: str
@@ -277,12 +268,12 @@ class DomainConstraint:
 Constraint = Union[PrimaryKey, ForeignKey, DomainConstraint]
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Record):
     relations: Mapping[str, RelationSchema]
     constraints: tuple = ()
-    # the constraints found well-formed for this schema, each once
-    _well_formed: set = field(default_factory=set, init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # not a field: equality and repr ignore it
+        object.__setattr__(self, "_well_formed", set())  # constraints found well-formed
 
     def relation(self, name: str) -> RelationSchema:
         try:
@@ -503,8 +494,7 @@ def check_constraint(instance: Instance, c: Constraint) -> bool:
     return all(row[c.col] in allowed for row in instance.facts.get(c.relation, ()))
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Record):
     """A parameterized update: delete the instantiated ``dels`` templates,
     then insert the ``adds`` templates.  Template order is the declaration
     order; downstream tooling relies on it being stable."""

@@ -27,7 +27,6 @@ plus ``true``/``false`` tokens in the per-update Done places (the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
 from .cpn import (
@@ -43,6 +42,7 @@ from .fo import And, Compare, Formula, Or, TRUE
 from .marking import Marking
 from .model import DbNet, Snapshot, Transition, analyze_transition, validate
 from .queries import UcqQuery
+from .record import Record
 from .relational import (
     Action,
     ContractError,
@@ -83,8 +83,7 @@ CTL_TRUE = "true"
 CTL_FALSE = "false"
 
 
-@dataclass(frozen=True)
-class UpdateComponent:
+class UpdateComponent(Record):
     kind: str  # "del" | "add"
     index: int  # 1-based within its kind
     relation: str
@@ -96,16 +95,14 @@ class UpdateComponent:
     not_exists: str
 
 
-@dataclass(frozen=True)
-class CheckStage:
+class CheckStage(Record):
     kind: str  # "key" | "ref" | "domain"
     entry: str
     exit: str
     names: tuple  # ((role, transition name), ...)
 
 
-@dataclass(frozen=True)
-class UndoComponent:
+class UndoComponent(Record):
     kind: str  # "add" | "del"
     entry: str
     exit: str
@@ -114,8 +111,7 @@ class UndoComponent:
     skip: str
 
 
-@dataclass(frozen=True)
-class GadgetInfo:
+class GadgetInfo(Record):
     transition: str
     entered: str
     bound: str
@@ -133,8 +129,7 @@ class GadgetInfo:
     rollback: str
 
 
-@dataclass
-class TranslationOutput:
+class TranslationOutput(Record, frozen=False):
     net: NuCpn
     place_classes: dict  # place name -> class label
     provenance: dict  # gadget element name -> (source transition, phase)

@@ -22,7 +22,6 @@ change it once per reason a binding can be refused, and check on both
 layers that the refusal names that reason.
 """
 
-import dataclasses
 import itertools
 
 import pytest
@@ -33,6 +32,7 @@ from dbnet.fo import Compare
 from dbnet.marking import Marking
 from dbnet.model import analyze_transition, build_lts, enabled_bindings, fire
 from dbnet.queries import eval_ucq
+from dbnet.record import replace
 from dbnet.relational import ContractError, DataType, Variable, active_domain, make_value
 from dbnet.translate import translate
 
@@ -215,7 +215,7 @@ def test_cpn_bindings_equal_brute_force(request, name):
     net = translate(request.getfixturevalue(name)).net
     lts = cpn_build_lts(net, BOUNDED1)
     assert not lts.truncated
-    singles = [dataclasses.replace(net, transitions=(t,)) for t in net.transitions]
+    singles = [replace(net, transitions=(t,)) for t in net.transitions]
     for marking in lts.states:
         for alone in singles:
             engine = [theta for _, theta in cpn_enabled(alone, marking, BOUNDED1)]

@@ -4,7 +4,6 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from random import Random
@@ -30,6 +29,7 @@ from dbnet.freshness import FreshPolicy
 from dbnet.model import Snapshot, build_lts, render_snapshot
 from dbnet.mutations import MUTATIONS, apply_mutation
 from dbnet.fo import Compare
+from dbnet.record import replace
 from dbnet.relational import (ContractError, DataType, Variable, instance_lines, make_value,
                               render_fact)
 from dbnet.translate import snapshot_image, translate

@@ -270,6 +270,28 @@ def test_simulate_rejects_negative_steps(capsys):
     assert "--steps must be at least 0" in err
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        ("-1", "--seed must be at least 0, got -1"),
+        (str(2**64), f"--seed must be at most {2**64 - 1}, got {2**64}"),
+    ],
+    ids=["below", "above"],
+)
+def test_simulate_rejects_seeds_outside_u64(capsys, seed, message):
+    code, out, err = run(capsys, "simulate", TOUCH, "--seed", seed)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+def test_simulate_accepts_both_ends_of_u64(capsys, seed):
+    code, out, _ = run(capsys, "simulate", TOUCH, "--seed", seed, "--steps", "1")
+    assert code == 0
+    assert out
+
+
 def test_usage_errors_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, "statespace", TOUCH, "-o", tmp_path / "t", "--jobs", "2")
     assert code == 1

@@ -10,10 +10,14 @@ function, class or assigned name, and every private method of a
 module-level class, is referenced somewhere in the package outside its
 own definition, and
 every name in a module's ``__all__`` is defined or imported at the
-module's top level.
+module's top level.  No module imports ``dataclasses``, and importing
+the package loads neither it nor ``inspect``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -202,3 +206,34 @@ def test_the_check_finds_a_missing_export():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_exported_name_is_bound(path):
     assert missing_exports(path.read_text(encoding="utf-8")) == []
+
+
+def imports_of(source: str) -> set:
+    """The top-level names of every module that ``source`` imports,
+    anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_the_check_finds_every_import():
+    source = "import os.path\nfrom json import dumps\nfrom . import lts\ndef f():\n    import re\n"
+    assert imports_of(source) == {"os", "json", "re"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # records derive from dbnet.record.Record, which compiles no code at import
+    assert "dataclasses" not in imports_of(path.read_text(encoding="utf-8"))
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    probe = "import sys, dbnet; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
