@@ -239,7 +239,7 @@ def cpn_validate(net: NuCpn) -> list:
 # Enabling
 
 
-class _Entry(Record, eq=False):
+class _Entry(Record):
     """One transition, analysed once per net."""
 
     transition: CpnTransition

@@ -119,7 +119,9 @@ class Snapshot:
     __setattr__ = __delattr__ = _refuse
 
     def __eq__(self, other):
-        return self is other or (other.__class__ is Snapshot and self._hash == other._hash and (
+        if other.__class__ is not Snapshot:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and (
             self.instance, self.marking) == (other.instance, other.marking))  # tuples try `is` first
 
     def __hash__(self):

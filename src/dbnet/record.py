@@ -4,8 +4,8 @@ A :class:`Record` subclass declares its fields as annotations, after its
 parent's.  A class attribute is a default; ``factory(make)`` is one built
 by ``make()`` per record.  Records are frozen (they refuse assignment and
 cache their hash) unless declared ``frozen=False`` (then unhashable), and
-equal within one class by their fields unless declared ``eq=False``.  A
-subclass keeps its parent's flags.  Declaring a record compiles no code.
+equal within one class by their fields.  A subclass keeps its parent's
+flag.  Declaring a record compiles no code.
 """
 
 from __future__ import annotations
@@ -39,21 +39,17 @@ def _cached_hash(self):
 class Record:
     """Base of the record classes; see the module docstring."""
 
-    _fields, _frozen, _eq = (), True, True
+    _fields, _frozen = (), True
 
-    def __init_subclass__(cls, frozen=None, eq=None, **kwargs):
+    def __init_subclass__(cls, frozen=None, **kwargs):
         super().__init_subclass__(**kwargs)
         own = cls.__dict__.get("__annotations__", {})
         cls._fields = fields = cls._fields + tuple(n for n in own if n not in cls._fields)
         cls._frozen = cls._frozen if frozen is None else frozen
-        cls._eq = cls._eq if eq is None else eq
         cls._defaults = {n: getattr(cls, n) for n in fields if hasattr(cls, n)}
         get = attrgetter(*fields) if fields else (lambda _: ())
         cls._values = staticmethod(get if len(fields) != 1 else lambda r: (get(r),))
-        if cls._eq:
-            cls.__hash__ = _cached_hash if cls._frozen else None
-        else:
-            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        cls.__hash__ = _cached_hash if cls._frozen else None
         if cls._frozen:
             cls.__setattr__ = cls.__delattr__ = _refuse
 
@@ -77,8 +73,9 @@ class Record:
         """Validate or normalise the fields, with ``object.__setattr__``."""
 
     def __eq__(self, other):
-        return self is other or (other.__class__ is self.__class__
-                                 and self._values(self) == self._values(other))
+        if other.__class__ is not self.__class__:
+            return NotImplemented  # the other operand may know better; else identity
+        return self is other or self._values(self) == self._values(other)
 
     def __repr__(self):
         pairs = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))

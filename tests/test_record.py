@@ -9,7 +9,7 @@ import pytest
 
 from dbnet import bisim, cpn, dsl, fo, freshness, lts, model, queries, relational
 from dbnet.corpus import build_shopping_cart
-from dbnet.cpn import CpnTransition, Kernel
+from dbnet.cpn import Kernel
 from dbnet.fo import TRUE
 from dbnet.freshness import FreshPolicy
 from dbnet.lts import Lts
@@ -141,11 +141,14 @@ def test_equal_frozen_records_hash_equal():
     assert hash(fo.Not(TRUE)) == hash((TRUE,))
 
 
-def test_identity_equality_is_kept_where_declared():
-    entry = cpn._Entry(CpnTransition("t"), 0, 0, 1, frozenset(), (), (), (), None)
-    twin = cpn._Entry(*entry._values(entry))
-    assert entry == entry and entry != twin
-    assert cpn._Entry.__eq__ is object.__eq__ and cpn._Entry.__hash__ is object.__hash__
+class _EqualsAll:
+    def __eq__(self, other):
+        return True
+
+
+def test_other_classes_decide_their_own_equality(shop_2x2):
+    assert Variable("x", "int") == _EqualsAll() and _EqualsAll() == Variable("x", "int")
+    assert shop_2x2[0].initial_snapshot() == _EqualsAll()
 
 
 def test_init_takes_positions_then_keywords_then_defaults():
